@@ -11,31 +11,29 @@ Experiments:
     transfer       -- full windowed transfer sessions; throughput from wall
                       time.
 
-Baseline streams are self-calibrating: encoding symbols are generated
-incrementally until the decoder succeeds, so the realized overhead is
-measured rather than assumed. Timing columns are filled only when timing is
-enabled; without it they stay empty so CSV output is byte-identical across
-runs with the same master seed.
+The three codec experiments run each trial as one window of the transfer
+protocol (``SourceState`` / ``DestinationState``): the natives a seeded
+loss mask marks are lost, repair symbols always arrive, and NACK-driven
+repair batches follow until the window is acked or the source's repair
+budget runs out. Batch sizes, repair budgets and the decode-finish logic are
+therefore those of ``transfer``; the realized overhead is measured rather
+than assumed. Timing columns are filled only when timing is enabled;
+without it they stay empty so CSV output is byte-identical across runs with
+the same master seed.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import statistics
 import sys
-import time
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .channel import ChannelConfig, loss_mask
-from .codec import PeelDecoder, SourceBlock, derive_seed, encode_stream
-from .distributions import (LossContext, lr_raptor_dist, lrf_ideal,
-                            robust_soliton)
+from .codec import SourceBlock, derive_seed
 from .errors import InvalidParameterError, SessionFailure
-from .precode import PrecodeConfig, precode_expand, precode_solve
-from .transfer import run_session
+from .transfer import (Ack, DestinationState, NativeLoss, NativeSymbol,
+                       SessionConfig, SessionMetrics, SourceState, run_session)
 
 EXPERIMENTS = ("window-sweep", "lt-compare", "raptor-compare", "transfer")
 
@@ -94,13 +92,8 @@ class ResultRow:
 
 @dataclass
 class _Trial:
-    enc_sent: int = 0
-    total_degree: int = 0
-    lost: int = 0
-    encode_ns: int = 0
-    decode_ns: int = 0
-    success: bool = True
-    skipped: bool = False
+    metrics: SessionMetrics
+    success: bool
 
 
 def _trial_seed(master: int, *parts: int) -> int:
@@ -119,161 +112,49 @@ def _trace(spec: ExperimentSpec, line: str) -> None:
 # Single-trial codec experiments
 
 
-def _lrf_trial(w: int, l: int, p: float, eps: float, seed: int) -> _Trial:
-    """Loss-aware codec round: lose natives, repair with truncated-soliton
-    symbols sized (1+eps)*m, topping up in quarter batches if peeling stalls."""
-    t = _Trial()
-    block = SourceBlock.random(w, l, derive_seed(seed, 0))
-    mask = loss_mask(w, ChannelConfig(p, derive_seed(seed, 1)))
+def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float,
+                 seed: int) -> _Trial | None:
+    """One w-symbol window of the transfer protocol under ``scheme``.
+
+    The source is warm-started at the true loss fraction m/w, so the
+    loss-aware schemes size their proactive repair from the m natives the
+    mask drops. LT sends no natives and starts from a rate of 0, so its
+    first batch is w symbols. Returns None for a loss-aware trial that lost
+    nothing: it sends no repair, so there is nothing to measure.
+    """
+    channel = ChannelConfig(p, derive_seed(seed, 1))
+    mask = loss_mask(w, channel)
     m = int(mask.sum())
-    if m == 0:
-        t.skipped = True
-        return t
-    t.lost = m
-    natives = {int(i): block.symbols[i] for i in np.flatnonzero(~mask)}
-    dist = lrf_ideal(LossContext(w, m))
-    m_prime = math.ceil((1.0 + eps) * m)
-    batch = max(1, math.ceil(0.25 * m_prime))
-    budget = 3 * m_prime
-
-    decoder = PeelDecoder(w, l, natives)
-    count = m_prime
-    extra = 0
-    while True:
-        t0 = time.perf_counter_ns()
-        symbols = encode_stream(block, dist, derive_seed(seed, 2), count,
-                                start_id=t.enc_sent)
-        t.encode_ns += time.perf_counter_ns() - t0
-        t.enc_sent += count
-        t.total_degree += sum(s.degree for s in symbols)
-        t0 = time.perf_counter_ns()
-        for sym in symbols:
-            decoder.add_symbol(sym)
-        decoder.run()
-        t.decode_ns += time.perf_counter_ns() - t0
-        if decoder.success:
-            return t
-        if extra >= budget:
-            t.success = False
-            return t
-        count = min(batch, budget - extra)
-        extra += count
-
-
-def _lt_trial(w: int, l: int, delta: float, c: float, seed: int) -> _Trial:
-    """Fountain baseline: stream robust-soliton symbols (no natives) until
-    the peeling decoder succeeds; the realized overhead is the measurement."""
-    t = _Trial()
-    block = SourceBlock.random(w, l, derive_seed(seed, 0))
-    dist = robust_soliton(w, delta, c)
-    decoder = PeelDecoder(w, l)
-    count = w
-    cap = 3 * w
-    while True:
-        t0 = time.perf_counter_ns()
-        symbols = encode_stream(block, dist, derive_seed(seed, 2), count,
-                                start_id=t.enc_sent)
-        t.encode_ns += time.perf_counter_ns() - t0
-        t.enc_sent += count
-        t.total_degree += sum(s.degree for s in symbols)
-        t0 = time.perf_counter_ns()
-        for sym in symbols:
-            decoder.add_symbol(sym)
-        decoder.run()
-        t.decode_ns += time.perf_counter_ns() - t0
-        if decoder.success:
-            return t
-        if t.enc_sent >= cap:
-            t.success = False
-            return t
-        count = min(max(32, w // 50), cap - t.enc_sent)
-
-
-def _precoded_trial(cfg: PrecodeConfig, l: int, p: float, seed: int,
-                    dist, proactive: int, batch: int, budget_extra: int) -> _Trial:
-    """Shared machinery for the precoded schemes: lose natives, stream inner
-    encoding symbols over the intermediate block, finish via the parity
-    constraints when peeling alone is not enough."""
-    t = _Trial()
-    block = SourceBlock.random(cfg.k, l, derive_seed(seed, 0))
-    inter = precode_expand(block, cfg)
-    enc_block = inter.as_block()
-    mask = loss_mask(cfg.k, ChannelConfig(p, derive_seed(seed, 1)))
-    m = int(mask.sum())
-    t.lost = m
-    natives = {int(i): block.symbols[i] for i in np.flatnonzero(~mask)}
-    if m == 0:
-        # Nothing lost: natives alone complete the window.
-        return t
-
-    decoder = PeelDecoder(cfg.total, l, natives)
-    count = proactive
-    extra = 0
-    while True:
-        if count > 0:
-            t0 = time.perf_counter_ns()
-            symbols = encode_stream(enc_block, dist, derive_seed(seed, 2), count,
-                                    start_id=t.enc_sent)
-            t.encode_ns += time.perf_counter_ns() - t0
-            t.enc_sent += count
-            t.total_degree += sum(s.degree for s in symbols)
-            t0 = time.perf_counter_ns()
-            for sym in symbols:
-                decoder.add_symbol(sym)
-            decoder.run()
-            t.decode_ns += time.perf_counter_ns() - t0
-        else:
-            t0 = time.perf_counter_ns()
-            decoder.run()
-            t.decode_ns += time.perf_counter_ns() - t0
-
-        if not decoder.success:
-            covered = decoder.covered_map()
-            if sum(1 for i in covered if i < cfg.k) < cfg.k:
-                t0 = time.perf_counter_ns()
-                try:
-                    precode_solve(covered, cfg, extra_rows=decoder.pending_rows())
-                    solved = True
-                except Exception:
-                    solved = False
-                t.decode_ns += time.perf_counter_ns() - t0
-            else:
-                solved = True
-        else:
-            solved = True
-        if solved:
-            return t
-        if extra >= budget_extra:
-            t.success = False
-            return t
-        count = min(batch, budget_extra - extra)
-        extra += count
-
-
-def _raptor_trial(cfg: PrecodeConfig, l: int, p: float, delta: float, c: float,
-                  seed: int) -> _Trial:
-    dist = robust_soliton(cfg.total, delta, c)
-    batch = max(8, cfg.total // 200)
-    return _precoded_trial(cfg, l, p, seed, dist, proactive=0, batch=batch,
-                           budget_extra=2 * cfg.total)
-
-
-def _lr_raptor_trial(cfg: PrecodeConfig, l: int, p: float, eps: float,
-                     d_max: int | None, seed: int) -> _Trial:
-    mask = loss_mask(cfg.k, ChannelConfig(p, derive_seed(seed, 1)))
-    m = int(mask.sum())
-    if m == 0:
-        t = _Trial()
-        t.skipped = True
-        return t
-    # Size from the lost natives alone: the parity intermediates fall out of
-    # the precode constraints during the residual solve.
-    cap = min(d_max, cfg.total) if d_max is not None else cfg.total
-    dist = lr_raptor_dist(LossContext(cfg.total, m), cap)
-    m_prime = math.ceil((1.0 + eps) * m)
-    batch = max(1, math.ceil(0.25 * m_prime))
-    return _precoded_trial(cfg, l, p, seed, dist, proactive=m_prime,
-                           batch=batch, budget_extra=3 * m_prime)
+    if m == 0 and scheme in ("LRF", "LR-Raptor"):
+        return None
+    cfg = SessionConfig(window=w, symbol_bytes=spec.symbol_bytes,
+                        epsilon=spec.epsilon, scheme=scheme, channel=channel,
+                        seed=seed, delta=spec.delta, c=spec.c, d_max=spec.d_max,
+                        precode_s=spec.precode_s, precode_h=spec.precode_h,
+                        initial_loss_rate=0.0 if scheme == "LT" else m / w)
+    metrics = SessionMetrics()
+    source = SourceState(cfg, metrics)
+    dest = DestinationState(cfg, metrics)
+    block = SourceBlock.random(w, spec.symbol_bytes, derive_seed(seed, 0))
+    emissions = source.start_window(0, block)
+    responses: list = []
+    for em in emissions:
+        if isinstance(em, NativeSymbol):
+            responses += dest.step(NativeLoss(0, em.index) if mask[em.index] else em)
+    # Native ingestion is not decode work: time only what the repair costs.
+    metrics.decode_time = 0.0
+    emissions = [em for em in emissions if not isinstance(em, NativeSymbol)]
+    try:
+        while True:
+            for em in emissions:
+                responses += dest.step(em)
+            responses += dest.conclude(0)
+            if any(isinstance(r, Ack) for r in responses):
+                return _Trial(metrics, True)
+            emissions = source.step(responses)
+            responses = []
+    except SessionFailure:
+        return _Trial(metrics, False)
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +162,8 @@ def _lr_raptor_trial(cfg: PrecodeConfig, l: int, p: float, eps: float,
 
 
 def _aggregate(spec: ExperimentSpec, scheme: str, w: int, p: float,
-               trials: list[_Trial], per_input: bool) -> ResultRow:
-    used = [t for t in trials if not t.skipped]
+               trials: list[_Trial | None], per_input: bool) -> ResultRow:
+    used = [t for t in trials if t is not None]
     skipped = len(trials) - len(used)
     if skipped:
         _trace(spec, f"{spec.experiment},{scheme},{w},{p},"
@@ -294,14 +175,15 @@ def _aggregate(spec: ExperimentSpec, scheme: str, w: int, p: float,
     for i, t in enumerate(used):
         if not t.success:
             _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={i},"
-                         f"failure unresolved_after_budget enc_sent={t.enc_sent}")
-    denom = (lambda t: w) if per_input else (lambda t: t.lost)
-    sample = ok if ok else used
-    enc_ratio = statistics.fmean(t.enc_sent / denom(t) for t in sample)
-    deg_ratio = statistics.fmean(t.total_degree / denom(t) for t in sample)
+                         f"failure unresolved_after_budget "
+                         f"enc_sent={t.metrics.encoding_sent}")
+    denom = (lambda m: w) if per_input else (lambda m: m.lost)
+    sample = [t.metrics for t in (ok if ok else used)]
+    enc_ratio = statistics.fmean(m.encoding_sent / denom(m) for m in sample)
+    deg_ratio = statistics.fmean(m.total_degree_sent / denom(m) for m in sample)
     if spec.timing:
-        enc_ns = statistics.fmean(t.encode_ns / denom(t) for t in sample)
-        dec_ns = statistics.fmean(t.decode_ns / denom(t) for t in sample)
+        enc_ns = statistics.fmean(m.encode_time * 1e9 / denom(m) for m in sample)
+        dec_ns = statistics.fmean(m.decode_time * 1e9 / denom(m) for m in sample)
     else:
         enc_ns = dec_ns = None
     return ResultRow(spec.experiment, scheme, w, p, len(used), enc_ratio,
@@ -319,8 +201,8 @@ def run_window_sweep(spec: ExperimentSpec) -> list[ResultRow]:
     for wi, w in enumerate(spec.window_lengths):
         for pi, p in enumerate(spec.loss_rates):
             trials = [
-                _lrf_trial(w, spec.symbol_bytes, p, spec.epsilon,
-                           _trial_seed(spec.master_seed, 1, wi, pi, t))
+                _codec_trial(spec, "LRF", w, p,
+                             _trial_seed(spec.master_seed, 1, wi, pi, t))
                 for t in range(spec.trials)
             ]
             rows.append(_aggregate(spec, "LRF", w, p, trials, per_input=False))
@@ -334,15 +216,11 @@ def run_lt_compare(spec: ExperimentSpec) -> list[ResultRow]:
     for wi, w in enumerate(spec.window_lengths):
         for pi, p in enumerate(spec.loss_rates):
             for si, scheme in enumerate(schemes):
-                trials = []
-                for t in range(spec.trials):
-                    seed = _trial_seed(spec.master_seed, 2, wi, pi, si, t)
-                    if scheme == "LT":
-                        trials.append(_lt_trial(w, spec.symbol_bytes,
-                                                spec.delta, spec.c, seed))
-                    else:
-                        trials.append(_lrf_trial(w, spec.symbol_bytes, p,
-                                                 spec.epsilon, seed))
+                trials = [
+                    _codec_trial(spec, scheme, w, p,
+                                 _trial_seed(spec.master_seed, 2, wi, pi, si, t))
+                    for t in range(spec.trials)
+                ]
                 rows.append(_aggregate(spec, scheme, w, p, trials, per_input=True))
     return rows
 
@@ -350,21 +228,16 @@ def run_lt_compare(spec: ExperimentSpec) -> list[ResultRow]:
 def run_raptor_compare(spec: ExperimentSpec) -> list[ResultRow]:
     """Precoded baseline vs capped loss-aware variant; per-input ratios."""
     rows = []
-    cfg = PrecodeConfig(k=spec.precode_k, s=spec.precode_s, h=spec.precode_h,
-                        seed=derive_seed(spec.master_seed, 0x9C0DE))
+    k = spec.precode_k
     schemes = spec.schemes or ("Raptor", "LR-Raptor")
     for pi, p in enumerate(spec.loss_rates):
         for si, scheme in enumerate(schemes):
-            trials = []
-            for t in range(spec.trials):
-                seed = _trial_seed(spec.master_seed, 3, pi, si, t)
-                if scheme == "Raptor":
-                    trials.append(_raptor_trial(cfg, spec.symbol_bytes, p,
-                                                spec.delta, spec.c, seed))
-                else:
-                    trials.append(_lr_raptor_trial(cfg, spec.symbol_bytes, p,
-                                                   spec.epsilon, spec.d_max, seed))
-            rows.append(_aggregate(spec, scheme, cfg.k, p, trials, per_input=True))
+            trials = [
+                _codec_trial(spec, scheme, k, p,
+                             _trial_seed(spec.master_seed, 3, pi, si, t))
+                for t in range(spec.trials)
+            ]
+            rows.append(_aggregate(spec, scheme, k, p, trials, per_input=True))
     return rows
 
 

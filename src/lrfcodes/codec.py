@@ -165,15 +165,18 @@ def resolve_neighbors(sym: EncodingSymbol, w: int) -> EncodingSymbol:
 class DecodeResult:
     """Outcome of a peeling pass: recovered payloads plus bookkeeping.
 
-    ``recovered`` is the full ordered list of w payloads on success, or a
+    ``recovered`` is the full ordered list of payloads on success, or a
     partial mapping index -> payload otherwise. ``encoding_used`` counts the
     encoding symbols consumed to cover a previously uncovered input symbol.
+    ``failed_stage`` names the stage that stopped an unsuccessful decode:
+    "inner" (peeling) or "precode" (the parity-constraint solve).
     """
 
     recovered: list[bytes] | dict[int, bytes]
     success: bool
     unresolved: int
     encoding_used: int
+    failed_stage: str | None = None
 
 
 class _Pending:
@@ -191,7 +194,8 @@ class PeelDecoder:
     reduction is a vectorized gather + XOR. Encoding symbols with more than
     one uncovered neighbor wait in per-index adjacency lists; symbols that
     reach exactly one uncovered neighbor join the ripple queue and are
-    processed FIFO (the fixpoint does not depend on the order).
+    processed FIFO. The fixpoint depends neither on the ripple order nor on
+    whether natives arrive before or after the encoding symbols.
     """
 
     def __init__(self, w: int, l: int, natives=None):
@@ -228,6 +232,19 @@ class PeelDecoder:
         self._covered[idx] = True
         self._payloads[idx] = np.frombuffer(payload, dtype=np.uint8)
         self._uncovered -= 1
+        self._discharge(idx)
+
+    def _discharge(self, idx: int) -> None:
+        """Substitute newly covered ``idx`` into every pending symbol that
+        lists it; a symbol left with one uncovered neighbor joins the ripple."""
+        value = self._payloads[idx]
+        for other in self._adj.pop(idx, ()):
+            rem = other.remaining
+            if idx in rem:
+                rem.discard(idx)
+                other.data ^= value
+                if len(rem) == 1:
+                    self._ripple.append(other)
 
     def add_symbol(self, sym: EncodingSymbol) -> None:
         """Queue one encoding symbol, XOR-ing out already covered neighbors.
@@ -258,7 +275,6 @@ class PeelDecoder:
         """Peel to fixpoint: repeatedly release symbols with one uncovered
         neighbor. Linear in the total edge count."""
         ripple = self._ripple
-        adj = self._adj
         covered = self._covered
         payloads = self._payloads
         while ripple:
@@ -272,18 +288,10 @@ class PeelDecoder:
             payloads[idx] = pending.data
             self._uncovered -= 1
             self.encoding_used += 1
-            for other in adj.pop(idx, ()):
-                # A symbol released through the adjacency path stays listed
-                # under its last neighbor; skip it here or the self-XOR would
-                # zero ``pending.data`` while later siblings still need it.
-                if other is pending:
-                    continue
-                rem = other.remaining
-                if idx in rem:
-                    rem.discard(idx)
-                    other.data ^= pending.data
-                    if len(rem) == 1:
-                        ripple.append(other)
+            # A symbol released through the adjacency path stays listed under
+            # its last neighbor, so this also zeroes ``pending.data``; its
+            # siblings take the value from the payload matrix instead.
+            self._discharge(idx)
 
     def pending_rows(self) -> list[tuple[tuple[int, ...], int]]:
         """Undischarged encoding symbols as GF(2) equations.
@@ -319,7 +327,8 @@ class PeelDecoder:
         else:
             recovered = self.covered_map()
         return DecodeResult(recovered=recovered, success=self.success,
-                            unresolved=self._uncovered, encoding_used=self.encoding_used)
+                            unresolved=self._uncovered, encoding_used=self.encoding_used,
+                            failed_stage=None if self.success else "inner")
 
 
 def peel_decode(natives, encoding, w: int, l: int) -> DecodeResult:

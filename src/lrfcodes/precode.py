@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .codec import EncodingSymbol, PeelDecoder, SourceBlock, derive_seed, encode_stream
+from .codec import (DecodeResult, EncodingSymbol, PeelDecoder, SourceBlock,
+                    derive_seed, encode_stream)
 from .distributions import DegreeDistribution
 from .errors import DecodeFailure, InvalidInputError, InvalidParameterError
 
@@ -249,27 +250,12 @@ def raptor_encode(block: SourceBlock, cfg: PrecodeConfig, dist: DegreeDistributi
     return encode_stream(inter.as_block(), dist, base_seed, count, start_id=start_id)
 
 
-# Same composition; the caller chooses the capped loss-aware distribution.
-lr_raptor_encode = raptor_encode
-
-
-@dataclass
-class RaptorDecodeResult:
-    """Like ``DecodeResult`` but over the native block, with the stage that
-    failed ("inner" or "precode") when unsuccessful."""
-
-    recovered: list[bytes] | dict[int, bytes]
-    success: bool
-    unresolved: int
-    encoding_used: int
-    failed_stage: str | None = None
-
-
 def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None,
-                  residual_cap: int = RESIDUAL_CAP_DEFAULT) -> RaptorDecodeResult:
+                  residual_cap: int = RESIDUAL_CAP_DEFAULT) -> DecodeResult:
     """Peel over the intermediate block, then solve the precode residual.
 
-    ``natives`` maps intermediate indices (normally 0..k-1) to payloads.
+    ``natives`` maps intermediate indices (normally 0..k-1) to payloads. The
+    result is over the k natives; on failure ``failed_stage`` is "precode".
     """
     items = dict(natives.items() if isinstance(natives, Mapping) else natives)
     if l is None:
@@ -287,22 +273,22 @@ def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None,
 
     if decoder.success:
         all_syms = decoder.result().recovered
-        return RaptorDecodeResult(recovered=list(all_syms[:cfg.k]), success=True,
-                                  unresolved=0, encoding_used=decoder.encoding_used)
+        return DecodeResult(recovered=list(all_syms[:cfg.k]), success=True,
+                            unresolved=0, encoding_used=decoder.encoding_used)
 
     covered = decoder.covered_map()
     missing_natives = cfg.k - sum(1 for i in covered if i < cfg.k)
     if missing_natives == 0:
-        return RaptorDecodeResult(
+        return DecodeResult(
             recovered=[covered[i] for i in range(cfg.k)], success=True,
             unresolved=0, encoding_used=decoder.encoding_used)
     try:
         recovered = precode_solve(covered, cfg, residual_cap=residual_cap,
                                   extra_rows=decoder.pending_rows())
     except DecodeFailure as exc:
-        return RaptorDecodeResult(
+        return DecodeResult(
             recovered={i: p for i, p in covered.items() if i < cfg.k},
             success=False, unresolved=exc.unresolved,
             encoding_used=decoder.encoding_used, failed_stage=exc.stage or "precode")
-    return RaptorDecodeResult(recovered=recovered, success=True, unresolved=0,
-                              encoding_used=decoder.encoding_used)
+    return DecodeResult(recovered=recovered, success=True, unresolved=0,
+                        encoding_used=decoder.encoding_used)

@@ -32,7 +32,7 @@ from .codec import (EncodingSymbol, PeelDecoder, SourceBlock, derive_seed,
                     encode_stream, resolve_neighbors)
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
-from .errors import InvalidParameterError, SessionFailure
+from .errors import DecodeFailure, InvalidParameterError, SessionFailure
 from .precode import PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
@@ -145,8 +145,6 @@ class SessionConfig:
     extra_batch_frac: float = 0.25
     budget_factor: float = 3.0
     baseline_extra_factor: float = 3.0
-    feedback_lag: int = 0
-    rederive_neighbors: bool = False
     trace: object = None
 
     def __post_init__(self):
@@ -197,7 +195,6 @@ class SourceState:
         self.known_loss_rate = (cfg.initial_loss_rate if cfg.initial_loss_rate is not None
                                 else cfg.channel.loss_rate)
         self.plans: dict[int, _RepairPlan] = {}
-        self.acked: set[int] = set()
 
     # -- helpers
 
@@ -289,7 +286,6 @@ class SourceState:
             if isinstance(ev, Feedback):
                 self.known_loss_rate = ev.report.estimate
             elif isinstance(ev, Ack):
-                self.acked.add(ev.window)
                 self.plans.pop(ev.window, None)
             elif isinstance(ev, WindowNack):
                 plan = self.plans.get(ev.window)
@@ -314,11 +310,6 @@ class SourceState:
                 plan.extra_sent += count
                 emissions += self._encode(plan, count, ev.window)
         return emissions
-
-
-def source_step(state: SourceState, feedback_events: Sequence) -> list:
-    """Feed feedback events to the source; returns new emissions."""
-    return state.step(feedback_events)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +337,6 @@ class DestinationState:
         self.metrics = metrics
         self.estimator = LossRateEstimator()
         self.windows: dict[int, _WindowState] = {}
-        self.acked: set[int] = set()
-        self.highest_window = -1
         self.protocol_errors = 0
 
     def _window(self, index: int) -> _WindowState:
@@ -364,7 +353,6 @@ class DestinationState:
             state = _WindowState(decoder=PeelDecoder(total, cfg.symbol_bytes),
                                  precode=pc, natives_expected=natives)
             self.windows[index] = state
-            self.highest_window = max(self.highest_window, index)
         return state
 
     def step(self, event) -> list:
@@ -396,7 +384,7 @@ class DestinationState:
                 if not state.complete:
                     sym = event.symbol
                     t0 = time.perf_counter()
-                    if self.cfg.rederive_neighbors or sym.neighbors is None:
+                    if sym.neighbors is None:
                         sym = resolve_neighbors(sym, state.decoder.w)
                     state.decoder.add_symbol(sym)
                     self.metrics.decode_time += time.perf_counter() - t0
@@ -428,7 +416,7 @@ class DestinationState:
                 try:
                     natives = precode_solve(covered, state.precode,
                                             extra_rows=decoder.pending_rows())
-                except Exception:
+                except DecodeFailure:
                     natives = None
         self.metrics.decode_time += time.perf_counter() - t0
 
@@ -439,18 +427,12 @@ class DestinationState:
 
         state.complete = True
         state.recovered = natives[:k]
-        self.acked.add(index)
         self.metrics.windows_completed += 1
         recovered_by_decode = (k - state.natives_seen if state.natives_expected
                                else k)
         self.metrics.recovered += max(0, recovered_by_decode)
         self.metrics.bytes_delivered += k * self.cfg.symbol_bytes
         return [Ack(index)]
-
-
-def dest_step(state: DestinationState, event) -> list:
-    """Process one destination event; returns acks/feedback emissions."""
-    return state.step(event)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,29 @@ def test_peel_decode_with_natives_and_losses():
         assert res.unresolved == 0
 
 
+def test_peeling_fixpoint_independent_of_native_order():
+    # Natives that arrive after the encoding symbols must discharge them just
+    # as natives known up front do.
+    w, l = 64, 8
+    blk = SourceBlock.random(w, l, seed=3)
+    lost = {2, 40}
+    natives = {i: blk.symbols[i] for i in range(w) if i not in lost}
+    encoding = encode_stream(blk, lrf_ideal(LossContext(w, len(lost))),
+                             base_seed=3, count=6)
+    natives_first = PeelDecoder(w, l, natives)
+    for sym in encoding:
+        natives_first.add_symbol(sym)
+    natives_first.run()
+    repairs_first = PeelDecoder(w, l)
+    for sym in encoding:
+        repairs_first.add_symbol(sym)
+    for idx, payload in natives.items():
+        repairs_first.add_native(idx, payload)
+    repairs_first.run()
+    assert natives_first.result().recovered == list(blk.symbols)
+    assert repairs_first.result() == natives_first.result()
+
+
 def test_decoder_duplicate_native_rejected():
     dec = PeelDecoder(4, 2)
     dec.add_native(0, b"ab")

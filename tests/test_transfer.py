@@ -7,7 +7,9 @@ import pytest
 
 from lrfcodes.channel import ChannelConfig
 from lrfcodes.codec import SourceBlock, derive_seed
-from lrfcodes.errors import InvalidParameterError, SessionFailure
+from lrfcodes import transfer
+from lrfcodes.errors import (InvalidInputError, InvalidParameterError,
+                             SessionFailure)
 from lrfcodes.transfer import (Ack, DestinationState, Feedback, NativeLoss,
                                NativeSymbol, RepairSymbol, SCHEMES,
                                SessionConfig, SessionMetrics, SourceState,
@@ -234,3 +236,21 @@ def test_ack_releases_window_state():
     assert 0 not in src.plans
     # A late nack for an acked window is ignored.
     assert src.step([WindowNack(0, 3)]) == []
+
+
+def test_conclude_propagates_non_decode_errors(monkeypatch):
+    # Only a DecodeFailure means "send more repair"; any other error from the
+    # precode solve is a fault and must reach the caller, not become a nack.
+    def corrupt(*args, **kwargs):
+        raise InvalidInputError("corrupt intermediate")
+
+    monkeypatch.setattr(transfer, "precode_solve", corrupt)
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="Raptor",
+                        channel=ChannelConfig(0.05, seed=0), seed=9)
+    metrics = SessionMetrics()
+    src = SourceState(cfg, metrics)
+    dst = DestinationState(cfg, metrics)
+    for em in src.start_window(0, SourceBlock.random(64, 8, seed=9)):
+        dst.step(NativeLoss(0, em.index) if em.index == 5 else em)
+    with pytest.raises(InvalidInputError):
+        dst.conclude(0)
