@@ -5,25 +5,42 @@ symbols. Degree and neighbor set are both derived deterministically from the
 symbol's seed, so only (id, seed, degree) need to travel on the wire; the
 decoder re-derives the neighbor set. Explicit neighbor arrays are kept on
 in-memory symbols so benchmarks time pure decode work.
+
+Derivation works on whole batches in numpy: ``derive_seeds`` gives the
+per-symbol seeds, ``derive_degrees`` their degrees and ``neighbor_sets`` their
+neighbor sets as CSR arrays. Each symbol's result depends on its own seed
+only, so a batch of one (``select_neighbors``, ``derive_degree``) yields what
+the symbol got inside any larger batch.
 """
 
 from __future__ import annotations
 
-import random
 import struct
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
-from .distributions import DegreeDistribution, sample
+# ``sample`` stays importable from this module for existing callers.
+from .distributions import DegreeDistribution, inverse_cdf, sample  # noqa: F401
 from .errors import InvalidInputError, InvalidParameterError
 
 _MASK64 = (1 << 64) - 1
-# Degree sampling uses a salted stream so the decoder can re-derive the
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+# Degrees come from a salted stream so the decoder can re-derive the
 # neighbor set from (seed, degree) alone without replaying the degree draw.
-_DEGREE_SALT = 0xD6E8FEB86659FD93
+_DEGREE_SALT = np.uint64(0xD6E8FEB86659FD93)
+# Upper bound on the candidate draws held at once by ``neighbor_sets``; a
+# larger batch is processed in chunks of about this many candidates.
+_CANDIDATE_CHUNK = 1 << 13
+# Largest window ``neighbor_sets`` accepts: a chunk's sort codes
+# (row, value, draw index) then stay far inside int64.
+MAX_WINDOW = 1 << 20
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -32,6 +49,135 @@ def derive_seed(base_seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def derive_seeds(base_seed, ids) -> np.ndarray:
+    """``derive_seed`` elementwise over uint64 arrays, as a 1-D uint64 array.
+
+    ``base_seed`` and ``ids`` broadcast against each other; either may be a
+    Python int or an array. Arithmetic wraps modulo 2**64 exactly as the
+    scalar reference masks it.
+    """
+    if isinstance(base_seed, int):
+        base_seed &= _MASK64
+    base = np.asarray(base_seed, dtype=np.uint64)
+    idx = np.atleast_1d(np.asarray(ids, dtype=np.uint64))
+    z = base + _GAMMA * (idx + np.uint64(1))
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
+
+
+def derive_degrees(seeds: np.ndarray, dist: DegreeDistribution) -> np.ndarray:
+    """Degree of each symbol seed: the top 53 bits of the seed's salted
+    splitmix64 output as a uniform in [0, 1), mapped through ``dist``'s CDF."""
+    u = (derive_seeds(np.asarray(seeds, dtype=np.uint64) ^ _DEGREE_SALT, 0)
+         >> np.uint64(11)) * (1.0 / (1 << 53))
+    return inverse_cdf(dist, u)
+
+
+def neighbor_sets(seeds: np.ndarray, w: int, degrees) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted neighbor sets of symbols with these seeds and degrees, as CSR
+    ``(indptr, indices)``: symbol i's set is ``indices[indptr[i]:indptr[i+1]]``.
+
+    A symbol draws ``k = min(d, w - d)`` indices: the first k distinct values
+    of its stream ``derive_seed(seed, j) mod w``, j = 0, 1, ..., where a draw
+    in the top ``2**64 mod w`` values is rejected so each value is exactly
+    uniform on 0..w-1. The first k distinct values of such a stream are a
+    uniform k-subset, so the set (the draws when d <= w/2, their complement
+    otherwise, everything when d = w) is uniform over all C(w, d) subsets.
+    """
+    if not 1 <= w <= MAX_WINDOW:
+        raise InvalidParameterError(f"window {w} outside 1..{MAX_WINDOW}")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    if seeds.shape != degrees.shape or seeds.ndim != 1:
+        raise InvalidParameterError("seeds and degrees must be matching 1-D arrays")
+    bad = (degrees < 1) | (degrees > w)
+    if bad.any():
+        raise InvalidParameterError(f"degree {degrees[bad][0]} outside 1..{w}")
+    flip = 2 * degrees > w
+    k = np.where(flip, w - degrees, degrees)
+    draw_ptr, drawn = _first_distinct(seeds, w, k)
+    if not flip.any():
+        return draw_ptr, drawn
+    indptr = np.zeros(degrees.size + 1, dtype=np.int64)
+    degrees.cumsum(out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    keep = ~flip
+    indices[keep.repeat(degrees)] = drawn[keep.repeat(k)]
+    for i in flip.nonzero()[0].tolist():
+        mask = np.ones(w, dtype=bool)
+        mask[drawn[draw_ptr[i]:draw_ptr[i + 1]]] = False
+        indices[indptr[i]:indptr[i + 1]] = mask.nonzero()[0]
+    return indptr, indices
+
+
+def _first_distinct(seeds: np.ndarray, w: int, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the sorted first ``k[i]`` distinct accepted draws of each
+    symbol's stream (see ``neighbor_sets``); ``k[i] <= w / 2``."""
+    ptr = np.zeros(k.size + 1, dtype=np.int64)
+    k.cumsum(out=ptr[1:])
+    out = np.empty(ptr[-1], dtype=np.int64)
+    rem = (1 << 64) % w
+    limit = np.uint64((1 << 64) - rem) if rem else None
+    # Draws per stream: k plus about twice the expected number of repeats;
+    # a stream that still falls short is redrawn with twice the margin.
+    margin = k * k // (w - k + 1) + 2
+    todo = k.nonzero()[0]
+    while todo.size:
+        draws = k[todo] + margin[todo]
+        ends = draws.cumsum()
+        cuts = ends.searchsorted(np.arange(_CANDIDATE_CHUNK, ends[-1], _CANDIDATE_CHUNK),
+                                 side="right").tolist()
+        short = []
+        for lo, hi in zip([0, *cuts], [*cuts, todo.size]):
+            if lo < hi:
+                rows = todo[lo:hi]
+                done = _draw_rows(seeds[rows], w, k[rows], draws[lo:hi], limit, out, ptr[rows])
+                short.append(rows[~done])
+        todo = np.concatenate(short)
+        margin[todo] *= 2
+    return ptr, out
+
+
+def _draw_rows(seeds, w, k, draws, limit, out, starts) -> np.ndarray:
+    """Draw ``draws[r]`` values from each row's stream; write the sorted first
+    ``k[r]`` distinct ones to ``out[starts[r]:]``. Returns which rows had
+    enough distinct draws (the others are left unwritten)."""
+    n = k.size
+    ends = draws.cumsum()
+    row_start = ends - draws
+    seg = np.arange(n).repeat(draws)
+    j = np.arange(ends[-1]) - row_start.repeat(draws)
+    x = derive_seeds(seeds.repeat(draws), j)
+    # One sort orders the draws by (row, value, draw index), so the first
+    # entry of each (row, value) run is that value's earliest draw.
+    span = int(draws.max())
+    code = (seg * w + (x % np.uint64(w)).astype(np.int64)) * span + j
+    if limit is not None:
+        ok = x < limit
+        if not ok.all():
+            code = code[ok]
+    code.sort()
+    key = code // span
+    new = np.empty(code.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    uniq = key[new]
+    useg = uniq // w
+    # Rank each distinct value among its row's distinct values by first draw.
+    pos = row_start[useg] + code[new] % span
+    firsts_before = np.zeros(ends[-1] + 1, dtype=np.int64)
+    firsts_before[pos + 1] = 1
+    firsts_before.cumsum(out=firsts_before)
+    rank = firsts_before[pos] - firsts_before[row_start[useg]]
+    done = np.bincount(useg, minlength=n) >= k
+    take = (rank < k[useg]) & done[useg]
+    kd = k[done]
+    dst = (starts[done] - (kd.cumsum() - kd)).repeat(kd) + np.arange(kd.sum())
+    out[dst] = uniq[take] - useg[take] * w
+    return done
 
 
 class SourceBlock:
@@ -90,52 +236,62 @@ def xor_combine(a: bytes, b: bytes) -> bytes:
 
 def select_neighbors(seed: int, w: int, degree: int) -> np.ndarray:
     """Degree distinct indices, uniform over all C(w, degree) subsets,
-    fully determined by the seed."""
-    if not 1 <= degree <= w:
-        raise InvalidParameterError(f"degree {degree} outside 1..{w}")
-    if degree == w:
-        return np.arange(w, dtype=np.int64)
-    picks = random.Random(seed).sample(range(w), degree)
-    picks.sort()
-    return np.array(picks, dtype=np.int64)
+    fully determined by the seed (``neighbor_sets`` for one symbol)."""
+    return neighbor_sets(np.array([seed], dtype=np.uint64), w, [degree])[1]
 
 
 def derive_degree(seed: int, dist: DegreeDistribution) -> int:
     """The degree an encoder at this seed will draw from ``dist``."""
-    return sample(dist, random.Random(seed ^ _DEGREE_SALT))
+    return int(derive_degrees(np.array([seed], dtype=np.uint64), dist)[0])
+
+
+def _encode(block: SourceBlock, dist: DegreeDistribution, seeds: np.ndarray,
+            ids: list[int]) -> list[EncodingSymbol]:
+    """Encode one symbol per seed: batch degree and neighbor derivation, then
+    the payload XOR on the block's Python-int payloads."""
+    if dist.w != block.w:
+        raise InvalidParameterError(f"distribution is over {dist.w} symbols, block has {block.w}")
+    degrees = derive_degrees(seeds, dist)
+    indptr, indices = neighbor_sets(seeds, block.w, degrees)
+    pick = block.payload_ints().__getitem__
+    bounds = indptr.tolist()
+    symbols = []
+    for sym_id, seed, degree, lo, hi in zip(ids, seeds.tolist(), degrees.tolist(),
+                                            bounds, bounds[1:]):
+        nb = indices[lo:hi]
+        acc = reduce(xor, map(pick, nb.tolist()), 0)
+        symbols.append(EncodingSymbol(id=sym_id, seed=seed, degree=degree, neighbors=nb,
+                                      payload=acc.to_bytes(block.l, "little")))
+    return symbols
 
 
 def encode_symbol(block: SourceBlock, dist: DegreeDistribution, seed: int,
                   symbol_id: int = 0) -> EncodingSymbol:
     """Draw a degree from ``dist`` and XOR that many uniformly chosen symbols."""
-    if dist.w != block.w:
-        raise InvalidParameterError(f"distribution is over {dist.w} symbols, block has {block.w}")
-    degree = derive_degree(seed, dist)
-    neighbors = select_neighbors(seed, block.w, degree)
-    ints = block.payload_ints()
-    acc = 0
-    for j in neighbors.tolist():
-        acc ^= ints[j]
-    return EncodingSymbol(id=symbol_id, seed=seed, degree=degree,
-                          neighbors=neighbors, payload=acc.to_bytes(block.l, "little"))
+    return _encode(block, dist, np.array([seed], dtype=np.uint64), [symbol_id])[0]
 
 
 def encode_stream(block: SourceBlock, dist: DegreeDistribution, base_seed: int,
                   count: int, start_id: int = 0) -> list[EncodingSymbol]:
-    """``count`` symbols with consecutive ids and per-symbol derived seeds."""
+    """``count`` symbols with consecutive ids and per-symbol derived seeds,
+    encoded as one batch."""
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
-    return [encode_symbol(block, dist, derive_seed(base_seed, start_id + i), start_id + i)
-            for i in range(count)]
+    ids = list(range(start_id, start_id + count))
+    return _encode(block, dist, derive_seeds(base_seed, ids), ids)
 
 
-# Wire format: little-endian {id: u64, seed: u64, degree: u32, payload_len: u32}
-# followed by payload bytes. Bit-exact so dumps are replayable across runs.
-WIRE_HEADER = struct.Struct("<QQII")
+# Wire format: little-endian {version: u8, id: u64, seed: u64, degree: u32,
+# payload_len: u32} followed by payload bytes. Bit-exact so dumps are
+# replayable across runs. ``version`` names the neighbor derivation the
+# decoder must re-run; a frame of another version is rejected.
+WIRE_VERSION = 1
+WIRE_HEADER = struct.Struct("<BQQII")
 
 
 def pack_symbol(sym: EncodingSymbol) -> bytes:
-    return WIRE_HEADER.pack(sym.id, sym.seed, sym.degree, len(sym.payload)) + sym.payload
+    return WIRE_HEADER.pack(WIRE_VERSION, sym.id, sym.seed, sym.degree,
+                            len(sym.payload)) + sym.payload
 
 
 def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
@@ -143,7 +299,9 @@ def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
     unresolved (None) until ``resolve_neighbors`` is called."""
     if len(buf) - offset < WIRE_HEADER.size:
         raise InvalidInputError("truncated symbol header")
-    sym_id, seed, degree, payload_len = WIRE_HEADER.unpack_from(buf, offset)
+    version, sym_id, seed, degree, payload_len = WIRE_HEADER.unpack_from(buf, offset)
+    if version != WIRE_VERSION:
+        raise InvalidInputError(f"unknown wire version {version}; expected {WIRE_VERSION}")
     start = offset + WIRE_HEADER.size
     end = start + payload_len
     if len(buf) < end:

@@ -231,6 +231,13 @@ def capped_normalizer_closed_form(low: int, d_max: int) -> float:
     return 1.0 / (1.0 / (low - 1) - 1.0 / d_max)
 
 
+def inverse_cdf(dist: DegreeDistribution, u):
+    """Degrees at uniforms ``u`` in [0, 1) (a scalar or an array): the
+    inverse-transform map every sampler here, and the codec, goes through."""
+    idx = np.searchsorted(dist.cdf, u, side="right")
+    return dist.degrees[np.minimum(idx, dist.degrees.size - 1)]
+
+
 def sample(dist: DegreeDistribution, rng) -> int:
     """Inverse-transform sample of one degree.
 
@@ -238,16 +245,9 @@ def sample(dist: DegreeDistribution, rng) -> int:
     [0, 1); the caller owns it, so determinism and thread-safety are the
     caller's contract.
     """
-    u = rng.random()
-    idx = int(np.searchsorted(dist.cdf, u, side="right"))
-    if idx >= dist.degrees.size:
-        idx = dist.degrees.size - 1
-    return int(dist.degrees[idx])
+    return int(inverse_cdf(dist, rng.random()))
 
 
 def sample_many(dist: DegreeDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
     """Vectorized inverse-transform sampling of ``size`` degrees."""
-    u = rng.random(size)
-    idx = np.searchsorted(dist.cdf, u, side="right")
-    np.clip(idx, 0, dist.degrees.size - 1, out=idx)
-    return dist.degrees[idx]
+    return inverse_cdf(dist, rng.random(size))

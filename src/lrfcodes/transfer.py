@@ -116,6 +116,9 @@ class SessionMetrics:
     decode_time: float = 0.0
     wall_time: float = 0.0
     bytes_delivered: int = 0
+    # Events the destination rejected as malformed (wrong type, bad length,
+    # unresolvable neighbors) and dropped.
+    protocol_errors: int = 0
 
     @property
     def throughput_bytes_per_s(self) -> float:
@@ -337,7 +340,6 @@ class DestinationState:
         self.metrics = metrics
         self.estimator = LossRateEstimator()
         self.windows: dict[int, _WindowState] = {}
-        self.protocol_errors = 0
 
     def _window(self, index: int) -> _WindowState:
         state = self.windows.get(index)
@@ -389,9 +391,9 @@ class DestinationState:
                     state.decoder.add_symbol(sym)
                     self.metrics.decode_time += time.perf_counter() - t0
             else:
-                self.protocol_errors += 1
+                self.metrics.protocol_errors += 1
         except (ValueError, TypeError):
-            self.protocol_errors += 1
+            self.metrics.protocol_errors += 1
         return out
 
     def conclude(self, index: int) -> list:
@@ -492,28 +494,24 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
         while not done:
             events = []
             mask = chan.loss_mask(len(emissions))
-            for em, dropped in zip(emissions, mask):
+            for em, dropped in zip(emissions, mask.tolist()):
+                # Each emission is traced at its own position on the link.
                 clock += 1
                 if isinstance(em, NativeSymbol):
-                    if dropped:
-                        self_ev = NativeLoss(em.window, em.index)
-                        events.append(self_ev)
-                    else:
-                        events.append(em)
-                else:  # RepairSymbol
-                    if dropped:
-                        metrics.lost += 1
-                        if trace:
-                            trace.write(f"{clock},repair_lost,{em.window},"
-                                        f"{em.symbol.id},\n")
-                    else:
-                        events.append(em)
+                    ev = NativeLoss(em.window, em.index) if dropped else em
+                    ident = em.index
+                else:  # RepairSymbol; a lost one raises no destination event
+                    ev = None if dropped else em
+                    ident = em.symbol.id
+                    metrics.lost += dropped
+                if trace:
+                    kind = "repair_lost" if ev is None else type(ev).__name__
+                    trace.write(f"{clock},{kind},{em.window},{ident},\n")
+                if ev is not None:
+                    events.append(ev)
 
             responses: list = []
             for ev in events:
-                if trace:
-                    ident = getattr(ev, "index", getattr(getattr(ev, "symbol", None), "id", ""))
-                    trace.write(f"{clock},{type(ev).__name__},{ev.window},{ident},\n")
                 responses += dest.step(ev)
             responses += dest.conclude(index)
 

@@ -1,12 +1,16 @@
 """Windowed transfer state-machine tests."""
 
+import dataclasses
+import io
 import math
 
 import numpy as np
 import pytest
 
 from lrfcodes.channel import ChannelConfig
-from lrfcodes.codec import SourceBlock, derive_seed
+from lrfcodes.codec import (SourceBlock, derive_seed, encode_symbol, pack_symbol,
+                            unpack_symbol)
+from lrfcodes.distributions import ideal_soliton
 from lrfcodes import transfer
 from lrfcodes.errors import (InvalidInputError, InvalidParameterError,
                              SessionFailure)
@@ -254,3 +258,53 @@ def test_conclude_propagates_non_decode_errors(monkeypatch):
         dst.step(NativeLoss(0, em.index) if em.index == 5 else em)
     with pytest.raises(InvalidInputError):
         dst.conclude(0)
+
+
+def test_destination_counts_malformed_events_in_metrics():
+    # Malformed events are dropped without disturbing the window, and each
+    # one is counted in SessionMetrics.protocol_errors.
+    cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.05, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    blk = SourceBlock.random(16, 8, seed=3)
+    sym = encode_symbol(blk, ideal_soliton(16), seed=5, symbol_id=0)
+    wire, _ = unpack_symbol(pack_symbol(sym))
+    bad_degree = dataclasses.replace(wire, degree=17)
+    short = dataclasses.replace(sym, payload=sym.payload[:-1])
+    malformed = [object(), NativeSymbol(0, 3, b"short"), NativeSymbol(0, 99, bytes(8)),
+                 RepairSymbol(0, short), RepairSymbol(0, bad_degree)]
+    for i, ev in enumerate(malformed, 1):
+        assert dst.step(ev) == []
+        assert metrics.protocol_errors == i
+    # A well-formed wire symbol still decodes after the rejected ones.
+    assert dst.step(RepairSymbol(0, wire)) == []
+    assert metrics.protocol_errors == len(malformed)
+    assert run_session(64 * 8, 64, 8, ChannelConfig(0.05, seed=1), 0.2, "LRF",
+                       seed=1).protocol_errors == 0
+
+
+def test_trace_stamps_each_symbol_with_its_link_position():
+    trace = io.StringIO()
+    metrics = run_session(3 * 200 * 8, 200, 8, ChannelConfig(0.05, seed=6), 0.2,
+                          "LRF", seed=6, trace=trace)
+    lines = [line.split(",") for line in trace.getvalue().splitlines()]
+    symbol_lines = [f for f in lines if f[1] != "ack"]
+    clocks = [int(f[0]) for f in symbol_lines]
+    # One line per symbol put on the link, stamped 1, 2, 3, ... in order.
+    assert clocks == list(range(1, metrics.natives_sent + metrics.encoding_sent + 1))
+    kinds = [f[1] for f in symbol_lines]
+    assert kinds.count("NativeSymbol") + kinds.count("NativeLoss") == metrics.natives_sent
+    assert kinds.count("RepairSymbol") + kinds.count("repair_lost") == metrics.encoding_sent
+    assert kinds.count("NativeLoss") + kinds.count("repair_lost") == metrics.lost
+    # Within a window, natives go out in index order before any repair.
+    natives = [(int(f[2]), int(f[3])) for f in symbol_lines if f[1].startswith("Native")]
+    assert natives == [(w, i) for w in range(3) for i in range(200)]
+    acks = [int(f[0]) for f in lines if f[1] == "ack"]
+    assert len(acks) == 3 and acks == sorted(acks)
+    # Tracing changes nothing else.
+    untraced = run_session(3 * 200 * 8, 200, 8, ChannelConfig(0.05, seed=6), 0.2,
+                           "LRF", seed=6)
+    for field in ("natives_sent", "encoding_sent", "total_degree_sent", "lost",
+                  "delivered", "recovered", "windows_completed", "protocol_errors"):
+        assert getattr(untraced, field) == getattr(metrics, field)
