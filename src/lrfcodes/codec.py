@@ -27,6 +27,7 @@ import numpy as np
 # ``sample`` stays importable from this module for existing callers.
 from .distributions import DegreeDistribution, inverse_cdf, sample  # noqa: F401
 from .errors import InvalidInputError, InvalidParameterError
+from .gf2 import csr
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -451,23 +452,38 @@ class PeelDecoder:
             # siblings take the value from the payload matrix instead.
             self._discharge(idx)
 
-    def pending_rows(self) -> list[tuple[tuple[int, ...], int]]:
-        """Undischarged encoding symbols as GF(2) equations.
+    @property
+    def covered(self) -> np.ndarray:
+        """Read-only view of the (w,) bool mask of covered symbols."""
+        view = self._covered.view()
+        view.setflags(write=False)
+        return view
 
-        Each row is (uncovered neighbor indices, little-endian RHS integer);
-        the XOR of those input symbols equals the RHS. Lets a caller finish
-        with dense elimination what peeling alone could not."""
+    @property
+    def payloads(self) -> np.ndarray:
+        """Read-only view of the (w, l) uint8 payload matrix; the rows of
+        uncovered symbols are zero."""
+        view = self._payloads.view()
+        view.setflags(write=False)
+        return view
+
+    def pending_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Undischarged encoding symbols as GF(2) equations over the
+        uncovered symbols: CSR ``(indptr, indices)`` of each symbol's
+        uncovered neighbors, and an (equations, l) uint8 matrix whose row is
+        the XOR of those neighbors' payloads. Lets a caller finish with
+        elimination what peeling alone could not."""
         seen: set[int] = set()
-        rows: list[tuple[tuple[int, ...], int]] = []
+        sets: list[set[int]] = []
+        data: list[np.ndarray] = []
         for lst in self._adj.values():
             for p in lst:
-                if id(p) in seen:
-                    continue
-                seen.add(id(p))
-                if p.remaining:
-                    rows.append((tuple(sorted(p.remaining)),
-                                 int.from_bytes(p.data.tobytes(), "little")))
-        return rows
+                if p.remaining and id(p) not in seen:
+                    seen.add(id(p))
+                    sets.append(p.remaining)
+                    data.append(p.data)
+        indptr, indices = csr(sets)
+        return indptr, indices, np.array(data, dtype=np.uint8).reshape(len(data), self.l)
 
     def covered_map(self) -> dict[int, bytes]:
         return {int(i): self._payloads[i].tobytes() for i in np.flatnonzero(self._covered)}

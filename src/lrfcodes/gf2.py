@@ -1,8 +1,22 @@
-"""Dense GF(2) elimination on XOR constraint systems.
+"""Bit-packed GF(2) elimination on XOR equation systems.
 
-Used by the precode residual solver after peeling stalls. Coefficients are a
-dense uint8 matrix over the unknown columns only; right-hand sides are symbol
-payloads carried as big integers so row operations are single XORs.
+Used by the precode solver to finish what the inner peeling decoder left.
+Each equation says that the XOR of some unknowns equals its right-hand side.
+
+* Coefficients are packed 64 unknown columns to a ``uint64`` word (column c
+  is bit ``c % 64`` of word ``c // 64``).
+* Right-hand sides are the rows of an (equations, l) uint8 payload matrix:
+  equation r's unknowns XOR to the l-byte symbol in row r (for the precode,
+  rows of the peeling decoder's payload matrix and the constraints'
+  right-hand sides). The solver stores each one, padded to whole words,
+  after its equation's coefficient words in one ``uint64`` row, so a row
+  operation on coefficients and right-hand side together is one numpy XOR.
+
+Elimination runs in two phases over the same packed rows. The peel phase
+pivots on equations with a single unknown left, which is the ripple of a
+peeling decoder; the dense phase is Gauss-Jordan elimination over the
+unknowns the peel left. ``xor_rows`` multiplies a sparse 0/1 matrix by a
+payload matrix, also a word at a time (``words``), to build right-hand sides.
 """
 
 from __future__ import annotations
@@ -11,97 +25,174 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+_ONE = np.uint64(1)
 
-def solve_partial(rows, unknowns):
+
+def words(mat: np.ndarray) -> np.ndarray:
+    """A C-contiguous uint8 matrix as ``uint64`` words when its rows are a
+    multiple of 8 bytes (a view, so XOR into it writes the matrix); the
+    matrix itself otherwise."""
+    if mat.shape[-1] % 8 == 0 and mat.flags.c_contiguous:
+        return mat.view(np.uint64)
+    return mat
+
+
+def csr(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Index sequences as CSR ``(indptr, indices)``: row r is
+    ``indices[indptr[r]:indptr[r + 1]]``."""
+    rows = [np.fromiter(r, dtype=np.int64) for r in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    return indptr, indices
+
+
+def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
+             take: np.ndarray | None = None) -> None:
+    """``out[r] ^= XOR of src[j]`` over the entries j of CSR row r.
+
+    ``indptr`` may start past 0 (a slice of a larger matrix's row pointers).
+    With ``take`` (a bool mask over src's rows), entries j with
+    ``take[j]`` false are skipped. ``out`` and ``src`` are payload matrices
+    of the same word type (see ``words``).
+    """
+    cols = indices[indptr[0]:indptr[-1]]
+    ptr = indptr - indptr[0]
+    if take is not None:
+        keep = take[cols]
+        cols = cols[keep]
+        ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
+    # One gather and reduce per row: faster than ``reduceat`` over the
+    # concatenated rows, for the few long rows of a precode.
+    bounds = ptr.tolist()
+    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo < hi:
+            out[r] ^= np.bitwise_xor.reduce(src[cols[lo:hi]], axis=0)
+
+
+def _pack(indptr: np.ndarray, indices: np.ndarray, unknowns: np.ndarray,
+          spare: int = 0) -> np.ndarray:
+    """Packed coefficient rows of the CSR equations over ``unknowns``'
+    columns, followed by ``spare`` zero words per row; an index listed twice
+    in a row cancels."""
+    order = np.argsort(unknowns, kind="stable")
+    ranked = unknowns[order]
+    at = np.minimum(np.searchsorted(ranked, indices), ranked.size - 1)
+    if (ranked[at] != indices).any():
+        raise InvalidInputError("an equation names an index that is not an unknown")
+    cols = order[at]
+    nr = indptr.size - 1
+    packed = np.zeros((nr, (unknowns.size + 63) // 64 + spare), dtype=np.uint64)
+    rows = np.repeat(np.arange(nr), np.diff(indptr))
+    np.bitwise_xor.at(packed, (rows, cols >> 6), _ONE << (cols & 63).astype(np.uint64))
+    return packed
+
+
+def _eliminate(M: np.ndarray, nu: int, residual_cap: int | None = None) -> np.ndarray:
+    """Reduce ``M`` in place: each row is an equation's packed coefficient
+    words followed by its right-hand side words, so one XOR of two rows is a
+    whole row operation. Returns each column's pivot row, -1 where it has
+    none.
+
+    Peel phase first, then the dense phase, unless more than
+    ``residual_cap`` columns are left without a pivot after the peel. On
+    return each pivot row holds its pivot column plus free columns only.
+    """
+    nw = (nu + 63) // 64
+    pivot = np.full(nu, -1, dtype=np.int64)
+    weight = np.unpackbits(M[:, :nw].view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+    free_row = weight > 0
+
+    def pivot_on(r: int, col: int, hits: np.ndarray) -> np.ndarray:
+        """Clear ``col`` from the rows ``hits`` (r among them) with row r."""
+        hits = hits[hits != r]
+        M[hits] ^= M[r]
+        pivot[col] = r
+        free_row[r] = False
+        return hits
+
+    def rows_with(col: int) -> np.ndarray:
+        return (M[:, col >> 6] & (_ONE << np.uint64(col & 63))).nonzero()[0]
+
+    # Peel phase: a weight-1 row pins its column; clearing that column
+    # from the other rows lowers each of their weights by one. A peel pivot
+    # row keeps its single bit, so no later row operation touches it.
+    ripple = (weight == 1).nonzero()[0].tolist()
+    while ripple:
+        r = ripple.pop()
+        if not free_row[r] or weight[r] != 1:
+            continue
+        word = int(M[r, :nw].nonzero()[0][0])
+        col = word * 64 + int(M[r, word]).bit_length() - 1
+        hits = pivot_on(r, col, rows_with(col))
+        weight[hits] -= 1
+        ripple += hits[weight[hits] == 1].tolist()
+
+    if residual_cap is None or np.count_nonzero(pivot < 0) <= residual_cap:
+        for col in (pivot < 0).nonzero()[0].tolist():
+            hits = rows_with(col)
+            cand = hits[free_row[hits]]
+            if cand.size:
+                pivot_on(int(cand[0]), col, hits)
+
+    if M[~M[:, :nw].any(axis=1), nw:].any():
+        raise InvalidInputError("inconsistent XOR system")
+    return pivot
+
+
+def solve_partial(rows, unknowns, rhs, residual_cap: int | None = None) -> dict:
     """Solve XOR equations for as many unknowns as the system determines.
 
     Args:
-        rows: iterable of ``(unknown_indices, rhs_int)``; each equation says
-            the XOR of those unknowns equals ``rhs_int``.
-        unknowns: the unknown indices, in any order.
+        rows: the equations as CSR ``(indptr, indices)`` (see ``csr``):
+            equation r XORs the unknowns ``indices[indptr[r]:indptr[r+1]]``.
+        unknowns: the distinct unknown indices, in any order.
+        rhs: (equations, l) uint8 matrix; row r is equation r's right-hand
+            side. It is not modified.
+        residual_cap: when more than this many unknowns are left after the
+            peel phase, the dense phase is skipped and only the peeled
+            unknowns are returned.
 
     Returns:
-        Mapping unknown index -> value for every unknown whose value the
-        system pins down (pivot column with no free columns in its row).
+        Mapping unknown index -> its l-byte value (a uint8 row) for every
+        unknown the system pins down: each peeled unknown, and each dense
+        pivot whose reduced row has no free column.
 
     Raises:
-        InvalidInputError: the system is inconsistent (a zero row with a
-            non-zero right-hand side), which indicates corrupted input.
+        InvalidInputError: the system is inconsistent (a row reduces to
+            zero coefficients with a non-zero right-hand side, which
+            indicates corrupted input), or an equation names an index that
+            is not among the unknowns.
     """
-    unknowns = list(unknowns)
-    pos = {u: i for i, u in enumerate(unknowns)}
-    nu = len(unknowns)
-    eqs = [(idxs, rhs) for idxs, rhs in rows]
-    nr = len(eqs)
-    if nu == 0 or nr == 0:
+    indptr, indices = (np.asarray(a, dtype=np.int64) for a in rows)
+    unknowns = np.fromiter(unknowns, dtype=np.int64)
+    rhs = np.asarray(rhs, dtype=np.uint8)
+    if rhs.ndim != 2 or rhs.shape[0] != indptr.size - 1:
+        raise InvalidInputError(f"{indptr.size - 1} equations but right-hand sides of "
+                                f"shape {rhs.shape}")
+    if unknowns.size == 0 or rhs.shape[0] == 0:
         return {}
+    nw = (unknowns.size + 63) // 64
+    l = rhs.shape[1]
+    M = _pack(indptr, indices, unknowns, spare=(l + 7) // 8)
+    values = M[:, nw:].view(np.uint8)
+    values[:, :l] = rhs
+    pivot = _eliminate(M, unknowns.size, residual_cap)
 
-    A = np.zeros((nr, nu), dtype=np.uint8)
-    rhs = [0] * nr
-    for r, (idxs, value) in enumerate(eqs):
-        for u in idxs:
-            A[r, pos[u]] ^= 1
-        rhs[r] = value
-
-    pivot_of_col: dict[int, int] = {}
-    pivot_row = 0
-    for col in range(nu):
-        hit = np.flatnonzero(A[pivot_row:, col])
-        if hit.size == 0:
-            continue
-        src = pivot_row + int(hit[0])
-        if src != pivot_row:
-            A[[pivot_row, src]] = A[[src, pivot_row]]
-            rhs[pivot_row], rhs[src] = rhs[src], rhs[pivot_row]
-        # Eliminate everywhere else (full reduction, so determined rows
-        # end up with a lone pivot plus free columns only).
-        for r in np.flatnonzero(A[:, col]).tolist():
-            if r != pivot_row:
-                A[r] ^= A[pivot_row]
-                rhs[r] ^= rhs[pivot_row]
-        pivot_of_col[col] = pivot_row
-        pivot_row += 1
-        if pivot_row == nr:
-            break
-
-    for r in range(pivot_row, nr):
-        if rhs[r] != 0 and not A[r].any():
-            raise InvalidInputError("inconsistent XOR system")
-
-    free = np.ones(nu, dtype=bool)
-    for col in pivot_of_col:
-        free[col] = False
-
-    solved: dict[int, int] = {}
-    for col, r in pivot_of_col.items():
-        if not (A[r] & free).any():
-            solved[unknowns[col]] = rhs[r]
-    return solved
+    cols = (pivot >= 0).nonzero()[0]
+    unpivoted = (pivot < 0).nonzero()[0]
+    free_mask = np.zeros(nw, dtype=np.uint64)
+    np.bitwise_or.at(free_mask, unpivoted >> 6, _ONE << (unpivoted & 63).astype(np.uint64))
+    pinned = cols[~(M[pivot[cols], :nw] & free_mask).any(axis=1)]
+    return {int(unknowns[c]): values[pivot[c], :l] for c in pinned.tolist()}
 
 
 def rank(rows, unknowns) -> int:
-    """GF(2) rank of the coefficient matrix over the given unknowns."""
-    unknowns = list(unknowns)
-    pos = {u: i for i, u in enumerate(unknowns)}
-    nu = len(unknowns)
-    eqs = list(rows)
-    if nu == 0 or not eqs:
+    """GF(2) rank of the coefficient matrix of ``rows`` (index sequences)
+    over the given unknowns."""
+    indptr, indices = csr(rows)
+    unknowns = np.fromiter(unknowns, dtype=np.int64)
+    if unknowns.size == 0 or indptr.size == 1:
         return 0
-    A = np.zeros((len(eqs), nu), dtype=np.uint8)
-    for r, idxs in enumerate(eqs):
-        for u in idxs:
-            A[r, pos[u]] ^= 1
-    rk = 0
-    for col in range(nu):
-        hit = np.flatnonzero(A[rk:, col])
-        if hit.size == 0:
-            continue
-        src = rk + int(hit[0])
-        if src != rk:
-            A[[rk, src]] = A[[src, rk]]
-        for r in np.flatnonzero(A[rk + 1:, col]).tolist():
-            A[rk + 1 + r] ^= A[rk]
-        rk += 1
-        if rk == len(eqs):
-            break
-    return rk
+    pivot = _eliminate(_pack(indptr, indices, unknowns), unknowns.size)
+    return int(np.count_nonzero(pivot >= 0))

@@ -12,7 +12,6 @@ standards-compliant generator; outputs are labeled as such.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -51,7 +50,6 @@ class PrecodeConfig:
         return self.k + self.s + self.h
 
 
-@lru_cache(maxsize=64)
 def parity_rows(cfg: PrecodeConfig) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Deterministic parity structure for a config: (sparse_rows, dense_rows).
 
@@ -99,17 +97,29 @@ def parity_rows(cfg: PrecodeConfig) -> tuple[tuple[np.ndarray, ...], tuple[np.nd
         f"{_MAX_CONSTRUCTION_ATTEMPTS} attempts")
 
 
-@lru_cache(maxsize=64)
+# A session uses one config and every session draws a new precode seed, so
+# only the latest config's structure is worth keeping.
+@lru_cache(maxsize=1)
+def constraint_matrix(cfg: PrecodeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every parity constraint as a sorted row of a read-only CSR matrix
+    ``(indptr, indices)`` over the intermediate block: row j lists the
+    members of parity k + j and then k + j itself, and XORs to zero."""
+    sparse, dense = parity_rows(cfg)
+    rows = [np.append(members, cfg.k + j) for j, members in enumerate(sparse + dense)]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    indices = np.concatenate(rows).astype(np.int32)
+    indptr.setflags(write=False)
+    indices.setflags(write=False)
+    return indptr, indices
+
+
 def constraint_rows(cfg: PrecodeConfig) -> tuple[tuple[int, ...], ...]:
     """Every parity constraint as a sorted index tuple over the intermediate
     block (members plus the parity symbol itself); each XORs to zero."""
-    sparse, dense = parity_rows(cfg)
-    rows = []
-    for j, members in enumerate(sparse):
-        rows.append(tuple(sorted(members.tolist() + [cfg.k + j])))
-    for j, members in enumerate(dense):
-        rows.append(tuple(sorted(members.tolist() + [cfg.k + cfg.s + j])))
-    return tuple(rows)
+    indptr, indices = constraint_matrix(cfg)
+    bounds = indptr.tolist()
+    return tuple(tuple(indices[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def dump_parity_rows(cfg: PrecodeConfig) -> str:
@@ -136,110 +146,131 @@ def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> IntermediateBlock:
     """Append the s + h parity symbols to a k-symbol block."""
     if block.w != cfg.k:
         raise InvalidParameterError(f"block has {block.w} symbols, config expects {cfg.k}")
-    sparse, dense = parity_rows(cfg)
-    ints = list(block.payload_ints())
-    for members in sparse:
-        acc = 0
-        for i in members.tolist():
-            acc ^= ints[i]
-        ints.append(acc)
-    for members in dense:
-        acc = 0
-        for i in members.tolist():
-            acc ^= ints[i]
-        ints.append(acc)
-    symbols = block.symbols + tuple(v.to_bytes(block.l, "little") for v in ints[cfg.k:])
+    k, s = cfg.k, cfg.s
+    inter = np.zeros((cfg.total, block.l), dtype=np.uint8)
+    inter[:k] = np.frombuffer(b"".join(block.symbols), dtype=np.uint8).reshape(k, block.l)
+    indptr, indices = constraint_matrix(cfg)
+    # Sparse parities read natives only, dense ones also the sparse parities,
+    # so the sparse rows go first. Each row also lists its own parity, which
+    # reads as zero in ``inter`` until the pass is written back.
+    for lo, hi in ((0, s), (s, s + cfg.h)):
+        parity = np.zeros((hi - lo, block.l), dtype=np.uint8)
+        gf2.xor_rows(gf2.words(parity), gf2.words(inter), indptr[lo:hi + 1], indices)
+        inter[k + lo:k + hi] = parity
+    symbols = block.symbols + tuple(row.tobytes() for row in inter[k:])
     return IntermediateBlock(symbols=symbols, cfg=cfg, source=block)
+
+
+class ConstraintRhs:
+    """Right-hand sides of the parity constraints over one ``PeelDecoder``'s
+    covered intermediates, carried across the solves of that decoder.
+
+    Row j is the XOR of constraint j's covered members, so its uncovered
+    members XOR to it. A decoder only ever adds covered intermediates, so
+    each ``fold`` XORs in just those covered since the previous one.
+    """
+
+    def __init__(self, cfg: PrecodeConfig, l: int):
+        self.cfg = cfg
+        self.rhs = np.zeros((cfg.s + cfg.h, l), dtype=np.uint8)
+        self.folded = np.zeros(cfg.total, dtype=bool)
+
+    def fold(self, covered: np.ndarray, payloads: np.ndarray) -> None:
+        """Bring ``rhs`` up to date with the decoder's covered mask and
+        payload matrix."""
+        if (self.folded & ~covered).any():
+            raise InvalidParameterError("constraint right-hand sides of another decoder")
+        indptr, indices = constraint_matrix(self.cfg)
+        gf2.xor_rows(gf2.words(self.rhs), gf2.words(payloads), indptr, indices,
+                     take=covered & ~self.folded)
+        self.folded = covered.copy()
 
 
 def precode_solve(partial, cfg: PrecodeConfig,
                   residual_cap: int = RESIDUAL_CAP_DEFAULT,
-                  extra_rows=()) -> list[bytes]:
+                  extra_rows=(), state: ConstraintRhs | None = None) -> list[bytes]:
     """Fill missing intermediates from the parity constraints and return the
     k native payloads.
 
-    Peels constraints with a single missing member first, then runs dense
-    GF(2) elimination on the residual system, bounded by ``residual_cap``
-    unknowns. ``extra_rows`` adds caller-supplied GF(2) equations over the
-    intermediate indices, each (indices, little-endian RHS integer) --
-    typically the undischarged inner encoding symbols (see
-    ``PeelDecoder.pending_rows``).
+    ``partial`` is a ``PeelDecoder`` over the ``cfg.total`` intermediates,
+    read in place: its covered mask, payload matrix and pending equations.
+    It may instead be the known intermediates as a mapping or iterable of
+    (index, payload); those and ``extra_rows`` (caller-supplied GF(2)
+    equations over the intermediates, each (indices, little-endian RHS
+    integer)) are peeled in a fresh decoder first. ``state`` carries the
+    constraint right-hand sides across the solves of one decoder; without
+    it they are folded from scratch.
+
+    The constraints and the pending equations go to one bit-packed
+    elimination (``gf2.solve_partial``), whose peel phase pivots on
+    single-unknown equations; its dense phase runs only if at most
+    ``residual_cap`` unknowns are left after that peel.
 
     Raises:
-        DecodeFailure: the constraints do not determine every native, or the
-            residual exceeds the cap.
+        DecodeFailure: the system does not determine every native.
+        InvalidInputError: malformed intermediates or extra rows, or an
+            inconsistent system.
     """
-    items = partial.items() if isinstance(partial, Mapping) else partial
-    known: dict[int, int] = {}
-    l = None
-    for idx, payload in items:
-        if not 0 <= idx < cfg.total:
-            raise InvalidInputError(f"index {idx} outside intermediate range 0..{cfg.total - 1}")
-        if idx in known:
-            raise InvalidInputError(f"duplicate intermediate index {idx}")
-        if l is None:
-            l = len(payload)
-        elif len(payload) != l:
-            raise InvalidInputError("intermediate payload lengths differ")
-        known[idx] = int.from_bytes(payload, "little")
-    if l is None:
+    if isinstance(partial, PeelDecoder):
+        if extra_rows:
+            raise InvalidParameterError("extra_rows go with a mapping, not a decoder")
+        decoder = partial
+    else:
+        decoder = _peeled(partial, cfg, extra_rows)
+    if decoder.w != cfg.total:
+        raise InvalidParameterError(f"decoder has {decoder.w} symbols, config has {cfg.total}")
+    covered, payloads = decoder.covered, decoder.payloads
+    missing = np.flatnonzero(~covered[:cfg.k]).tolist()
+    solved = {}
+    if missing:
+        if state is None:
+            state = ConstraintRhs(cfg, decoder.l)
+        state.fold(covered, payloads)
+        # The constraints restricted to their uncovered members, then the
+        # decoder's pending equations, as one CSR system.
+        indptr, indices = constraint_matrix(cfg)
+        open_entry = ~covered[indices]
+        counts = np.add.reduceat(open_entry, indptr[:-1])
+        rows = counts > 0
+        p_indptr, p_indices, p_rhs = decoder.pending_rows()
+        unknowns = np.flatnonzero(~covered)
+        solved = gf2.solve_partial(
+            (np.concatenate(([0], np.cumsum(counts[rows]), p_indptr[1:] + counts.sum())),
+             np.concatenate((indices[open_entry], p_indices))),
+            unknowns, np.concatenate((state.rhs[rows], p_rhs)),
+            residual_cap=residual_cap)
+        undetermined = [i for i in missing if i not in solved]
+        if undetermined:
+            raise DecodeFailure(
+                f"{len(undetermined)} natives undetermined by the parity constraints "
+                f"({unknowns.size - len(solved)} unknowns left, residual cap {residual_cap})",
+                unresolved=len(undetermined), stage="precode")
+    natives = [row.tobytes() for row in payloads[:cfg.k]]
+    for i in missing:
+        natives[i] = solved[i].tobytes()
+    return natives
+
+
+def _peeled(partial, cfg: PrecodeConfig, extra_rows) -> PeelDecoder:
+    """A decoder over the intermediates holding ``partial`` and the extra
+    rows, peeled to its fixpoint."""
+    items = list(partial.items() if isinstance(partial, Mapping) else partial)
+    if not items:
         raise DecodeFailure("no intermediates supplied", unresolved=cfg.k, stage="precode")
-
-    rows = list(constraint_rows(cfg))
-    base_rhs = [0] * len(rows)
+    l = len(items[0][1])
+    decoder = PeelDecoder(cfg.total, l, items)
     for idxs, value in extra_rows:
-        for i in idxs:
-            if not 0 <= i < cfg.total:
-                raise InvalidInputError(
-                    f"extra row index {i} outside intermediate range 0..{cfg.total - 1}")
-        rows.append(tuple(idxs))
-        base_rhs.append(int(value))
-    remaining = [set(r) - known.keys() for r in rows]
-    rhs = []
-    for r, rem, base in zip(rows, remaining, base_rhs):
-        acc = base
-        for i in r:
-            if i not in rem:
-                acc ^= known[i]
-        rhs.append(acc)
-
-    adjacency: dict[int, list[int]] = {}
-    for cid, rem in enumerate(remaining):
-        for u in rem:
-            adjacency.setdefault(u, []).append(cid)
-    queue = deque(cid for cid, rem in enumerate(remaining) if len(rem) == 1)
-    while queue:
-        cid = queue.popleft()
-        rem = remaining[cid]
-        if len(rem) != 1:
-            continue
-        (u,) = rem
-        value = rhs[cid]
-        known[u] = value
-        rem.clear()
-        for cid2 in adjacency.pop(u, ()):
-            rem2 = remaining[cid2]
-            if u in rem2:
-                rem2.discard(u)
-                rhs[cid2] ^= value
-                if len(rem2) == 1:
-                    queue.append(cid2)
-
-    missing_natives = [i for i in range(cfg.k) if i not in known]
-    if missing_natives:
-        unknowns = sorted({u for rem in remaining for u in rem} | set(missing_natives))
-        if len(unknowns) > residual_cap:
-            raise DecodeFailure(
-                f"residual system has {len(unknowns)} unknowns (cap {residual_cap})",
-                unresolved=len(missing_natives), stage="precode")
-        residual = [(tuple(rem), rhs[cid]) for cid, rem in enumerate(remaining) if rem]
-        known.update(gf2.solve_partial(residual, unknowns))
-        missing_natives = [i for i in range(cfg.k) if i not in known]
-        if missing_natives:
-            raise DecodeFailure(
-                f"{len(missing_natives)} natives undetermined by parity constraints",
-                unresolved=len(missing_natives), stage="precode")
-    return [known[i].to_bytes(l, "little") for i in range(cfg.k)]
+        nb = np.unique(np.fromiter(idxs, dtype=np.int64))
+        if nb.size and (nb[0] < 0 or nb[-1] >= cfg.total):
+            raise InvalidInputError(
+                f"extra row index outside intermediate range 0..{cfg.total - 1}")
+        value = int(value)
+        if value < 0 or value.bit_length() > 8 * l:
+            raise InvalidInputError(f"extra row right-hand side does not fit {l} bytes")
+        decoder.add_symbol(EncodingSymbol(id=-1, seed=0, degree=nb.size, neighbors=nb,
+                                          payload=value.to_bytes(l, "little")))
+    decoder.run()
+    return decoder
 
 
 def raptor_encode(block: SourceBlock, cfg: PrecodeConfig, dist: DegreeDistribution,
@@ -270,24 +301,11 @@ def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None,
     for sym in encoding:
         decoder.add_symbol(sym)
     decoder.run()
-
-    if decoder.success:
-        all_syms = decoder.result().recovered
-        return DecodeResult(recovered=list(all_syms[:cfg.k]), success=True,
-                            unresolved=0, encoding_used=decoder.encoding_used)
-
-    covered = decoder.covered_map()
-    missing_natives = cfg.k - sum(1 for i in covered if i < cfg.k)
-    if missing_natives == 0:
-        return DecodeResult(
-            recovered=[covered[i] for i in range(cfg.k)], success=True,
-            unresolved=0, encoding_used=decoder.encoding_used)
     try:
-        recovered = precode_solve(covered, cfg, residual_cap=residual_cap,
-                                  extra_rows=decoder.pending_rows())
+        recovered = precode_solve(decoder, cfg, residual_cap=residual_cap)
     except DecodeFailure as exc:
         return DecodeResult(
-            recovered={i: p for i, p in covered.items() if i < cfg.k},
+            recovered={i: p for i, p in decoder.covered_map().items() if i < cfg.k},
             success=False, unresolved=exc.unresolved,
             encoding_used=decoder.encoding_used, failed_stage=exc.stage or "precode")
     return DecodeResult(recovered=recovered, success=True, unresolved=0,

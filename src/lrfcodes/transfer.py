@@ -33,7 +33,7 @@ from .codec import (EncodingSymbol, PeelDecoder, SourceBlock, derive_seed,
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
 from .errors import DecodeFailure, InvalidParameterError, SessionFailure
-from .precode import PrecodeConfig, precode_expand, precode_solve
+from .precode import ConstraintRhs, PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
 
@@ -323,6 +323,8 @@ class SourceState:
 class _WindowState:
     decoder: PeelDecoder
     precode: PrecodeConfig | None
+    # The precode constraints' right-hand sides, carried across NACK rounds.
+    constraints: ConstraintRhs | None
     natives_expected: int
     natives_seen: int = 0
     losses_seen: int = 0
@@ -352,8 +354,10 @@ class DestinationState:
                 pc = None
                 total = cfg.window
             natives = 0 if cfg.scheme == "LT" else cfg.window
-            state = _WindowState(decoder=PeelDecoder(total, cfg.symbol_bytes),
-                                 precode=pc, natives_expected=natives)
+            state = _WindowState(
+                decoder=PeelDecoder(total, cfg.symbol_bytes), precode=pc,
+                constraints=ConstraintRhs(pc, cfg.symbol_bytes) if pc else None,
+                natives_expected=natives)
             self.windows[index] = state
         return state
 
@@ -366,12 +370,13 @@ class DestinationState:
                 if report is not None:
                     out.append(Feedback(report))
                 state = self._window(event.window)
-                state.natives_seen += 1
-                self.metrics.delivered += 1
                 if not state.complete:
                     t0 = time.perf_counter()
                     state.decoder.add_native(event.index, event.payload)
                     self.metrics.decode_time += time.perf_counter() - t0
+                # Counted once accepted: a malformed native raised above.
+                state.natives_seen += 1
+                self.metrics.delivered += 1
             elif isinstance(event, NativeLoss):
                 report = self.estimator.observe(True)
                 if report is not None:
@@ -381,8 +386,6 @@ class DestinationState:
                 self.metrics.lost += 1
             elif isinstance(event, RepairSymbol):
                 state = self._window(event.window)
-                state.repairs_received += 1
-                self.metrics.delivered += 1
                 if not state.complete:
                     sym = event.symbol
                     t0 = time.perf_counter()
@@ -390,6 +393,8 @@ class DestinationState:
                         sym = resolve_neighbors(sym, state.decoder.w)
                     state.decoder.add_symbol(sym)
                     self.metrics.decode_time += time.perf_counter() - t0
+                state.repairs_received += 1
+                self.metrics.delivered += 1
             else:
                 self.metrics.protocol_errors += 1
         except (ValueError, TypeError):
@@ -411,20 +416,19 @@ class DestinationState:
             if decoder.success:
                 natives = decoder.result().recovered
         else:
-            covered = decoder.covered_map()
-            if sum(1 for i in covered if i < k) == k:
-                natives = [covered[i] for i in range(k)]
+            if decoder.covered[:k].all():
+                natives = [row.tobytes() for row in decoder.payloads[:k]]
             elif state.repairs_received or state.losses_seen:
                 try:
-                    natives = precode_solve(covered, state.precode,
-                                            extra_rows=decoder.pending_rows())
+                    natives = precode_solve(decoder, state.precode,
+                                            state=state.constraints)
                 except DecodeFailure:
                     natives = None
         self.metrics.decode_time += time.perf_counter() - t0
 
         if natives is None:
             unresolved = (decoder.unresolved if state.precode is None
-                          else k - sum(1 for i in decoder.covered_map() if i < k))
+                          else k - int(np.count_nonzero(decoder.covered[:k])))
             return [WindowNack(index, unresolved)]
 
         state.complete = True

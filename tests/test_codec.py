@@ -271,12 +271,14 @@ def test_pending_rows_are_consistent_equations():
         dec.add_symbol(sym)
     dec.run()
     ints = [int.from_bytes(s, "little") for s in blk.symbols]
-    for idxs, rhs in dec.pending_rows():
+    indptr, indices, rhs = dec.pending_rows()
+    assert rhs.shape == (indptr.size - 1, l)
+    for r in range(indptr.size - 1):
         acc = 0
-        for j in idxs:
+        for j in indices[indptr[r]:indptr[r + 1]].tolist():
             assert not dec._covered[j]
             acc ^= ints[j]
-        assert acc == rhs
+        assert acc == int.from_bytes(rhs[r].tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,142 @@
+"""Bit-packed GF(2) solver against independent plain-integer eliminations.
+
+``gf2_oracle_solve`` (tests/test_codec.py) gives the values of a system
+that determines every unknown; ``_determined`` below gives, for any system,
+the set of unknowns it pins down. Neither shares code with the library.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from lrfcodes import gf2
+from lrfcodes.errors import InvalidInputError
+from test_codec import gf2_oracle_solve
+
+
+def _determined(nu, rows):
+    """Unknowns u whose unit vector lies in the span of the rows, i.e. whose
+    value every solution shares."""
+    pivots = {}
+    for idxs in rows:
+        mask = 0
+        for j in idxs:
+            mask ^= 1 << j
+        while mask:
+            lead = mask.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = mask
+                break
+            mask ^= pivots[lead]
+    determined = set()
+    for u in range(nu):
+        v = 1 << u
+        while v and v.bit_length() - 1 in pivots:
+            v ^= pivots[v.bit_length() - 1]
+        if v == 0:
+            determined.add(u)
+    return determined
+
+
+def _system(seed, nu, nrows, l):
+    """Random equations over unknowns 0..nu-1 (a few of weight one, so the
+    peel phase has work too) and their true values."""
+    rng = random.Random(seed)
+    values = np.random.default_rng(seed).integers(0, 256, size=(nu, l), dtype=np.uint8)
+    rows = []
+    for _ in range(nrows):
+        weight = 1 if rng.random() < 0.15 else rng.randint(2, max(2, nu // 3))
+        rows.append(sorted(rng.sample(range(nu), weight)))
+    rhs = np.array([np.bitwise_xor.reduce(values[r], axis=0) for r in rows], dtype=np.uint8)
+    return rows, rhs, values
+
+
+def _solve(rows, rhs, ids, **kwargs):
+    """solve_partial over unknown ids ``ids[j]`` for column j, shuffled."""
+    order = list(range(len(ids)))
+    random.Random(len(rows)).shuffle(order)
+    named = gf2.csr([[ids[j] for j in r] for r in rows])
+    return gf2.solve_partial(named, [ids[j] for j in order], rhs, **kwargs)
+
+
+@pytest.mark.parametrize("nu, extra, l, seed", [
+    (1, 0, 8, 1), (40, 10, 5, 2), (64, 4, 8, 3), (65, 8, 16, 4), (150, 30, 12, 5),
+    (200, 0, 24, 6),
+])
+def test_solve_partial_matches_oracle_on_full_rank_systems(nu, extra, l, seed):
+    rows, rhs, values = _system(seed, nu, nu + extra, l)
+    if len(_determined(nu, rows)) < nu:
+        # Top up with unit rows until the system is full rank.
+        missing = sorted(set(range(nu)) - _determined(nu, rows))
+        rows += [[u] for u in missing]
+        rhs = np.concatenate((rhs, values[missing]))
+    oracle = gf2_oracle_solve(nu, [(r, rhs[i].tobytes()) for i, r in enumerate(rows)])
+    ids = [1000 + 3 * j for j in range(nu)]
+    solved = _solve(rows, rhs, ids)
+    assert set(solved) == set(ids)
+    assert [solved[ids[j]].tobytes() for j in range(nu)] == oracle
+
+
+@pytest.mark.parametrize("nu, nrows, l, seed", [
+    (30, 20, 8, 11), (70, 50, 8, 12), (130, 100, 7, 13), (130, 140, 16, 14),
+    (256, 180, 8, 15),
+])
+def test_solve_partial_matches_oracle_on_rank_deficient_systems(nu, nrows, l, seed):
+    rows, rhs, values = _system(seed, nu, nrows, l)
+    # Two columns that only ever appear together cannot be separated.
+    rows = [sorted(set(r) | {0, 1}) if 0 in r or 1 in r else r for r in rows]
+    rhs = np.array([np.bitwise_xor.reduce(values[r], axis=0) for r in rows], dtype=np.uint8)
+    equations = [(r, rhs[i].tobytes()) for i, r in enumerate(rows)]
+    assert gf2_oracle_solve(nu, equations) is None
+    determined = _determined(nu, rows)
+    assert 0 not in determined and 1 not in determined
+    ids = list(range(nu))
+    solved = _solve(rows, rhs, ids)
+    assert set(solved) == determined
+    for u, value in solved.items():
+        assert value.tobytes() == values[u].tobytes()
+
+
+def test_solve_partial_rejects_inconsistent_systems():
+    rows, rhs, _ = _system(21, 100, 120, 8)
+    ids = list(range(100))
+    _solve(rows, rhs, ids)
+    # Dense phase: the sum of two equations, with a flipped right-hand side.
+    i, j = next((i, j) for i in range(len(rows)) for j in range(i)
+                if set(rows[i]) != set(rows[j]))
+    bad = sorted(set(rows[i]) ^ set(rows[j]))
+    wrong = rhs[i] ^ rhs[j]
+    wrong[0] ^= 1
+    with pytest.raises(InvalidInputError):
+        _solve(rows + [bad], np.concatenate((rhs, wrong[None])), ids)
+    # Peel phase: a unit equation repeated with another value.
+    unit = next(r for r in rows if len(r) == 1)
+    other = rhs[rows.index(unit)] ^ np.uint8(0x80)
+    with pytest.raises(InvalidInputError):
+        _solve(rows + [unit], np.concatenate((rhs, other[None])), ids)
+
+
+def test_solve_partial_residual_cap_stops_after_the_peel():
+    # Unit rows peel x0 and x1 from a 100-unknown system whose rest needs
+    # the dense phase; with a cap below the residual only the peel's
+    # values come back.
+    rows, rhs, values = _system(31, 100, 140, 8)
+    rows = [[0], [0, 1]] + [r for r in rows if len(r) > 1]
+    rhs = np.array([np.bitwise_xor.reduce(values[r], axis=0) for r in rows], dtype=np.uint8)
+    ids = list(range(100))
+    full = _solve(rows, rhs, ids)
+    assert len(full) > 2
+    capped = _solve(rows, rhs, ids, residual_cap=len(full) - 3)
+    assert set(capped) == {0, 1}
+    assert all(capped[u].tobytes() == values[u].tobytes() for u in capped)
+
+
+def test_solve_partial_rejects_unlisted_indices():
+    with pytest.raises(InvalidInputError):
+        gf2.solve_partial(gf2.csr([[0, 5]]), [0, 1], np.zeros((1, 4), dtype=np.uint8))
+
+
+def test_rank_counts_independent_rows():
+    assert gf2.rank([[0, 1], [1, 2], [0, 2]], range(3)) == 2
+    assert gf2.rank([[j] for j in range(70)] + [[3, 69]], range(70)) == 70

@@ -1,19 +1,22 @@
 """Windowed transfer state-machine tests."""
 
 import dataclasses
+import gc
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lrfcodes.channel import ChannelConfig
+from lrfcodes.channel import BurstModel, ChannelConfig
 from lrfcodes.codec import (SourceBlock, derive_seed, encode_symbol, pack_symbol,
                             unpack_symbol)
 from lrfcodes.distributions import ideal_soliton
 from lrfcodes import transfer
-from lrfcodes.errors import (InvalidInputError, InvalidParameterError,
-                             SessionFailure)
+from lrfcodes.errors import (DecodeFailure, InvalidInputError,
+                             InvalidParameterError, SessionFailure)
+from lrfcodes.precode import precode_solve
 from lrfcodes.transfer import (Ack, DestinationState, Feedback, NativeLoss,
                                NativeSymbol, RepairSymbol, SCHEMES,
                                SessionConfig, SessionMetrics, SourceState,
@@ -308,3 +311,107 @@ def test_trace_stamps_each_symbol_with_its_link_position():
     for field in ("natives_sent", "encoding_sent", "total_degree_sent", "lost",
                   "delivered", "recovered", "windows_completed", "protocol_errors"):
         assert getattr(untraced, field) == getattr(metrics, field)
+
+
+def test_destination_counts_only_accepted_symbols():
+    # A symbol the decoder rejects is a protocol error, not a delivery.
+    cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.05, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    for ev in (NativeSymbol(0, 3, b"short"), NativeSymbol(0, 99, bytes(8))):
+        assert dst.step(ev) == []
+    assert metrics.delivered == 0
+    assert dst.windows[0].natives_seen == 0
+    assert metrics.protocol_errors == 2
+    sym = encode_symbol(SourceBlock.random(16, 8, seed=3), ideal_soliton(16), seed=5)
+    for bad in (dataclasses.replace(sym, payload=sym.payload[:-1]),
+                dataclasses.replace(sym, neighbors=None, degree=17)):
+        assert dst.step(RepairSymbol(0, bad)) == []
+    assert metrics.delivered == 0
+    assert dst.windows[0].repairs_received == 0
+    assert metrics.protocol_errors == 4
+
+
+def test_conclude_matches_a_fresh_precode_solve_every_round():
+    # Warm-started far below the true loss, the window needs several NACK
+    # rounds; conclude carries the constraint right-hand sides across them
+    # and must agree each round with solves from scratch of the same
+    # decoder state, in place and through the mapping form.
+    cfg = SessionConfig(window=400, symbol_bytes=16, epsilon=0.2, scheme="LR-Raptor",
+                        channel=ChannelConfig(0.0, seed=0), seed=12,
+                        initial_loss_rate=0.01)
+    metrics = SessionMetrics()
+    src, dst = SourceState(cfg, metrics), DestinationState(cfg, metrics)
+    pc = cfg.precode_config()
+    block = SourceBlock.random(400, 16, seed=12)
+    lost = set(range(0, 400, 9))
+    emissions = src.start_window(0, block)
+    nacks = 0
+    while True:
+        for em in emissions:
+            lost_native = isinstance(em, NativeSymbol) and em.index in lost
+            dst.step(NativeLoss(0, em.index) if lost_native else em)
+        out = dst.conclude(0)
+        state = dst.windows[0]
+        decoder = state.decoder
+        indptr, indices, rhs = decoder.pending_rows()
+        bounds = indptr.tolist()
+        extra = [(indices[lo:hi].tolist(), int.from_bytes(rhs[r].tobytes(), "little"))
+                 for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        fresh = []
+        for solve in (lambda: precode_solve(decoder, pc),
+                      lambda: precode_solve(decoder.covered_map(), pc, extra_rows=extra)):
+            try:
+                fresh.append(solve())
+            except DecodeFailure:
+                fresh.append(None)
+        if isinstance(out[0], Ack):
+            assert state.recovered == list(block.symbols)
+            assert fresh == [state.recovered] * 2
+            break
+        assert isinstance(out[0], WindowNack)
+        assert fresh == [None, None]
+        nacks += 1
+        emissions = src.step(out)
+    assert nacks >= 3
+
+
+@pytest.mark.parametrize("window, symbol_bytes, seed, encoding_sent, total_degree_sent", [
+    (1000, 32, 11, 181, 16714),
+    (800, 20, 3, 208, 14793),
+])
+def test_lr_raptor_session_counts_are_pinned(window, symbol_bytes, seed, encoding_sent,
+                                             total_degree_sent):
+    # Bursty sessions with several NACK rounds each; how the precode system
+    # is solved must not change which rounds succeed, so these stay fixed.
+    channel = ChannelConfig(0.03, seed=seed, burst=BurstModel(0.01, 0.1))
+    data = _payload(2 * window, symbol_bytes, seed)
+    metrics, delivered = run_session(data, window, symbol_bytes, channel, 0.2, "LR-Raptor",
+                                     seed=seed, return_payload=True)
+    assert delivered == data
+    assert (metrics.encoding_sent, metrics.total_degree_sent,
+            metrics.windows_completed) == (encoding_sent, total_degree_sent, 2)
+
+
+def test_precode_sessions_retain_no_memory_per_session():
+    # Every session draws a new precode seed; nothing built for one
+    # session's config may stay alive after it (the parent kept ~90 KB per
+    # session of this size in its config caches).
+    def sessions(seeds):
+        for seed in seeds:
+            run_session(2 * 600 * 8, 600, 8, ChannelConfig(0.05, seed=seed), 0.2,
+                        "LR-Raptor", seed=seed)
+
+    sessions([100])
+    tracemalloc.start()
+    try:
+        sessions(range(1, 3))
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        sessions(range(3, 11))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < 200_000
