@@ -11,6 +11,11 @@ per-symbol seeds, ``derive_degrees`` their degrees and ``neighbor_sets`` their
 neighbor sets as CSR arrays. Each symbol's result depends on its own seed
 only, so a batch of one (``select_neighbors``, ``derive_degree``) yields what
 the symbol got inside any larger batch.
+
+Payloads are rows of (rows, l) uint8 matrices throughout: a ``SourceBlock``
+is one (w, l) matrix, the encoder XORs a whole batch's neighbor rows with
+``gf2.xor_rows``, and ``PeelDecoder`` keeps covered payloads in one (w, l)
+matrix. Only ``EncodingSymbol.payload``, the wire value, is ``bytes``.
 """
 
 from __future__ import annotations
@@ -19,15 +24,13 @@ import struct
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
-from operator import xor
 
 import numpy as np
 
 # ``sample`` stays importable from this module for existing callers.
 from .distributions import DegreeDistribution, inverse_cdf, sample  # noqa: F401
 from .errors import InvalidInputError, InvalidParameterError
-from .gf2 import csr
+from .gf2 import csr, words, xor_rows
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -182,35 +185,23 @@ def _draw_rows(seeds, w, k, draws, limit, out, starts) -> np.ndarray:
 
 
 class SourceBlock:
-    """Ordered window of w input symbols, each exactly l bytes."""
+    """Ordered window of w input symbols of l bytes each: the rows of one
+    (w, l) uint8 matrix ``data``, held without a copy when it is already
+    C-contiguous."""
 
-    __slots__ = ("symbols", "w", "l", "_ints")
+    __slots__ = ("data", "w", "l")
 
-    def __init__(self, symbols):
-        symbols = tuple(bytes(s) for s in symbols)
-        if not symbols:
-            raise InvalidParameterError("block must contain at least one symbol")
-        l = len(symbols[0])
-        if l < 1:
-            raise InvalidParameterError("symbol length must be >= 1 byte")
-        if any(len(s) != l for s in symbols):
-            raise InvalidParameterError("all symbols must have identical length")
-        self.symbols = symbols
-        self.w = len(symbols)
-        self.l = l
-        self._ints = None
+    def __init__(self, data: np.ndarray):
+        if (not isinstance(data, np.ndarray) or data.dtype != np.uint8 or data.ndim != 2
+                or 0 in data.shape):
+            raise InvalidParameterError("block data must be a non-empty 2-D uint8 matrix")
+        self.data = np.ascontiguousarray(data)
+        self.w, self.l = data.shape
 
     @classmethod
     def random(cls, w: int, l: int, seed: int) -> "SourceBlock":
         """Deterministic pseudo-random block, for tests and benchmarks."""
-        data = np.random.default_rng(seed).integers(0, 256, size=(w, l), dtype=np.uint8)
-        return cls(data[i].tobytes() for i in range(w))
-
-    def payload_ints(self) -> list[int]:
-        """Symbols as little-endian integers, cached for the encode hot loop."""
-        if self._ints is None:
-            self._ints = [int.from_bytes(s, "little") for s in self.symbols]
-        return self._ints
+        return cls(np.random.default_rng(seed).integers(0, 256, size=(w, l), dtype=np.uint8))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,21 +240,18 @@ def derive_degree(seed: int, dist: DegreeDistribution) -> int:
 def _encode(block: SourceBlock, dist: DegreeDistribution, seeds: np.ndarray,
             ids: list[int]) -> list[EncodingSymbol]:
     """Encode one symbol per seed: batch degree and neighbor derivation, then
-    the payload XOR on the block's Python-int payloads."""
+    one sparse XOR of the block's rows for the whole batch."""
     if dist.w != block.w:
         raise InvalidParameterError(f"distribution is over {dist.w} symbols, block has {block.w}")
     degrees = derive_degrees(seeds, dist)
     indptr, indices = neighbor_sets(seeds, block.w, degrees)
-    pick = block.payload_ints().__getitem__
+    out = np.zeros((seeds.size, block.l), dtype=np.uint8)
+    xor_rows(words(out), words(block.data), indptr, indices)
     bounds = indptr.tolist()
-    symbols = []
-    for sym_id, seed, degree, lo, hi in zip(ids, seeds.tolist(), degrees.tolist(),
-                                            bounds, bounds[1:]):
-        nb = indices[lo:hi]
-        acc = reduce(xor, map(pick, nb.tolist()), 0)
-        symbols.append(EncodingSymbol(id=sym_id, seed=seed, degree=degree, neighbors=nb,
-                                      payload=acc.to_bytes(block.l, "little")))
-    return symbols
+    return [EncodingSymbol(id=sym_id, seed=seed, degree=degree, neighbors=indices[lo:hi],
+                           payload=row.tobytes())
+            for sym_id, seed, degree, lo, hi, row in zip(ids, seeds.tolist(), degrees.tolist(),
+                                                        bounds, bounds[1:], out)]
 
 
 def encode_symbol(block: SourceBlock, dist: DegreeDistribution, seed: int,
@@ -381,7 +369,8 @@ class PeelDecoder:
     def unresolved(self) -> int:
         return self._uncovered
 
-    def add_native(self, idx: int, payload: bytes) -> None:
+    def add_native(self, idx: int, payload) -> None:
+        """Cover ``idx`` with its payload: ``bytes`` or a uint8 row of l bytes."""
         if not 0 <= idx < self.w:
             raise InvalidInputError(f"native index {idx} outside 0..{self.w - 1}")
         if self._covered[idx]:
@@ -414,13 +403,21 @@ class PeelDecoder:
             raise InvalidInputError("symbol neighbors unresolved; call resolve_neighbors first")
         if len(sym.payload) != self.l:
             raise InvalidInputError(f"payload length {len(sym.payload)} != {self.l}")
-        nb = sym.neighbors
+        nb = np.asarray(sym.neighbors)
+        # A repeated index would cancel in the XOR but count once here, and
+        # an out-of-range one would alias or escape as IndexError.
+        if nb.size and (nb.dtype.kind not in "iu" or nb.ndim != 1 or nb[0] < 0
+                        or nb[-1] >= self.w or np.count_nonzero(nb[1:] <= nb[:-1])):
+            raise InvalidInputError(
+                f"neighbors must be strictly increasing indices in 0..{self.w - 1}")
         cov = self._covered[nb]
-        if cov.all():
+        n_cov = np.count_nonzero(cov)
+        if n_cov == nb.size:
             return
         data = np.frombuffer(sym.payload, dtype=np.uint8)
-        if cov.any():
-            data = data ^ np.bitwise_xor.reduce(self._payloads[nb[cov]], axis=0)
+        if n_cov:
+            # ``take`` gathers rows about twice as fast as fancy indexing.
+            data = data ^ np.bitwise_xor.reduce(self._payloads.take(nb[cov], axis=0), axis=0)
         else:
             data = data.copy()
         pending = _Pending(data, set(nb[~cov].tolist()))
@@ -487,11 +484,6 @@ class PeelDecoder:
 
     def covered_map(self) -> dict[int, bytes]:
         return {int(i): self._payloads[i].tobytes() for i in np.flatnonzero(self._covered)}
-
-    def payload(self, idx: int) -> bytes:
-        if not self._covered[idx]:
-            raise InvalidInputError(f"symbol {idx} not recovered")
-        return self._payloads[idx].tobytes()
 
     def result(self) -> DecodeResult:
         if self.success:

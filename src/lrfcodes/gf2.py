@@ -16,7 +16,9 @@ Elimination runs in two phases over the same packed rows. The peel phase
 pivots on equations with a single unknown left, which is the ripple of a
 peeling decoder; the dense phase is Gauss-Jordan elimination over the
 unknowns the peel left. ``xor_rows`` multiplies a sparse 0/1 matrix by a
-payload matrix, also a word at a time (``words``), to build right-hand sides.
+payload matrix, also a word at a time (``words``): it builds the encoder's
+repair payloads, the precode's parity symbols and the constraints'
+right-hand sides.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 _ONE = np.uint64(1)
+# Upper bound on the bytes ``xor_rows`` gathers at once.
+_GATHER_BYTES = 1 << 18
 
 
 def words(mat: np.ndarray) -> np.ndarray:
@@ -62,12 +66,22 @@ def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.n
         keep = take[cols]
         cols = cols[keep]
         ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
-    # One gather and reduce per row: faster than ``reduceat`` over the
-    # concatenated rows, for the few long rows of a precode.
-    bounds = ptr.tolist()
-    for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if lo < hi:
-            out[r] ^= np.bitwise_xor.reduce(src[cols[lo:hi]], axis=0)
+    # Rows of equal length share one gather and reduce, so a batch of short
+    # rows costs a few numpy calls rather than one per row. A gather holds
+    # at most _GATHER_BYTES (or one src row): groups are cut into slices of
+    # rows, and a row too long for one gather into slices of its entries.
+    starts = ptr[:-1]
+    lengths = np.diff(ptr)
+    row_bytes = src.shape[1] * src.itemsize
+    span = max(1, _GATHER_BYTES // row_bytes)
+    for n in np.unique(lengths[lengths > 0]).tolist():
+        rows = (lengths == n).nonzero()[0]
+        step = max(1, span // n)
+        for lo in range(0, rows.size, step):
+            r = rows[lo:lo + step]
+            for c in range(0, n, span):
+                entries = starts[r, None] + np.arange(c, min(n, c + span))
+                out[r] ^= np.bitwise_xor.reduce(src.take(cols[entries], axis=0), axis=1)
 
 
 def _pack(indptr: np.ndarray, indices: np.ndarray, unknowns: np.ndarray,

@@ -6,6 +6,10 @@ a seeded circulant-like assignment), and h dense parity symbols (each the
 XOR of roughly half of the first k + s intermediates). Every parity
 constraint XORs to zero over the full intermediate block.
 
+Intermediates are rows of one (k + s + h, l) uint8 matrix: ``precode_expand``
+returns them as a ``SourceBlock`` that the inner encoder takes as it is,
+and ``precode_solve`` returns the k natives as a (k, l) matrix.
+
 This is a simplified construction with the standard (k, s, h) shape, not a
 standards-compliant generator; outputs are labeled as such.
 """
@@ -130,25 +134,14 @@ def dump_parity_rows(cfg: PrecodeConfig) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True, eq=False)
-class IntermediateBlock:
-    """k + s + h intermediate symbols; the first k equal the natives."""
-
-    symbols: tuple[bytes, ...]
-    cfg: PrecodeConfig
-    source: SourceBlock
-
-    def as_block(self) -> SourceBlock:
-        return SourceBlock(self.symbols)
-
-
-def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> IntermediateBlock:
-    """Append the s + h parity symbols to a k-symbol block."""
+def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
+    """The k + s + h intermediates of a k-symbol block: its rows, then the
+    s + h parity symbols."""
     if block.w != cfg.k:
         raise InvalidParameterError(f"block has {block.w} symbols, config expects {cfg.k}")
     k, s = cfg.k, cfg.s
     inter = np.zeros((cfg.total, block.l), dtype=np.uint8)
-    inter[:k] = np.frombuffer(b"".join(block.symbols), dtype=np.uint8).reshape(k, block.l)
+    inter[:k] = block.data
     indptr, indices = constraint_matrix(cfg)
     # Sparse parities read natives only, dense ones also the sparse parities,
     # so the sparse rows go first. Each row also lists its own parity, which
@@ -157,8 +150,7 @@ def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> IntermediateBlock:
         parity = np.zeros((hi - lo, block.l), dtype=np.uint8)
         gf2.xor_rows(gf2.words(parity), gf2.words(inter), indptr[lo:hi + 1], indices)
         inter[k + lo:k + hi] = parity
-    symbols = block.symbols + tuple(row.tobytes() for row in inter[k:])
-    return IntermediateBlock(symbols=symbols, cfg=cfg, source=block)
+    return SourceBlock(inter)
 
 
 class ConstraintRhs:
@@ -188,9 +180,9 @@ class ConstraintRhs:
 
 def precode_solve(partial, cfg: PrecodeConfig,
                   residual_cap: int = RESIDUAL_CAP_DEFAULT,
-                  extra_rows=(), state: ConstraintRhs | None = None) -> list[bytes]:
+                  extra_rows=(), state: ConstraintRhs | None = None) -> np.ndarray:
     """Fill missing intermediates from the parity constraints and return the
-    k native payloads.
+    k native payloads as a (k, l) uint8 matrix.
 
     ``partial`` is a ``PeelDecoder`` over the ``cfg.total`` intermediates,
     read in place: its covered mask, payload matrix and pending equations.
@@ -245,9 +237,9 @@ def precode_solve(partial, cfg: PrecodeConfig,
                 f"{len(undetermined)} natives undetermined by the parity constraints "
                 f"({unknowns.size - len(solved)} unknowns left, residual cap {residual_cap})",
                 unresolved=len(undetermined), stage="precode")
-    natives = [row.tobytes() for row in payloads[:cfg.k]]
+    natives = payloads[:cfg.k].copy()
     for i in missing:
-        natives[i] = solved[i].tobytes()
+        natives[i] = solved[i]
     return natives
 
 
@@ -277,8 +269,8 @@ def raptor_encode(block: SourceBlock, cfg: PrecodeConfig, dist: DegreeDistributi
                   base_seed: int, count: int, start_id: int = 0) -> list[EncodingSymbol]:
     """Expand the precode, then run the inner fountain encoder over the
     intermediate block with the given degree distribution."""
-    inter = precode_expand(block, cfg)
-    return encode_stream(inter.as_block(), dist, base_seed, count, start_id=start_id)
+    return encode_stream(precode_expand(block, cfg), dist, base_seed, count,
+                         start_id=start_id)
 
 
 def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None,
@@ -308,5 +300,5 @@ def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None,
             recovered={i: p for i, p in decoder.covered_map().items() if i < cfg.k},
             success=False, unresolved=exc.unresolved,
             encoding_used=decoder.encoding_used, failed_stage=exc.stage or "precode")
-    return DecodeResult(recovered=recovered, success=True, unresolved=0,
-                        encoding_used=decoder.encoding_used)
+    return DecodeResult(recovered=[row.tobytes() for row in recovered], success=True,
+                        unresolved=0, encoding_used=decoder.encoding_used)

@@ -43,6 +43,15 @@ SPARSE_PARITY_FRACTION = 241 / 10017
 DENSE_PARITY_FRACTION = 11 / 10017
 
 
+# Repair-loop sizing. A loss-aware window's NACK batch is EXTRA_BATCH_FRAC
+# of its proactive count m', and its extra repair is capped at
+# BUDGET_FACTOR * m'; LT and Raptor cap theirs at BASELINE_EXTRA_FACTOR times
+# the block.
+EXTRA_BATCH_FRAC = 0.25
+BUDGET_FACTOR = 3.0
+BASELINE_EXTRA_FACTOR = 3.0
+
+
 def default_precode_shape(k: int) -> tuple[int, int]:
     s = max(1, round(SPARSE_PARITY_FRACTION * k))
     h = max(2, round(DENSE_PARITY_FRACTION * k))
@@ -60,11 +69,14 @@ def normalize_scheme(scheme: str) -> str:
 # Events
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NativeSymbol:
+    """A native on the link; ``payload`` is the source block's row (a uint8
+    view, not a copy) or any l-byte buffer."""
+
     window: int
     index: int
-    payload: bytes
+    payload: np.ndarray | bytes
 
 
 @dataclass(frozen=True)
@@ -145,9 +157,6 @@ class SessionConfig:
     # Warm-start loss estimate; None means "assume the channel's configured
     # rate was already fed back before the session".
     initial_loss_rate: float | None = None
-    extra_batch_frac: float = 0.25
-    budget_factor: float = 3.0
-    baseline_extra_factor: float = 3.0
     trace: object = None
 
     def __post_init__(self):
@@ -222,8 +231,8 @@ class SourceState:
     def _sizing(self, m_hat: int) -> tuple[int, int, int]:
         """(proactive count, batch size, extra budget) for a predicted loss."""
         m_prime = math.ceil((1.0 + self.cfg.epsilon) * m_hat)
-        batch = max(1, math.ceil(self.cfg.extra_batch_frac * max(m_prime, 1)))
-        budget = math.ceil(self.cfg.budget_factor * max(m_prime, 1))
+        batch = max(1, math.ceil(EXTRA_BATCH_FRAC * max(m_prime, 1)))
+        budget = math.ceil(BUDGET_FACTOR * max(m_prime, 1))
         return m_prime, batch, budget
 
     # -- protocol surface
@@ -239,15 +248,14 @@ class SourceState:
                                base_seed=derive_seed(cfg.seed, index))
             initial = math.ceil(block.w / max(1.0 - min(p_hat, 0.5), 0.5))
             plan.batch = max(32, block.w // 50)
-            plan.extra_budget = math.ceil(cfg.baseline_extra_factor * block.w)
+            plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * block.w)
             self.plans[index] = plan
             emissions += self._encode(plan, initial, index)
             return emissions
 
         if cfg.uses_precode:
             pc = cfg.precode_config()
-            inter = precode_expand(block, pc)
-            enc_block = inter.as_block()
+            enc_block = precode_expand(block, pc)
             total = pc.total
         else:
             pc = None
@@ -255,8 +263,8 @@ class SourceState:
             total = block.w
 
         # Natives travel for every systematic scheme.
-        for i in range(block.w):
-            emissions.append(NativeSymbol(index, i, block.symbols[i]))
+        for i, row in enumerate(block.data):
+            emissions.append(NativeSymbol(index, i, row))
         self.metrics.natives_sent += block.w
 
         plan = _RepairPlan(block=enc_block, dist=None,
@@ -266,7 +274,7 @@ class SourceState:
         if cfg.scheme == "Raptor":
             plan.dist = robust_soliton(total, cfg.delta, cfg.c)
             plan.batch = max(16, total // 100)
-            plan.extra_budget = math.ceil(cfg.baseline_extra_factor * total)
+            plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * total)
             return emissions
 
         # Loss-aware schemes: proactive repair sized from the fed-back rate.
@@ -329,7 +337,7 @@ class _WindowState:
     natives_seen: int = 0
     losses_seen: int = 0
     complete: bool = False
-    recovered: list[bytes] | None = None
+    recovered: np.ndarray | None = None   # (k, l) natives once complete
     repairs_received: int = 0
 
 
@@ -410,29 +418,23 @@ class DestinationState:
         decoder = state.decoder
         t0 = time.perf_counter()
         decoder.run()
-        natives: list[bytes] | None = None
+        natives: np.ndarray | None = None
         k = self.cfg.window
-        if self.cfg.scheme == "LT" or state.precode is None:
-            if decoder.success:
-                natives = decoder.result().recovered
-        else:
-            if decoder.covered[:k].all():
-                natives = [row.tobytes() for row in decoder.payloads[:k]]
-            elif state.repairs_received or state.losses_seen:
-                try:
-                    natives = precode_solve(decoder, state.precode,
-                                            state=state.constraints)
-                except DecodeFailure:
-                    natives = None
+        if decoder.covered[:k].all():
+            natives = decoder.payloads[:k]
+        elif state.precode is not None and (state.repairs_received or state.losses_seen):
+            try:
+                natives = precode_solve(decoder, state.precode, state=state.constraints)
+            except DecodeFailure:
+                natives = None
         self.metrics.decode_time += time.perf_counter() - t0
 
         if natives is None:
-            unresolved = (decoder.unresolved if state.precode is None
-                          else k - int(np.count_nonzero(decoder.covered[:k])))
+            unresolved = k - int(np.count_nonzero(decoder.covered[:k]))
             return [WindowNack(index, unresolved)]
 
         state.complete = True
-        state.recovered = natives[:k]
+        state.recovered = natives
         self.metrics.windows_completed += 1
         recovered_by_decode = (k - state.natives_seen if state.natives_expected
                                else k)
@@ -445,15 +447,12 @@ class DestinationState:
 # Session driver
 
 
-def _split_windows(data: bytes, w: int, l: int) -> list[SourceBlock]:
-    window_bytes = w * l
-    blocks = []
-    for off in range(0, len(data), window_bytes):
-        chunk = data[off:off + window_bytes]
-        if len(chunk) < window_bytes:
-            chunk = chunk + b"\x00" * (window_bytes - len(chunk))
-        blocks.append(SourceBlock(chunk[i * l:(i + 1) * l] for i in range(w)))
-    return blocks
+def _split_windows(data: bytes, w: int, l: int) -> np.ndarray:
+    """The zero-padded data as a read-only (windows, w, l) uint8 view."""
+    pad = -len(data) % (w * l)
+    if pad:
+        data += bytes(pad)
+    return np.frombuffer(data, dtype=np.uint8).reshape(-1, w, l)
 
 
 def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig,
@@ -489,11 +488,11 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
     clock = 0
 
     t_start = time.perf_counter()
-    blocks = _split_windows(data, window, symbol_bytes)
+    windows = _split_windows(data, window, symbol_bytes)
     recovered_windows: list[bytes] = []
 
-    for index, block in enumerate(blocks):
-        emissions = source.start_window(index, block)
+    for index, window_data in enumerate(windows):
+        emissions = source.start_window(index, SourceBlock(window_data))
         done = False
         while not done:
             events = []
@@ -523,7 +522,7 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
             emissions = source.step(responses)
             if acked:
                 done = True
-                recovered_windows.append(b"".join(dest.windows[index].recovered))
+                recovered_windows.append(dest.windows[index].recovered.tobytes())
                 if trace:
                     trace.write(f"{clock},ack,{index},,\n")
 

@@ -64,6 +64,11 @@ def gf2_oracle_solve(w, equations):
     return [values[j].to_bytes(l, "little") for j in range(w)]
 
 
+def _rows(blk):
+    """A block's rows as the list of bytes a ``DecodeResult`` recovers."""
+    return [row.tobytes() for row in blk.data]
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 
@@ -108,10 +113,10 @@ def test_select_neighbors_bad_degree():
 
 def test_source_block_validation():
     with pytest.raises(InvalidParameterError):
-        SourceBlock([])
+        SourceBlock(np.zeros((0, 2), dtype=np.uint8))
     with pytest.raises(InvalidParameterError):
-        SourceBlock([b"ab", b"abc"])
-    blk = SourceBlock([b"ab", b"cd"])
+        SourceBlock(np.zeros(4, dtype=np.uint8))
+    blk = SourceBlock(np.frombuffer(b"abcd", dtype=np.uint8).reshape(2, 2))
     assert blk.w == 2 and blk.l == 2
 
 
@@ -121,7 +126,7 @@ def test_encode_symbol_is_xor_of_neighbors():
     sym = encode_symbol(blk, dist, seed=42)
     acc = bytes(8)
     for j in sym.neighbors.tolist():
-        acc = xor_combine(acc, blk.symbols[j])
+        acc = xor_combine(acc, blk.data[j].tobytes())
     assert sym.payload == acc
     assert sym.degree == len(sym.neighbors)
     # The degree matches the decoder-side derivation from the seed.
@@ -183,7 +188,7 @@ def test_peel_decode_pure_fountain_roundtrip():
         decoder.run()
         count += 1
         assert count < 50 * w, "decoder made no progress"
-    assert decoder.result().recovered == list(blk.symbols)
+    assert decoder.result().recovered == _rows(blk)
 
 
 def test_peel_decode_with_natives_and_losses():
@@ -192,11 +197,11 @@ def test_peel_decode_with_natives_and_losses():
     lost = {3, 17, 55, 71}
     ctx = LossContext(w, len(lost))
     dist = lrf_ideal(ctx)
-    natives = {i: blk.symbols[i] for i in range(w) if i not in lost}
+    natives = {i: blk.data[i] for i in range(w) if i not in lost}
     encoding = encode_stream(blk, dist, base_seed=4, count=12)
     res = peel_decode(natives, encoding, w, l)
     if res.success:
-        assert res.recovered == list(blk.symbols)
+        assert res.recovered == _rows(blk)
         assert res.unresolved == 0
 
 
@@ -206,7 +211,7 @@ def test_peeling_fixpoint_independent_of_native_order():
     w, l = 64, 8
     blk = SourceBlock.random(w, l, seed=3)
     lost = {2, 40}
-    natives = {i: blk.symbols[i] for i in range(w) if i not in lost}
+    natives = {i: blk.data[i] for i in range(w) if i not in lost}
     encoding = encode_stream(blk, lrf_ideal(LossContext(w, len(lost))),
                              base_seed=3, count=6)
     natives_first = PeelDecoder(w, l, natives)
@@ -219,7 +224,7 @@ def test_peeling_fixpoint_independent_of_native_order():
     for idx, payload in natives.items():
         repairs_first.add_native(idx, payload)
     repairs_first.run()
-    assert natives_first.result().recovered == list(blk.symbols)
+    assert natives_first.result().recovered == _rows(blk)
     assert repairs_first.result() == natives_first.result()
 
 
@@ -250,11 +255,27 @@ def test_redundant_symbols_are_ignored():
     blk = SourceBlock.random(8, 4, seed=2)
     dec = PeelDecoder(8, 4)
     for i in range(8):
-        dec.add_native(i, blk.symbols[i])
+        dec.add_native(i, blk.data[i])
     sym = encode_symbol(blk, ideal_soliton(8), seed=5)
     dec.add_symbol(sym)
     dec.run()
-    assert dec.result().recovered == list(blk.symbols)
+    assert dec.result().recovered == _rows(blk)
+
+
+@pytest.mark.parametrize("neighbors", [[3, 3], [-1, 2], [2, 8], [5, 2]])
+def test_malformed_neighbors_rejected(neighbors):
+    # A repeated index used to decode index 3 as zero, a negative one
+    # aliased another index, and one past the window escaped as IndexError.
+    w, l = 8, 2
+    blk = SourceBlock.random(w, l, seed=4)
+    natives = {i: blk.data[i] for i in range(w) if i != 3}
+    payload = bytes(l)
+    for j in neighbors:
+        payload = xor_combine(payload, blk.data[j % w].tobytes())
+    sym = EncodingSymbol(id=0, seed=0, degree=len(neighbors),
+                         neighbors=np.array(neighbors), payload=payload)
+    with pytest.raises(InvalidInputError):
+        peel_decode(natives, [sym], w, l)
 
 
 def test_pending_rows_are_consistent_equations():
@@ -265,12 +286,12 @@ def test_pending_rows_are_consistent_equations():
     dec = PeelDecoder(w, l)
     for i in range(w):
         if i not in lost:
-            dec.add_native(i, blk.symbols[i])
+            dec.add_native(i, blk.data[i])
     dist = lrf_ideal(LossContext(w, len(lost)))
     for sym in encode_stream(blk, dist, base_seed=2, count=4):
         dec.add_symbol(sym)
     dec.run()
-    ints = [int.from_bytes(s, "little") for s in blk.symbols]
+    ints = [int.from_bytes(row.tobytes(), "little") for row in blk.data]
     indptr, indices, rhs = dec.pending_rows()
     assert rhs.shape == (indptr.size - 1, l)
     for r in range(indptr.size - 1):
@@ -293,9 +314,9 @@ def test_peel_decode_agrees_with_oracle_small():
         l = 4
         blk = SourceBlock.random(w, l, seed=trial)
         lost = {i for i in range(w) if rng.random() < 0.4}
-        natives = {i: blk.symbols[i] for i in range(w) if i not in lost}
+        natives = {i: blk.data[i] for i in range(w) if i not in lost}
         count = rng.randint(0, 2 * max(1, len(lost)))
-        equations = [([i], natives[i]) for i in natives]
+        equations = [([i], natives[i].tobytes()) for i in natives]
         encoding = []
         for t in range(count):
             degree = rng.randint(1, w)
@@ -303,7 +324,7 @@ def test_peel_decode_agrees_with_oracle_small():
             nb = select_neighbors(seed, w, degree)
             payload = bytes(l)
             for j in nb.tolist():
-                payload = xor_combine(payload, blk.symbols[j])
+                payload = xor_combine(payload, blk.data[j].tobytes())
             encoding.append(EncodingSymbol(id=t, seed=seed, degree=degree,
                                            neighbors=nb, payload=payload))
             equations.append((nb.tolist(), payload))
@@ -314,6 +335,6 @@ def test_peel_decode_agrees_with_oracle_small():
             # Peeling success implies the linear system is solvable and the
             # payloads agree.
             assert oracle is not None
-            assert res.recovered == oracle == list(blk.symbols)
+            assert res.recovered == oracle == _rows(blk)
             agree_success += 1
     assert agree_success > 50  # the comparison actually exercised successes

@@ -16,8 +16,8 @@ from lrfcodes.codec import (_CANDIDATE_CHUNK, MAX_WINDOW, WIRE_HEADER, SourceBlo
                             derive_degree, derive_degrees, derive_seed, derive_seeds,
                             encode_stream, encode_symbol, neighbor_sets, pack_symbol,
                             resolve_neighbors, select_neighbors, unpack_symbol)
-from lrfcodes.distributions import (LossContext, ideal_soliton, lrf_ideal,
-                                    recovery_probability, robust_soliton)
+from lrfcodes.distributions import (DegreeDistribution, LossContext, ideal_soliton,
+                                    lrf_ideal, recovery_probability, robust_soliton)
 from lrfcodes.errors import InvalidInputError, InvalidParameterError
 
 MASK = (1 << 64) - 1
@@ -216,6 +216,23 @@ def test_encode_stream_equals_encode_symbol_and_wire_rederivation():
         assert end == WIRE_HEADER.size + l
         np.testing.assert_array_equal(resolve_neighbors(wire, w).neighbors, sym.neighbors)
     assert [s.id for s in syms] == list(range(start, start + 60))
+
+
+@pytest.mark.parametrize("l", [5, 64])
+def test_encode_stream_payloads_are_xor_of_block_rows(l):
+    # Reference: each payload is the Python-int XOR of its neighbors' rows.
+    # Degree 3 takes its draws, 12 their complement, 16 the whole block.
+    w = 16
+    blk = SourceBlock.random(w, l, seed=l)
+    dist = DegreeDistribution(w, np.array([3, 12, 16]), np.array([0.4, 0.4, 0.2]))
+    syms = encode_stream(blk, dist, 5, 300)
+    assert {s.degree for s in syms} == {3, 12, 16}
+    ints = [int.from_bytes(row.tobytes(), "little") for row in blk.data]
+    for sym in syms:
+        acc = 0
+        for j in sym.neighbors.tolist():
+            acc ^= ints[j]
+        assert sym.payload == acc.to_bytes(l, "little")
 
 
 def test_start_id_continues_the_stream():

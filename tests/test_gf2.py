@@ -140,3 +140,56 @@ def test_solve_partial_rejects_unlisted_indices():
 def test_rank_counts_independent_rows():
     assert gf2.rank([[0, 1], [1, 2], [0, 2]], range(3)) == 2
     assert gf2.rank([[j] for j in range(70)] + [[3, 69]], range(70)) == 70
+
+
+# ---------------------------------------------------------------------------
+# Sparse row XOR
+
+
+def _xor_rows_loop(src, indptr, indices, take=None):
+    """``xor_rows`` one entry at a time."""
+    out = np.zeros((indptr.size - 1, src.shape[1]), dtype=np.uint8)
+    for r in range(indptr.size - 1):
+        for j in indices[indptr[r]:indptr[r + 1]].tolist():
+            if take is None or take[j]:
+                out[r] ^= src[j]
+    return out
+
+
+def _check_xor_rows(src, indptr, indices, take=None, seed=0):
+    # ``out`` starts non-zero: xor_rows XORs into it.
+    out = np.random.default_rng(seed).integers(0, 256, size=(indptr.size - 1, src.shape[1]),
+                                               dtype=np.uint8)
+    want = out ^ _xor_rows_loop(src, indptr, indices, take)
+    gf2.xor_rows(gf2.words(out), gf2.words(src), indptr, indices, take=take)
+    np.testing.assert_array_equal(out, want)
+
+
+@pytest.mark.parametrize("l", [5, 16])
+def test_xor_rows_matches_a_per_row_loop(l):
+    # l = 5 runs on the uint8 matrix, l = 16 on its uint64 words.
+    rng = np.random.default_rng(l)
+    src = rng.integers(0, 256, size=(40, l), dtype=np.uint8)
+    assert gf2.words(src).dtype == (np.uint64 if l % 8 == 0 else np.uint8)
+    # Mixed lengths, several rows of each, empty rows among them.
+    lengths = rng.choice([0, 1, 3, 7, 40], size=30)
+    indptr, indices = gf2.csr(rng.choice(40, size=n, replace=False) for n in lengths)
+    take = rng.random(40) < 0.6
+    for mask in (None, take):
+        _check_xor_rows(src, indptr, indices, mask)
+        # Row pointers sliced out of a larger matrix start past 0.
+        _check_xor_rows(src, indptr[7:], indices, mask)
+        _check_xor_rows(src, indptr[7:8], indices, mask)
+    _check_xor_rows(src, *gf2.csr([[] for _ in range(4)]))
+
+
+def test_xor_rows_beyond_the_gather_bound():
+    # One length group of 700 rows x 4 entries x 128 bytes, and one row of
+    # 3000 entries, each gathers more than the bound allows at once.
+    rng = np.random.default_rng(3)
+    src = rng.integers(0, 256, size=(3000, 128), dtype=np.uint8)
+    assert 700 * 4 * 128 > gf2._GATHER_BYTES and 3000 * 128 > gf2._GATHER_BYTES
+    rows = [rng.choice(3000, size=4, replace=False) for _ in range(700)] + [np.arange(3000)]
+    indptr, indices = gf2.csr(rows)
+    _check_xor_rows(src, indptr, indices)
+    _check_xor_rows(src, indptr, indices, rng.random(3000) < 0.5)

@@ -10,8 +10,7 @@ from lrfcodes.codec import SourceBlock, xor_combine
 from lrfcodes.distributions import LossContext, lr_raptor_dist, robust_soliton
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
-from lrfcodes.precode import (IntermediateBlock, PrecodeConfig,
-                              constraint_rows, dump_parity_rows, parity_rows,
+from lrfcodes.precode import (PrecodeConfig, constraint_rows, dump_parity_rows, parity_rows,
                               precode_expand, precode_solve, raptor_decode,
                               raptor_encode)
 
@@ -20,6 +19,11 @@ CFG = PrecodeConfig(k=24, s=5, h=3, seed=7)
 
 def _block(k=CFG.k, l=8, seed=0):
     return SourceBlock.random(k, l, seed)
+
+
+def _rows(blk):
+    """A block's rows as the list of bytes a ``DecodeResult`` recovers."""
+    return [row.tobytes() for row in blk.data]
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +83,9 @@ def test_dump_parity_rows_format():
 def test_expand_is_systematic():
     blk = _block()
     inter = precode_expand(blk, CFG)
-    assert isinstance(inter, IntermediateBlock)
-    assert len(inter.symbols) == CFG.total
-    assert inter.symbols[:CFG.k] == blk.symbols
+    assert isinstance(inter, SourceBlock)
+    assert inter.w == CFG.total
+    np.testing.assert_array_equal(inter.data[:CFG.k], blk.data)
 
 
 def test_expand_constraints_xor_to_zero():
@@ -90,7 +94,7 @@ def test_expand_constraints_xor_to_zero():
     for row in constraint_rows(CFG):
         acc = bytes(blk.l)
         for i in row:
-            acc = xor_combine(acc, inter.symbols[i])
+            acc = xor_combine(acc, inter.data[i].tobytes())
         assert acc == bytes(blk.l)
 
 
@@ -107,9 +111,9 @@ def test_precode_solve_single_erasure_sweep():
     blk = _block()
     inter = precode_expand(blk, CFG)
     for missing in range(CFG.total):
-        partial = {i: s for i, s in enumerate(inter.symbols) if i != missing}
+        partial = {i: s for i, s in enumerate(inter.data) if i != missing}
         natives = precode_solve(partial, CFG)
-        assert natives == list(blk.symbols)
+        np.testing.assert_array_equal(natives, blk.data)
 
 
 def test_precode_solve_multi_erasure_random():
@@ -119,13 +123,13 @@ def test_precode_solve_multi_erasure_random():
     solved = 0
     for _ in range(50):
         missing = set(rng.sample(range(CFG.total), 3))
-        partial = {i: s for i, s in enumerate(inter.symbols)
+        partial = {i: s for i, s in enumerate(inter.data)
                    if i not in missing}
         try:
             natives = precode_solve(partial, CFG)
         except DecodeFailure:
             continue  # genuinely underdetermined patterns are allowed
-        assert natives == list(blk.symbols)
+        np.testing.assert_array_equal(natives, blk.data)
         solved += 1
     assert solved > 25
 
@@ -142,7 +146,7 @@ def test_precode_solve_agrees_with_rank_oracle():
     checked_full = checked_deficient = 0
     for _ in range(200):
         missing = set(rng.sample(range(cfg.total), rng.randint(1, 6)))
-        partial = {i: s for i, s in enumerate(inter.symbols)
+        partial = {i: s for i, s in enumerate(inter.data)
                    if i not in missing}
         sub_rows = [tuple(i for i in r if i in missing) for r in rows]
         full_rank = gf2.rank([r for r in sub_rows if r], missing) == len(missing)
@@ -153,12 +157,12 @@ def test_precode_solve_agrees_with_rank_oracle():
             ok = False
         if full_rank:
             assert ok
-            assert natives == list(blk.symbols)
+            np.testing.assert_array_equal(natives, blk.data)
             checked_full += 1
         elif ok:
             # Partial solves may still pin down all *natives* even when some
             # parity stays free; the recovered natives must be correct.
-            assert natives == list(blk.symbols)
+            np.testing.assert_array_equal(natives, blk.data)
         else:
             checked_deficient += 1
     assert checked_full > 20
@@ -177,7 +181,7 @@ def test_precode_solve_validates_input():
 def test_precode_solve_residual_cap():
     blk = _block()
     inter = precode_expand(blk, CFG)
-    partial = {i: s for i, s in enumerate(inter.symbols) if i >= CFG.k}
+    partial = {i: s for i, s in enumerate(inter.data) if i >= CFG.k}
     with pytest.raises(DecodeFailure):
         precode_solve(partial, CFG, residual_cap=2)
 
@@ -188,7 +192,7 @@ def test_precode_solve_uses_extra_rows():
     blk = _block()
     inter = precode_expand(blk, CFG)
     missing = set(range(10))  # more erasures than parity equations
-    partial = {i: s for i, s in enumerate(inter.symbols) if i not in missing}
+    partial = {i: s for i, s in enumerate(inter.data) if i not in missing}
     with pytest.raises(DecodeFailure):
         precode_solve(partial, CFG)
     extra = []
@@ -197,10 +201,10 @@ def test_precode_solve_uses_extra_rows():
         idxs = tuple(sorted(rng.sample(sorted(missing), rng.randint(1, 6))))
         acc = 0
         for i in idxs:
-            acc ^= int.from_bytes(inter.symbols[i], "little")
+            acc ^= int.from_bytes(inter.data[i].tobytes(), "little")
         extra.append((idxs, acc))
     natives = precode_solve(partial, CFG, extra_rows=extra)
-    assert natives == list(blk.symbols)
+    np.testing.assert_array_equal(natives, blk.data)
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +215,25 @@ def test_raptor_roundtrip_with_losses():
     blk = _block(seed=13)
     dist = lr_raptor_dist(LossContext(CFG.total, 4), 16)
     lost = {1, 8, 19}
-    natives = {i: blk.symbols[i] for i in range(CFG.k) if i not in lost}
+    natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     encoding = raptor_encode(blk, CFG, dist, base_seed=21, count=8)
     res = raptor_decode(natives, encoding, CFG)
     assert res.success
-    assert res.recovered == list(blk.symbols)
+    assert res.recovered == _rows(blk)
 
 
 def test_raptor_decode_no_loss_shortcut():
     blk = _block(seed=14)
-    natives = {i: blk.symbols[i] for i in range(CFG.k)}
+    natives = {i: blk.data[i] for i in range(CFG.k)}
     res = raptor_decode(natives, [], CFG)
     assert res.success
-    assert res.recovered == list(blk.symbols)
+    assert res.recovered == _rows(blk)
 
 
 def test_raptor_decode_reports_failure_stage():
     blk = _block(seed=15)
     lost = set(range(12))
-    natives = {i: blk.symbols[i] for i in range(CFG.k) if i not in lost}
+    natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     res = raptor_decode(natives, [], CFG)
     assert not res.success
     assert res.failed_stage == "precode"
@@ -242,11 +246,11 @@ def test_raptor_robust_soliton_roundtrip():
     blk = _block(seed=16)
     dist = robust_soliton(CFG.total, 0.5, 0.1)
     lost = {0, 5}
-    natives = {i: blk.symbols[i] for i in range(CFG.k) if i not in lost}
+    natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     for count in (8, 16, 32, 64):
         encoding = raptor_encode(blk, CFG, dist, base_seed=33, count=count)
         res = raptor_decode(natives, encoding, CFG)
         if res.success:
-            assert res.recovered == list(blk.symbols)
+            assert res.recovered == _rows(blk)
             return
     pytest.fail("robust-soliton inner stream never completed the decode")

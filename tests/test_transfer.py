@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from lrfcodes.channel import BurstModel, ChannelConfig
-from lrfcodes.codec import (SourceBlock, derive_seed, encode_symbol, pack_symbol,
-                            unpack_symbol)
+from lrfcodes.codec import (EncodingSymbol, SourceBlock, derive_seed, encode_symbol,
+                            pack_symbol, unpack_symbol)
 from lrfcodes.distributions import ideal_soliton
 from lrfcodes import transfer
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
@@ -113,11 +113,12 @@ def test_session_metrics_conservation():
     assert metrics.total_degree_sent >= metrics.encoding_sent
 
 
-def test_session_budget_exhaustion_raises():
+def test_session_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(transfer, "BUDGET_FACTOR", 0.01)
+    monkeypatch.setattr(transfer, "EXTRA_BATCH_FRAC", 0.01)
     with pytest.raises(SessionFailure):
         run_session(500 * 8, 500, 8, ChannelConfig(0.3, seed=4), 0.0, "LRF",
-                    seed=1, budget_factor=0.01, extra_batch_frac=0.01,
-                    initial_loss_rate=0.002)
+                    seed=1, initial_loss_rate=0.002)
 
 
 def test_session_rejects_empty_data():
@@ -157,7 +158,7 @@ def test_source_dest_machines_recover_driven_losses():
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     block = SourceBlock.random(64, 8, seed=3)
     recovered, metrics = _drive_window(cfg, block, drop_indices={1, 10, 30})
-    assert recovered == list(block.symbols)
+    np.testing.assert_array_equal(recovered, block.data)
     assert metrics.lost == 3
 
 
@@ -188,7 +189,7 @@ def test_repair_symbols_tolerate_reordering():
         for ev in emissions:
             responses += dst.step(ev)
         responses += dst.conclude(0)
-    assert dst.windows[0].recovered == list(block.symbols)
+    np.testing.assert_array_equal(dst.windows[0].recovered, block.data)
 
 
 def test_destination_feeds_back_loss_reports():
@@ -333,6 +334,22 @@ def test_destination_counts_only_accepted_symbols():
     assert metrics.protocol_errors == 4
 
 
+def test_destination_counts_malformed_neighbors_as_protocol_errors():
+    # A repeated, negative or out-of-range neighbor index is a malformed
+    # symbol: dropped and counted, never decoded or raised out of step().
+    cfg = SessionConfig(window=8, symbol_bytes=2, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.05, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    for i, nb in enumerate(([3, 3], [-1, 2], [2, 8]), 1):
+        sym = EncodingSymbol(id=i, seed=0, degree=2, neighbors=np.array(nb),
+                             payload=bytes(2))
+        assert dst.step(RepairSymbol(0, sym)) == []
+        assert metrics.protocol_errors == i
+    assert metrics.delivered == 0
+    assert dst.windows[0].repairs_received == 0
+
+
 def test_conclude_matches_a_fresh_precode_solve_every_round():
     # Warm-started far below the true loss, the window needs several NACK
     # rounds; conclude carries the constraint right-hand sides across them
@@ -367,11 +384,13 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
             except DecodeFailure:
                 fresh.append(None)
         if isinstance(out[0], Ack):
-            assert state.recovered == list(block.symbols)
-            assert fresh == [state.recovered] * 2
+            np.testing.assert_array_equal(state.recovered, block.data)
+            assert len(fresh) == 2
+            for natives in fresh:
+                np.testing.assert_array_equal(natives, state.recovered)
             break
         assert isinstance(out[0], WindowNack)
-        assert fresh == [None, None]
+        assert [natives is None for natives in fresh] == [True, True]
         nacks += 1
         emissions = src.step(out)
     assert nacks >= 3
