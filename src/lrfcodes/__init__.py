@@ -2,7 +2,7 @@
 
 Subpackages/modules:
     distributions -- soliton-family degree distributions and analysis helpers
-    codec         -- XOR fountain encoder and ripple peeling decoder
+    codec         -- XOR fountain encoder, columnar repair batches and round peeling decoder
     precode       -- systematic sparse+dense precode and its composition
     channel       -- seedable erasure channel and loss-rate estimation
     transfer      -- windowed transfer state machines
@@ -10,9 +10,8 @@ Subpackages/modules:
 """
 
 from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
-from .codec import (DecodeResult, EncodingSymbol, PeelDecoder, SourceBlock,
-                    encode_stream, encode_symbol, peel_decode, select_neighbors,
-                    xor_combine)
+from .codec import (DecodeResult, EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock,
+                    encode_stream, encode_symbol, peel_decode, select_neighbors)
 from .distributions import (DegreeDistribution, LossContext, average_degree,
                             ideal_soliton, lr_raptor_dist, lrf_ideal,
                             min_degree, recovery_probability,

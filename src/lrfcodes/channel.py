@@ -8,11 +8,9 @@ experimentation; it is excluded from the acceptance metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 @dataclass(frozen=True)
@@ -79,18 +77,6 @@ def loss_mask(count: int, cfg: ChannelConfig) -> np.ndarray:
     return Channel(cfg).loss_mask(count)
 
 
-def transmit(symbols: Sequence, cfg: ChannelConfig):
-    """Drop each symbol independently with probability p.
-
-    Returns:
-        (delivered, mask): ``delivered`` maps position -> symbol for the
-        surviving symbols; ``mask`` is True at dropped positions.
-    """
-    mask = loss_mask(len(symbols), cfg)
-    delivered = {int(i): symbols[i] for i in np.flatnonzero(~mask)}
-    return delivered, mask
-
-
 @dataclass(frozen=True)
 class LossReport:
     """Windowed loss estimate fed back from destination to source."""
@@ -103,16 +89,6 @@ class LossReport:
         if not 0 <= self.lost <= self.observed_window:
             raise InvalidParameterError(
                 f"lost {self.lost} outside 0..{self.observed_window}")
-
-
-def estimate_loss(outcomes) -> LossReport:
-    """Plain windowed ratio over a sequence of outcomes (True = lost)."""
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise InvalidInputError("empty observation window")
-    lost = sum(bool(o) for o in outcomes)
-    return LossReport(observed_window=len(outcomes), lost=lost,
-                      estimate=lost / len(outcomes))
 
 
 class LossRateEstimator:

@@ -1,4 +1,4 @@
-"""XOR fountain encoder and ripple-based peeling decoder.
+"""XOR fountain encoder and round-based peeling decoder.
 
 An encoding symbol is the XOR of a degree-d subset of a window's input
 symbols. Degree and neighbor set are both derived deterministically from the
@@ -12,25 +12,24 @@ neighbor sets as CSR arrays. Each symbol's result depends on its own seed
 only, so a batch of one (``select_neighbors``, ``derive_degree``) yields what
 the symbol got inside any larger batch.
 
-Payloads are rows of (rows, l) uint8 matrices throughout: a ``SourceBlock``
-is one (w, l) matrix, the encoder XORs a whole batch's neighbor rows with
-``gf2.xor_rows``, and ``PeelDecoder`` keeps covered payloads in one (w, l)
-matrix. Only ``EncodingSymbol.payload``, the wire value, is ``bytes``.
+Symbols travel as columns: ``encode_stream`` returns one ``RepairBatch``,
+which ``PeelDecoder.add_batch`` takes whole. Payloads are rows of (rows, l)
+uint8 matrices throughout (a ``SourceBlock``, a batch, the decoder's covered
+symbols); only ``EncodingSymbol``, the single-frame wire value, holds bytes.
 """
 
 from __future__ import annotations
 
 import struct
-from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 # ``sample`` stays importable from this module for existing callers.
 from .distributions import DegreeDistribution, inverse_cdf, sample  # noqa: F401
 from .errors import InvalidInputError, InvalidParameterError
-from .gf2 import csr, words, xor_rows
+from .gf2 import _GATHER_BYTES, take_rows, words, xor_rows
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -42,6 +41,9 @@ _DEGREE_SALT = np.uint64(0xD6E8FEB86659FD93)
 # Upper bound on the candidate draws held at once by ``neighbor_sets``; a
 # larger batch is processed in chunks of about this many candidates.
 _CANDIDATE_CHUNK = 1 << 13
+# ``PeelDecoder.run`` releases a ripple of at most this many rows one row
+# at a time rather than as a round.
+_SMALL_RIPPLE = 4
 # Largest window ``neighbor_sets`` accepts: a chunk's sort codes
 # (row, value, draw index) then stay far inside int64.
 MAX_WINDOW = 1 << 20
@@ -206,11 +208,9 @@ class SourceBlock:
 
 @dataclass(frozen=True, eq=False)
 class EncodingSymbol:
-    """One XOR-combined output symbol.
-
-    ``neighbors`` is a sorted array of input-symbol indices; it may be None
-    for symbols freshly read off the wire (see ``resolve_neighbors``).
-    """
+    """One XOR-combined output symbol, the value of one wire frame.
+    ``neighbors`` is a sorted index array, or None for a symbol read off
+    the wire (see ``resolve_neighbors``)."""
 
     id: int
     seed: int
@@ -219,11 +219,98 @@ class EncodingSymbol:
     payload: bytes
 
 
-def xor_combine(a: bytes, b: bytes) -> bytes:
-    """Bytewise XOR, word-at-a-time via Python's big integers."""
-    if len(a) != len(b):
-        raise InvalidInputError(f"payload length mismatch: {len(a)} != {len(b)}")
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+@dataclass(frozen=True, eq=False)
+class RepairBatch:
+    """n encoding symbols as columns: (n,) uint64 ``ids`` and ``seeds``,
+    int64 ``degrees``, the neighbor sets as CSR ``(indptr, indices)`` with
+    ``indptr[0] == 0`` (None for wire symbols until ``resolved``), and an
+    (n, l) uint8 ``payloads`` matrix. An int index (or iteration) yields
+    ``EncodingSymbol``s; any other index selects rows as a new batch."""
+
+    ids: np.ndarray
+    seeds: np.ndarray
+    degrees: np.ndarray
+    indptr: np.ndarray | None
+    indices: np.ndarray | None
+    payloads: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __getitem__(self, key):
+        if not isinstance(key, (int, np.integer)):
+            return self.select(key)
+        i = range(len(self))[key]
+        nb = None if self.indptr is None else self.indices[self.indptr[i]:self.indptr[i + 1]]
+        return EncodingSymbol(int(self.ids[i]), int(self.seeds[i]), int(self.degrees[i]), nb,
+                              self.payloads[i].tobytes())
+
+    def select(self, key) -> "RepairBatch":
+        """The rows ``key`` picks: a bool mask, an index array or a slice."""
+        rows = np.arange(len(self))[key]
+        csr = (None, None) if self.indptr is None else take_rows(self.indptr, self.indices, rows)
+        return RepairBatch(self.ids[rows], self.seeds[rows], self.degrees[rows], *csr,
+                           self.payloads[rows])
+
+    @classmethod
+    def from_symbols(cls, symbols, w: int | None = None) -> "RepairBatch":
+        """Symbols stacked into a batch (a batch passes through). Wire
+        symbols stay unresolved unless ``w`` is given, which resolves them
+        all in one ``neighbor_sets`` call.
+
+        Raises:
+            InvalidInputError: payloads of different lengths, neighbors that
+                are not 1-D, or wire and resolved symbols mixed.
+            InvalidParameterError: a wire symbol's degree outside 1..w.
+        """
+        if isinstance(symbols, RepairBatch):
+            return symbols if w is None else symbols.resolved(w)
+        symbols = list(symbols)
+        n = len(symbols)
+        if len({len(s.payload) for s in symbols}) > 1:
+            raise InvalidInputError("payload lengths differ within a batch")
+        batch = cls(np.array([s.id for s in symbols], dtype=np.uint64),
+                    np.array([s.seed for s in symbols], dtype=np.uint64),
+                    np.array([s.degree for s in symbols], dtype=np.int64), None, None,
+                    np.frombuffer(b"".join(s.payload for s in symbols), dtype=np.uint8)
+                    .reshape(n, len(symbols[0].payload) if n else 0))
+        sets = [s.neighbors for s in symbols]
+        if all(nb is None for nb in sets):
+            return batch if w is None else batch.resolved(w)
+        sets = [np.asarray(nb) for nb in sets if nb is not None]
+        if len(sets) < n or any(nb.ndim != 1 for nb in sets):
+            raise InvalidInputError("neighbors must be 1-D index arrays on every symbol or none")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([nb.size for nb in sets], out=indptr[1:])
+        return replace(batch, indptr=indptr, indices=np.concatenate(sets))
+
+    def resolved(self, w: int) -> "RepairBatch":
+        """This batch with its neighbor sets derived for a w-symbol window."""
+        if self.indptr is not None:
+            return self
+        indptr, indices = neighbor_sets(self.seeds, w, self.degrees)
+        return replace(self, indptr=indptr, indices=indices)
+
+    def malformed(self, w: int, l: int) -> np.ndarray:
+        """Per-row mask of the symbols a window of w symbols of l bytes must
+        reject: a payload other than l bytes, a wire symbol's degree outside
+        1..w, or neighbors that are not strictly increasing integers in
+        0..w-1 (a repeated index would cancel in the XOR but count once)."""
+        n, indptr, idx = len(self), self.indptr, self.indices
+        if self.payloads.dtype != np.uint8 or self.payloads.shape != (n, l):
+            return np.ones(n, dtype=bool)
+        if indptr is None:
+            return (self.degrees < 1) | (self.degrees > w)
+        lengths = indptr[1:] - indptr[:-1]
+        if (idx.dtype.kind not in "iu" or idx.ndim != 1 or indptr.shape != (n + 1,)
+                or indptr[0] != 0 or indptr[-1] != idx.size or (lengths < 0).any()):
+            return np.ones(n, dtype=bool)
+        row = np.repeat(np.arange(n), lengths)
+        bad = (idx < 0) | (idx >= w)
+        bad[1:] |= (idx[1:] <= idx[:-1]) & (row[1:] == row[:-1])
+        out = np.zeros(n, dtype=bool)
+        out[row[bad]] = True
+        return out
 
 
 def select_neighbors(seed: int, w: int, degree: int) -> np.ndarray:
@@ -238,7 +325,7 @@ def derive_degree(seed: int, dist: DegreeDistribution) -> int:
 
 
 def _encode(block: SourceBlock, dist: DegreeDistribution, seeds: np.ndarray,
-            ids: list[int]) -> list[EncodingSymbol]:
+            ids: np.ndarray) -> RepairBatch:
     """Encode one symbol per seed: batch degree and neighbor derivation, then
     one sparse XOR of the block's rows for the whole batch."""
     if dist.w != block.w:
@@ -247,26 +334,23 @@ def _encode(block: SourceBlock, dist: DegreeDistribution, seeds: np.ndarray,
     indptr, indices = neighbor_sets(seeds, block.w, degrees)
     out = np.zeros((seeds.size, block.l), dtype=np.uint8)
     xor_rows(words(out), words(block.data), indptr, indices)
-    bounds = indptr.tolist()
-    return [EncodingSymbol(id=sym_id, seed=seed, degree=degree, neighbors=indices[lo:hi],
-                           payload=row.tobytes())
-            for sym_id, seed, degree, lo, hi, row in zip(ids, seeds.tolist(), degrees.tolist(),
-                                                        bounds, bounds[1:], out)]
+    return RepairBatch(ids, seeds, degrees, indptr, indices, out)
 
 
 def encode_symbol(block: SourceBlock, dist: DegreeDistribution, seed: int,
                   symbol_id: int = 0) -> EncodingSymbol:
     """Draw a degree from ``dist`` and XOR that many uniformly chosen symbols."""
-    return _encode(block, dist, np.array([seed], dtype=np.uint64), [symbol_id])[0]
+    return _encode(block, dist, np.array([seed], dtype=np.uint64),
+                   np.array([symbol_id], dtype=np.uint64))[0]
 
 
 def encode_stream(block: SourceBlock, dist: DegreeDistribution, base_seed: int,
-                  count: int, start_id: int = 0) -> list[EncodingSymbol]:
+                  count: int, start_id: int = 0) -> RepairBatch:
     """``count`` symbols with consecutive ids and per-symbol derived seeds,
     encoded as one batch."""
     if count < 0:
         raise InvalidParameterError(f"count must be >= 0, got {count}")
-    ids = list(range(start_id, start_id + count))
+    ids = np.arange(start_id, start_id + count, dtype=np.uint64)
     return _encode(block, dist, derive_seeds(base_seed, ids), ids)
 
 
@@ -301,11 +385,7 @@ def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
 
 def resolve_neighbors(sym: EncodingSymbol, w: int) -> EncodingSymbol:
     """Re-derive the neighbor set of a wire-format symbol for a w-symbol window."""
-    if sym.neighbors is not None:
-        return sym
-    return EncodingSymbol(id=sym.id, seed=sym.seed, degree=sym.degree,
-                          neighbors=select_neighbors(sym.seed, w, sym.degree),
-                          payload=sym.payload)
+    return sym if sym.neighbors is not None else RepairBatch.from_symbols([sym], w)[0]
 
 
 @dataclass
@@ -326,23 +406,21 @@ class DecodeResult:
     failed_stage: str | None = None
 
 
-class _Pending:
-    __slots__ = ("data", "remaining")
-
-    def __init__(self, data: np.ndarray, remaining: set[int]):
-        self.data = data
-        self.remaining = remaining
-
-
 class PeelDecoder:
-    """Incremental ripple decoder over a window of w symbols of l bytes.
+    """Round-based peeling decoder over a window of w symbols of l bytes.
 
-    Covered payloads live in one (w, l) uint8 matrix so the per-symbol
-    reduction is a vectorized gather + XOR. Encoding symbols with more than
-    one uncovered neighbor wait in per-index adjacency lists; symbols that
-    reach exactly one uncovered neighbor join the ripple queue and are
-    processed FIFO. The fixpoint depends neither on the ripple order nor on
-    whether natives arrive before or after the encoding symbols.
+    Covered payloads live in one (w, l) uint8 matrix. Each encoding symbol
+    is a row: its payload with the neighbors covered on arrival XORed out,
+    the CSR list of its other neighbors, and the count and index sum of
+    those still uncovered, so a row with a count of one names its last
+    unknown by the sum (the invertible-Bloom-lookup-table trick). A
+    column-sorted index of the rows' entries finds the rows a newly covered
+    column hits. ``run`` peels in rounds (parallel peeling): each round
+    releases every row with one unknown left, one row per column, XORing
+    their payloads with one gather-and-reduce. A row is XORed with each
+    covered neighbor at most once. The fixpoint depends neither on the
+    release order nor on whether natives arrive before or after the
+    encoding symbols.
     """
 
     def __init__(self, w: int, l: int, natives=None):
@@ -352,10 +430,17 @@ class PeelDecoder:
         self.l = l
         self._payloads = np.zeros((w, l), dtype=np.uint8)
         self._covered = np.zeros(w, dtype=bool)
-        self._adj: dict[int, list[_Pending]] = {}
-        self._ripple: deque[_Pending] = deque()
         self._uncovered = w
         self.encoding_used = 0
+        # Natives added since the rows' counts and sums last took them in.
+        self._fresh: list[int] = []
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._indices = np.zeros(0, dtype=np.int64)
+        self._count, self._sum = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        self._rows = np.zeros((0, l), dtype=np.uint8)
+        # Column c's rows are ``_col_rows[_col_ptr[c]:_col_ptr[c + 1]]``.
+        self._col_ptr = np.zeros(w + 1, dtype=np.int64)
+        self._col_rows = np.zeros(0, dtype=np.int64)
         if natives is not None:
             items = natives.items() if isinstance(natives, Mapping) else natives
             for idx, payload in items:
@@ -380,74 +465,119 @@ class PeelDecoder:
         self._covered[idx] = True
         self._payloads[idx] = np.frombuffer(payload, dtype=np.uint8)
         self._uncovered -= 1
-        self._discharge(idx)
-
-    def _discharge(self, idx: int) -> None:
-        """Substitute newly covered ``idx`` into every pending symbol that
-        lists it; a symbol left with one uncovered neighbor joins the ripple."""
-        value = self._payloads[idx]
-        for other in self._adj.pop(idx, ()):
-            rem = other.remaining
-            if idx in rem:
-                rem.discard(idx)
-                other.data ^= value
-                if len(rem) == 1:
-                    self._ripple.append(other)
+        self._fresh.append(idx)
 
     def add_symbol(self, sym: EncodingSymbol) -> None:
-        """Queue one encoding symbol, XOR-ing out already covered neighbors.
+        """``add_batch`` of one symbol."""
+        self.add_batch(RepairBatch.from_symbols([sym]))
 
-        Call ``run()`` afterwards (or after a batch) to drain the ripple.
-        """
-        if sym.neighbors is None:
-            raise InvalidInputError("symbol neighbors unresolved; call resolve_neighbors first")
-        if len(sym.payload) != self.l:
-            raise InvalidInputError(f"payload length {len(sym.payload)} != {self.l}")
-        nb = np.asarray(sym.neighbors)
-        # A repeated index would cancel in the XOR but count once here, and
-        # an out-of-range one would alias or escape as IndexError.
-        if nb.size and (nb.dtype.kind not in "iu" or nb.ndim != 1 or nb[0] < 0
-                        or nb[-1] >= self.w or np.count_nonzero(nb[1:] <= nb[:-1])):
-            raise InvalidInputError(
-                f"neighbors must be strictly increasing indices in 0..{self.w - 1}")
-        cov = self._covered[nb]
-        n_cov = np.count_nonzero(cov)
-        if n_cov == nb.size:
+    def add_batch(self, batch: RepairBatch) -> None:
+        """Take a batch of encoding symbols, XOR-ing out covered neighbors;
+        ``run()`` then peels. Raises InvalidInputError, taking nothing, for
+        unresolved neighbors or a ``malformed`` row."""
+        if not len(batch):
             return
-        data = np.frombuffer(sym.payload, dtype=np.uint8)
-        if n_cov:
-            # ``take`` gathers rows about twice as fast as fancy indexing.
-            data = data ^ np.bitwise_xor.reduce(self._payloads.take(nb[cov], axis=0), axis=0)
-        else:
-            data = data.copy()
-        pending = _Pending(data, set(nb[~cov].tolist()))
-        if len(pending.remaining) == 1:
-            self._ripple.append(pending)
-        else:
-            for j in pending.remaining:
-                self._adj.setdefault(j, []).append(pending)
+        if batch.indptr is None:
+            raise InvalidInputError("symbol neighbors unresolved; resolve them first")
+        bad = batch.malformed(self.w, self.l)
+        if bad.any():
+            raise InvalidInputError(f"symbol {batch.ids[bad][0]}: neighbors must be strictly "
+                                    f"increasing in 0..{self.w - 1} and payloads {self.l} bytes")
+        indptr, indices = batch.indptr, batch.indices.astype(np.int64)
+        rows = batch.payloads.copy()
+        open_entry = ~self._covered[indices]
+        if not open_entry.all():
+            xor_rows(words(rows), words(self._payloads), indptr, indices, take=self._covered)
+        cols = indices[open_entry]
+        row_of = np.repeat(np.arange(len(batch)), indptr[1:] - indptr[:-1])[open_entry]
+        count = np.bincount(row_of, minlength=len(batch))
+        # Index sums stay far below 2**53, so float weights add them exactly.
+        sums = np.bincount(row_of, weights=cols, minlength=len(batch)).astype(np.int64)
+        first = self._count.size
+        self._indptr = np.concatenate((self._indptr, self._indptr[-1] + count.cumsum()))
+        self._indices = np.concatenate((self._indices, cols))
+        self._rows = np.concatenate((self._rows, rows))
+        self._count = np.concatenate((self._count, count))
+        self._sum = np.concatenate((self._sum, sums))
+        # Merge into the column index: an old entry moves past the new ones
+        # of lower columns; the j-th new entry in column order lands after
+        # its column's old entries and the j new entries before it.
+        shift = np.zeros(self.w + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=self.w), out=shift[1:])
+        order = cols.argsort()
+        col_rows = first + row_of[order]
+        if self._col_rows.size:
+            merged = np.empty(self._col_rows.size + cols.size, dtype=np.int64)
+            merged[np.arange(self._col_rows.size) + np.repeat(
+                shift[:-1], self._col_ptr[1:] - self._col_ptr[:-1])] = self._col_rows
+            merged[self._col_ptr[cols[order] + 1] + np.arange(cols.size)] = col_rows
+            col_rows = merged
+        self._col_rows, self._col_ptr = col_rows, self._col_ptr + shift
+
+    def _cover_natives(self) -> None:
+        if self._fresh and self._col_rows.size:
+            self._cover(np.array(self._fresh, dtype=np.int64))
+        self._fresh = []
+
+    def _cover(self, cols: np.ndarray) -> np.ndarray:
+        """Take the newly covered ``cols`` out of the count and index sum of
+        every row listing one; returns those rows (a row once per hit)."""
+        ptr, rows = take_rows(self._col_ptr, self._col_rows, cols)
+        np.subtract.at(self._count, rows, 1)
+        np.subtract.at(self._sum, rows, np.repeat(cols, ptr[1:] - ptr[:-1]))
+        return rows
 
     def run(self) -> None:
-        """Peel to fixpoint: repeatedly release symbols with one uncovered
-        neighbor. Linear in the total edge count."""
-        ripple = self._ripple
-        covered = self._covered
-        payloads = self._payloads
-        while ripple:
-            pending = ripple.popleft()
-            if len(pending.remaining) != 1:
-                continue
-            (idx,) = pending.remaining
-            if covered[idx]:
-                continue
-            covered[idx] = True
-            payloads[idx] = pending.data
+        """Peel to fixpoint in rounds. Linear in the total edge count."""
+        self._cover_natives()
+        ripple = (self._count == 1).nonzero()[0]
+        while ripple.size:
+            if ripple.size > _SMALL_RIPPLE:
+                ripple = self._release_round(ripple)
+            else:
+                ripple = self._release_each(ripple)
+
+    def _release_round(self, ripple: np.ndarray) -> np.ndarray:
+        """Release every ripple row at once; returns the next ripple."""
+        # A row may be listed twice; its column is released once.
+        cols, first = np.unique(self._sum[ripple], return_index=True)
+        rows = ripple[first]
+        # The released columns' payload rows are still zero, so each row's
+        # whole list can go into the XOR.
+        values = self._rows[rows]
+        xor_rows(words(values), words(self._payloads),
+                 *take_rows(self._indptr, self._indices, rows))
+        self._payloads[cols] = values
+        self._covered[cols] = True
+        self._uncovered -= cols.size
+        self.encoding_used += cols.size
+        hits = self._cover(cols)
+        return hits[self._count[hits] == 1]
+
+    def _release_each(self, ripple: np.ndarray) -> np.ndarray:
+        """Release a small ripple row by row, in fewer numpy calls than a
+        round (a peel's tail is mostly such ripples)."""
+        hits = [ripple[:0]]
+        for r in ripple.tolist():
+            if self._count[r] != 1:
+                continue  # a release just before covered its last unknown
+            col, lo, hi = int(self._sum[r]), self._indptr[r], self._indptr[r + 1]
+            if (hi - lo) * self.l <= _GATHER_BYTES:
+                self._payloads[col] = self._rows[r] ^ np.bitwise_xor.reduce(
+                    self._payloads[self._indices[lo:hi]], axis=0)
+            else:
+                value = self._rows[r:r + 1].copy()
+                xor_rows(words(value), words(self._payloads), self._indptr[r:r + 2], self._indices)
+                self._payloads[col] = value[0]
+            self._covered[col] = True
             self._uncovered -= 1
             self.encoding_used += 1
-            # A symbol released through the adjacency path stays listed under
-            # its last neighbor, so this also zeroes ``pending.data``; its
-            # siblings take the value from the payload matrix instead.
-            self._discharge(idx)
+            # A row lists a column once, so these are distinct rows.
+            hits.append(self._col_rows[self._col_ptr[col]:self._col_ptr[col + 1]])
+            self._count[hits[-1]] -= 1
+            self._sum[hits[-1]] -= col
+        hits = np.concatenate(hits)
+        return hits[self._count[hits] == 1]
 
     @property
     def covered(self) -> np.ndarray:
@@ -455,7 +585,6 @@ class PeelDecoder:
         view = self._covered.view()
         view.setflags(write=False)
         return view
-
     @property
     def payloads(self) -> np.ndarray:
         """Read-only view of the (w, l) uint8 payload matrix; the rows of
@@ -465,22 +594,28 @@ class PeelDecoder:
         return view
 
     def pending_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Undischarged encoding symbols as GF(2) equations over the
-        uncovered symbols: CSR ``(indptr, indices)`` of each symbol's
-        uncovered neighbors, and an (equations, l) uint8 matrix whose row is
-        the XOR of those neighbors' payloads. Lets a caller finish with
-        elimination what peeling alone could not."""
-        seen: set[int] = set()
-        sets: list[set[int]] = []
-        data: list[np.ndarray] = []
-        for lst in self._adj.values():
-            for p in lst:
-                if p.remaining and id(p) not in seen:
-                    seen.add(id(p))
-                    sets.append(p.remaining)
-                    data.append(p.data)
-        indptr, indices = csr(sets)
-        return indptr, indices, np.array(data, dtype=np.uint8).reshape(len(data), self.l)
+        """Unreleased encoding symbols as GF(2) equations over the uncovered
+        symbols: CSR ``(indptr, indices)`` of each symbol's uncovered
+        neighbors, and an (equations, l) uint8 matrix whose row is the XOR
+        of those neighbors' payloads. Lets a caller finish with elimination
+        what peeling alone could not.
+
+        The covered neighbors are XORed into the rows here and dropped from
+        their lists, so a later call or release does not XOR them again.
+        """
+        self._cover_natives()
+        live = (self._count > 0).nonzero()[0]
+        indptr, indices = take_rows(self._indptr, self._indices, live)
+        values = self._rows[live]
+        xor_rows(words(values), words(self._payloads), indptr, indices, take=self._covered)
+        self._rows[live] = values
+        keep = ~self._covered[indices]
+        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+        self._indices = indices[keep]
+        lengths = np.zeros(self._count.size, dtype=np.int64)
+        lengths[live] = np.diff(indptr)
+        self._indptr = np.concatenate(([0], np.cumsum(lengths)))
+        return indptr, self._indices.copy(), values
 
     def covered_map(self) -> dict[int, bytes]:
         return {int(i): self._payloads[i].tobytes() for i in np.flatnonzero(self._covered)}
@@ -498,10 +633,9 @@ class PeelDecoder:
 
 
 def peel_decode(natives, encoding, w: int, l: int) -> DecodeResult:
-    """One-shot peeling decode: seed coverage with natives, add every
-    encoding symbol, peel to fixpoint."""
+    """One-shot peeling decode: seed coverage with natives, add the encoding
+    symbols (a ``RepairBatch`` or a sequence of symbols), peel to fixpoint."""
     decoder = PeelDecoder(w, l, natives)
-    for sym in encoding:
-        decoder.add_symbol(sym)
+    decoder.add_batch(RepairBatch.from_symbols(encoding))
     decoder.run()
     return decoder.result()

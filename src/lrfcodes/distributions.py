@@ -88,13 +88,6 @@ class LossContext:
         object.__setattr__(self, "n", self.w - self.m)
         object.__setattr__(self, "loss_rate", self.m / self.w)
 
-    @classmethod
-    def from_rate(cls, w: int, loss_rate: float) -> "LossContext":
-        """Build a context from a predicted loss rate, rounding to a count."""
-        if not 0.0 <= loss_rate <= 1.0:
-            raise InvalidParameterError(f"loss rate {loss_rate} outside [0, 1]")
-        return cls(w=w, m=min(w, round(loss_rate * w)))
-
 
 def _from_weights(w: int, degrees: np.ndarray, weights: np.ndarray) -> DegreeDistribution:
     weights = np.asarray(weights, dtype=np.float64)
@@ -246,8 +239,3 @@ def sample(dist: DegreeDistribution, rng) -> int:
     caller's contract.
     """
     return int(inverse_cdf(dist, rng.random()))
-
-
-def sample_many(dist: DegreeDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized inverse-transform sampling of ``size`` degrees."""
-    return inverse_cdf(dist, rng.random(size))

@@ -17,8 +17,8 @@ pivots on equations with a single unknown left, which is the ripple of a
 peeling decoder; the dense phase is Gauss-Jordan elimination over the
 unknowns the peel left. ``xor_rows`` multiplies a sparse 0/1 matrix by a
 payload matrix, also a word at a time (``words``): it builds the encoder's
-repair payloads, the precode's parity symbols and the constraints'
-right-hand sides.
+repair payloads, the peeling decoder's released symbols, the precode's
+parity symbols and the constraints' right-hand sides.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .errors import InvalidInputError
 _ONE = np.uint64(1)
 # Upper bound on the bytes ``xor_rows`` gathers at once.
 _GATHER_BYTES = 1 << 18
+# A gather spanning at most this many rows is reduced one row at a time.
+_FEW_SEGMENTS = 8
 
 
 def words(mat: np.ndarray) -> np.ndarray:
@@ -51,6 +53,16 @@ def csr(rows) -> tuple[np.ndarray, np.ndarray]:
     return indptr, indices
 
 
+def take_rows(indptr: np.ndarray, indices: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of a CSR matrix as a CSR matrix of their own."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ptr = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr, indices[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]
+
+
 def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
              take: np.ndarray | None = None) -> None:
     """``out[r] ^= XOR of src[j]`` over the entries j of CSR row r.
@@ -66,22 +78,28 @@ def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.n
         keep = take[cols]
         cols = cols[keep]
         ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
-    # Rows of equal length share one gather and reduce, so a batch of short
-    # rows costs a few numpy calls rather than one per row. A gather holds
-    # at most _GATHER_BYTES (or one src row): groups are cut into slices of
-    # rows, and a row too long for one gather into slices of its entries.
-    starts = ptr[:-1]
-    lengths = np.diff(ptr)
-    row_bytes = src.shape[1] * src.itemsize
-    span = max(1, _GATHER_BYTES // row_bytes)
-    for n in np.unique(lengths[lengths > 0]).tolist():
-        rows = (lengths == n).nonzero()[0]
-        step = max(1, span // n)
-        for lo in range(0, rows.size, step):
-            r = rows[lo:lo + step]
-            for c in range(0, n, span):
-                entries = starts[r, None] + np.arange(c, min(n, c + span))
-                out[r] ^= np.bitwise_xor.reduce(src.take(cols[entries], axis=0), axis=1)
+    # The entries are gathered in slices of at most _GATHER_BYTES (or one
+    # src row), each reduced per row segment; a row cut by a slice boundary
+    # takes one partial XOR from each side.
+    rows = (ptr[1:] > ptr[:-1]).nonzero()[0]
+    starts = ptr[rows]
+    span = max(1, _GATHER_BYTES // (src.shape[1] * src.itemsize))
+    for lo in range(0, cols.size, span):
+        hi = min(cols.size, lo + span)
+        first, end = 0, rows.size
+        if cols.size > span:
+            first = int(starts.searchsorted(lo, side="right")) - 1
+            end = int(starts.searchsorted(hi))
+        gathered = src.take(cols[lo:hi], axis=0)
+        if end - first <= _FEW_SEGMENTS:
+            # Over long segments ``reduce`` is faster than ``reduceat``.
+            bounds = [0, *(starts[first + 1:end] - lo).tolist(), hi - lo]
+            for r, a, b in zip(rows[first:end].tolist(), bounds, bounds[1:]):
+                out[r] ^= np.bitwise_xor.reduce(gathered[a:b], axis=0)
+            continue
+        seg = starts[first:end] - lo
+        seg[0] = 0
+        out[rows[first:end]] ^= np.bitwise_xor.reduceat(gathered, seg, axis=0)
 
 
 def _pack(indptr: np.ndarray, indices: np.ndarray, unknowns: np.ndarray,

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .codec import (DecodeResult, EncodingSymbol, PeelDecoder, SourceBlock,
+from .codec import (DecodeResult, EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock,
                     derive_seed, encode_stream)
 from .distributions import DegreeDistribution
 from .errors import DecodeFailure, InvalidInputError, InvalidParameterError
@@ -116,22 +116,6 @@ def constraint_matrix(cfg: PrecodeConfig) -> tuple[np.ndarray, np.ndarray]:
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices
-
-
-def constraint_rows(cfg: PrecodeConfig) -> tuple[tuple[int, ...], ...]:
-    """Every parity constraint as a sorted index tuple over the intermediate
-    block (members plus the parity symbol itself); each XORs to zero."""
-    indptr, indices = constraint_matrix(cfg)
-    bounds = indptr.tolist()
-    return tuple(tuple(indices[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:]))
-
-
-def dump_parity_rows(cfg: PrecodeConfig) -> str:
-    """Textual sparse row dump ``row_index: idx,idx,idx`` for test vectors."""
-    lines = []
-    for r, row in enumerate(constraint_rows(cfg)):
-        lines.append(f"{r}: " + ",".join(str(i) for i in row))
-    return "\n".join(lines)
 
 
 def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
@@ -251,22 +235,22 @@ def _peeled(partial, cfg: PrecodeConfig, extra_rows) -> PeelDecoder:
         raise DecodeFailure("no intermediates supplied", unresolved=cfg.k, stage="precode")
     l = len(items[0][1])
     decoder = PeelDecoder(cfg.total, l, items)
+    rows = []
     for idxs, value in extra_rows:
         nb = np.unique(np.fromiter(idxs, dtype=np.int64))
-        if nb.size and (nb[0] < 0 or nb[-1] >= cfg.total):
-            raise InvalidInputError(
-                f"extra row index outside intermediate range 0..{cfg.total - 1}")
         value = int(value)
         if value < 0 or value.bit_length() > 8 * l:
             raise InvalidInputError(f"extra row right-hand side does not fit {l} bytes")
-        decoder.add_symbol(EncodingSymbol(id=-1, seed=0, degree=nb.size, neighbors=nb,
-                                          payload=value.to_bytes(l, "little")))
+        rows.append(EncodingSymbol(id=0, seed=0, degree=nb.size, neighbors=nb,
+                                   payload=value.to_bytes(l, "little")))
+    # An index outside the intermediates makes add_batch raise.
+    decoder.add_batch(RepairBatch.from_symbols(rows))
     decoder.run()
     return decoder
 
 
 def raptor_encode(block: SourceBlock, cfg: PrecodeConfig, dist: DegreeDistribution,
-                  base_seed: int, count: int, start_id: int = 0) -> list[EncodingSymbol]:
+                  base_seed: int, count: int, start_id: int = 0) -> RepairBatch:
     """Expand the precode, then run the inner fountain encoder over the
     intermediate block with the given degree distribution."""
     return encode_stream(precode_expand(block, cfg), dist, base_seed, count,
@@ -277,21 +261,22 @@ def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None,
                   residual_cap: int = RESIDUAL_CAP_DEFAULT) -> DecodeResult:
     """Peel over the intermediate block, then solve the precode residual.
 
-    ``natives`` maps intermediate indices (normally 0..k-1) to payloads. The
-    result is over the k natives; on failure ``failed_stage`` is "precode".
+    ``natives`` maps intermediate indices (normally 0..k-1) to payloads, and
+    ``encoding`` is a ``RepairBatch`` or a sequence of symbols. The result is
+    over the k natives; on failure ``failed_stage`` is "precode".
     """
     items = dict(natives.items() if isinstance(natives, Mapping) else natives)
+    batch = RepairBatch.from_symbols(encoding)
     if l is None:
         if items:
             l = len(next(iter(items.values())))
-        elif encoding:
-            l = len(encoding[0].payload)
+        elif len(batch):
+            l = batch.payloads.shape[1]
         else:
             raise InvalidInputError("cannot infer symbol length from empty input")
 
     decoder = PeelDecoder(cfg.total, l, items)
-    for sym in encoding:
-        decoder.add_symbol(sym)
+    decoder.add_batch(batch)
     decoder.run()
     try:
         recovered = precode_solve(decoder, cfg, residual_cap=residual_cap)

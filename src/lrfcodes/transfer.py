@@ -3,10 +3,12 @@
 Source and destination are explicit state machines driven by an event loop
 with a global symbol clock (no real sockets). Per window of w symbols the
 source emits the natives plus, for the loss-aware schemes, ceil((1+eps) * m)
-encoding symbols sized from the latest fed-back loss estimate. The
-destination buffers repair symbols in a pool, peels when losses are
-detected, slides the window on full recovery and acks it, and feeds loss
-reports back to the source.
+encoding symbols sized from the latest fed-back loss estimate. Each batch of
+encoding symbols is one ``RepairBatch`` and travels as one ``Repairs``
+event; the channel drops rows of it. The destination hands each batch to the
+window's peeling decoder, peels when a delivery phase ends, acks the window
+on full recovery, and feeds loss reports back to the source. The driver
+takes an acked window's natives and the destination forgets the window.
 
 Schemes:
     LT        -- pure fountain baseline: robust-soliton encoding symbols
@@ -28,11 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
-from .codec import (EncodingSymbol, PeelDecoder, SourceBlock, derive_seed,
-                    encode_stream, resolve_neighbors)
+from .codec import PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_stream
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
-from .errors import DecodeFailure, InvalidParameterError, SessionFailure
+from .errors import DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure
 from .precode import ConstraintRhs, PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
@@ -87,10 +88,12 @@ class NativeLoss:
     index: int
 
 
-@dataclass(frozen=True)
-class RepairSymbol:
+@dataclass(frozen=True, eq=False)
+class Repairs:
+    """A batch of repair symbols for one window, as one event."""
+
     window: int
-    symbol: EncodingSymbol
+    batch: RepairBatch
 
 
 @dataclass(frozen=True)
@@ -210,15 +213,15 @@ class SourceState:
 
     # -- helpers
 
-    def _encode(self, plan: _RepairPlan, count: int, window: int) -> list[RepairSymbol]:
+    def _encode(self, plan: _RepairPlan, count: int, window: int) -> Repairs:
         t0 = time.perf_counter()
-        symbols = encode_stream(plan.block, plan.dist, plan.base_seed, count,
-                                start_id=plan.next_id)
+        batch = encode_stream(plan.block, plan.dist, plan.base_seed, count,
+                              start_id=plan.next_id)
         self.metrics.encode_time += time.perf_counter() - t0
         plan.next_id += count
         self.metrics.encoding_sent += count
-        self.metrics.total_degree_sent += sum(s.degree for s in symbols)
-        return [RepairSymbol(window, s) for s in symbols]
+        self.metrics.total_degree_sent += int(batch.degrees.sum())
+        return Repairs(window, batch)
 
     def _loss_aware_dist(self, total: int, m_hat: int) -> DegreeDistribution:
         ctx = LossContext(total, min(m_hat, total))
@@ -250,7 +253,7 @@ class SourceState:
             plan.batch = max(32, block.w // 50)
             plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * block.w)
             self.plans[index] = plan
-            emissions += self._encode(plan, initial, index)
+            emissions.append(self._encode(plan, initial, index))
             return emissions
 
         if cfg.uses_precode:
@@ -286,7 +289,7 @@ class SourceState:
             plan.m_hat = m_hat
             m_prime, plan.batch, plan.extra_budget = self._sizing(m_hat)
             plan.proactive = m_prime
-            emissions += self._encode(plan, m_prime, index)
+            emissions.append(self._encode(plan, m_prime, index))
         return emissions
 
     def step(self, events: Sequence) -> list:
@@ -319,7 +322,7 @@ class SourceState:
                         f"({plan.extra_sent} extra symbols)",
                         window=ev.window, unresolved=ev.unresolved)
                 plan.extra_sent += count
-                emissions += self._encode(plan, count, ev.window)
+                emissions.append(self._encode(plan, count, ev.window))
         return emissions
 
 
@@ -329,7 +332,7 @@ class SourceState:
 
 @dataclass
 class _WindowState:
-    decoder: PeelDecoder
+    decoder: PeelDecoder | None  # None once the window is taken
     precode: PrecodeConfig | None
     # The precode constraints' right-hand sides, carried across NACK rounds.
     constraints: ConstraintRhs | None
@@ -342,8 +345,9 @@ class _WindowState:
 
 
 class DestinationState:
-    """Destination side: buffers repair symbols, peels on detected loss,
-    slides and acks windows on full recovery, and emits loss reports."""
+    """Destination side: feeds arrivals to per-window decoders, peels when a
+    delivery phase ends, acks windows on full recovery, and emits loss
+    reports."""
 
     def __init__(self, cfg: SessionConfig, metrics: SessionMetrics):
         self.cfg = cfg
@@ -392,17 +396,24 @@ class DestinationState:
                 state = self._window(event.window)
                 state.losses_seen += 1
                 self.metrics.lost += 1
-            elif isinstance(event, RepairSymbol):
+            elif isinstance(event, Repairs):
+                batch = event.batch
                 state = self._window(event.window)
                 if not state.complete:
-                    sym = event.symbol
+                    decoder = state.decoder
                     t0 = time.perf_counter()
-                    if sym.neighbors is None:
-                        sym = resolve_neighbors(sym, state.decoder.w)
-                    state.decoder.add_symbol(sym)
+                    try:
+                        decoder.add_batch(batch.resolved(decoder.w))
+                    except (InvalidInputError, InvalidParameterError):
+                        # A rejected batch changed nothing: drop and count
+                        # each malformed row, and decode the rest.
+                        bad = batch.malformed(decoder.w, decoder.l)
+                        self.metrics.protocol_errors += int(np.count_nonzero(bad))
+                        batch = batch.select(~bad)
+                        decoder.add_batch(batch.resolved(decoder.w))
                     self.metrics.decode_time += time.perf_counter() - t0
-                state.repairs_received += 1
-                self.metrics.delivered += 1
+                state.repairs_received += len(batch)
+                self.metrics.delivered += len(batch)
             else:
                 self.metrics.protocol_errors += 1
         except (ValueError, TypeError):
@@ -441,6 +452,16 @@ class DestinationState:
         self.metrics.recovered += max(0, recovered_by_decode)
         self.metrics.bytes_delivered += k * self.cfg.symbol_bytes
         return [Ack(index)]
+
+    def take(self, index: int) -> np.ndarray:
+        """The (k, l) natives of an acked window. Its decoder goes with them;
+        later events for the window count as delivered and touch no decoder."""
+        state = self.windows.get(index)
+        if state is None or state.recovered is None:
+            raise InvalidParameterError(f"window {index} is not acked or already taken")
+        natives = state.recovered
+        state.recovered = state.decoder = state.constraints = None
+        return natives
 
 
 # ---------------------------------------------------------------------------
@@ -495,23 +516,35 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
         emissions = source.start_window(index, SourceBlock(window_data))
         done = False
         while not done:
+            # One loss draw covers the emissions in order, a batch's rows
+            # one by one; each symbol is traced at its own link position.
+            mask = chan.loss_mask(sum(len(em.batch) if isinstance(em, Repairs) else 1
+                                      for em in emissions))
+            flags = mask.tolist()
             events = []
-            mask = chan.loss_mask(len(emissions))
-            for em, dropped in zip(emissions, mask.tolist()):
-                # Each emission is traced at its own position on the link.
+            pos = 0
+            for em in emissions:
+                if isinstance(em, Repairs):
+                    n = len(em.batch)
+                    dropped = mask[pos:pos + n]
+                    pos += n
+                    metrics.lost += int(np.count_nonzero(dropped))
+                    if trace:
+                        for ident, gone in zip(em.batch.ids.tolist(), dropped.tolist()):
+                            clock += 1
+                            kind = "repair_lost" if gone else "RepairSymbol"
+                            trace.write(f"{clock},{kind},{em.window},{ident},\n")
+                    else:
+                        clock += n
+                    if not dropped.all():  # a lost repair symbol raises no event
+                        events.append(Repairs(em.window, em.batch.select(~dropped)))
+                    continue
                 clock += 1
-                if isinstance(em, NativeSymbol):
-                    ev = NativeLoss(em.window, em.index) if dropped else em
-                    ident = em.index
-                else:  # RepairSymbol; a lost one raises no destination event
-                    ev = None if dropped else em
-                    ident = em.symbol.id
-                    metrics.lost += dropped
+                ev = NativeLoss(em.window, em.index) if flags[pos] else em
+                pos += 1
                 if trace:
-                    kind = "repair_lost" if ev is None else type(ev).__name__
-                    trace.write(f"{clock},{kind},{em.window},{ident},\n")
-                if ev is not None:
-                    events.append(ev)
+                    trace.write(f"{clock},{type(ev).__name__},{em.window},{em.index},\n")
+                events.append(ev)
 
             responses: list = []
             for ev in events:
@@ -522,7 +555,7 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
             emissions = source.step(responses)
             if acked:
                 done = True
-                recovered_windows.append(dest.windows[index].recovered.tobytes())
+                recovered_windows.append(dest.take(index).tobytes())
                 if trace:
                     trace.write(f"{clock},ack,{index},,\n")
 

@@ -17,7 +17,7 @@ from lrfcodes.bench import ExperimentSpec, run_experiment
 from lrfcodes.channel import ChannelConfig
 from lrfcodes.cli import main as cli_main
 from lrfcodes.codec import (EncodingSymbol, derive_seed, peel_decode,
-                            select_neighbors, SourceBlock, xor_combine)
+                            select_neighbors, SourceBlock)
 from lrfcodes.distributions import (LossContext, capped_normalizer_closed_form,
                                     recovery_probability,
                                     truncated_normalizer_closed_form)
@@ -78,7 +78,8 @@ def test_criterion_3_decoder_soundness():
     for trial in range(10_000):
         w = rng.randint(1, 12)
         l = 4
-        rows = [row.tobytes() for row in SourceBlock.random(w, l, seed=trial).data]
+        data = SourceBlock.random(w, l, seed=trial).data
+        rows = [row.tobytes() for row in data]
         lost = {i for i in range(w) if rng.random() < 0.5}
         natives = {i: rows[i] for i in range(w) if i not in lost}
         equations = [([i], natives[i]) for i in natives]
@@ -87,9 +88,7 @@ def test_criterion_3_decoder_soundness():
             degree = rng.randint(1, w)
             seed = derive_seed(trial, t)
             nb = select_neighbors(seed, w, degree)
-            payload = bytes(l)
-            for j in nb.tolist():
-                payload = xor_combine(payload, rows[j])
+            payload = np.bitwise_xor.reduce(data[nb], axis=0).tobytes()
             encoding.append(EncodingSymbol(id=t, seed=seed, degree=degree,
                                            neighbors=nb, payload=payload))
             equations.append((nb.tolist(), payload))

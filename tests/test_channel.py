@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from lrfcodes.channel import (BurstModel, Channel, ChannelConfig,
-                              LossRateEstimator, LossReport, estimate_loss,
-                              loss_mask, transmit)
-from lrfcodes.errors import InvalidInputError, InvalidParameterError
+                              LossRateEstimator, LossReport, loss_mask)
+from lrfcodes.errors import InvalidParameterError
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +55,6 @@ def test_stateful_channel_continues_stream():
     np.testing.assert_array_equal(parts, whole)
 
 
-def test_transmit_partitions_symbols():
-    symbols = [bytes([i]) for i in range(100)]
-    delivered, mask = transmit(symbols, ChannelConfig(0.3, seed=7))
-    assert len(delivered) + int(mask.sum()) == 100
-    for i, payload in delivered.items():
-        assert payload == symbols[i]
-        assert not mask[i]
-
-
 def test_negative_count_rejected():
     with pytest.raises(InvalidParameterError):
         Channel(ChannelConfig(0.1)).loss_mask(-1)
@@ -96,18 +86,6 @@ def test_burst_mask_deterministic():
 
 # ---------------------------------------------------------------------------
 # Estimation
-
-
-def test_estimate_loss_plain_ratio():
-    report = estimate_loss([True, False, False, True, False])
-    assert report.observed_window == 5
-    assert report.lost == 2
-    assert math.isclose(report.estimate, 0.4)
-
-
-def test_estimate_loss_empty_rejected():
-    with pytest.raises(InvalidInputError):
-        estimate_loss([])
 
 
 def test_loss_report_validation():

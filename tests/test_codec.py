@@ -13,7 +13,7 @@ import pytest
 from lrfcodes.codec import (EncodingSymbol, PeelDecoder, SourceBlock, derive_seed,
                             derive_degree, encode_stream, encode_symbol,
                             pack_symbol, peel_decode, resolve_neighbors,
-                            select_neighbors, unpack_symbol, xor_combine)
+                            select_neighbors, unpack_symbol)
 from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
 from lrfcodes.errors import InvalidInputError, InvalidParameterError
 
@@ -80,18 +80,6 @@ def test_derive_seed_matches_splitmix64_reference():
     assert derive_seed(0, 2) == 0x06C45D188009454F
 
 
-def test_xor_combine_roundtrip():
-    a, b = b"\x01\x02\xff", b"\x10\x20\x0f"
-    c = xor_combine(a, b)
-    assert xor_combine(c, b) == a
-    assert xor_combine(c, a) == b
-
-
-def test_xor_combine_length_mismatch():
-    with pytest.raises(InvalidInputError):
-        xor_combine(b"ab", b"abc")
-
-
 def test_select_neighbors_properties():
     nb = select_neighbors(1234, 50, 7)
     assert len(nb) == 7
@@ -124,10 +112,8 @@ def test_encode_symbol_is_xor_of_neighbors():
     blk = SourceBlock.random(16, 8, seed=5)
     dist = ideal_soliton(16)
     sym = encode_symbol(blk, dist, seed=42)
-    acc = bytes(8)
-    for j in sym.neighbors.tolist():
-        acc = xor_combine(acc, blk.data[j].tobytes())
-    assert sym.payload == acc
+    acc = np.bitwise_xor.reduce(blk.data[sym.neighbors], axis=0)
+    assert sym.payload == acc.tobytes()
     assert sym.degree == len(sym.neighbors)
     # The degree matches the decoder-side derivation from the seed.
     assert sym.degree == derive_degree(42, dist)
@@ -269,9 +255,7 @@ def test_malformed_neighbors_rejected(neighbors):
     w, l = 8, 2
     blk = SourceBlock.random(w, l, seed=4)
     natives = {i: blk.data[i] for i in range(w) if i != 3}
-    payload = bytes(l)
-    for j in neighbors:
-        payload = xor_combine(payload, blk.data[j % w].tobytes())
+    payload = np.bitwise_xor.reduce(blk.data[np.array(neighbors) % w], axis=0).tobytes()
     sym = EncodingSymbol(id=0, seed=0, degree=len(neighbors),
                          neighbors=np.array(neighbors), payload=payload)
     with pytest.raises(InvalidInputError):
@@ -322,9 +306,7 @@ def test_peel_decode_agrees_with_oracle_small():
             degree = rng.randint(1, w)
             seed = derive_seed(trial, t)
             nb = select_neighbors(seed, w, degree)
-            payload = bytes(l)
-            for j in nb.tolist():
-                payload = xor_combine(payload, blk.data[j].tobytes())
+            payload = np.bitwise_xor.reduce(blk.data[nb], axis=0).tobytes()
             encoding.append(EncodingSymbol(id=t, seed=seed, degree=degree,
                                            neighbors=nb, payload=payload))
             equations.append((nb.tolist(), payload))

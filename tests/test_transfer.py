@@ -10,18 +10,23 @@ import numpy as np
 import pytest
 
 from lrfcodes.channel import BurstModel, ChannelConfig
-from lrfcodes.codec import (EncodingSymbol, SourceBlock, derive_seed, encode_symbol,
-                            pack_symbol, unpack_symbol)
-from lrfcodes.distributions import ideal_soliton
+from lrfcodes.codec import (EncodingSymbol, RepairBatch, SourceBlock, derive_seed,
+                            encode_stream, encode_symbol, pack_symbol, unpack_symbol)
+from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
 from lrfcodes import transfer
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError, SessionFailure)
 from lrfcodes.precode import precode_solve
 from lrfcodes.transfer import (Ack, DestinationState, Feedback, NativeLoss,
-                               NativeSymbol, RepairSymbol, SCHEMES,
+                               NativeSymbol, Repairs, SCHEMES,
                                SessionConfig, SessionMetrics, SourceState,
                                WindowNack, default_precode_shape,
                                normalize_scheme, run_session)
+
+
+def _one(sym, window=0):
+    """A repair event carrying a batch of one symbol."""
+    return Repairs(window, RepairBatch.from_symbols([sym]))
 
 
 def _payload(symbols, symbol_bytes, seed=0):
@@ -172,7 +177,7 @@ def test_repair_symbols_tolerate_reordering():
     dst = DestinationState(cfg, metrics)
     emissions = src.start_window(0, block)
     natives = [e for e in emissions if isinstance(e, NativeSymbol)]
-    repairs = [e for e in emissions if isinstance(e, RepairSymbol)]
+    repairs = [e for e in emissions if isinstance(e, Repairs)]
     drop = {2, 40}
     reordered = repairs + [
         NativeLoss(0, e.index) if e.index in drop else e for e in natives
@@ -277,12 +282,12 @@ def test_destination_counts_malformed_events_in_metrics():
     bad_degree = dataclasses.replace(wire, degree=17)
     short = dataclasses.replace(sym, payload=sym.payload[:-1])
     malformed = [object(), NativeSymbol(0, 3, b"short"), NativeSymbol(0, 99, bytes(8)),
-                 RepairSymbol(0, short), RepairSymbol(0, bad_degree)]
+                 _one(short), _one(bad_degree)]
     for i, ev in enumerate(malformed, 1):
         assert dst.step(ev) == []
         assert metrics.protocol_errors == i
     # A well-formed wire symbol still decodes after the rejected ones.
-    assert dst.step(RepairSymbol(0, wire)) == []
+    assert dst.step(_one(wire)) == []
     assert metrics.protocol_errors == len(malformed)
     assert run_session(64 * 8, 64, 8, ChannelConfig(0.05, seed=1), 0.2, "LRF",
                        seed=1).protocol_errors == 0
@@ -328,7 +333,7 @@ def test_destination_counts_only_accepted_symbols():
     sym = encode_symbol(SourceBlock.random(16, 8, seed=3), ideal_soliton(16), seed=5)
     for bad in (dataclasses.replace(sym, payload=sym.payload[:-1]),
                 dataclasses.replace(sym, neighbors=None, degree=17)):
-        assert dst.step(RepairSymbol(0, bad)) == []
+        assert dst.step(_one(bad)) == []
     assert metrics.delivered == 0
     assert dst.windows[0].repairs_received == 0
     assert metrics.protocol_errors == 4
@@ -344,10 +349,92 @@ def test_destination_counts_malformed_neighbors_as_protocol_errors():
     for i, nb in enumerate(([3, 3], [-1, 2], [2, 8]), 1):
         sym = EncodingSymbol(id=i, seed=0, degree=2, neighbors=np.array(nb),
                              payload=bytes(2))
-        assert dst.step(RepairSymbol(0, sym)) == []
+        assert dst.step(_one(sym)) == []
         assert metrics.protocol_errors == i
     assert metrics.delivered == 0
     assert dst.windows[0].repairs_received == 0
+
+
+@pytest.mark.parametrize("corrupt", ["repeated", "negative", "beyond"])
+def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
+    # One bad row in the middle of a batch is dropped and counted; the good
+    # rows of the same batch are still delivered and decode the window.
+    # Each bad row counts once: a batch with two of them counts two.
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.0, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    block = SourceBlock.random(64, 8, seed=3)
+    lost = {1, 10, 30}
+    for i in range(64):
+        dst.step(NativeLoss(0, i) if i in lost else NativeSymbol(0, i, block.data[i]))
+    batch = encode_stream(block, lrf_ideal(LossContext(64, len(lost))), 5, 9)
+
+    def corrupted(rows):
+        indices = batch.indices.copy()
+        for r in rows:
+            first = batch.indptr[r]
+            indices[first] = {"repeated": indices[first + 1], "negative": -1,
+                              "beyond": 64}[corrupt]
+        return dataclasses.replace(batch, indices=indices)
+
+    bad = corrupted([4])
+    assert bad.malformed(64, 8).tolist() == [r == 4 for r in range(9)]
+    assert dst.step(Repairs(0, bad)) == []
+    assert metrics.protocol_errors == 1
+    assert metrics.delivered == 61 + 8
+    assert dst.windows[0].repairs_received == 8
+    assert dst.conclude(0) == [Ack(0)]
+    np.testing.assert_array_equal(dst.windows[0].recovered, block.data)
+    other = DestinationState(cfg, SessionMetrics())
+    assert other.step(Repairs(0, corrupted([1, 7]))) == []
+    assert (other.metrics.protocol_errors, other.metrics.delivered) == (2, 7)
+
+
+def test_taken_window_drops_its_decoder_and_late_events_touch_none():
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.0, seed=0), seed=4)
+    metrics = SessionMetrics()
+    src, dst = SourceState(cfg, metrics), DestinationState(cfg, metrics)
+    block = SourceBlock.random(64, 8, seed=4)
+    for em in src.start_window(0, block):
+        dst.step(em)
+    assert dst.conclude(0) == [Ack(0)]
+    np.testing.assert_array_equal(dst.take(0), block.data)
+    assert dst.windows[0].decoder is None and dst.windows[0].recovered is None
+    late = encode_stream(block, ideal_soliton(64), 1, 3)
+    delivered, lost = metrics.delivered, metrics.lost
+    for ev in (NativeSymbol(0, 3, block.data[3]), NativeLoss(0, 4), Repairs(0, late)):
+        dst.step(ev)
+    assert dst.windows[0].decoder is None
+    assert (metrics.delivered, metrics.lost) == (delivered + 1 + 3, lost + 1)
+    assert metrics.protocol_errors == 0
+    assert dst.conclude(0) == []
+    with pytest.raises(InvalidParameterError):
+        dst.take(0)
+
+
+def test_session_peak_memory_does_not_grow_by_a_decoder_per_window():
+    # The driver takes each acked window's natives and the destination drops
+    # the window's decoder. Beyond the delivered bytes a session holds twice
+    # (the recovered windows and their join), a 24-window LRF session may
+    # then peak at most about one window's decoder above a 4-window one; a
+    # destination that kept every decoder peaks about 20 windows above.
+    w, l = 1000, 256
+    channel = ChannelConfig(0.02, seed=1)
+    run_session(_payload(2 * w, l), w, l, channel, 0.2, "LRF", seed=1)  # warm caches
+
+    def excess(windows):
+        data = _payload(windows * w, l, seed=windows)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_session(data, w, l, channel, 0.2, "LRF", seed=1)
+            return tracemalloc.get_traced_memory()[1] - 2 * len(data)
+        finally:
+            tracemalloc.stop()
+
+    assert excess(24) < excess(4) + 2 * w * l
 
 
 def test_conclude_matches_a_fresh_precode_solve_every_round():
