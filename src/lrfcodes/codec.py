@@ -42,7 +42,8 @@ _DEGREE_SALT = np.uint64(0xD6E8FEB86659FD93)
 # larger batch is processed in chunks of about this many candidates.
 _CANDIDATE_CHUNK = 1 << 13
 # ``PeelDecoder.run`` releases a ripple of at most this many rows one row
-# at a time rather than as a round.
+# at a time: a peel's tail is mostly such ripples, and a row costs fewer
+# numpy calls than a round.
 _SMALL_RIPPLE = 4
 # Largest window ``neighbor_sets`` accepts: a chunk's sort codes
 # (row, value, draw index) then stay far inside int64.
@@ -225,7 +226,8 @@ class RepairBatch:
     int64 ``degrees``, the neighbor sets as CSR ``(indptr, indices)`` with
     ``indptr[0] == 0`` (None for wire symbols until ``resolved``), and an
     (n, l) uint8 ``payloads`` matrix. An int index (or iteration) yields
-    ``EncodingSymbol``s; any other index selects rows as a new batch."""
+    ``EncodingSymbol``s; ``select`` picks rows as a new batch. Ids and seeds
+    are u64, as on the wire."""
 
     ids: np.ndarray
     seeds: np.ndarray
@@ -237,9 +239,7 @@ class RepairBatch:
     def __len__(self) -> int:
         return self.ids.size
 
-    def __getitem__(self, key):
-        if not isinstance(key, (int, np.integer)):
-            return self.select(key)
+    def __getitem__(self, key: int) -> EncodingSymbol:
         i = range(len(self))[key]
         nb = None if self.indptr is None else self.indices[self.indptr[i]:self.indptr[i + 1]]
         return EncodingSymbol(int(self.ids[i]), int(self.seeds[i]), int(self.degrees[i]), nb,
@@ -253,22 +253,23 @@ class RepairBatch:
                            self.payloads[rows])
 
     @classmethod
-    def from_symbols(cls, symbols, w: int | None = None) -> "RepairBatch":
-        """Symbols stacked into a batch (a batch passes through). Wire
-        symbols stay unresolved unless ``w`` is given, which resolves them
-        all in one ``neighbor_sets`` call.
+    def from_symbols(cls, symbols) -> "RepairBatch":
+        """Symbols stacked into a batch (a batch passes through); wire
+        symbols stay unresolved.
 
         Raises:
-            InvalidInputError: payloads of different lengths, neighbors that
-                are not 1-D, or wire and resolved symbols mixed.
-            InvalidParameterError: a wire symbol's degree outside 1..w.
+            InvalidInputError: payloads of different lengths, an id or seed
+                outside u64, neighbors that are not 1-D, or wire and
+                resolved symbols mixed.
         """
         if isinstance(symbols, RepairBatch):
-            return symbols if w is None else symbols.resolved(w)
+            return symbols
         symbols = list(symbols)
         n = len(symbols)
         if len({len(s.payload) for s in symbols}) > 1:
             raise InvalidInputError("payload lengths differ within a batch")
+        if any(not 0 <= v <= _MASK64 for s in symbols for v in (s.id, s.seed)):
+            raise InvalidInputError("symbol ids and seeds must be u64")
         batch = cls(np.array([s.id for s in symbols], dtype=np.uint64),
                     np.array([s.seed for s in symbols], dtype=np.uint64),
                     np.array([s.degree for s in symbols], dtype=np.int64), None, None,
@@ -276,7 +277,7 @@ class RepairBatch:
                     .reshape(n, len(symbols[0].payload) if n else 0))
         sets = [s.neighbors for s in symbols]
         if all(nb is None for nb in sets):
-            return batch if w is None else batch.resolved(w)
+            return batch
         sets = [np.asarray(nb) for nb in sets if nb is not None]
         if len(sets) < n or any(nb.ndim != 1 for nb in sets):
             raise InvalidInputError("neighbors must be 1-D index arrays on every symbol or none")
@@ -385,7 +386,7 @@ def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
 
 def resolve_neighbors(sym: EncodingSymbol, w: int) -> EncodingSymbol:
     """Re-derive the neighbor set of a wire-format symbol for a w-symbol window."""
-    return sym if sym.neighbors is not None else RepairBatch.from_symbols([sym], w)[0]
+    return sym if sym.neighbors is not None else RepairBatch.from_symbols([sym]).resolved(w)[0]
 
 
 @dataclass
@@ -539,7 +540,7 @@ class PeelDecoder:
 
     def _release_round(self, ripple: np.ndarray) -> np.ndarray:
         """Release every ripple row at once; returns the next ripple."""
-        # A row may be listed twice; its column is released once.
+        # Rows sharing a last unknown release it once.
         cols, first = np.unique(self._sum[ripple], return_index=True)
         rows = ripple[first]
         # The released columns' payload rows are still zero, so each row's
@@ -552,23 +553,26 @@ class PeelDecoder:
         self._uncovered -= cols.size
         self.encoding_used += cols.size
         hits = self._cover(cols)
-        return hits[self._count[hits] == 1]
+        ripple = np.sort(hits[self._count[hits] == 1])
+        # A row hit by several released columns is listed once.
+        new = np.ones(ripple.size, dtype=bool)
+        np.not_equal(ripple[1:], ripple[:-1], out=new[1:])
+        return ripple[new]
 
     def _release_each(self, ripple: np.ndarray) -> np.ndarray:
-        """Release a small ripple row by row, in fewer numpy calls than a
-        round (a peel's tail is mostly such ripples)."""
+        """Release a small ripple row by row, gathering at most
+        ``_GATHER_BYTES`` at once; returns the next ripple."""
+        span = max(1, _GATHER_BYTES // self.l)
         hits = [ripple[:0]]
         for r in ripple.tolist():
             if self._count[r] != 1:
                 continue  # a release just before covered its last unknown
             col, lo, hi = int(self._sum[r]), self._indptr[r], self._indptr[r + 1]
-            if (hi - lo) * self.l <= _GATHER_BYTES:
-                self._payloads[col] = self._rows[r] ^ np.bitwise_xor.reduce(
-                    self._payloads[self._indices[lo:hi]], axis=0)
-            else:
-                value = self._rows[r:r + 1].copy()
-                xor_rows(words(value), words(self._payloads), self._indptr[r:r + 2], self._indices)
-                self._payloads[col] = value[0]
+            value = self._rows[r].copy()
+            for a in range(lo, hi, span):
+                value ^= np.bitwise_xor.reduce(self._payloads[self._indices[a:min(hi, a + span)]],
+                                               axis=0)
+            self._payloads[col] = value
             self._covered[col] = True
             self._uncovered -= 1
             self.encoding_used += 1
@@ -585,6 +589,7 @@ class PeelDecoder:
         view = self._covered.view()
         view.setflags(write=False)
         return view
+
     @property
     def payloads(self) -> np.ndarray:
         """Read-only view of the (w, l) uint8 payload matrix; the rows of

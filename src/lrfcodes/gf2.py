@@ -30,8 +30,11 @@ from .errors import InvalidInputError
 _ONE = np.uint64(1)
 # Upper bound on the bytes ``xor_rows`` gathers at once.
 _GATHER_BYTES = 1 << 18
-# A gather spanning at most this many rows is reduced one row at a time.
+# ``xor_rows`` reduces a gather spanning at most _FEW_SEGMENTS rows of at
+# least _WIDE_ROW_BYTES one row at a time: over such rows ``reduce`` is
+# faster than ``reduceat``, which is the faster one over narrow rows.
 _FEW_SEGMENTS = 8
+_WIDE_ROW_BYTES = 512
 
 
 def words(mat: np.ndarray) -> np.ndarray:
@@ -83,7 +86,8 @@ def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.n
     # takes one partial XOR from each side.
     rows = (ptr[1:] > ptr[:-1]).nonzero()[0]
     starts = ptr[rows]
-    span = max(1, _GATHER_BYTES // (src.shape[1] * src.itemsize))
+    row_bytes = src.shape[1] * src.itemsize
+    span = max(1, _GATHER_BYTES // row_bytes)
     for lo in range(0, cols.size, span):
         hi = min(cols.size, lo + span)
         first, end = 0, rows.size
@@ -91,8 +95,7 @@ def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.n
             first = int(starts.searchsorted(lo, side="right")) - 1
             end = int(starts.searchsorted(hi))
         gathered = src.take(cols[lo:hi], axis=0)
-        if end - first <= _FEW_SEGMENTS:
-            # Over long segments ``reduce`` is faster than ``reduceat``.
+        if end - first <= _FEW_SEGMENTS and row_bytes >= _WIDE_ROW_BYTES:
             bounds = [0, *(starts[first + 1:end] - lo).tolist(), hi - lo]
             for r, a, b in zip(rows[first:end].tolist(), bounds, bounds[1:]):
                 out[r] ^= np.bitwise_xor.reduce(gathered[a:b], axis=0)

@@ -238,12 +238,14 @@ def _peeled(partial, cfg: PrecodeConfig, extra_rows) -> PeelDecoder:
     rows = []
     for idxs, value in extra_rows:
         nb = np.unique(np.fromiter(idxs, dtype=np.int64))
+        if nb.size and (nb[0] < 0 or nb[-1] >= cfg.total):
+            raise InvalidInputError(
+                f"extra row index outside intermediate range 0..{cfg.total - 1}")
         value = int(value)
         if value < 0 or value.bit_length() > 8 * l:
             raise InvalidInputError(f"extra row right-hand side does not fit {l} bytes")
         rows.append(EncodingSymbol(id=0, seed=0, degree=nb.size, neighbors=nb,
                                    payload=value.to_bytes(l, "little")))
-    # An index outside the intermediates makes add_batch raise.
     decoder.add_batch(RepairBatch.from_symbols(rows))
     decoder.run()
     return decoder

@@ -33,7 +33,7 @@ from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
 from .codec import PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_stream
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
-from .errors import DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure
+from .errors import DecodeFailure, InvalidParameterError, SessionFailure
 from .precode import ConstraintRhs, PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
@@ -402,15 +402,13 @@ class DestinationState:
                 if not state.complete:
                     decoder = state.decoder
                     t0 = time.perf_counter()
-                    try:
-                        decoder.add_batch(batch.resolved(decoder.w))
-                    except (InvalidInputError, InvalidParameterError):
-                        # A rejected batch changed nothing: drop and count
-                        # each malformed row, and decode the rest.
-                        bad = batch.malformed(decoder.w, decoder.l)
+                    # Each malformed row is dropped and counted; the rest
+                    # of the batch is decoded.
+                    bad = batch.malformed(decoder.w, decoder.l)
+                    if bad.any():
                         self.metrics.protocol_errors += int(np.count_nonzero(bad))
                         batch = batch.select(~bad)
-                        decoder.add_batch(batch.resolved(decoder.w))
+                    decoder.add_batch(batch.resolved(decoder.w))
                     self.metrics.decode_time += time.perf_counter() - t0
                 state.repairs_received += len(batch)
                 self.metrics.delivered += len(batch)

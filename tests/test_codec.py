@@ -6,6 +6,7 @@ the library's solver.
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_encode_stream_ids_and_determinism():
     assert [s.payload for s in syms] == [s.payload for s in again]
     # start_id continues the same seed sequence.
     tail = encode_stream(blk, dist, base_seed=9, count=4, start_id=6)
-    assert [s.payload for s in tail] == [s.payload for s in syms[6:]]
+    assert [s.payload for s in tail] == [s.payload for s in list(syms)[6:]]
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,18 @@ def test_malformed_neighbors_rejected(neighbors):
                          neighbors=np.array(neighbors), payload=payload)
     with pytest.raises(InvalidInputError):
         peel_decode(natives, [sym], w, l)
+
+
+@pytest.mark.parametrize("field", ["id", "seed"])
+@pytest.mark.parametrize("value", [-1, 1 << 64])
+def test_symbol_id_or_seed_outside_u64_rejected(field, value):
+    blk = SourceBlock.random(8, 2, seed=4)
+    sym = encode_symbol(blk, ideal_soliton(8), seed=3)
+    bad = replace(sym, **{field: value})
+    with pytest.raises(InvalidInputError, match="u64"):
+        peel_decode({}, [bad], 8, 2)
+    with pytest.raises(InvalidInputError, match="u64"):
+        PeelDecoder(8, 2).add_symbol(bad)
 
 
 def test_pending_rows_are_consistent_equations():

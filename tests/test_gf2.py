@@ -165,9 +165,10 @@ def _check_xor_rows(src, indptr, indices, take=None, seed=0):
     np.testing.assert_array_equal(out, want)
 
 
-@pytest.mark.parametrize("l", [5, 16])
+@pytest.mark.parametrize("l", [5, 16, 512])
 def test_xor_rows_matches_a_per_row_loop(l):
-    # l = 5 runs on the uint8 matrix, l = 16 on its uint64 words.
+    # l = 5 runs on the uint8 matrix, l = 16 and 512 on its uint64 words;
+    # a gather of a few 512-byte rows is reduced one row at a time.
     rng = np.random.default_rng(l)
     src = rng.integers(0, 256, size=(40, l), dtype=np.uint8)
     assert gf2.words(src).dtype == (np.uint64 if l % 8 == 0 else np.uint8)
@@ -193,3 +194,11 @@ def test_xor_rows_beyond_the_gather_bound():
     indptr, indices = gf2.csr(rows)
     _check_xor_rows(src, indptr, indices)
     _check_xor_rows(src, indptr, indices, rng.random(3000) < 0.5)
+    # Long rows of 512 bytes: each slice spans a few rows, reduced one at
+    # a time, and a row cut by a slice boundary takes a part from each.
+    wide = rng.integers(0, 256, size=(3000, 512), dtype=np.uint8)
+    assert 1000 * 512 > gf2._GATHER_BYTES
+    indptr, indices = gf2.csr([rng.choice(3000, size=n, replace=False)
+                               for n in (1000, 3, 2900, 700, 1)])
+    _check_xor_rows(wide, indptr, indices)
+    _check_xor_rows(wide, indptr, indices, rng.random(3000) < 0.5)

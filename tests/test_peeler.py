@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from lrfcodes import gf2
 from lrfcodes.codec import (PeelDecoder, RepairBatch, SourceBlock, derive_seeds,
-                            neighbor_sets)
+                            encode_stream, neighbor_sets)
+from lrfcodes.distributions import robust_soliton
 
 
 class ReferencePeeler:
@@ -130,6 +131,24 @@ def test_round_peeler_matches_the_reference(scenario):
                 reference.add_symbol(sym.neighbors.tolist(),
                                      np.frombuffer(sym.payload, dtype=np.uint8))
             check()
+
+
+def test_wide_rounds_match_the_reference():
+    # A robust-soliton stream peels in rounds of up to hundreds of rows, which
+    # the drawn scenarios above rarely reach.
+    w, l = 600, 8
+    block = SourceBlock.random(w, l, 2)
+    batch = encode_stream(block, robust_soliton(w, 0.05, 0.03), 4, w + w // 4)
+    decoder, reference = PeelDecoder(w, l), ReferencePeeler(w, l)
+    decoder.add_batch(batch)
+    for sym in batch:
+        reference.add_symbol(sym.neighbors.tolist(), np.frombuffer(sym.payload, dtype=np.uint8))
+    decoder.run()
+    reference.run()
+    assert decoder.encoding_used == reference.encoding_used > w // 2
+    np.testing.assert_array_equal(decoder.covered, reference.covered)
+    np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+    assert _equations(decoder) == reference.pending_rows()
 
 
 def test_a_row_longer_than_one_gather_releases_in_slices():

@@ -201,6 +201,14 @@ def test_precode_solve_uses_extra_rows():
     np.testing.assert_array_equal(natives, blk.data)
 
 
+@pytest.mark.parametrize("index", [-1, CFG.total])
+def test_precode_solve_rejects_an_extra_row_outside_the_intermediates(index):
+    inter = precode_expand(_block(), CFG)
+    partial = {i: s for i, s in enumerate(inter.data) if i != 3}
+    with pytest.raises(InvalidInputError, match="outside intermediate range"):
+        precode_solve(partial, CFG, extra_rows=[((3, index), 0)])
+
+
 # ---------------------------------------------------------------------------
 # Composed codec
 
