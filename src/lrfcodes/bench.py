@@ -32,8 +32,8 @@ from dataclasses import dataclass, fields
 from .channel import ChannelConfig, loss_mask
 from .codec import SourceBlock, derive_seed
 from .errors import InvalidParameterError, SessionFailure
-from .transfer import (Ack, DestinationState, NativeLoss, NativeSymbol,
-                       SessionConfig, SessionMetrics, SourceState, run_session)
+from .transfer import (Ack, DestinationState, Natives, SessionConfig, SessionMetrics,
+                       SourceState, run_session)
 
 EXPERIMENTS = ("window-sweep", "lt-compare", "raptor-compare", "transfer")
 
@@ -137,13 +137,11 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float,
     dest = DestinationState(cfg, metrics)
     block = SourceBlock.random(w, spec.symbol_bytes, derive_seed(seed, 0))
     emissions = source.start_window(0, block)
-    responses: list = []
-    for em in emissions:
-        if isinstance(em, NativeSymbol):
-            responses += dest.step(NativeLoss(0, em.index) if mask[em.index] else em)
+    natives = [em for em in emissions if isinstance(em, Natives)]
+    responses = [r for em in natives for r in dest.step(Natives(0, em.rows, mask))]
     # Native ingestion is not decode work: time only what the repair costs.
     metrics.decode_time = 0.0
-    emissions = [em for em in emissions if not isinstance(em, NativeSymbol)]
+    emissions = [em for em in emissions if not isinstance(em, Natives)]
     try:
         while True:
             for em in emissions:

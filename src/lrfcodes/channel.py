@@ -116,18 +116,30 @@ class LossRateEstimator:
 
     def observe(self, lost: bool) -> LossReport | None:
         """Record one delivery outcome; returns a report when triggered."""
-        self._observed += 1
-        self._lost += int(lost)
-        if self._observed >= self.window:
-            return self._emit()
-        if self.estimate is not None and self._observed >= self.min_observations:
-            rate = self._lost / self._observed
-            reference = self.estimate
-            if reference > 0 and abs(rate - reference) >= self.relative_change * reference:
-                return self._emit()
-            if reference == 0 and rate > 0:
-                return self._emit()
-        return None
+        return next(iter(self.observe_many((lost,))), None)
+
+    def observe_many(self, lost) -> list[LossReport]:
+        """Record delivery outcomes in order (True marks a loss); returns the
+        reports a loop of ``observe`` over them would return, in order."""
+        lost = np.asarray(lost, dtype=bool)
+        reports = []
+        while lost.size:
+            # Running counts up to the next window report; the first outcome
+            # that triggers a report ends the span.
+            span = lost[:self.window - self._observed]
+            observed = np.arange(self._observed + 1, self._observed + span.size + 1)
+            losses = self._lost + np.cumsum(span)
+            fire = observed >= self.window
+            if (ref := self.estimate) is not None:
+                rate = losses / observed
+                moved = rate > 0 if ref == 0 else np.abs(rate - ref) >= self.relative_change * ref
+                fire |= moved & (observed >= self.min_observations)
+            at = int(fire.argmax()) if fire.any() else span.size - 1
+            self._observed, self._lost = int(observed[at]), int(losses[at])
+            if fire[at]:
+                reports.append(self._emit())
+            lost = lost[at + 1:]
+        return reports
 
     def _emit(self) -> LossReport:
         rate = self._lost / self._observed

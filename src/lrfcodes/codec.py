@@ -13,9 +13,10 @@ only, so a batch of one (``select_neighbors``, ``derive_degree``) yields what
 the symbol got inside any larger batch.
 
 Symbols travel as columns: ``encode_stream`` returns one ``RepairBatch``,
-which ``PeelDecoder.add_batch`` takes whole. Payloads are rows of (rows, l)
-uint8 matrices throughout (a ``SourceBlock``, a batch, the decoder's covered
-symbols); only ``EncodingSymbol``, the single-frame wire value, holds bytes.
+which ``PeelDecoder.add_batch`` takes whole; ``add_natives`` takes a window's
+natives with one masked copy. Payloads are rows of (rows, l) uint8 matrices
+throughout (a ``SourceBlock``, a batch, the decoder's covered symbols); only
+``EncodingSymbol``, the single-frame wire value, holds bytes.
 """
 
 from __future__ import annotations
@@ -433,8 +434,9 @@ class PeelDecoder:
         self._covered = np.zeros(w, dtype=bool)
         self._uncovered = w
         self.encoding_used = 0
-        # Natives added since the rows' counts and sums last took them in.
-        self._fresh: list[int] = []
+        # Natives added since the rows' counts and sums last took them in
+        # (none while there are no rows: a later row XORs covered ones out).
+        self._fresh = np.zeros(w, dtype=bool)
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.zeros(0, dtype=np.int64)
         self._count, self._sum = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -442,10 +444,12 @@ class PeelDecoder:
         # Column c's rows are ``_col_rows[_col_ptr[c]:_col_ptr[c + 1]]``.
         self._col_ptr = np.zeros(w + 1, dtype=np.int64)
         self._col_rows = np.zeros(0, dtype=np.int64)
-        if natives is not None:
-            items = natives.items() if isinstance(natives, Mapping) else natives
-            for idx, payload in items:
-                self.add_native(idx, payload)
+        if natives:
+            rows, got = np.zeros((w, l), dtype=np.uint8), np.zeros(w, dtype=bool)
+            for idx, payload in natives.items() if isinstance(natives, Mapping) else natives:
+                self._check_native(idx, payload, got)
+                rows[idx], got[idx] = np.frombuffer(payload, dtype=np.uint8), True
+            self._load(rows, got)
 
     @property
     def success(self) -> bool:
@@ -455,18 +459,43 @@ class PeelDecoder:
     def unresolved(self) -> int:
         return self._uncovered
 
-    def add_native(self, idx: int, payload) -> None:
-        """Cover ``idx`` with its payload: ``bytes`` or a uint8 row of l bytes."""
+    def _check_native(self, idx: int, payload, covered: np.ndarray) -> None:
         if not 0 <= idx < self.w:
             raise InvalidInputError(f"native index {idx} outside 0..{self.w - 1}")
-        if self._covered[idx]:
+        if covered[idx]:
             raise InvalidInputError(f"duplicate native index {idx}")
         if len(payload) != self.l:
             raise InvalidInputError(f"native payload length {len(payload)} != {self.l}")
-        self._covered[idx] = True
-        self._payloads[idx] = np.frombuffer(payload, dtype=np.uint8)
-        self._uncovered -= 1
-        self._fresh.append(idx)
+
+    def add_native(self, idx: int, payload) -> None:
+        """``add_natives`` of one symbol: ``bytes`` or a uint8 row of l bytes."""
+        self._check_native(idx, payload, self._covered)
+        self._load(np.frombuffer(payload, dtype=np.uint8)[None], np.ones(1, dtype=bool), idx)
+
+    def add_natives(self, rows: np.ndarray, got: np.ndarray) -> None:
+        """Cover symbol i with ``rows[i]`` wherever ``got[i]``, for an (n, l)
+        uint8 matrix and an (n,) bool mask, n <= w: typically a window's
+        natives and which of them arrived. Raises InvalidInputError, taking
+        nothing, for a wrong shape or type or a symbol already covered."""
+        n = len(got)
+        if (not isinstance(rows, np.ndarray) or not isinstance(got, np.ndarray) or n > self.w
+                or rows.dtype != np.uint8 or got.dtype != bool
+                or rows.shape != (n, self.l) or got.shape != (n,)):
+            raise InvalidInputError(f"natives must be an (n, {self.l}) uint8 matrix and an (n,) "
+                                    f"bool mask, n <= {self.w}")
+        again = self._covered[:n] & got
+        if np.count_nonzero(again):
+            raise InvalidInputError(f"duplicate native index {int(again.argmax())}")
+        self._load(rows, got)
+
+    def _load(self, rows: np.ndarray, got: np.ndarray, start: int = 0) -> None:
+        """Checked natives from ``start`` on: one masked copy, of words if l allows."""
+        span, rows = slice(start, start + got.size), words(np.ascontiguousarray(rows))
+        np.copyto(words(self._payloads[span]), rows, where=got[:, None])
+        self._covered[span] |= got
+        if self._col_rows.size:
+            self._fresh[span] |= got
+        self._uncovered -= int(np.count_nonzero(got))
 
     def add_symbol(self, sym: EncodingSymbol) -> None:
         """``add_batch`` of one symbol."""
@@ -484,6 +513,10 @@ class PeelDecoder:
         if bad.any():
             raise InvalidInputError(f"symbol {batch.ids[bad][0]}: neighbors must be strictly "
                                     f"increasing in 0..{self.w - 1} and payloads {self.l} bytes")
+        self._take(batch)
+
+    def _take(self, batch: RepairBatch) -> None:
+        """``add_batch`` of a resolved batch already checked for malformed rows."""
         indptr, indices = batch.indptr, batch.indices.astype(np.int64)
         rows = batch.payloads.copy()
         open_entry = ~self._covered[indices]
@@ -516,9 +549,10 @@ class PeelDecoder:
         self._col_rows, self._col_ptr = col_rows, self._col_ptr + shift
 
     def _cover_natives(self) -> None:
-        if self._fresh and self._col_rows.size:
-            self._cover(np.array(self._fresh, dtype=np.int64))
-        self._fresh = []
+        fresh = self._fresh.nonzero()[0]
+        if fresh.size:
+            self._cover(fresh)
+            self._fresh[fresh] = False
 
     def _cover(self, cols: np.ndarray) -> np.ndarray:
         """Take the newly covered ``cols`` out of the count and index sum of

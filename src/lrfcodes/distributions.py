@@ -62,14 +62,6 @@ class DegreeDistribution:
         """Mapping degree -> probability (support only)."""
         return {int(d): float(p) for d, p in zip(self.degrees, self.probs)}
 
-    @property
-    def support_min(self) -> int:
-        return int(self.degrees[0])
-
-    @property
-    def support_max(self) -> int:
-        return int(self.degrees[-1])
-
 
 @dataclass(frozen=True)
 class LossContext:

@@ -3,12 +3,14 @@
 Source and destination are explicit state machines driven by an event loop
 with a global symbol clock (no real sockets). Per window of w symbols the
 source emits the natives plus, for the loss-aware schemes, ceil((1+eps) * m)
-encoding symbols sized from the latest fed-back loss estimate. Each batch of
-encoding symbols is one ``RepairBatch`` and travels as one ``Repairs``
-event; the channel drops rows of it. The destination hands each batch to the
-window's peeling decoder, peels when a delivery phase ends, acks the window
-on full recovery, and feeds loss reports back to the source. The driver
-takes an acked window's natives and the destination forgets the window.
+encoding symbols sized from the latest fed-back loss estimate. The natives
+travel as one ``Natives`` event (the (w, l) rows) and each batch of encoding
+symbols as one ``Repairs`` event; one channel mask drops rows of both. The
+destination takes the received natives in one masked copy and their loss
+mask in one estimator pass, hands each batch to the window's peeling
+decoder, peels when a delivery phase ends, acks the window on full
+recovery, and feeds loss reports back to the source. The driver takes an
+acked window's natives and the destination forgets the window.
 
 Schemes:
     LT        -- pure fountain baseline: robust-soliton encoding symbols
@@ -33,7 +35,7 @@ from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
 from .codec import PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_stream
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
-from .errors import DecodeFailure, InvalidParameterError, SessionFailure
+from .errors import DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure
 from .precode import ConstraintRhs, PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
@@ -71,21 +73,13 @@ def normalize_scheme(scheme: str) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class NativeSymbol:
-    """A native on the link; ``payload`` is the source block's row (a uint8
-    view, not a copy) or any l-byte buffer."""
+class Natives:
+    """A window's natives as one event: the (w, l) uint8 ``rows`` (the block, not
+    a copy) and the (w,) bool ``lost`` mask of sequence gaps (None from a source)."""
 
     window: int
-    index: int
-    payload: np.ndarray | bytes
-
-
-@dataclass(frozen=True)
-class NativeLoss:
-    """Destination-side detection of a missing native (sequence-number gap)."""
-
-    window: int
-    index: int
+    rows: np.ndarray
+    lost: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +187,6 @@ class _RepairPlan:
     dist: DegreeDistribution | None
     base_seed: int
     next_id: int = 0
-    proactive: int = 0
     extra_sent: int = 0
     extra_budget: int = 0
     batch: int = 1
@@ -242,7 +235,6 @@ class SourceState:
 
     def start_window(self, index: int, block: SourceBlock) -> list:
         cfg = self.cfg
-        emissions: list = []
         p_hat = self.known_loss_rate
 
         if cfg.scheme == "LT":
@@ -253,21 +245,12 @@ class SourceState:
             plan.batch = max(32, block.w // 50)
             plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * block.w)
             self.plans[index] = plan
-            emissions.append(self._encode(plan, initial, index))
-            return emissions
+            return [self._encode(plan, initial, index)]
 
-        if cfg.uses_precode:
-            pc = cfg.precode_config()
-            enc_block = precode_expand(block, pc)
-            total = pc.total
-        else:
-            pc = None
-            enc_block = block
-            total = block.w
-
+        enc_block = precode_expand(block, cfg.precode_config()) if cfg.uses_precode else block
+        total = enc_block.w
         # Natives travel for every systematic scheme.
-        for i, row in enumerate(block.data):
-            emissions.append(NativeSymbol(index, i, row))
+        emissions: list = [Natives(index, block.data)]
         self.metrics.natives_sent += block.w
 
         plan = _RepairPlan(block=enc_block, dist=None,
@@ -288,7 +271,6 @@ class SourceState:
             plan.dist = self._loss_aware_dist(total, m_hat)
             plan.m_hat = m_hat
             m_prime, plan.batch, plan.extra_budget = self._sizing(m_hat)
-            plan.proactive = m_prime
             emissions.append(self._encode(plan, m_prime, index))
         return emissions
 
@@ -336,7 +318,6 @@ class _WindowState:
     precode: PrecodeConfig | None
     # The precode constraints' right-hand sides, carried across NACK rounds.
     constraints: ConstraintRhs | None
-    natives_expected: int
     natives_seen: int = 0
     losses_seen: int = 0
     complete: bool = False
@@ -359,17 +340,10 @@ class DestinationState:
         state = self.windows.get(index)
         if state is None:
             cfg = self.cfg
-            if cfg.uses_precode:
-                pc = cfg.precode_config()
-                total = pc.total
-            else:
-                pc = None
-                total = cfg.window
-            natives = 0 if cfg.scheme == "LT" else cfg.window
+            pc = cfg.precode_config() if cfg.uses_precode else None
             state = _WindowState(
-                decoder=PeelDecoder(total, cfg.symbol_bytes), precode=pc,
-                constraints=ConstraintRhs(pc, cfg.symbol_bytes) if pc else None,
-                natives_expected=natives)
+                decoder=PeelDecoder(pc.total if pc else cfg.window, cfg.symbol_bytes), precode=pc,
+                constraints=ConstraintRhs(pc, cfg.symbol_bytes) if pc else None)
             self.windows[index] = state
         return state
 
@@ -377,38 +351,37 @@ class DestinationState:
         """Process one arrival or loss-detection event."""
         out: list = []
         try:
-            if isinstance(event, NativeSymbol):
-                report = self.estimator.observe(False)
-                if report is not None:
-                    out.append(Feedback(report))
+            if isinstance(event, Natives):
+                k, l = self.cfg.window, self.cfg.symbol_bytes
+                lost = np.zeros(k, dtype=bool) if event.lost is None else event.lost
                 state = self._window(event.window)
+                if np.shape(event.rows) != (k, l) or getattr(lost, "shape", 0) != (k,):
+                    raise InvalidInputError(f"natives event: ({k}, {l}) rows, ({k},) mask")
                 if not state.complete:
                     t0 = time.perf_counter()
-                    state.decoder.add_native(event.index, event.payload)
+                    # Rejects a wrong type or a covered native before any count moves.
+                    state.decoder.add_natives(event.rows, ~lost)
                     self.metrics.decode_time += time.perf_counter() - t0
-                # Counted once accepted: a malformed native raised above.
-                state.natives_seen += 1
-                self.metrics.delivered += 1
-            elif isinstance(event, NativeLoss):
-                report = self.estimator.observe(True)
-                if report is not None:
-                    out.append(Feedback(report))
-                state = self._window(event.window)
-                state.losses_seen += 1
-                self.metrics.lost += 1
+                out += [Feedback(r) for r in self.estimator.observe_many(lost)]
+                dropped = int(np.count_nonzero(lost))
+                state.natives_seen += k - dropped
+                state.losses_seen += dropped
+                self.metrics.delivered += k - dropped
+                self.metrics.lost += dropped
             elif isinstance(event, Repairs):
                 batch = event.batch
                 state = self._window(event.window)
                 if not state.complete:
                     decoder = state.decoder
                     t0 = time.perf_counter()
-                    # Each malformed row is dropped and counted; the rest
-                    # of the batch is decoded.
+                    # Each malformed row is dropped and counted once; the
+                    # rest of the batch is decoded without another check.
                     bad = batch.malformed(decoder.w, decoder.l)
                     if bad.any():
                         self.metrics.protocol_errors += int(np.count_nonzero(bad))
                         batch = batch.select(~bad)
-                    decoder.add_batch(batch.resolved(decoder.w))
+                    if len(batch):
+                        decoder._take(batch.resolved(decoder.w))
                     self.metrics.decode_time += time.perf_counter() - t0
                 state.repairs_received += len(batch)
                 self.metrics.delivered += len(batch)
@@ -445,9 +418,7 @@ class DestinationState:
         state.complete = True
         state.recovered = natives
         self.metrics.windows_completed += 1
-        recovered_by_decode = (k - state.natives_seen if state.natives_expected
-                               else k)
-        self.metrics.recovered += max(0, recovered_by_decode)
+        self.metrics.recovered += max(0, k - state.natives_seen)
         self.metrics.bytes_delivered += k * self.cfg.symbol_bytes
         return [Ack(index)]
 
@@ -514,35 +485,28 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
         emissions = source.start_window(index, SourceBlock(window_data))
         done = False
         while not done:
-            # One loss draw covers the emissions in order, a batch's rows
+            # One loss draw covers the emissions in order, an event's rows
             # one by one; each symbol is traced at its own link position.
-            mask = chan.loss_mask(sum(len(em.batch) if isinstance(em, Repairs) else 1
-                                      for em in emissions))
-            flags = mask.tolist()
+            ends = np.cumsum([0] + [len(em.rows) if isinstance(em, Natives) else len(em.batch)
+                                    for em in emissions])
+            mask = chan.loss_mask(int(ends[-1]))
             events = []
-            pos = 0
-            for em in emissions:
-                if isinstance(em, Repairs):
-                    n = len(em.batch)
-                    dropped = mask[pos:pos + n]
-                    pos += n
+            for em, dropped in zip(emissions, np.split(mask, ends[1:-1])):
+                natives = isinstance(em, Natives)
+                if trace:
+                    ids, kinds = ((range(dropped.size), ("NativeSymbol", "NativeLoss")) if natives
+                                  else (em.batch.ids.tolist(), ("RepairSymbol", "repair_lost")))
+                    for ident, gone in zip(ids, dropped.tolist()):
+                        clock += 1
+                        trace.write(f"{clock},{kinds[gone]},{em.window},{ident},\n")
+                else:
+                    clock += dropped.size
+                if natives:
+                    events.append(Natives(em.window, em.rows, dropped))
+                else:
                     metrics.lost += int(np.count_nonzero(dropped))
-                    if trace:
-                        for ident, gone in zip(em.batch.ids.tolist(), dropped.tolist()):
-                            clock += 1
-                            kind = "repair_lost" if gone else "RepairSymbol"
-                            trace.write(f"{clock},{kind},{em.window},{ident},\n")
-                    else:
-                        clock += n
                     if not dropped.all():  # a lost repair symbol raises no event
                         events.append(Repairs(em.window, em.batch.select(~dropped)))
-                    continue
-                clock += 1
-                ev = NativeLoss(em.window, em.index) if flags[pos] else em
-                pos += 1
-                if trace:
-                    trace.write(f"{clock},{type(ev).__name__},{em.window},{em.index},\n")
-                events.append(ev)
 
             responses: list = []
             for ev in events:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrfcodes.channel import (BurstModel, Channel, ChannelConfig,
                               LossRateEstimator, LossReport, loss_mask)
@@ -156,3 +158,71 @@ def test_estimator_validation():
         LossRateEstimator(window=0)
     with pytest.raises(InvalidParameterError):
         LossRateEstimator(ewma=1.5)
+
+
+class ReferenceEstimator:
+    """The per-outcome loop ``observe_many`` replaced: a report at the
+    window, or earlier once the running rate moves far enough from the last
+    estimate (or above an estimate of 0)."""
+
+    def __init__(self, window, relative_change, min_observations, ewma, estimate):
+        self.window, self.relative_change = window, relative_change
+        self.min_observations, self.ewma = min_observations, ewma
+        self.estimate, self.observed, self.lost = estimate, 0, 0
+
+    def observe(self, lost):
+        self.observed += 1
+        self.lost += int(lost)
+        if self.observed >= self.window:
+            return self._emit()
+        if self.estimate is not None and self.observed >= self.min_observations:
+            rate, reference = self.lost / self.observed, self.estimate
+            if reference > 0 and abs(rate - reference) >= self.relative_change * reference:
+                return self._emit()
+            if reference == 0 and rate > 0:
+                return self._emit()
+        return None
+
+    def _emit(self):
+        rate = self.lost / self.observed
+        if self.ewma is not None and self.estimate is not None:
+            rate = self.ewma * rate + (1.0 - self.ewma) * self.estimate
+        report = LossReport(observed_window=self.observed, lost=self.lost, estimate=rate)
+        self.estimate, self.observed, self.lost = rate, 0, 0
+        return report
+
+
+@st.composite
+def estimator_runs(draw):
+    params = dict(window=draw(st.integers(1, 60)),
+                  relative_change=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 100.0])),
+                  min_observations=draw(st.integers(0, 30)),
+                  ewma=draw(st.sampled_from([None, 0.25, 0.5, 1.0])))
+    estimate = draw(st.sampled_from([None, 0.0, 0.01, 0.2, 0.9]))
+    n = draw(st.integers(0, 300))
+    rate = draw(st.sampled_from([0.0, 0.02, 0.2, 0.7, 1.0]))
+    mask = np.random.default_rng(draw(st.integers(0, 2**32))).random(n) < rate
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    return params, estimate, mask, cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(estimator_runs())
+def test_observe_many_matches_the_per_outcome_loop(run):
+    params, estimate, mask, cuts = run
+    est = LossRateEstimator(**params)
+    est.estimate = estimate
+    reference = ReferenceEstimator(estimate=estimate, **params)
+    # The mask goes in split at the cuts (empty pieces included); the
+    # reports of the pieces, in order, are those of the whole loop.
+    reports = []
+    for lo, hi in zip([0] + cuts, cuts + [mask.size]):
+        reports += est.observe_many(mask[lo:hi])
+    expected = [r for r in map(reference.observe, mask.tolist()) if r is not None]
+    assert reports == expected
+    assert (est.estimate, est._observed, est._lost) == (reference.estimate, reference.observed,
+                                                         reference.lost)
+    # ``observe`` is the one-outcome call of the same path.
+    assert est.observe(True) == reference.observe(True)
+    assert (est.estimate, est._observed, est._lost) == (reference.estimate, reference.observed,
+                                                         reference.lost)

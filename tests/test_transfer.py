@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import io
 import math
 import tracemalloc
@@ -17,9 +18,8 @@ from lrfcodes import transfer
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError, SessionFailure)
 from lrfcodes.precode import precode_solve
-from lrfcodes.transfer import (Ack, DestinationState, Feedback, NativeLoss,
-                               NativeSymbol, Repairs, SCHEMES,
-                               SessionConfig, SessionMetrics, SourceState,
+from lrfcodes.transfer import (Ack, DestinationState, Feedback, Natives, Repairs,
+                               SCHEMES, SessionConfig, SessionMetrics, SourceState,
                                WindowNack, default_precode_shape,
                                normalize_scheme, run_session)
 
@@ -27,6 +27,16 @@ from lrfcodes.transfer import (Ack, DestinationState, Feedback, NativeLoss,
 def _one(sym, window=0):
     """A repair event carrying a batch of one symbol."""
     return Repairs(window, RepairBatch.from_symbols([sym]))
+
+
+def _dropping(em, indices):
+    """A source's natives event as received with the given natives lost;
+    any other event passes through."""
+    if not isinstance(em, Natives):
+        return em
+    lost = np.zeros(len(em.rows), dtype=bool)
+    lost[list(indices)] = True
+    return Natives(em.window, em.rows, lost)
 
 
 def _payload(symbols, symbol_bytes, seed=0):
@@ -142,15 +152,9 @@ def _drive_window(cfg, block, drop_indices=()):
     dst = DestinationState(cfg, metrics)
     emissions = src.start_window(0, block)
     for _ in range(200):
-        events = []
-        for em in emissions:
-            if isinstance(em, NativeSymbol) and em.index in drop_indices:
-                events.append(NativeLoss(em.window, em.index))
-            else:
-                events.append(em)
         responses = []
-        for ev in events:
-            responses += dst.step(ev)
+        for em in emissions:
+            responses += dst.step(_dropping(em, drop_indices))
         responses += dst.conclude(0)
         if any(isinstance(r, Ack) for r in responses):
             return dst.windows[0].recovered, metrics
@@ -176,12 +180,9 @@ def test_repair_symbols_tolerate_reordering():
     src = SourceState(cfg, metrics)
     dst = DestinationState(cfg, metrics)
     emissions = src.start_window(0, block)
-    natives = [e for e in emissions if isinstance(e, NativeSymbol)]
+    natives = [e for e in emissions if isinstance(e, Natives)]
     repairs = [e for e in emissions if isinstance(e, Repairs)]
-    drop = {2, 40}
-    reordered = repairs + [
-        NativeLoss(0, e.index) if e.index in drop else e for e in natives
-    ]
+    reordered = repairs + [_dropping(e, {2, 40}) for e in natives]
     responses = []
     for ev in reordered:
         responses += dst.step(ev)
@@ -202,10 +203,9 @@ def test_destination_feeds_back_loss_reports():
                         channel=ChannelConfig(0.5, seed=0), seed=5)
     metrics = SessionMetrics()
     dst = DestinationState(cfg, metrics)
-    feedback = []
-    for i in range(2000):
-        ev = NativeLoss(0, i) if i % 2 else NativeSymbol(0, i, b"abcd")
-        feedback += [r for r in dst.step(ev) if isinstance(r, Feedback)]
+    rows = np.frombuffer(b"abcd" * 2000, dtype=np.uint8).reshape(2000, 4)
+    ev = Natives(0, rows, np.arange(2000) % 2 == 1)
+    feedback = [r for r in dst.step(ev) if isinstance(r, Feedback)]
     assert feedback, "estimator never reported"
     assert math.isclose(feedback[0].report.estimate, 0.5, abs_tol=0.1)
 
@@ -264,7 +264,7 @@ def test_conclude_propagates_non_decode_errors(monkeypatch):
     src = SourceState(cfg, metrics)
     dst = DestinationState(cfg, metrics)
     for em in src.start_window(0, SourceBlock.random(64, 8, seed=9)):
-        dst.step(NativeLoss(0, em.index) if em.index == 5 else em)
+        dst.step(_dropping(em, {5}))
     with pytest.raises(InvalidInputError):
         dst.conclude(0)
 
@@ -281,8 +281,8 @@ def test_destination_counts_malformed_events_in_metrics():
     wire, _ = unpack_symbol(pack_symbol(sym))
     bad_degree = dataclasses.replace(wire, degree=17)
     short = dataclasses.replace(sym, payload=sym.payload[:-1])
-    malformed = [object(), NativeSymbol(0, 3, b"short"), NativeSymbol(0, 99, bytes(8)),
-                 _one(short), _one(bad_degree)]
+    malformed = [object(), Natives(0, np.zeros((16, 7), dtype=np.uint8)),
+                 Natives(0, blk.data, np.zeros(99, dtype=bool)), _one(short), _one(bad_degree)]
     for i, ev in enumerate(malformed, 1):
         assert dst.step(ev) == []
         assert metrics.protocol_errors == i
@@ -325,7 +325,8 @@ def test_destination_counts_only_accepted_symbols():
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
     dst = DestinationState(cfg, metrics)
-    for ev in (NativeSymbol(0, 3, b"short"), NativeSymbol(0, 99, bytes(8))):
+    rows = SourceBlock.random(16, 8, seed=3).data
+    for ev in (Natives(0, rows[:, :5]), Natives(0, rows, np.zeros(99, dtype=bool))):
         assert dst.step(ev) == []
     assert metrics.delivered == 0
     assert dst.windows[0].natives_seen == 0
@@ -337,6 +338,56 @@ def test_destination_counts_only_accepted_symbols():
     assert metrics.delivered == 0
     assert dst.windows[0].repairs_received == 0
     assert metrics.protocol_errors == 4
+
+
+def test_destination_rejects_a_natives_event_whole():
+    # A wrong-shape rows matrix or mask, or a native the decoder already
+    # holds, rejects the whole event: one protocol error, no count moves and
+    # the decoder is untouched, though the event's other natives are new.
+    cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.05, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    rows = SourceBlock.random(16, 8, seed=3).data
+    odd = np.arange(16) % 2 == 1
+    assert dst.step(Natives(0, rows, odd)) == []
+    state = dst.windows[0]
+    covered, payloads = state.decoder.covered.copy(), state.decoder.payloads.copy()
+    counts = (metrics.delivered, metrics.lost, state.natives_seen, state.losses_seen)
+    assert counts == (8, 8, 8, 8)
+    rejected = [Natives(0, rows[:15]), Natives(0, rows[:, :7]), Natives(0, rows.astype(np.int64)),
+                Natives(0, rows, odd[:15]), Natives(0, rows, odd.astype(np.uint8)),
+                Natives(0, rows), Natives(0, rows, ~odd ^ (np.arange(16) == 4))]
+    for i, ev in enumerate(rejected, 1):
+        assert dst.step(ev) == []
+        assert metrics.protocol_errors == i
+        assert (metrics.delivered, metrics.lost, state.natives_seen, state.losses_seen) == counts
+        np.testing.assert_array_equal(state.decoder.covered, covered)
+        np.testing.assert_array_equal(state.decoder.payloads, payloads)
+    # The odd natives still arrive in an event of their own.
+    assert dst.step(Natives(0, rows, ~odd)) == []
+    assert dst.conclude(0) == [Ack(0)]
+    np.testing.assert_array_equal(dst.take(0), rows)
+
+
+@pytest.mark.parametrize("scheme", ["LRF", "LR-Raptor"])
+def test_natives_event_loads_the_decoder_as_a_per_native_loop(scheme):
+    cfg = SessionConfig(window=40, symbol_bytes=8, epsilon=0.2, scheme=scheme,
+                        channel=ChannelConfig(0.05, seed=0), seed=2)
+    block = SourceBlock.random(40, 8, seed=2)
+    lost = np.random.default_rng(2).random(40) < 0.3
+    dst = DestinationState(cfg, SessionMetrics())
+    dst.step(Natives(0, block.data, lost))
+    loop = DestinationState(cfg, SessionMetrics())._window(0).decoder
+    for i in np.flatnonzero(~lost):
+        loop.add_native(int(i), block.data[i])
+    # Rows that are a strided view of a wider matrix load the same.
+    strided = DestinationState(cfg, SessionMetrics())
+    strided.step(Natives(0, np.hstack([block.data, block.data])[:, :8], lost))
+    for decoder in (dst.windows[0].decoder, strided.windows[0].decoder):
+        np.testing.assert_array_equal(decoder.covered, loop.covered)
+        np.testing.assert_array_equal(decoder.payloads, loop.payloads)
+        assert decoder.unresolved == loop.unresolved == decoder.w - int((~lost).sum())
 
 
 def test_destination_counts_malformed_neighbors_as_protocol_errors():
@@ -366,8 +417,7 @@ def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
     dst = DestinationState(cfg, metrics)
     block = SourceBlock.random(64, 8, seed=3)
     lost = {1, 10, 30}
-    for i in range(64):
-        dst.step(NativeLoss(0, i) if i in lost else NativeSymbol(0, i, block.data[i]))
+    dst.step(_dropping(Natives(0, block.data), lost))
     batch = encode_stream(block, lrf_ideal(LossContext(64, len(lost))), 5, 9)
 
     def corrupted(rows):
@@ -391,6 +441,25 @@ def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
     assert (other.metrics.protocol_errors, other.metrics.delivered) == (2, 7)
 
 
+def test_destination_checks_each_repair_batch_once(monkeypatch):
+    # The destination drops a batch's malformed rows and hands the rest to
+    # the decoder without a second check; add_batch still checks its input.
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.0, seed=0), seed=3)
+    block = SourceBlock.random(64, 8, seed=3)
+    batch = encode_stream(block, lrf_ideal(LossContext(64, 3)), 5, 9)
+    checked = []
+    malformed = RepairBatch.malformed
+    monkeypatch.setattr(RepairBatch, "malformed",
+                        lambda self, w, l: checked.append(len(self)) or malformed(self, w, l))
+    dst = DestinationState(cfg, SessionMetrics())
+    dst.step(_dropping(Natives(0, block.data), {1, 10, 30}))
+    assert dst.step(Repairs(0, batch)) == []
+    assert checked == [9]
+    assert dst.conclude(0) == [Ack(0)]
+    np.testing.assert_array_equal(dst.take(0), block.data)
+
+
 def test_taken_window_drops_its_decoder_and_late_events_touch_none():
     cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.0, seed=0), seed=4)
@@ -404,10 +473,10 @@ def test_taken_window_drops_its_decoder_and_late_events_touch_none():
     assert dst.windows[0].decoder is None and dst.windows[0].recovered is None
     late = encode_stream(block, ideal_soliton(64), 1, 3)
     delivered, lost = metrics.delivered, metrics.lost
-    for ev in (NativeSymbol(0, 3, block.data[3]), NativeLoss(0, 4), Repairs(0, late)):
+    for ev in (_dropping(Natives(0, block.data), {4}), Repairs(0, late)):
         dst.step(ev)
     assert dst.windows[0].decoder is None
-    assert (metrics.delivered, metrics.lost) == (delivered + 1 + 3, lost + 1)
+    assert (metrics.delivered, metrics.lost) == (delivered + 63 + 3, lost + 1)
     assert metrics.protocol_errors == 0
     assert dst.conclude(0) == []
     with pytest.raises(InvalidParameterError):
@@ -454,8 +523,7 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
     nacks = 0
     while True:
         for em in emissions:
-            lost_native = isinstance(em, NativeSymbol) and em.index in lost
-            dst.step(NativeLoss(0, em.index) if lost_native else em)
+            dst.step(_dropping(em, lost))
         out = dst.conclude(0)
         state = dst.windows[0]
         decoder = state.decoder
@@ -498,6 +566,45 @@ def test_lr_raptor_session_counts_are_pinned(window, symbol_bytes, seed, encodin
     assert delivered == data
     assert (metrics.encoding_sent, metrics.total_degree_sent,
             metrics.windows_completed) == (encoding_sent, total_degree_sent, 2)
+
+
+# SHA-256 of each session's trace at the commit before natives travelled as
+# one event per window; a change to the protocol's event path must leave
+# every symbol, loss, clock and ack where it was.
+PINNED_TRACES = {
+    ("LT", "bernoulli"): "b533bb761771f60e2fd17bba4c1fd530c3976d9c78ef46a4d7f4ee6e466e74bb",
+    ("LT", "burst"): "b8613510ffd499a366b5b0b1366ff40150fb801014097f6ddc01585c22edf06b",
+    ("LRF", "bernoulli"): "5c2eca12d04ed30689d8dccc30e06b8dcda85d25dc4a8b996f1937d01464abbe",
+    ("LRF", "burst"): "a90c9545245dca1315680d1f835e449a33a2bb659f4c330612bc33ef9823bad9",
+    ("Raptor", "bernoulli"): "b64bbfe79d40cd3447cae368e385a0aaed8e9014d07324ec3adc12614e1a2a01",
+    ("Raptor", "burst"): "ff89ddc39b7088056da8556da2bfe77289b0bc32c5d3b5d44d7a98916ff3992e",
+    ("LR-Raptor", "bernoulli"): "95c8f9909abfbc293504cd3b2014fcb3fd79c058fdf40b85ffe2edd44ea8b1ce",
+    ("LR-Raptor", "burst"): "32657ca2f31c5ddbe2daf640c862c1d4a21ef2ab904c4708b1ae52843f06f792",
+}
+
+
+def test_session_traces_are_pinned(monkeypatch):
+    # Three windows of 300 symbols, the last one padded, per scheme and
+    # channel; every session takes NACK rounds, so repair re-sizing and the
+    # estimator's feedback are in the traces too.
+    channels = {"bernoulli": ChannelConfig(0.05, seed=21),
+                "burst": ChannelConfig(0.03, seed=22, burst=BurstModel(0.02, 0.2))}
+    nacks = []
+    conclude = DestinationState.conclude
+
+    def counting(self, index):
+        out = conclude(self, index)
+        nacks.extend(r for r in out if isinstance(r, WindowNack))
+        return out
+
+    monkeypatch.setattr(DestinationState, "conclude", counting)
+    for (scheme, channel), digest in PINNED_TRACES.items():
+        nacks.clear()
+        trace = io.StringIO()
+        run_session(3 * 300 * 16 - 40, 300, 16, channels[channel], 0.2, scheme, seed=5,
+                    trace=trace)
+        assert nacks, (scheme, channel)
+        assert hashlib.sha256(trace.getvalue().encode()).hexdigest() == digest, (scheme, channel)
 
 
 def test_precode_sessions_retain_no_memory_per_session():
