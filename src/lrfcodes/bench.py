@@ -11,19 +11,23 @@ Experiments:
     transfer       -- full windowed transfer sessions; throughput from wall
                       time.
 
-The three codec experiments run each trial as one window of the transfer
-protocol (``SourceState`` / ``DestinationState``): the natives a seeded
-loss mask marks are lost, repair symbols always arrive, and NACK-driven
-repair batches follow until the window is acked or the source's repair
-budget runs out. Batch sizes, repair budgets and the decode-finish logic are
-therefore those of ``transfer``; the realized overhead is measured rather
-than assumed. Timing columns are filled only when timing is enabled;
-without it they stay empty so CSV output is byte-identical across runs with
-the same master seed.
+The three codec experiments share one loop, driven by one table that gives
+each experiment its schemes, its ratio denominator and its trials' seeds.
+A trial is one window through the transfer protocol's exchange loop
+(``transfer.run_window``): the natives a seeded loss mask marks are lost,
+repair symbols always arrive, and NACK-driven repair batches follow until
+the window is acked or the source's repair budget runs out. Batch sizes,
+repair budgets and the decode-finish logic are therefore those of
+``transfer``; the realized overhead is measured rather than assumed. The
+decode timing column counts repair decoding only (taking repair batches and
+concluding the window), as ``SessionMetrics.decode_time`` does. Timing
+columns are filled only when timing is enabled; without it they stay empty
+so CSV output is byte-identical across runs with the same master seed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import statistics
 import sys
@@ -32,8 +36,8 @@ from dataclasses import dataclass, fields
 from .channel import ChannelConfig, loss_mask
 from .codec import SourceBlock, derive_seed
 from .errors import InvalidParameterError, SessionFailure
-from .transfer import (Ack, DestinationState, Natives, SessionConfig, SessionMetrics,
-                       SourceState, run_session)
+from .transfer import (SCHEMES, DestinationState, Natives, SessionConfig, SessionMetrics,
+                       SourceState, run_session, run_window)
 
 EXPERIMENTS = ("window-sweep", "lt-compare", "raptor-compare", "transfer")
 
@@ -47,7 +51,6 @@ CSV_COLUMNS = (
 @dataclass
 class ExperimentSpec:
     experiment: str
-    schemes: tuple[str, ...] = ()
     window_lengths: tuple[int, ...] = (1000,)
     loss_rates: tuple[float, ...] = (0.01,)
     trials: int = 30
@@ -90,12 +93,6 @@ class ResultRow:
     master_seed: int
 
 
-@dataclass
-class _Trial:
-    metrics: SessionMetrics
-    success: bool
-
-
 def _trial_seed(master: int, *parts: int) -> int:
     s = master
     for p in parts:
@@ -113,8 +110,9 @@ def _trace(spec: ExperimentSpec, line: str) -> None:
 
 
 def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float,
-                 seed: int) -> _Trial | None:
-    """One w-symbol window of the transfer protocol under ``scheme``.
+                 seed: int) -> SessionMetrics | None:
+    """One w-symbol window of the transfer protocol under ``scheme``; the
+    trial succeeded if its metrics count the window completed.
 
     The source is warm-started at the true loss fraction m/w, so the
     loss-aware schemes size their proactive repair from the m natives the
@@ -133,26 +131,15 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float,
                         precode_s=spec.precode_s, precode_h=spec.precode_h,
                         initial_loss_rate=0.0 if scheme == "LT" else m / w)
     metrics = SessionMetrics()
-    source = SourceState(cfg, metrics)
-    dest = DestinationState(cfg, metrics)
     block = SourceBlock.random(w, spec.symbol_bytes, derive_seed(seed, 0))
-    emissions = source.start_window(0, block)
-    natives = [em for em in emissions if isinstance(em, Natives)]
-    responses = [r for em in natives for r in dest.step(Natives(0, em.rows, mask))]
-    # Native ingestion is not decode work: time only what the repair costs.
-    metrics.decode_time = 0.0
-    emissions = [em for em in emissions if not isinstance(em, Natives)]
-    try:
-        while True:
-            for em in emissions:
-                responses += dest.step(em)
-            responses += dest.conclude(0)
-            if any(isinstance(r, Ack) for r in responses):
-                return _Trial(metrics, True)
-            emissions = source.step(responses)
-            responses = []
-    except SessionFailure:
-        return _Trial(metrics, False)
+
+    def deliver(emissions: list) -> list:
+        return [Natives(em.window, em.rows, mask) if isinstance(em, Natives) else em
+                for em in emissions]
+
+    with contextlib.suppress(SessionFailure):
+        run_window(SourceState(cfg, metrics), DestinationState(cfg, metrics), 0, block, deliver)
+    return metrics
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +147,7 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float,
 
 
 def _aggregate(spec: ExperimentSpec, scheme: str, w: int, p: float,
-               trials: list[_Trial | None], per_input: bool) -> ResultRow:
+               trials: list[SessionMetrics | None], per_input: bool) -> ResultRow:
     used = [t for t in trials if t is not None]
     skipped = len(trials) - len(used)
     if skipped:
@@ -169,14 +156,14 @@ def _aggregate(spec: ExperimentSpec, scheme: str, w: int, p: float,
     if not used:
         return ResultRow(spec.experiment, scheme, w, p, 0, 0.0, 0.0,
                          None, None, None, 1.0, spec.master_seed)
-    ok = [t for t in used if t.success]
-    for i, t in enumerate(used):
-        if not t.success:
+    ok = [m for m in used if m.windows_completed]
+    for i, m in enumerate(used):
+        if not m.windows_completed:
             _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={i},"
                          f"failure unresolved_after_budget "
-                         f"enc_sent={t.metrics.encoding_sent}")
+                         f"enc_sent={m.encoding_sent}")
     denom = (lambda m: w) if per_input else (lambda m: m.lost)
-    sample = [t.metrics for t in (ok if ok else used)]
+    sample = ok if ok else used
     enc_ratio = statistics.fmean(m.encoding_sent / denom(m) for m in sample)
     deg_ratio = statistics.fmean(m.total_degree_sent / denom(m) for m in sample)
     if spec.timing:
@@ -193,60 +180,39 @@ def _aggregate(spec: ExperimentSpec, scheme: str, w: int, p: float,
 # Experiment drivers
 
 
-def run_window_sweep(spec: ExperimentSpec) -> list[ResultRow]:
-    """Loss-aware codec across (window, loss-rate) pairs; per-lost ratios."""
-    rows = []
-    for wi, w in enumerate(spec.window_lengths):
-        for pi, p in enumerate(spec.loss_rates):
-            trials = [
-                _codec_trial(spec, "LRF", w, p,
-                             _trial_seed(spec.master_seed, 1, wi, pi, t))
-                for t in range(spec.trials)
-            ]
-            rows.append(_aggregate(spec, "LRF", w, p, trials, per_input=False))
-    return rows
+# Each codec experiment's schemes, whether its ratios are per input symbol
+# (else per lost symbol), and its trials' seed paths from the (window, loss
+# rate, scheme, trial) indices; the leading tag keeps experiments apart.
+_CODEC_EXPERIMENTS = {
+    "window-sweep": (("LRF",), False, lambda wi, pi, si, t: (1, wi, pi, t)),
+    "lt-compare": (("LT", "LRF"), True, lambda wi, pi, si, t: (2, wi, pi, si, t)),
+    "raptor-compare": (("Raptor", "LR-Raptor"), True, lambda wi, pi, si, t: (3, pi, si, t)),
+}
 
 
-def run_lt_compare(spec: ExperimentSpec) -> list[ResultRow]:
-    """Fountain baseline vs loss-aware codec; per-input-symbol ratios."""
+def _run_codec(spec: ExperimentSpec) -> list[ResultRow]:
+    """One codec experiment: a row per (window, loss rate, scheme)."""
+    schemes, per_input, seed_path = _CODEC_EXPERIMENTS[spec.experiment]
+    # The precoded schemes run over one block of the precode's k natives.
+    windows = (spec.precode_k,) if spec.experiment == "raptor-compare" else spec.window_lengths
     rows = []
-    schemes = spec.schemes or ("LT", "LRF")
-    for wi, w in enumerate(spec.window_lengths):
+    for wi, w in enumerate(windows):
         for pi, p in enumerate(spec.loss_rates):
             for si, scheme in enumerate(schemes):
-                trials = [
-                    _codec_trial(spec, scheme, w, p,
-                                 _trial_seed(spec.master_seed, 2, wi, pi, si, t))
-                    for t in range(spec.trials)
-                ]
-                rows.append(_aggregate(spec, scheme, w, p, trials, per_input=True))
-    return rows
-
-
-def run_raptor_compare(spec: ExperimentSpec) -> list[ResultRow]:
-    """Precoded baseline vs capped loss-aware variant; per-input ratios."""
-    rows = []
-    k = spec.precode_k
-    schemes = spec.schemes or ("Raptor", "LR-Raptor")
-    for pi, p in enumerate(spec.loss_rates):
-        for si, scheme in enumerate(schemes):
-            trials = [
-                _codec_trial(spec, scheme, k, p,
-                             _trial_seed(spec.master_seed, 3, pi, si, t))
-                for t in range(spec.trials)
-            ]
-            rows.append(_aggregate(spec, scheme, k, p, trials, per_input=True))
+                trials = [_codec_trial(spec, scheme, w, p,
+                                       _trial_seed(spec.master_seed, *seed_path(wi, pi, si, t)))
+                          for t in range(spec.trials)]
+                rows.append(_aggregate(spec, scheme, w, p, trials, per_input))
     return rows
 
 
 def run_transfer(spec: ExperimentSpec) -> list[ResultRow]:
     """Full windowed sessions for each scheme and loss rate."""
     rows = []
-    schemes = spec.schemes or ("LT", "LRF", "Raptor", "LR-Raptor")
     w = spec.window_lengths[0]
     data_size = spec.total_symbols * spec.symbol_bytes
     for pi, p in enumerate(spec.loss_rates):
-        for si, scheme in enumerate(schemes):
+        for si, scheme in enumerate(SCHEMES):
             metrics_list = []
             failures = 0
             for t in range(spec.trials):
@@ -290,13 +256,7 @@ def run_transfer(spec: ExperimentSpec) -> list[ResultRow]:
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    driver = {
-        "window-sweep": run_window_sweep,
-        "lt-compare": run_lt_compare,
-        "raptor-compare": run_raptor_compare,
-        "transfer": run_transfer,
-    }[spec.experiment]
-    return driver(spec)
+    return run_transfer(spec) if spec.experiment == "transfer" else _run_codec(spec)
 
 
 # ---------------------------------------------------------------------------

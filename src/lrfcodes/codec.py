@@ -434,9 +434,6 @@ class PeelDecoder:
         self._covered = np.zeros(w, dtype=bool)
         self._uncovered = w
         self.encoding_used = 0
-        # Natives added since the rows' counts and sums last took them in
-        # (none while there are no rows: a later row XORs covered ones out).
-        self._fresh = np.zeros(w, dtype=bool)
         self._indptr = np.zeros(1, dtype=np.int64)
         self._indices = np.zeros(0, dtype=np.int64)
         self._count, self._sum = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -489,12 +486,13 @@ class PeelDecoder:
         self._load(rows, got)
 
     def _load(self, rows: np.ndarray, got: np.ndarray, start: int = 0) -> None:
-        """Checked natives from ``start`` on: one masked copy, of words if l allows."""
+        """Checked natives from ``start`` on: one masked copy, of words if l
+        allows; rows already held take them out of their counts and sums."""
         span, rows = slice(start, start + got.size), words(np.ascontiguousarray(rows))
         np.copyto(words(self._payloads[span]), rows, where=got[:, None])
         self._covered[span] |= got
         if self._col_rows.size:
-            self._fresh[span] |= got
+            self._cover(start + got.nonzero()[0])
         self._uncovered -= int(np.count_nonzero(got))
 
     def add_symbol(self, sym: EncodingSymbol) -> None:
@@ -548,12 +546,6 @@ class PeelDecoder:
             col_rows = merged
         self._col_rows, self._col_ptr = col_rows, self._col_ptr + shift
 
-    def _cover_natives(self) -> None:
-        fresh = self._fresh.nonzero()[0]
-        if fresh.size:
-            self._cover(fresh)
-            self._fresh[fresh] = False
-
     def _cover(self, cols: np.ndarray) -> np.ndarray:
         """Take the newly covered ``cols`` out of the count and index sum of
         every row listing one; returns those rows (a row once per hit)."""
@@ -564,7 +556,6 @@ class PeelDecoder:
 
     def run(self) -> None:
         """Peel to fixpoint in rounds. Linear in the total edge count."""
-        self._cover_natives()
         ripple = (self._count == 1).nonzero()[0]
         while ripple.size:
             if ripple.size > _SMALL_RIPPLE:
@@ -642,7 +633,6 @@ class PeelDecoder:
         The covered neighbors are XORed into the rows here and dropped from
         their lists, so a later call or release does not XOR them again.
         """
-        self._cover_natives()
         live = (self._count > 0).nonzero()[0]
         indptr, indices = take_rows(self._indptr, self._indices, live)
         values = self._rows[live]

@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .codec import (DecodeResult, EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock,
-                    derive_seed, encode_stream)
+from .codec import (DecodeResult, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
+                    encode_stream)
 from .distributions import DegreeDistribution
 from .errors import DecodeFailure, InvalidInputError, InvalidParameterError
 
@@ -162,20 +162,17 @@ class ConstraintRhs:
         self.folded = covered.copy()
 
 
-def precode_solve(partial, cfg: PrecodeConfig,
+def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
                   residual_cap: int = RESIDUAL_CAP_DEFAULT,
-                  extra_rows=(), state: ConstraintRhs | None = None) -> np.ndarray:
+                  state: ConstraintRhs | None = None) -> np.ndarray:
     """Fill missing intermediates from the parity constraints and return the
     k native payloads as a (k, l) uint8 matrix.
 
-    ``partial`` is a ``PeelDecoder`` over the ``cfg.total`` intermediates,
-    read in place: its covered mask, payload matrix and pending equations.
-    It may instead be the known intermediates as a mapping or iterable of
-    (index, payload); those and ``extra_rows`` (caller-supplied GF(2)
-    equations over the intermediates, each (indices, little-endian RHS
-    integer)) are peeled in a fresh decoder first. ``state`` carries the
-    constraint right-hand sides across the solves of one decoder; without
-    it they are folded from scratch.
+    ``decoder`` is a ``PeelDecoder`` over the ``cfg.total`` intermediates,
+    read in place: its covered mask, payload matrix and pending equations
+    (any further equations over the intermediates go in with ``add_batch``
+    first). ``state`` carries the constraint right-hand sides across the
+    solves of one decoder; without it they are folded from scratch.
 
     The constraints and the pending equations go to one bit-packed
     elimination (``gf2.solve_partial``), whose peel phase pivots on
@@ -184,17 +181,11 @@ def precode_solve(partial, cfg: PrecodeConfig,
 
     Raises:
         DecodeFailure: the system does not determine every native.
-        InvalidInputError: malformed intermediates or extra rows, or an
-            inconsistent system.
+        InvalidInputError: an inconsistent system.
+        InvalidParameterError: not a decoder over the config's intermediates.
     """
-    if isinstance(partial, PeelDecoder):
-        if extra_rows:
-            raise InvalidParameterError("extra_rows go with a mapping, not a decoder")
-        decoder = partial
-    else:
-        decoder = _peeled(partial, cfg, extra_rows)
-    if decoder.w != cfg.total:
-        raise InvalidParameterError(f"decoder has {decoder.w} symbols, config has {cfg.total}")
+    if not isinstance(decoder, PeelDecoder) or decoder.w != cfg.total:
+        raise InvalidParameterError(f"need a PeelDecoder over the {cfg.total} intermediates")
     covered, payloads = decoder.covered, decoder.payloads
     missing = np.flatnonzero(~covered[:cfg.k]).tolist()
     solved = {}
@@ -225,30 +216,6 @@ def precode_solve(partial, cfg: PrecodeConfig,
     for i in missing:
         natives[i] = solved[i]
     return natives
-
-
-def _peeled(partial, cfg: PrecodeConfig, extra_rows) -> PeelDecoder:
-    """A decoder over the intermediates holding ``partial`` and the extra
-    rows, peeled to its fixpoint."""
-    items = list(partial.items() if isinstance(partial, Mapping) else partial)
-    if not items:
-        raise DecodeFailure("no intermediates supplied", unresolved=cfg.k, stage="precode")
-    l = len(items[0][1])
-    decoder = PeelDecoder(cfg.total, l, items)
-    rows = []
-    for idxs, value in extra_rows:
-        nb = np.unique(np.fromiter(idxs, dtype=np.int64))
-        if nb.size and (nb[0] < 0 or nb[-1] >= cfg.total):
-            raise InvalidInputError(
-                f"extra row index outside intermediate range 0..{cfg.total - 1}")
-        value = int(value)
-        if value < 0 or value.bit_length() > 8 * l:
-            raise InvalidInputError(f"extra row right-hand side does not fit {l} bytes")
-        rows.append(EncodingSymbol(id=0, seed=0, degree=nb.size, neighbors=nb,
-                                   payload=value.to_bytes(l, "little")))
-    decoder.add_batch(RepairBatch.from_symbols(rows))
-    decoder.run()
-    return decoder
 
 
 def raptor_encode(block: SourceBlock, cfg: PrecodeConfig, dist: DegreeDistribution,

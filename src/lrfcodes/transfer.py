@@ -9,7 +9,8 @@ symbols as one ``Repairs`` event; one channel mask drops rows of both. The
 destination takes the received natives in one masked copy and their loss
 mask in one estimator pass, hands each batch to the window's peeling
 decoder, peels when a delivery phase ends, acks the window on full
-recovery, and feeds loss reports back to the source. The driver takes an
+recovery, and feeds loss reports back to the source. ``run_window``, the
+one exchange loop of a window for sessions and bench trials alike, takes the
 acked window's natives and the destination forgets the window.
 
 Schemes:
@@ -122,6 +123,7 @@ class SessionMetrics:
     recovered: int = 0
     windows_completed: int = 0
     encode_time: float = 0.0
+    # Repair decoding: taking repair batches and concluding windows.
     decode_time: float = 0.0
     wall_time: float = 0.0
     bytes_delivered: int = 0
@@ -315,7 +317,6 @@ class SourceState:
 @dataclass
 class _WindowState:
     decoder: PeelDecoder | None  # None once the window is taken
-    precode: PrecodeConfig | None
     # The precode constraints' right-hand sides, carried across NACK rounds.
     constraints: ConstraintRhs | None
     natives_seen: int = 0
@@ -323,6 +324,10 @@ class _WindowState:
     complete: bool = False
     recovered: np.ndarray | None = None   # (k, l) natives once complete
     repairs_received: int = 0
+
+
+def _is_array(a, shape: tuple, dtype) -> bool:
+    return isinstance(a, np.ndarray) and a.shape == shape and a.dtype == dtype
 
 
 class DestinationState:
@@ -335,58 +340,60 @@ class DestinationState:
         self.metrics = metrics
         self.estimator = LossRateEstimator()
         self.windows: dict[int, _WindowState] = {}
+        self.precode = cfg.precode_config() if cfg.uses_precode else None
+        # Every window's decoder: its symbol count and symbol bytes.
+        self._shape = (self.precode.total if self.precode else cfg.window, cfg.symbol_bytes)
 
     def _window(self, index: int) -> _WindowState:
         state = self.windows.get(index)
         if state is None:
-            cfg = self.cfg
-            pc = cfg.precode_config() if cfg.uses_precode else None
-            state = _WindowState(
-                decoder=PeelDecoder(pc.total if pc else cfg.window, cfg.symbol_bytes), precode=pc,
-                constraints=ConstraintRhs(pc, cfg.symbol_bytes) if pc else None)
+            pc = self.precode
+            state = _WindowState(decoder=PeelDecoder(*self._shape),
+                                 constraints=ConstraintRhs(pc, self._shape[1]) if pc else None)
             self.windows[index] = state
         return state
 
     def step(self, event) -> list:
-        """Process one arrival or loss-detection event."""
+        """Process one arrival event. A malformed event, or a batch's
+        malformed rows, is dropped and counted in ``protocol_errors`` before
+        it can open a window."""
         out: list = []
         try:
+            if (not isinstance(event, (Natives, Repairs)) or not isinstance(event.window, int)
+                    or event.window < 0):
+                raise InvalidInputError("not an arrival event for a window index >= 0")
             if isinstance(event, Natives):
                 k, l = self.cfg.window, self.cfg.symbol_bytes
                 lost = np.zeros(k, dtype=bool) if event.lost is None else event.lost
+                if not (_is_array(event.rows, (k, l), np.uint8) and _is_array(lost, (k,), bool)):
+                    raise InvalidInputError(
+                        f"natives event: ({k}, {l}) uint8 rows, ({k},) bool mask")
                 state = self._window(event.window)
-                if np.shape(event.rows) != (k, l) or getattr(lost, "shape", 0) != (k,):
-                    raise InvalidInputError(f"natives event: ({k}, {l}) rows, ({k},) mask")
                 if not state.complete:
-                    t0 = time.perf_counter()
-                    # Rejects a wrong type or a covered native before any count moves.
+                    # Rejects a covered native before any count moves.
                     state.decoder.add_natives(event.rows, ~lost)
-                    self.metrics.decode_time += time.perf_counter() - t0
                 out += [Feedback(r) for r in self.estimator.observe_many(lost)]
                 dropped = int(np.count_nonzero(lost))
                 state.natives_seen += k - dropped
                 state.losses_seen += dropped
                 self.metrics.delivered += k - dropped
                 self.metrics.lost += dropped
-            elif isinstance(event, Repairs):
-                batch = event.batch
-                state = self._window(event.window)
-                if not state.complete:
-                    decoder = state.decoder
-                    t0 = time.perf_counter()
-                    # Each malformed row is dropped and counted once; the
-                    # rest of the batch is decoded without another check.
-                    bad = batch.malformed(decoder.w, decoder.l)
-                    if bad.any():
-                        self.metrics.protocol_errors += int(np.count_nonzero(bad))
-                        batch = batch.select(~bad)
-                    if len(batch):
-                        decoder._take(batch.resolved(decoder.w))
-                    self.metrics.decode_time += time.perf_counter() - t0
-                state.repairs_received += len(batch)
-                self.metrics.delivered += len(batch)
             else:
-                self.metrics.protocol_errors += 1
+                batch = event.batch
+                t0 = time.perf_counter()
+                # Each malformed row is dropped and counted once; the rest
+                # of the batch is decoded without another check.
+                bad = batch.malformed(*self._shape)
+                if bad.any():
+                    self.metrics.protocol_errors += int(np.count_nonzero(bad))
+                    batch = batch.select(~bad)
+                if len(batch):
+                    state = self._window(event.window)
+                    if not state.complete:
+                        state.decoder._take(batch.resolved(self._shape[0]))
+                    state.repairs_received += len(batch)
+                    self.metrics.delivered += len(batch)
+                self.metrics.decode_time += time.perf_counter() - t0
         except (ValueError, TypeError):
             self.metrics.protocol_errors += 1
         return out
@@ -404,9 +411,9 @@ class DestinationState:
         k = self.cfg.window
         if decoder.covered[:k].all():
             natives = decoder.payloads[:k]
-        elif state.precode is not None and (state.repairs_received or state.losses_seen):
+        elif self.precode is not None and (state.repairs_received or state.losses_seen):
             try:
-                natives = precode_solve(decoder, state.precode, state=state.constraints)
+                natives = precode_solve(decoder, self.precode, state=state.constraints)
             except DecodeFailure:
                 natives = None
         self.metrics.decode_time += time.perf_counter() - t0
@@ -419,7 +426,6 @@ class DestinationState:
         state.recovered = natives
         self.metrics.windows_completed += 1
         self.metrics.recovered += max(0, k - state.natives_seen)
-        self.metrics.bytes_delivered += k * self.cfg.symbol_bytes
         return [Ack(index)]
 
     def take(self, index: int) -> np.ndarray:
@@ -435,6 +441,28 @@ class DestinationState:
 
 # ---------------------------------------------------------------------------
 # Session driver
+
+
+def run_window(source: SourceState, dest: DestinationState, index: int, block: SourceBlock,
+               deliver) -> np.ndarray:
+    """Exchange one window until it is acked; returns its (k, l) natives.
+
+    Each round, ``deliver`` maps the source's emissions to the events that
+    reach the destination, which steps each and concludes the window; its
+    responses go to the source, whose reply is the next round's emissions.
+
+    Raises:
+        SessionFailure: the source's repair budget for the window ran out.
+    """
+    emissions = source.start_window(index, block)
+    while True:
+        responses: list = []
+        for ev in deliver(emissions):
+            responses += dest.step(ev)
+        responses += dest.conclude(index)
+        emissions = source.step(responses)
+        if any(isinstance(r, Ack) for r in responses):
+            return dest.take(index)
 
 
 def _split_windows(data: bytes, w: int, l: int) -> np.ndarray:
@@ -477,49 +505,42 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
     trace = cfg.trace
     clock = 0
 
+    def deliver(emissions: list) -> list:
+        # One loss draw covers the emissions in order, an event's rows one by
+        # one; each symbol is traced at its own link position.
+        nonlocal clock
+        ends = np.cumsum([0] + [len(em.rows) if isinstance(em, Natives) else len(em.batch)
+                                for em in emissions])
+        mask = chan.loss_mask(int(ends[-1]))
+        events = []
+        for em, dropped in zip(emissions, np.split(mask, ends[1:-1])):
+            natives = isinstance(em, Natives)
+            if trace:
+                ids, kinds = ((range(dropped.size), ("NativeSymbol", "NativeLoss")) if natives
+                              else (em.batch.ids.tolist(), ("RepairSymbol", "repair_lost")))
+                for ident, gone in zip(ids, dropped.tolist()):
+                    clock += 1
+                    trace.write(f"{clock},{kinds[gone]},{em.window},{ident},\n")
+            else:
+                clock += dropped.size
+            if natives:
+                events.append(Natives(em.window, em.rows, dropped))
+            else:
+                metrics.lost += int(np.count_nonzero(dropped))
+                if not dropped.all():  # a lost repair symbol raises no event
+                    events.append(Repairs(em.window, em.batch.select(~dropped)))
+        return events
+
     t_start = time.perf_counter()
     windows = _split_windows(data, window, symbol_bytes)
     recovered_windows: list[bytes] = []
 
     for index, window_data in enumerate(windows):
-        emissions = source.start_window(index, SourceBlock(window_data))
-        done = False
-        while not done:
-            # One loss draw covers the emissions in order, an event's rows
-            # one by one; each symbol is traced at its own link position.
-            ends = np.cumsum([0] + [len(em.rows) if isinstance(em, Natives) else len(em.batch)
-                                    for em in emissions])
-            mask = chan.loss_mask(int(ends[-1]))
-            events = []
-            for em, dropped in zip(emissions, np.split(mask, ends[1:-1])):
-                natives = isinstance(em, Natives)
-                if trace:
-                    ids, kinds = ((range(dropped.size), ("NativeSymbol", "NativeLoss")) if natives
-                                  else (em.batch.ids.tolist(), ("RepairSymbol", "repair_lost")))
-                    for ident, gone in zip(ids, dropped.tolist()):
-                        clock += 1
-                        trace.write(f"{clock},{kinds[gone]},{em.window},{ident},\n")
-                else:
-                    clock += dropped.size
-                if natives:
-                    events.append(Natives(em.window, em.rows, dropped))
-                else:
-                    metrics.lost += int(np.count_nonzero(dropped))
-                    if not dropped.all():  # a lost repair symbol raises no event
-                        events.append(Repairs(em.window, em.batch.select(~dropped)))
-
-            responses: list = []
-            for ev in events:
-                responses += dest.step(ev)
-            responses += dest.conclude(index)
-
-            acked = any(isinstance(r, Ack) for r in responses)
-            emissions = source.step(responses)
-            if acked:
-                done = True
-                recovered_windows.append(dest.take(index).tobytes())
-                if trace:
-                    trace.write(f"{clock},ack,{index},,\n")
+        # No name holds the natives: they may view the window's whole decoder.
+        recovered_windows.append(
+            run_window(source, dest, index, SourceBlock(window_data), deliver).tobytes())
+        if trace:
+            trace.write(f"{clock},ack,{index},,\n")
 
     metrics.wall_time = time.perf_counter() - t_start
     delivered = b"".join(recovered_windows)[:size]

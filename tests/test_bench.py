@@ -1,5 +1,6 @@
 """Benchmark harness and CLI tests (small, fast configurations)."""
 
+import hashlib
 import math
 
 import pytest
@@ -171,3 +172,24 @@ def test_cli_trace_log(tmp_path):
                 "--symbol-bytes", "8", "--trace", str(trace))
     assert code == 0
     assert trace.exists()
+
+
+# SHA-256 of each experiment's CSV before the codec experiments shared one
+# loop and one exchange loop with sessions; two windows and two loss rates,
+# so a trial seed that swaps its window and loss-rate indices shows.
+PINNED_CSV = {
+    "window-sweep": "f8d78a1cee641155a81d95d15f8a6c44b4b4a6ee6bbff3ef1a27fd4394dd50c8",
+    "lt-compare": "b5d54c4f231e22cae625461309d2b367584a7366fb932f6ed317462000393f76",
+    "raptor-compare": "42a27aa8e88abf87913ffbd6fc15f265a827375caf8813bee9ce197d88e17d53",
+    "transfer": "b33a44e4d27a78ca8730f3232d943253cee63d67e8b6b4185bc23e380c85f7ec",
+}
+
+
+@pytest.mark.parametrize("experiment", PINNED_CSV)
+def test_cli_csv_is_pinned(experiment, tmp_path):
+    out = tmp_path / f"{experiment}.csv"
+    assert _cli(experiment, "--trials", "3", "--seed", "9", "--symbol-bytes", "16",
+                "--total-symbols", "4096", "--window", "256", "--window", "1024",
+                "--loss-rate", "0.02", "--loss-rate", "0.05", "--k", "512", "--s", "12",
+                "--h", "2", "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV[experiment]

@@ -112,11 +112,8 @@ def test_estimator_is_unbiased():
     rng = np.random.default_rng(17)
     p = 0.03
     est = LossRateEstimator(window=1000)
-    reports = []
-    for outcome in rng.random(50_000) < p:
-        r = est.observe(bool(outcome))
-        if r is not None:
-            reports.append(r.estimate)
+    # One batch returns the reports a per-outcome ``observe`` loop would.
+    reports = [r.estimate for r in est.observe_many(rng.random(50_000) < p)]
     mean = sum(reports) / len(reports)
     sigma = math.sqrt(p * (1 - p) / 1000 / len(reports))
     assert abs(mean - p) < 5 * sigma

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lrfcodes import gf2
-from lrfcodes.codec import SourceBlock
+from lrfcodes.codec import EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock
 from lrfcodes.distributions import LossContext, lr_raptor_dist, robust_soliton
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
@@ -19,6 +19,12 @@ CFG = PrecodeConfig(k=24, s=5, h=3, seed=7)
 
 def _block(k=CFG.k, l=8, seed=0):
     return SourceBlock.random(k, l, seed)
+
+
+def _decoder(inter, missing=()):
+    """A decoder over an intermediate block holding all its rows but ``missing``."""
+    return PeelDecoder(inter.w, inter.l,
+                       {i: row for i, row in enumerate(inter.data) if i not in missing})
 
 
 def _rows(blk):
@@ -105,8 +111,7 @@ def test_precode_solve_single_erasure_sweep():
     blk = _block()
     inter = precode_expand(blk, CFG)
     for missing in range(CFG.total):
-        partial = {i: s for i, s in enumerate(inter.data) if i != missing}
-        natives = precode_solve(partial, CFG)
+        natives = precode_solve(_decoder(inter, {missing}), CFG)
         np.testing.assert_array_equal(natives, blk.data)
 
 
@@ -117,10 +122,8 @@ def test_precode_solve_multi_erasure_random():
     solved = 0
     for _ in range(50):
         missing = set(rng.sample(range(CFG.total), 3))
-        partial = {i: s for i, s in enumerate(inter.data)
-                   if i not in missing}
         try:
-            natives = precode_solve(partial, CFG)
+            natives = precode_solve(_decoder(inter, missing), CFG)
         except DecodeFailure:
             continue  # genuinely underdetermined patterns are allowed
         np.testing.assert_array_equal(natives, blk.data)
@@ -140,12 +143,10 @@ def test_precode_solve_agrees_with_rank_oracle():
     checked_full = checked_deficient = 0
     for _ in range(200):
         missing = set(rng.sample(range(cfg.total), rng.randint(1, 6)))
-        partial = {i: s for i, s in enumerate(inter.data)
-                   if i not in missing}
         sub_rows = [tuple(i for i in r if i in missing) for r in rows]
         full_rank = gf2.rank([r for r in sub_rows if r], missing) == len(missing)
         try:
-            natives = precode_solve(partial, cfg)
+            natives = precode_solve(_decoder(inter, missing), cfg)
             ok = True
         except DecodeFailure:
             ok = False
@@ -165,48 +166,43 @@ def test_precode_solve_agrees_with_rank_oracle():
 
 def test_precode_solve_validates_input():
     with pytest.raises(DecodeFailure):
-        precode_solve({}, CFG)
+        precode_solve(PeelDecoder(CFG.total, 8), CFG)
+    for not_over_the_intermediates in (PeelDecoder(CFG.k, 8), {0: bytes(8)}):
+        with pytest.raises(InvalidParameterError):
+            precode_solve(not_over_the_intermediates, CFG)
+    # Known intermediates are checked where the decoder takes them.
     with pytest.raises(InvalidInputError):
-        precode_solve({CFG.total: b"x"}, CFG)
+        PeelDecoder(CFG.total, 1, {CFG.total: b"x"})
     with pytest.raises(InvalidInputError):
-        precode_solve([(0, b"ab"), (1, b"abc")], CFG)
+        PeelDecoder(CFG.total, 2, [(0, b"ab"), (1, b"abc")])
 
 
 def test_precode_solve_residual_cap():
     blk = _block()
     inter = precode_expand(blk, CFG)
-    partial = {i: s for i, s in enumerate(inter.data) if i >= CFG.k}
     with pytest.raises(DecodeFailure):
-        precode_solve(partial, CFG, residual_cap=2)
+        precode_solve(_decoder(inter, range(CFG.k)), CFG, residual_cap=2)
 
 
 def test_precode_solve_uses_extra_rows():
     # Constraints alone cannot determine many erased natives, but extra
-    # encoding-symbol equations close the system.
+    # encoding-symbol equations added to the decoder close the system.
     blk = _block()
     inter = precode_expand(blk, CFG)
     missing = set(range(10))  # more erasures than parity equations
-    partial = {i: s for i, s in enumerate(inter.data) if i not in missing}
     with pytest.raises(DecodeFailure):
-        precode_solve(partial, CFG)
+        precode_solve(_decoder(inter, missing), CFG)
     extra = []
     rng = random.Random(3)
     for t in range(12):
-        idxs = tuple(sorted(rng.sample(sorted(missing), rng.randint(1, 6))))
-        acc = 0
-        for i in idxs:
-            acc ^= int.from_bytes(inter.data[i].tobytes(), "little")
-        extra.append((idxs, acc))
-    natives = precode_solve(partial, CFG, extra_rows=extra)
+        idxs = sorted(rng.sample(sorted(missing), rng.randint(1, 6)))
+        extra.append(EncodingSymbol(id=t, seed=0, degree=len(idxs), neighbors=np.array(idxs),
+                                    payload=np.bitwise_xor.reduce(inter.data[idxs]).tobytes()))
+    decoder = _decoder(inter, missing)
+    decoder.add_batch(RepairBatch.from_symbols(extra))
+    decoder.run()
+    natives = precode_solve(decoder, CFG)
     np.testing.assert_array_equal(natives, blk.data)
-
-
-@pytest.mark.parametrize("index", [-1, CFG.total])
-def test_precode_solve_rejects_an_extra_row_outside_the_intermediates(index):
-    inter = precode_expand(_block(), CFG)
-    partial = {i: s for i, s in enumerate(inter.data) if i != 3}
-    with pytest.raises(InvalidInputError, match="outside intermediate range"):
-        precode_solve(partial, CFG, extra_rows=[((3, index), 0)])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lrfcodes.channel import BurstModel, ChannelConfig
-from lrfcodes.codec import (EncodingSymbol, RepairBatch, SourceBlock, derive_seed,
+from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
                             encode_stream, encode_symbol, pack_symbol, unpack_symbol)
 from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
 from lrfcodes import transfer
@@ -148,18 +148,9 @@ def test_session_rejects_empty_data():
 def _drive_window(cfg, block, drop_indices=()):
     """One windowed exchange without a channel: drop the given natives."""
     metrics = SessionMetrics()
-    src = SourceState(cfg, metrics)
-    dst = DestinationState(cfg, metrics)
-    emissions = src.start_window(0, block)
-    for _ in range(200):
-        responses = []
-        for em in emissions:
-            responses += dst.step(_dropping(em, drop_indices))
-        responses += dst.conclude(0)
-        if any(isinstance(r, Ack) for r in responses):
-            return dst.windows[0].recovered, metrics
-        emissions = src.step(responses)
-    raise AssertionError("window never acked")
+    recovered = transfer.run_window(SourceState(cfg, metrics), DestinationState(cfg, metrics), 0,
+                                    block, lambda ems: [_dropping(em, drop_indices) for em in ems])
+    return recovered, metrics
 
 
 def test_source_dest_machines_recover_driven_losses():
@@ -329,15 +320,34 @@ def test_destination_counts_only_accepted_symbols():
     for ev in (Natives(0, rows[:, :5]), Natives(0, rows, np.zeros(99, dtype=bool))):
         assert dst.step(ev) == []
     assert metrics.delivered == 0
-    assert dst.windows[0].natives_seen == 0
+    assert 0 not in dst.windows
     assert metrics.protocol_errors == 2
     sym = encode_symbol(SourceBlock.random(16, 8, seed=3), ideal_soliton(16), seed=5)
     for bad in (dataclasses.replace(sym, payload=sym.payload[:-1]),
                 dataclasses.replace(sym, neighbors=None, degree=17)):
         assert dst.step(_one(bad)) == []
     assert metrics.delivered == 0
-    assert dst.windows[0].repairs_received == 0
+    assert 0 not in dst.windows
     assert metrics.protocol_errors == 4
+
+
+def test_malformed_events_open_no_window():
+    # A malformed event is rejected before it can open a window: nothing
+    # would ever conclude or take the decoder it left behind.
+    cfg = SessionConfig(window=1000, symbol_bytes=8, epsilon=0.2, scheme="LR-Raptor",
+                        channel=ChannelConfig(0.05, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    rows = SourceBlock.random(1000, 8, seed=3).data
+    sym = EncodingSymbol(id=0, seed=0, degree=2, neighbors=np.array([3, 3]), payload=bytes(8))
+    for ev in (Natives(7, rows[:, :5]), Natives("x", rows), _one(sym, window=12)):
+        assert dst.step(ev) == []
+    assert dst.windows == {}
+    assert (metrics.protocol_errors, metrics.delivered, metrics.lost) == (3, 0, 0)
+    # A valid event for an unseen window still opens it, repairs first.
+    good = encode_stream(SourceBlock(rows), ideal_soliton(1000), 1, 2)
+    dst.step(Repairs(12, good))
+    assert list(dst.windows) == [12] and dst.windows[12].repairs_received == 2
 
 
 def test_destination_rejects_a_natives_event_whole():
@@ -403,7 +413,7 @@ def test_destination_counts_malformed_neighbors_as_protocol_errors():
         assert dst.step(_one(sym)) == []
         assert metrics.protocol_errors == i
     assert metrics.delivered == 0
-    assert dst.windows[0].repairs_received == 0
+    assert 0 not in dst.windows
 
 
 @pytest.mark.parametrize("corrupt", ["repeated", "negative", "beyond"])
@@ -510,7 +520,8 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
     # Warm-started far below the true loss, the window needs several NACK
     # rounds; conclude carries the constraint right-hand sides across them
     # and must agree each round with solves from scratch of the same
-    # decoder state, in place and through the mapping form.
+    # decoder state: in place, and on a fresh decoder given its covered
+    # symbols and pending equations.
     cfg = SessionConfig(window=400, symbol_bytes=16, epsilon=0.2, scheme="LR-Raptor",
                         channel=ChannelConfig(0.0, seed=0), seed=12,
                         initial_loss_rate=0.01)
@@ -528,12 +539,13 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
         state = dst.windows[0]
         decoder = state.decoder
         indptr, indices, rhs = decoder.pending_rows()
-        bounds = indptr.tolist()
-        extra = [(indices[lo:hi].tolist(), int.from_bytes(rhs[r].tobytes(), "little"))
-                 for r, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+        n = indptr.size - 1
+        again = PeelDecoder(pc.total, 16, decoder.covered_map())
+        again.add_batch(RepairBatch(np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64),
+                                    np.diff(indptr), indptr, indices, rhs))
+        again.run()
         fresh = []
-        for solve in (lambda: precode_solve(decoder, pc),
-                      lambda: precode_solve(decoder.covered_map(), pc, extra_rows=extra)):
+        for solve in (lambda: precode_solve(decoder, pc), lambda: precode_solve(again, pc)):
             try:
                 fresh.append(solve())
             except DecodeFailure:
