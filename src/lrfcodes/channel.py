@@ -58,18 +58,20 @@ class Channel:
         b = self.cfg.burst
         u_state = self._rng.random(count)
         u_loss = self._rng.random(count)
-        mask = np.empty(count, dtype=bool)
-        bad = self._bad
-        for i in range(count):
-            if bad:
-                if u_state[i] < b.p_bad_to_good:
-                    bad = False
-            else:
-                if u_state[i] < b.p_good_to_bad:
-                    bad = True
-            mask[i] = u_loss[i] < (b.loss_bad if bad else b.loss_good)
-        self._bad = bad
-        return mask
+        # A step below p_good_to_bad sends a good state bad, one below
+        # p_bad_to_good a bad state good. Below only one threshold the step
+        # sets that state whatever the last one was, below both it flips the
+        # state, below neither it holds it. So the state is the last set
+        # move (or the carried state) XOR the parity of the flips since.
+        to_bad, to_good = u_state < b.p_good_to_bad, u_state < b.p_bad_to_good
+        flips = np.bitwise_xor.accumulate(to_bad & to_good)
+        sets = to_bad != to_good
+        last = np.maximum.accumulate(np.where(sets, np.arange(count), -1))
+        # (Where no set move came yet, last is -1 and its reads are unused.)
+        bad = flips ^ np.where(last >= 0, to_bad[last] ^ flips[last], self._bad)
+        if count:
+            self._bad = bool(bad[-1])
+        return u_loss < np.where(bad, b.loss_bad, b.loss_good)
 
 
 def loss_mask(count: int, cfg: ChannelConfig) -> np.ndarray:

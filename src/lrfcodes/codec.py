@@ -456,6 +456,12 @@ class PeelDecoder:
     def unresolved(self) -> int:
         return self._uncovered
 
+    @property
+    def live_rows(self) -> int:
+        """The encoding symbols with an uncovered neighbor left: the
+        equations ``pending_rows`` would return."""
+        return int(np.count_nonzero(self._count))
+
     def _check_native(self, idx: int, payload, covered: np.ndarray) -> None:
         if not 0 <= idx < self.w:
             raise InvalidInputError(f"native index {idx} outside 0..{self.w - 1}")

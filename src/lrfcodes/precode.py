@@ -63,22 +63,28 @@ def parity_rows(cfg: PrecodeConfig) -> tuple[tuple[np.ndarray, ...], tuple[np.nd
     rejected and rebuilt deterministically from seed+1.
     """
     k, s, h = cfg.k, cfg.s, cfg.h
+    natives = np.arange(k, dtype=np.int64)[:, None]
     for attempt in range(_MAX_CONSTRUCTION_ATTEMPTS):
         rng = np.random.default_rng(derive_seed(cfg.seed + attempt, 0x5C0DE))
 
-        sparse: list[list[int]] = [[] for _ in range(s)]
+        sparse: list[np.ndarray] = []
+        covered = np.zeros(k, dtype=bool)
         if s > 0:
             if s >= 3:
                 a = int(rng.integers(1, s))
                 b = int(rng.integers(1, s))
                 while b == a:
                     b = int(rng.integers(1, s))
-                offsets = (0, a, b)
+                offsets = np.array((0, a, b))
             else:
-                offsets = tuple(range(s))
-            for i in range(k):
-                for off in offsets:
-                    sparse[(i + off) % s].append(i)
+                offsets = np.arange(s)
+            # Native i feeds parity (i + off) % s for each offset (distinct
+            # offsets below s, so distinct rows); one sort of the (row,
+            # member) keys lists each row's members in order.
+            keys = np.sort((((natives + offsets) % s) * k + natives).ravel())
+            members = keys % k
+            sparse = np.split(members, np.cumsum(np.bincount(keys // k, minlength=s))[:-1])
+            covered[members] = True
 
         dense: list[np.ndarray] = []
         for _ in range(h):
@@ -86,16 +92,10 @@ def parity_rows(cfg: PrecodeConfig) -> tuple[tuple[np.ndarray, ...], tuple[np.nd
             if not mask.any():
                 mask[int(rng.integers(0, k + s))] = True
             dense.append(np.flatnonzero(mask).astype(np.int64))
+            covered[mask[:k]] = True
 
-        covered = np.zeros(k, dtype=bool)
-        for row in sparse:
-            covered[row] = True
-        for row in dense:
-            covered[row[row < k]] = True
-        rows_ok = all(row for row in sparse) and all(row.size for row in dense)
-        if rows_ok and covered.all():
-            return (tuple(np.array(sorted(set(r)), dtype=np.int64) for r in sparse),
-                    tuple(dense))
+        if all(row.size for row in sparse) and covered.all():
+            return tuple(sparse), tuple(dense)
     raise InvalidParameterError(
         f"could not build a non-degenerate precode for {cfg} in "
         f"{_MAX_CONSTRUCTION_ATTEMPTS} attempts")
@@ -109,13 +109,63 @@ def constraint_matrix(cfg: PrecodeConfig) -> tuple[np.ndarray, np.ndarray]:
     ``(indptr, indices)`` over the intermediate block: row j lists the
     members of parity k + j and then k + j itself, and XORs to zero."""
     sparse, dense = parity_rows(cfg)
-    rows = [np.append(members, cfg.k + j) for j, members in enumerate(sparse + dense)]
+    rows = sparse + dense
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([r.size for r in rows], out=indptr[1:])
-    indices = np.concatenate(rows).astype(np.int32)
+    np.cumsum([r.size + 1 for r in rows], out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    member = np.ones(indptr[-1], dtype=bool)
+    member[indptr[1:] - 1] = False
+    indices[member] = np.concatenate(rows)
+    indices[~member] = cfg.k + np.arange(len(rows))
     indptr.setflags(write=False)
     indices.setflags(write=False)
     return indptr, indices
+
+
+# Dense rows are summed by bucket, at most this many rows to a group.
+_BUCKET_ROWS = 8
+
+
+@lru_cache(maxsize=1)
+def dense_buckets(cfg: PrecodeConfig) -> tuple:
+    """The dense constraint rows in groups of g <= 8, each laid out by
+    bucket: bucket b lists the columns that exactly the group's rows with a
+    bit set in b list, so the group's row j is the XOR of the 2**(g-1)
+    buckets with bit j set.
+
+    One entry per group: its constraint rows ``lo:hi``, the buckets as CSR
+    ``(indptr, indices)`` over the intermediates (bucket 0 is empty), and
+    each row's buckets as CSR over the buckets.
+    """
+    indptr, indices = constraint_matrix(cfg)
+    groups = []
+    for lo in range(cfg.s, cfg.s + cfg.h, _BUCKET_ROWS):
+        hi = min(lo + _BUCKET_ROWS, cfg.s + cfg.h)
+        bit, n = np.arange(hi - lo), 1 << (hi - lo)
+        # A row lists a column once, so the bits of its rows add up exactly;
+        # a pattern fits a uint8, whose stable sort is a counting sort.
+        pattern = np.bincount(indices[indptr[lo]:indptr[hi]],
+                              weights=np.repeat(1 << bit, np.diff(indptr[lo:hi + 1])),
+                              minlength=cfg.total).astype(np.uint8)
+        cols = pattern.nonzero()[0]
+        members = cols[np.argsort(pattern[cols], kind="stable")]
+        b_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pattern[cols], minlength=n), out=b_ptr[1:])
+        with_bit = (np.arange(n) >> bit[:, None]) & 1
+        groups.append((lo, hi, (b_ptr, members),
+                       (np.arange(bit.size + 1) * (n // 2), with_bit.nonzero()[1])))
+    return tuple(groups)
+
+
+def _xor_dense(out: np.ndarray, src: np.ndarray, cfg: PrecodeConfig,
+               take: np.ndarray | None = None) -> None:
+    """``out[j] ^=`` the XOR of ``src`` over the members of dense constraint
+    row s + j (those with ``take`` set, as in ``gf2.xor_rows``): one gather
+    per group of rows into its buckets, then each row from its buckets."""
+    for lo, hi, (b_ptr, members), rows in dense_buckets(cfg):
+        buckets = np.zeros((b_ptr.size - 1, out.shape[1]), dtype=out.dtype)
+        gf2.xor_rows(buckets, src, b_ptr, members, take=take)
+        gf2.xor_rows(out[lo - cfg.s:hi - cfg.s], buckets, *rows)
 
 
 def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
@@ -130,10 +180,12 @@ def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
     # Sparse parities read natives only, dense ones also the sparse parities,
     # so the sparse rows go first. Each row also lists its own parity, which
     # reads as zero in ``inter`` until the pass is written back.
-    for lo, hi in ((0, s), (s, s + cfg.h)):
-        parity = np.zeros((hi - lo, block.l), dtype=np.uint8)
-        gf2.xor_rows(gf2.words(parity), gf2.words(inter), indptr[lo:hi + 1], indices)
-        inter[k + lo:k + hi] = parity
+    parity = np.zeros((s, block.l), dtype=np.uint8)
+    gf2.xor_rows(gf2.words(parity), gf2.words(inter), indptr[:s + 1], indices)
+    inter[k:k + s] = parity
+    parity = np.zeros((cfg.h, block.l), dtype=np.uint8)
+    _xor_dense(gf2.words(parity), gf2.words(inter), cfg)
+    inter[k + s:] = parity
     return SourceBlock(inter)
 
 
@@ -156,9 +208,12 @@ class ConstraintRhs:
         payload matrix."""
         if (self.folded & ~covered).any():
             raise InvalidParameterError("constraint right-hand sides of another decoder")
-        indptr, indices = constraint_matrix(self.cfg)
-        gf2.xor_rows(gf2.words(self.rhs), gf2.words(payloads), indptr, indices,
-                     take=covered & ~self.folded)
+        take = covered & ~self.folded
+        if take.any():
+            s, indptr, indices = self.cfg.s, *constraint_matrix(self.cfg)
+            rhs, src = gf2.words(self.rhs), gf2.words(payloads)
+            gf2.xor_rows(rhs[:s], src, indptr[:s + 1], indices, take=take)
+            _xor_dense(rhs[s:], src, self.cfg, take=take)
         self.folded = covered.copy()
 
 
@@ -179,6 +234,19 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
     single-unknown equations; its dense phase runs only if at most
     ``residual_cap`` unknowns are left after that peel.
 
+    A system with fewer equations E than unknowns U fails before any of
+    that work (no fold, no ``pending_rows``, no elimination). E counts the
+    constraint rows with an uncovered member and the decoder's
+    ``live_rows``; U the uncovered intermediates. The exit is exact:
+    uncovered parity k + j lies in constraint row j, and a sparse row lists
+    only natives besides its parity while a dense row lists only indices
+    below k + s. Those rows are therefore unit lower triangular over the
+    uncovered parities, so natives that are all determined determine every
+    parity too, and then rank = U <= E. On this path ``unresolved`` is every
+    missing native, which is k - len(recovered) in ``raptor_decode``'s
+    failure result; after an elimination it counts the natives the
+    elimination left undetermined.
+
     Raises:
         DecodeFailure: the system does not determine every native.
         InvalidInputError: an inconsistent system.
@@ -190,17 +258,22 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
     missing = np.flatnonzero(~covered[:cfg.k]).tolist()
     solved = {}
     if missing:
-        if state is None:
-            state = ConstraintRhs(cfg, decoder.l)
-        state.fold(covered, payloads)
         # The constraints restricted to their uncovered members, then the
         # decoder's pending equations, as one CSR system.
         indptr, indices = constraint_matrix(cfg)
         open_entry = ~covered[indices]
         counts = np.add.reduceat(open_entry, indptr[:-1])
         rows = counts > 0
-        p_indptr, p_indices, p_rhs = decoder.pending_rows()
         unknowns = np.flatnonzero(~covered)
+        equations = int(np.count_nonzero(rows)) + decoder.live_rows
+        if equations < unknowns.size:
+            raise DecodeFailure(
+                f"{len(missing)} natives undetermined: {equations} equations for "
+                f"{unknowns.size} unknowns", unresolved=len(missing), stage="precode")
+        if state is None:
+            state = ConstraintRhs(cfg, decoder.l)
+        state.fold(covered, payloads)
+        p_indptr, p_indices, p_rhs = decoder.pending_rows()
         solved = gf2.solve_partial(
             (np.concatenate(([0], np.cumsum(counts[rows]), p_indptr[1:] + counts.sum())),
              np.concatenate((indices[open_entry], p_indices))),

@@ -360,8 +360,10 @@ class DestinationState:
         out: list = []
         try:
             if (not isinstance(event, (Natives, Repairs)) or not isinstance(event.window, int)
-                    or event.window < 0):
-                raise InvalidInputError("not an arrival event for a window index >= 0")
+                    or event.window < 0
+                    or isinstance(event, Repairs) and not isinstance(event.batch, RepairBatch)):
+                raise InvalidInputError("not an arrival event (a window index >= 0, and a "
+                                        "RepairBatch for repairs)")
             if isinstance(event, Natives):
                 k, l = self.cfg.window, self.cfg.symbol_bytes
                 lost = np.zeros(k, dtype=bool) if event.lost is None else event.lost

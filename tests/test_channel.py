@@ -86,6 +86,42 @@ def test_burst_mask_deterministic():
                                   Channel(cfg).loss_mask(2000))
 
 
+def _reference_burst_mask(channel, count):
+    """The per-step loop the vectorized Gilbert-Elliott mask replaced, on
+    the channel's generator and carried state."""
+    b = channel.cfg.burst
+    u_state = channel._rng.random(count)
+    u_loss = channel._rng.random(count)
+    mask = np.empty(count, dtype=bool)
+    bad = channel._bad
+    for i in range(count):
+        if bad:
+            if u_state[i] < b.p_bad_to_good:
+                bad = False
+        else:
+            if u_state[i] < b.p_good_to_bad:
+                bad = True
+        mask[i] = u_loss[i] < (b.loss_bad if bad else b.loss_good)
+    channel._bad = bad
+    return mask
+
+
+@pytest.mark.parametrize("burst", [
+    BurstModel(0.0, 0.0), BurstModel(1.0, 1.0), BurstModel(0.0, 1.0), BurstModel(1.0, 0.0),
+    BurstModel(0.05, 0.3), BurstModel(0.7, 0.4, loss_good=0.1, loss_bad=0.8),
+    BurstModel(0.002, 0.05, loss_good=0.01),
+])
+def test_burst_mask_matches_the_per_step_loop(burst):
+    # Counts of 0, 1 and 20,000 in one stream, so the state carries across
+    # calls (through empty ones too).
+    cfg = ChannelConfig(0.0, seed=9, burst=burst)
+    fast, slow = Channel(cfg), Channel(cfg)
+    for count in (0, 1, 20_000, 0, 1, 7, 1, 20_000):
+        np.testing.assert_array_equal(fast.loss_mask(count), _reference_burst_mask(slow, count))
+        assert fast._bad == slow._bad
+    assert fast._rng.random() == slow._rng.random()
+
+
 # ---------------------------------------------------------------------------
 # Estimation
 

@@ -1,16 +1,19 @@
 """Precode construction, constraint, and composed codec tests."""
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from lrfcodes import gf2
-from lrfcodes.codec import EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock
+from lrfcodes import gf2, precode
+from lrfcodes.codec import EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock, derive_seed
 from lrfcodes.distributions import LossContext, lr_raptor_dist, robust_soliton
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
-from lrfcodes.precode import (PrecodeConfig, constraint_matrix, parity_rows,
+from lrfcodes.precode import (ConstraintRhs, PrecodeConfig, constraint_matrix, parity_rows,
                               precode_expand, precode_solve, raptor_decode,
                               raptor_encode)
 
@@ -101,6 +104,88 @@ def test_expand_constraints_xor_to_zero():
 def test_expand_rejects_wrong_block_size():
     with pytest.raises(InvalidParameterError):
         precode_expand(_block(k=10), CFG)
+
+
+def _reference_parity_rows(cfg):
+    """The per-native loop ``parity_rows`` replaced, with the attempt that
+    succeeded (None if every attempt failed)."""
+    k, s, h = cfg.k, cfg.s, cfg.h
+    for attempt in range(precode._MAX_CONSTRUCTION_ATTEMPTS):
+        rng = np.random.default_rng(derive_seed(cfg.seed + attempt, 0x5C0DE))
+        sparse = [[] for _ in range(s)]
+        if s > 0:
+            if s >= 3:
+                a = int(rng.integers(1, s))
+                b = int(rng.integers(1, s))
+                while b == a:
+                    b = int(rng.integers(1, s))
+                offsets = (0, a, b)
+            else:
+                offsets = tuple(range(s))
+            for i in range(k):
+                for off in offsets:
+                    sparse[(i + off) % s].append(i)
+        dense = []
+        for _ in range(h):
+            mask = rng.random(k + s) < 0.5
+            if not mask.any():
+                mask[int(rng.integers(0, k + s))] = True
+            dense.append(np.flatnonzero(mask).astype(np.int64))
+        covered = np.zeros(k, dtype=bool)
+        for row in sparse:
+            covered[row] = True
+        for row in dense:
+            covered[row[row < k]] = True
+        if all(row for row in sparse) and all(row.size for row in dense) and covered.all():
+            return ([np.array(sorted(set(r)), dtype=np.int64) for r in sparse], dense), attempt
+    return None, None
+
+
+# s = 0, s < 3 and h = 0; (3, 0, 1) and (5, 0, 2) retry at some seeds, and
+# (1, 4, 0) leaves a sparse row empty at every attempt.
+@pytest.mark.parametrize("shape", [(24, 5, 3), (64, 9, 3), (50, 0, 4), (40, 1, 2), (40, 2, 0),
+                                   (7, 3, 0), (3, 0, 1), (5, 0, 2), (1, 4, 0), (1, 1, 1)])
+def test_parity_rows_match_the_per_native_loop(shape):
+    attempts = set()
+    for seed in range(12):
+        cfg = PrecodeConfig(*shape, seed=seed)
+        expected, attempt = _reference_parity_rows(cfg)
+        attempts.add(attempt)
+        if expected is None:
+            with pytest.raises(InvalidParameterError):
+                parity_rows(cfg)
+            continue
+        sparse, dense = parity_rows(cfg)
+        assert (len(sparse), len(dense)) == (cfg.s, cfg.h)
+        for got, want in zip(sparse + dense, expected[0] + expected[1]):
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+    if shape in ((3, 0, 1), (5, 0, 2)):
+        assert max(attempts) > 0, "no seed exercised a retried construction"
+    if shape == (1, 4, 0):
+        assert attempts == {None}
+
+
+@pytest.mark.parametrize("h", [1, 8, 9, 17])
+@pytest.mark.parametrize("l", [8, 5])
+def test_bucketed_dense_xor_matches_plain_xor_rows(h, l):
+    # Each dense constraint row through the buckets equals the plain CSR
+    # XOR of its members, over all of them or only those ``take`` keeps.
+    cfg = PrecodeConfig(k=90, s=4, h=h, seed=h)
+    indptr, indices = constraint_matrix(cfg)
+    rng = np.random.default_rng(h)
+    src = rng.integers(0, 256, size=(cfg.total, l), dtype=np.uint8)
+    for take in (None, rng.random(cfg.total) < 0.6, np.zeros(cfg.total, dtype=bool)):
+        start = rng.integers(0, 256, size=(h, l), dtype=np.uint8)
+        got, want = start.copy(), start.copy()
+        precode._xor_dense(gf2.words(got), gf2.words(src), cfg, take=take)
+        gf2.xor_rows(gf2.words(want), gf2.words(src), indptr[cfg.s:], indices, take=take)
+        np.testing.assert_array_equal(got, want)
+    # The layout lists every dense entry once: a bucket per pattern of rows.
+    for lo, hi, (b_ptr, members), (r_ptr, r_buckets) in precode.dense_buckets(cfg):
+        assert b_ptr.size == (1 << (hi - lo)) + 1 and b_ptr[1] == 0
+        assert members.size == np.unique(indices[indptr[lo]:indptr[hi]]).size
+        assert (np.diff(r_ptr) == 1 << (hi - lo - 1)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +288,78 @@ def test_precode_solve_uses_extra_rows():
     decoder.run()
     natives = precode_solve(decoder, CFG)
     np.testing.assert_array_equal(natives, blk.data)
+
+
+@st.composite
+def precode_systems(draw):
+    """A small config, a decoder over its intermediates holding a random
+    covered subset, and random equations over the intermediates, peeled or
+    not."""
+    s = draw(st.integers(0, 5))
+    cfg = PrecodeConfig(k=draw(st.integers(1, 20)), s=s, h=draw(st.integers(0 if s else 1, 9)),
+                        seed=draw(st.integers(0, 20)))
+    try:
+        parity_rows(cfg)
+    except InvalidParameterError:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    inter = precode_expand(SourceBlock.random(cfg.k, 8, int(rng.integers(1 << 30))), cfg)
+    covered = rng.random(cfg.total) < draw(st.sampled_from([0.1, 0.5, 0.8, 0.95]))
+    decoder = _decoder(inter, set(np.flatnonzero(~covered).tolist()))
+    symbols = []
+    for t in range(draw(st.integers(0, cfg.total + 4))):
+        idxs = np.sort(rng.choice(cfg.total, int(rng.integers(1, min(cfg.total, 6) + 1)),
+                                  replace=False))
+        symbols.append(EncodingSymbol(id=t, seed=0, degree=idxs.size, neighbors=idxs,
+                                      payload=np.bitwise_xor.reduce(inter.data[idxs]).tobytes()))
+    decoder.add_batch(RepairBatch.from_symbols(symbols))
+    if draw(st.booleans()):
+        decoder.run()
+    return cfg, decoder
+
+
+@settings(max_examples=300, deadline=None)
+@given(precode_systems())
+def test_early_exit_fires_only_on_an_undetermined_native(system):
+    # When precode_solve fails without reaching the elimination, the full
+    # elimination of the same system (no residual cap) must leave some
+    # missing native undetermined.
+    cfg, decoder = system
+    missing = np.flatnonzero(~decoder.covered[:cfg.k]).tolist()
+    with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
+        try:
+            precode_solve(decoder, cfg)
+            return
+        except DecodeFailure as exc:
+            if solve.called:
+                return
+            assert exc.unresolved == len(missing) and exc.stage == "precode"
+    covered = decoder.covered
+    indptr, indices = constraint_matrix(cfg)
+    rows = [[i for i in indices[a:b].tolist() if not covered[i]]
+            for a, b in zip(indptr[:-1], indptr[1:])]
+    state = ConstraintRhs(cfg, decoder.l)
+    state.fold(covered, decoder.payloads)
+    p_indptr, p_indices, p_rhs = decoder.pending_rows()
+    pending = [p_indices[a:b].tolist() for a, b in zip(p_indptr[:-1], p_indptr[1:])]
+    solved = gf2.solve_partial(gf2.csr([r for r in rows if r] + pending),
+                               np.flatnonzero(~covered),
+                               np.concatenate((state.rhs[[bool(r) for r in rows]], p_rhs)))
+    assert any(i not in solved for i in missing)
+
+
+def test_early_exit_reports_every_missing_native():
+    # 12 lost natives and no repair: 8 constraint rows for at least 12
+    # unknowns, so the solve fails before any elimination, and the failure
+    # counts each native the result does not recover.
+    blk = _block(seed=15)
+    lost = set(range(0, 24, 2))
+    natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
+    with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
+        res = raptor_decode(natives, [], CFG)
+    assert not solve.called
+    assert (res.success, res.failed_stage) == (False, "precode")
+    assert res.unresolved == CFG.k - len(res.recovered) == len(lost)
 
 
 # ---------------------------------------------------------------------------

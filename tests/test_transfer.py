@@ -350,6 +350,19 @@ def test_malformed_events_open_no_window():
     assert list(dst.windows) == [12] and dst.windows[12].repairs_received == 2
 
 
+def test_repairs_event_without_a_batch_is_one_protocol_error():
+    # A repair event whose batch is not a RepairBatch is malformed like any
+    # other: one protocol error each, and no window opens.
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.05, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    for ev in (Repairs(0, None), Repairs(0, "x")):
+        assert dst.step(ev) == []
+    assert dst.windows == {}
+    assert (metrics.protocol_errors, metrics.delivered, metrics.lost) == (2, 0, 0)
+
+
 def test_destination_rejects_a_natives_event_whole():
     # A wrong-shape rows matrix or mask, or a native the decoder already
     # holds, rejects the whole event: one protocol error, no count moves and
@@ -514,6 +527,28 @@ def test_session_peak_memory_does_not_grow_by_a_decoder_per_window():
             tracemalloc.stop()
 
     assert excess(24) < excess(4) + 2 * w * l
+
+
+@pytest.mark.parametrize("scheme", ["LRF", "LR-Raptor"])
+def test_taken_windows_hold_no_decoder_after_each_run_window(monkeypatch, scheme):
+    # Once run_window returns a window's natives, that window's state in the
+    # destination keeps neither its decoder nor its constraint right-hand
+    # sides: a bound on peak memory alone lets one extra window's decoder
+    # stay alive unnoticed.
+    taken = []
+
+    def checked(source, dest, index, block, deliver):
+        natives = run_window(source, dest, index, block, deliver)
+        taken.append(index)
+        for i in taken:
+            state = dest.windows[i]
+            assert (state.decoder, state.constraints, state.recovered) == (None, None, None)
+        return natives
+
+    run_window = transfer.run_window
+    monkeypatch.setattr(transfer, "run_window", checked)
+    run_session(4 * 300 * 8, 300, 8, ChannelConfig(0.1, seed=2), 0.2, scheme, seed=2)
+    assert taken == [0, 1, 2, 3]
 
 
 def test_conclude_matches_a_fresh_precode_solve_every_round():
