@@ -46,6 +46,8 @@ _CANDIDATE_CHUNK = 1 << 13
 # at a time: a peel's tail is mostly such ripples, and a row costs fewer
 # numpy calls than a round.
 _SMALL_RIPPLE = 4
+# Slots each column of ``PeelDecoder``'s column index starts with.
+_SPARE_SLOTS = 4
 # Largest window ``neighbor_sets`` accepts: a chunk's sort codes
 # (row, value, draw index) then stay far inside int64.
 MAX_WINDOW = 1 << 20
@@ -238,7 +240,7 @@ class RepairBatch:
     payloads: np.ndarray
 
     def __len__(self) -> int:
-        return self.ids.size
+        return len(self.ids)
 
     def __getitem__(self, key: int) -> EncodingSymbol:
         i = range(len(self))[key]
@@ -297,15 +299,25 @@ class RepairBatch:
         """Per-row mask of the symbols a window of w symbols of l bytes must
         reject: a payload other than l bytes, a wire symbol's degree outside
         1..w, or neighbors that are not strictly increasing integers in
-        0..w-1 (a repeated index would cancel in the XOR but count once)."""
+        0..w-1 (a repeated index would cancel in the XOR but count once).
+        Every row is rejected when the columns themselves are malformed:
+        ids, seeds and degrees that are not 1-D integer arrays of one
+        length, a payload matrix of another shape, or exactly one of
+        ``indptr`` and ``indices`` given."""
         n, indptr, idx = len(self), self.indptr, self.indices
-        if self.payloads.dtype != np.uint8 or self.payloads.shape != (n, l):
+        if (any(not isinstance(a, np.ndarray) or a.shape != (n,) or a.dtype.kind not in "iu"
+                for a in (self.ids, self.seeds, self.degrees))
+                or not isinstance(self.payloads, np.ndarray) or self.payloads.dtype != np.uint8
+                or self.payloads.shape != (n, l) or (indptr is None) != (idx is None)):
             return np.ones(n, dtype=bool)
         if indptr is None:
             return (self.degrees < 1) | (self.degrees > w)
+        if (not isinstance(indptr, np.ndarray) or not isinstance(idx, np.ndarray)
+                or indptr.dtype.kind not in "iu" or idx.dtype.kind not in "iu" or idx.ndim != 1
+                or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != idx.size):
+            return np.ones(n, dtype=bool)
         lengths = indptr[1:] - indptr[:-1]
-        if (idx.dtype.kind not in "iu" or idx.ndim != 1 or indptr.shape != (n + 1,)
-                or indptr[0] != 0 or indptr[-1] != idx.size or (lengths < 0).any()):
+        if (lengths < 0).any():
             return np.ones(n, dtype=bool)
         row = np.repeat(np.arange(n), lengths)
         bad = (idx < 0) | (idx >= w)
@@ -408,6 +420,13 @@ class DecodeResult:
     failed_stage: str | None = None
 
 
+def _span_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]:starts[i] + lengths[i]``, span after span."""
+    at = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    at += np.arange(at.size)
+    return at
+
+
 class PeelDecoder:
     """Round-based peeling decoder over a window of w symbols of l bytes.
 
@@ -415,14 +434,23 @@ class PeelDecoder:
     is a row: its payload with the neighbors covered on arrival XORed out,
     the CSR list of its other neighbors, and the count and index sum of
     those still uncovered, so a row with a count of one names its last
-    unknown by the sum (the invertible-Bloom-lookup-table trick). A
-    column-sorted index of the rows' entries finds the rows a newly covered
-    column hits. ``run`` peels in rounds (parallel peeling): each round
-    releases every row with one unknown left, one row per column, XORing
-    their payloads with one gather-and-reduce. A row is XORed with each
-    covered neighbor at most once. The fixpoint depends neither on the
-    release order nor on whether natives arrive before or after the
-    encoding symbols.
+    unknown by the sum (the invertible-Bloom-lookup-table trick).
+
+    A column index finds the rows a newly covered column hits. Each column
+    owns a span of slots in one array, with room to spare, so a batch only
+    writes its own entries; a column that outgrows its span moves to one
+    at least twice as large at the end. When the free slots run out, the
+    array is rebuilt without the covered columns, whose entries are never
+    read again, so it stays within a constant factor of the live entries
+    plus w, whatever the skew of the columns.
+
+    ``run`` peels in rounds (parallel peeling): each round releases every
+    row with one unknown left, one row per column, XORing their payloads
+    with one gather-and-reduce; a ripple of a few rows is released row by
+    row, which takes fewer numpy calls. A row is XORed with each covered
+    neighbor at most once. The fixpoint depends neither on the release
+    order nor on whether natives arrive before or after the encoding
+    symbols.
     """
 
     def __init__(self, w: int, l: int, natives=None):
@@ -438,9 +466,16 @@ class PeelDecoder:
         self._indices = np.zeros(0, dtype=np.int64)
         self._count, self._sum = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         self._rows = np.zeros((0, l), dtype=np.uint8)
-        # Column c's rows are ``_col_rows[_col_ptr[c]:_col_ptr[c + 1]]``.
-        self._col_ptr = np.zeros(w + 1, dtype=np.int64)
-        self._col_rows = np.zeros(0, dtype=np.int64)
+        # Column c's rows are ``_col_rows[_col_start[c]:][:_col_fill[c]]``,
+        # in a span of ``_col_cap[c]`` slots; slots from ``_col_end`` on
+        # are free. Each column starts with _SPARE_SLOTS empty slots.
+        self._col_start = np.arange(0, w * _SPARE_SLOTS, _SPARE_SLOTS)
+        self._col_fill = np.zeros(w, dtype=np.int64)
+        self._col_cap = np.full(w, _SPARE_SLOTS)
+        self._col_rows = np.empty(w * _SPARE_SLOTS, dtype=np.int64)
+        self._col_end = self._col_rows.size
+        # Scratch for picking one ripple row per column in a release round.
+        self._claim = np.zeros(w, dtype=np.int64)
         if natives:
             rows, got = np.zeros((w, l), dtype=np.uint8), np.zeros(w, dtype=bool)
             for idx, payload in natives.items() if isinstance(natives, Mapping) else natives:
@@ -497,7 +532,7 @@ class PeelDecoder:
         span, rows = slice(start, start + got.size), words(np.ascontiguousarray(rows))
         np.copyto(words(self._payloads[span]), rows, where=got[:, None])
         self._covered[span] |= got
-        if self._col_rows.size:
+        if self._count.size:
             self._cover(start + got.nonzero()[0])
         self._uncovered -= int(np.count_nonzero(got))
 
@@ -515,49 +550,96 @@ class PeelDecoder:
             raise InvalidInputError("symbol neighbors unresolved; resolve them first")
         bad = batch.malformed(self.w, self.l)
         if bad.any():
-            raise InvalidInputError(f"symbol {batch.ids[bad][0]}: neighbors must be strictly "
+            raise InvalidInputError(f"batch row {int(bad.argmax())}: ids, seeds and degrees must "
+                                    f"be 1-D integer arrays of one length, neighbors strictly "
                                     f"increasing in 0..{self.w - 1} and payloads {self.l} bytes")
         self._take(batch)
 
     def _take(self, batch: RepairBatch) -> None:
         """``add_batch`` of a resolved batch already checked for malformed rows."""
-        indptr, indices = batch.indptr, batch.indices.astype(np.int64)
-        rows = batch.payloads.copy()
+        indptr, indices = batch.indptr, batch.indices.astype(np.int64, copy=False)
+        first = self._count.size
+        self._rows = np.concatenate((self._rows, batch.payloads))
         open_entry = ~self._covered[indices]
         if not open_entry.all():
-            xor_rows(words(rows), words(self._payloads), indptr, indices, take=self._covered)
+            xor_rows(words(self._rows[first:]), words(self._payloads), indptr, indices,
+                     take=self._covered)
         cols = indices[open_entry]
-        row_of = np.repeat(np.arange(len(batch)), indptr[1:] - indptr[:-1])[open_entry]
+        row_of = np.arange(len(batch)).repeat(indptr[1:] - indptr[:-1])[open_entry]
         count = np.bincount(row_of, minlength=len(batch))
         # Index sums stay far below 2**53, so float weights add them exactly.
         sums = np.bincount(row_of, weights=cols, minlength=len(batch)).astype(np.int64)
-        first = self._count.size
         self._indptr = np.concatenate((self._indptr, self._indptr[-1] + count.cumsum()))
         self._indices = np.concatenate((self._indices, cols))
-        self._rows = np.concatenate((self._rows, rows))
         self._count = np.concatenate((self._count, count))
         self._sum = np.concatenate((self._sum, sums))
-        # Merge into the column index: an old entry moves past the new ones
-        # of lower columns; the j-th new entry in column order lands after
-        # its column's old entries and the j new entries before it.
-        shift = np.zeros(self.w + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols, minlength=self.w), out=shift[1:])
-        order = cols.argsort()
-        col_rows = first + row_of[order]
-        if self._col_rows.size:
-            merged = np.empty(self._col_rows.size + cols.size, dtype=np.int64)
-            merged[np.arange(self._col_rows.size) + np.repeat(
-                shift[:-1], self._col_ptr[1:] - self._col_ptr[:-1])] = self._col_rows
-            merged[self._col_ptr[cols[order] + 1] + np.arange(cols.size)] = col_rows
-            col_rows = merged
-        self._col_rows, self._col_ptr = col_rows, self._col_ptr + shift
+        if cols.size:
+            # One sort of (column, row) keys orders the entries by column; a
+            # column takes 31 bits and a row of the batch 32, far beyond any
+            # window or batch a payload matrix can hold.
+            key = row_of
+            key |= cols << 32
+            key.sort()
+            cols = key >> 32
+            key &= 0xFFFFFFFF
+            key += first
+            self._index(cols, key)
+
+    def _index(self, cols: np.ndarray, rows: np.ndarray) -> None:
+        """Append the entries (cols[i], rows[i]), sorted by column, to the
+        column index."""
+        # Where each column's run of entries starts, and the end.
+        bound = np.ones(cols.size + 1, dtype=bool)
+        np.not_equal(cols[1:], cols[:-1], out=bound[1:-1])
+        bound = bound.nonzero()[0]
+        head = bound[:-1]
+        new, added = cols[head], bound[1:] - head
+        old, cap = self._col_fill[new], self._col_cap[new]
+        fill = old + added
+        over = fill > cap
+        if over.any():
+            # A column that outgrows its span gets room for its entries and
+            # as many spare slots as the span had, so its spans at least
+            # double.
+            self._grow(new[over], fill[over] + cap[over])
+        at = (self._col_start[new] + old - head).repeat(added)
+        at += np.arange(cols.size)
+        self._col_rows[at] = rows
+        self._col_fill[new] = fill
+
+    def _grow(self, cols: np.ndarray, cap: np.ndarray) -> None:
+        """Give ``cols`` spans of ``cap`` slots: free slots at the end if
+        there are enough, else in a rebuilt index. The rebuild keeps every
+        other uncovered column's span and drops the covered ones, and it
+        leaves half as many slots again free."""
+        if self._col_end + cap.sum() <= self._col_rows.size:
+            self._col_end = self._move(cols, cap, self._col_rows, self._col_end)
+            return
+        self._col_cap[cols] = cap
+        self._col_cap[self._covered] = 0
+        self._col_fill[self._covered] = 0
+        held = self._col_cap.nonzero()[0]
+        total = int(self._col_cap.sum())
+        slots = np.empty(total + total // 2, dtype=np.int64)
+        self._col_end = self._move(held, self._col_cap[held], slots, 0)
+        self._col_rows = slots
+
+    def _move(self, cols: np.ndarray, cap: np.ndarray, slots: np.ndarray, at: int) -> int:
+        """Give ``cols`` spans of ``cap`` slots in ``slots`` from ``at`` on,
+        copying their entries; returns the end of the last span."""
+        fill = self._col_fill[cols]
+        start = at + cap.cumsum() - cap
+        slots[_span_index(start, fill)] = self._col_rows[_span_index(self._col_start[cols], fill)]
+        self._col_start[cols], self._col_cap[cols] = start, cap
+        return int(start[-1] + cap[-1])
 
     def _cover(self, cols: np.ndarray) -> np.ndarray:
         """Take the newly covered ``cols`` out of the count and index sum of
         every row listing one; returns those rows (a row once per hit)."""
-        ptr, rows = take_rows(self._col_ptr, self._col_rows, cols)
+        fill = self._col_fill[cols]
+        rows = self._col_rows[_span_index(self._col_start[cols], fill)]
         np.subtract.at(self._count, rows, 1)
-        np.subtract.at(self._sum, rows, np.repeat(cols, ptr[1:] - ptr[:-1]))
+        np.subtract.at(self._sum, rows, cols.repeat(fill))
         return rows
 
     def run(self) -> None:
@@ -570,25 +652,29 @@ class PeelDecoder:
                 ripple = self._release_each(ripple)
 
     def _release_round(self, ripple: np.ndarray) -> np.ndarray:
-        """Release every ripple row at once; returns the next ripple."""
-        # Rows sharing a last unknown release it once.
-        cols, first = np.unique(self._sum[ripple], return_index=True)
-        rows = ripple[first]
+        """Release the ripple's rows at once; returns the next ripple."""
+        # One row per last unknown releases it: each ripple position claims
+        # its row's column, and the positions whose claim survived release.
+        # This also drops a row listed twice.
+        last, at = self._sum[ripple], np.arange(ripple.size)
+        self._claim[last] = at
+        kept = self._claim[last] == at
+        rows, cols = ripple[kept], last[kept]
         # The released columns' payload rows are still zero, so each row's
-        # whole list can go into the XOR.
-        values = self._rows[rows]
-        xor_rows(words(values), words(self._payloads),
-                 *take_rows(self._indptr, self._indices, rows))
-        self._payloads[cols] = values
+        # whole list, never empty, can go into the XOR.
+        values = words(self._rows[rows])
+        src = words(self._payloads)
+        ptr, nbrs = take_rows(self._indptr, self._indices, rows)
+        if nbrs.size * self.l <= _GATHER_BYTES:
+            values ^= np.bitwise_xor.reduceat(src.take(nbrs, axis=0), ptr[:-1], axis=0)
+        else:
+            xor_rows(values, src, ptr, nbrs)
+        src[cols] = values
         self._covered[cols] = True
         self._uncovered -= cols.size
         self.encoding_used += cols.size
         hits = self._cover(cols)
-        ripple = np.sort(hits[self._count[hits] == 1])
-        # A row hit by several released columns is listed once.
-        new = np.ones(ripple.size, dtype=bool)
-        np.not_equal(ripple[1:], ripple[:-1], out=new[1:])
-        return ripple[new]
+        return hits[self._count[hits] == 1]
 
     def _release_each(self, ripple: np.ndarray) -> np.ndarray:
         """Release a small ripple row by row, gathering at most
@@ -608,7 +694,8 @@ class PeelDecoder:
             self._uncovered -= 1
             self.encoding_used += 1
             # A row lists a column once, so these are distinct rows.
-            hits.append(self._col_rows[self._col_ptr[col]:self._col_ptr[col + 1]])
+            start = self._col_start[col]
+            hits.append(self._col_rows[start:start + self._col_fill[col]])
             self._count[hits[-1]] -= 1
             self._sum[hits[-1]] -= col
         hits = np.concatenate(hits)

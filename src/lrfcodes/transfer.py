@@ -164,6 +164,9 @@ class SessionConfig:
             raise InvalidParameterError("window and symbol_bytes must be >= 1")
         if self.epsilon < 0:
             raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.initial_loss_rate is not None and not 0.0 <= self.initial_loss_rate <= 1.0:
+            raise InvalidParameterError(
+                f"initial loss rate {self.initial_loss_rate} outside [0, 1]")
 
     @property
     def uses_precode(self) -> bool:
@@ -386,10 +389,11 @@ class DestinationState:
                 # Each malformed row is dropped and counted once; the rest
                 # of the batch is decoded without another check.
                 bad = batch.malformed(*self._shape)
-                if bad.any():
-                    self.metrics.protocol_errors += int(np.count_nonzero(bad))
-                    batch = batch.select(~bad)
-                if len(batch):
+                good = bad.size - int(np.count_nonzero(bad))
+                self.metrics.protocol_errors += bad.size - good
+                if good:
+                    if good < bad.size:
+                        batch = batch.select(~bad)
                     state = self._window(event.window)
                     if not state.complete:
                         state.decoder._take(batch.resolved(self._shape[0]))

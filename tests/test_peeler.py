@@ -8,6 +8,7 @@ before, between and after the batches; after every ``run()`` they must
 agree on everything a caller can observe.
 """
 
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -168,3 +169,80 @@ def test_a_row_longer_than_one_gather_releases_in_slices():
     decoder.run()
     assert decoder.success and decoder.encoding_used == 2
     np.testing.assert_array_equal(decoder.payloads, block.data)
+
+
+def test_a_column_growing_past_its_span_matches_the_reference():
+    # Every row lists column 0, each of the first four batches four times
+    # as many as the one before, so column 0 outgrows whatever room the
+    # column index gave it and the index rebuilds. Each row also lists one
+    # column of ``late``, whose natives come after the batches, so nothing
+    # peels until then; the last batch lists column 1 in every row, which
+    # then outgrows its span alone and moves. Natives of the other columns
+    # arrive between the batches.
+    w, l = 40, 8
+    block = SourceBlock.random(w, l, 7)
+    rng = np.random.default_rng(7)
+    late, early = np.arange(1, 11), np.arange(11, w)
+    decoder, reference = PeelDecoder(w, l), ReferencePeeler(w, l)
+
+    def check():
+        decoder.run()
+        reference.run()
+        np.testing.assert_array_equal(decoder.covered, reference.covered)
+        np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+        assert decoder.encoding_used == reference.encoding_used
+        assert _equations(decoder) == reference.pending_rows()
+
+    def natives(cols):
+        for idx in cols.tolist():
+            if not decoder.covered[idx]:
+                decoder.add_native(idx, block.data[idx])
+                reference.add_native(idx, block.data[idx])
+        check()
+
+    for k, (n, focus) in enumerate(((3, late), (12, late), (48, late), (192, late),
+                                    (40, late[:1]))):
+        sets = [np.unique([0, rng.choice(focus), *rng.choice(early, rng.integers(0, 3))])
+                for _ in range(n)]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum([s.size for s in sets], out=indptr[1:])
+        payloads = np.array([np.bitwise_xor.reduce(block.data[s], axis=0) for s in sets])
+        decoder.add_batch(RepairBatch(np.arange(n), np.zeros(n, dtype=np.uint64),
+                                      np.diff(indptr), indptr, np.concatenate(sets), payloads))
+        for s, payload in zip(sets, payloads):
+            reference.add_symbol(s.tolist(), payload)
+        check()
+        natives(early[k::4])
+    assert not decoder.covered[0] and decoder.live_rows == 3 + 12 + 48 + 192 + 40
+    natives(late)
+    assert decoder.success
+    np.testing.assert_array_equal(decoder.payloads, block.data)
+
+
+def test_column_index_memory_follows_entries_not_the_largest_column():
+    # 10,000 rows each list column 0 and one other column. An index that
+    # padded every column to the largest one would hold w * 10,000 slots;
+    # this one stays within a small multiple of the batch's own bytes.
+    w, l = 10_000, 8
+    block = SourceBlock.random(w, l, 3)
+    other = np.random.default_rng(3).integers(1, w, w)
+    indices = np.stack((np.zeros(w, dtype=np.int64), other), axis=1).ravel()
+    batch = RepairBatch(np.arange(w, dtype=np.uint64), np.zeros(w, dtype=np.uint64),
+                        np.full(w, 2), np.arange(0, 2 * w + 1, 2), indices,
+                        block.data[0] ^ block.data[other])
+    own = sum(a.nbytes for a in (batch.ids, batch.seeds, batch.degrees, batch.indptr,
+                                 batch.indices, batch.payloads))
+    decoder = PeelDecoder(w, l)
+    tracemalloc.start()
+    try:
+        decoder.add_batch(batch)
+        decoder.add_native(0, block.data[0])
+        decoder.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    covered = np.zeros(w, dtype=bool)
+    covered[0] = covered[other] = True
+    np.testing.assert_array_equal(decoder.covered, covered)
+    np.testing.assert_array_equal(decoder.payloads[covered], block.data[covered])
+    assert peak < 8 * own, (peak, own)

@@ -71,6 +71,13 @@ def test_session_config_validation():
     with pytest.raises(InvalidParameterError):
         SessionConfig(window=8, symbol_bytes=8, epsilon=-1.0, scheme="LRF",
                       channel=cfg)
+    # A warm-start loss estimate is a rate, as the channel's is.
+    for rate in (-0.1, 1.5, float("nan")):
+        with pytest.raises(InvalidParameterError):
+            SessionConfig(window=8, symbol_bytes=8, epsilon=0.1, scheme="LRF",
+                          channel=cfg, initial_loss_rate=rate)
+    with pytest.raises(InvalidParameterError):
+        run_session(64, 8, 8, cfg, 0.1, "LRF", initial_loss_rate=1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +469,36 @@ def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
     other = DestinationState(cfg, SessionMetrics())
     assert other.step(Repairs(0, corrupted([1, 7]))) == []
     assert (other.metrics.protocol_errors, other.metrics.delivered) == (2, 7)
+
+
+def _bad_columns(case):
+    """A repair batch for a (16, 8) window whose columns disagree."""
+    good = encode_stream(SourceBlock.random(16, 8, seed=3), ideal_soliton(16), 5, 2)
+    wire = dataclasses.replace(good, indptr=None, indices=None)
+    one = good.select(slice(0, 1))
+    return {"indices missing": dataclasses.replace(good, indices=None),
+            "indptr missing": dataclasses.replace(good, indptr=None),
+            "ids a list": dataclasses.replace(good, ids=good.ids.tolist()),
+            "one degree for two ids": dataclasses.replace(wire, degrees=wire.degrees[:1]),
+            "one seed for two ids": dataclasses.replace(wire, seeds=wire.seeds[:1]),
+            "2-D indptr": dataclasses.replace(one, indptr=one.indptr[None])}[case]
+
+
+@pytest.mark.parametrize("case", ["indices missing", "indptr missing", "ids a list",
+                                  "one degree for two ids", "one seed for two ids", "2-D indptr"])
+def test_a_batch_with_disagreeing_columns_is_malformed_row_by_row(case):
+    # Each row of such a batch counts one protocol error, no window opens,
+    # and nothing else is raised; add_batch rejects the batch as input.
+    batch = _bad_columns(case)
+    cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.05, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    assert dst.step(Repairs(0, batch)) == []
+    assert (metrics.protocol_errors, metrics.delivered) == (len(batch.ids), 0)
+    assert dst.windows == {}
+    with pytest.raises(InvalidInputError):
+        PeelDecoder(16, 8).add_batch(batch)
 
 
 def test_destination_checks_each_repair_batch_once(monkeypatch):
