@@ -479,8 +479,7 @@ class PeelDecoder:
         if natives:
             rows, got = np.zeros((w, l), dtype=np.uint8), np.zeros(w, dtype=bool)
             for idx, payload in natives.items() if isinstance(natives, Mapping) else natives:
-                self._check_native(idx, payload, got)
-                rows[idx], got[idx] = np.frombuffer(payload, dtype=np.uint8), True
+                rows[idx], got[idx] = self._native_row(idx, payload, got), True
             self._load(rows, got)
 
     @property
@@ -497,18 +496,27 @@ class PeelDecoder:
         equations ``pending_rows`` would return."""
         return int(np.count_nonzero(self._count))
 
-    def _check_native(self, idx: int, payload, covered: np.ndarray) -> None:
+    def _native_row(self, idx: int, payload, covered: np.ndarray) -> np.ndarray:
+        """Native ``idx``'s payload, l bytes or a 1-D uint8 array of l, as a
+        uint8 row; raises InvalidInputError for anything else or for an
+        index out of range or already ``covered``."""
         if not 0 <= idx < self.w:
             raise InvalidInputError(f"native index {idx} outside 0..{self.w - 1}")
         if covered[idx]:
             raise InvalidInputError(f"duplicate native index {idx}")
-        if len(payload) != self.l:
-            raise InvalidInputError(f"native payload length {len(payload)} != {self.l}")
+        try:
+            row = payload if isinstance(payload, np.ndarray) else np.frombuffer(payload, np.uint8)
+        except (BufferError, TypeError, ValueError):
+            row = None
+        if row is None or row.dtype != np.uint8 or row.shape != (self.l,):
+            raise InvalidInputError(f"native {idx}: payload must be {self.l} bytes or a 1-D "
+                                    f"uint8 array of {self.l}")
+        return row
 
     def add_native(self, idx: int, payload) -> None:
         """``add_natives`` of one symbol: ``bytes`` or a uint8 row of l bytes."""
-        self._check_native(idx, payload, self._covered)
-        self._load(np.frombuffer(payload, dtype=np.uint8)[None], np.ones(1, dtype=bool), idx)
+        self._load(self._native_row(idx, payload, self._covered)[None],
+                   np.ones(1, dtype=bool), idx)
 
     def add_natives(self, rows: np.ndarray, got: np.ndarray) -> None:
         """Cover symbol i with ``rows[i]`` wherever ``got[i]``, for an (n, l)
@@ -721,23 +729,14 @@ class PeelDecoder:
         symbols: CSR ``(indptr, indices)`` of each symbol's uncovered
         neighbors, and an (equations, l) uint8 matrix whose row is the XOR
         of those neighbors' payloads. Lets a caller finish with elimination
-        what peeling alone could not.
-
-        The covered neighbors are XORed into the rows here and dropped from
-        their lists, so a later call or release does not XOR them again.
+        what peeling alone could not. A pure read: the decoder is unchanged.
         """
         live = (self._count > 0).nonzero()[0]
         indptr, indices = take_rows(self._indptr, self._indices, live)
         values = self._rows[live]
         xor_rows(words(values), words(self._payloads), indptr, indices, take=self._covered)
-        self._rows[live] = values
         keep = ~self._covered[indices]
-        indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-        self._indices = indices[keep]
-        lengths = np.zeros(self._count.size, dtype=np.int64)
-        lengths[live] = np.diff(indptr)
-        self._indptr = np.concatenate(([0], np.cumsum(lengths)))
-        return indptr, self._indices.copy(), values
+        return np.concatenate(([0], np.cumsum(keep)))[indptr], indices[keep], values
 
     def covered_map(self) -> dict[int, bytes]:
         return {int(i): self._payloads[i].tobytes() for i in np.flatnonzero(self._covered)}

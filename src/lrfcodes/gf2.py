@@ -12,13 +12,11 @@ Each equation says that the XOR of some unknowns equals its right-hand side.
   after its equation's coefficient words in one ``uint64`` row, so a row
   operation on coefficients and right-hand side together is one numpy XOR.
 
-Elimination runs in two phases over the same packed rows. The peel phase
-pivots on equations with a single unknown left, which is the ripple of a
-peeling decoder; the dense phase is Gauss-Jordan elimination over the
-unknowns the peel left. ``xor_rows`` multiplies a sparse 0/1 matrix by a
-payload matrix, also a word at a time (``words``): it builds the encoder's
-repair payloads, the peeling decoder's released symbols, the precode's
-parity symbols and the constraints' right-hand sides.
+Elimination is Gauss-Jordan over the packed rows; peeling is left to the
+peeling decoder that hands over its residual. ``xor_rows`` multiplies a
+sparse 0/1 matrix by a payload matrix, also a word at a time (``words``):
+it builds the encoder's repair payloads, the peeling decoder's released
+symbols, the precode's parity symbols and the constraints' right-hand sides.
 """
 
 from __future__ import annotations
@@ -123,59 +121,32 @@ def _pack(indptr: np.ndarray, indices: np.ndarray, unknowns: np.ndarray,
     return packed
 
 
-def _eliminate(M: np.ndarray, nu: int, residual_cap: int | None = None) -> np.ndarray:
-    """Reduce ``M`` in place: each row is an equation's packed coefficient
-    words followed by its right-hand side words, so one XOR of two rows is a
-    whole row operation. Returns each column's pivot row, -1 where it has
-    none.
+def _eliminate(M: np.ndarray, nu: int) -> np.ndarray:
+    """Reduce ``M`` in place by Gauss-Jordan elimination: each row is an
+    equation's packed coefficient words followed by its right-hand side
+    words, so one XOR of two rows is a whole row operation. Returns each
+    column's pivot row, -1 where it has none.
 
-    Peel phase first, then the dense phase, unless more than
-    ``residual_cap`` columns are left without a pivot after the peel. On
-    return each pivot row holds its pivot column plus free columns only.
+    On return each pivot row holds its pivot column plus free columns only.
     """
     nw = (nu + 63) // 64
     pivot = np.full(nu, -1, dtype=np.int64)
-    weight = np.unpackbits(M[:, :nw].view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
-    free_row = weight > 0
-
-    def pivot_on(r: int, col: int, hits: np.ndarray) -> np.ndarray:
-        """Clear ``col`` from the rows ``hits`` (r among them) with row r."""
-        hits = hits[hits != r]
-        M[hits] ^= M[r]
-        pivot[col] = r
-        free_row[r] = False
-        return hits
-
-    def rows_with(col: int) -> np.ndarray:
-        return (M[:, col >> 6] & (_ONE << np.uint64(col & 63))).nonzero()[0]
-
-    # Peel phase: a weight-1 row pins its column; clearing that column
-    # from the other rows lowers each of their weights by one. A peel pivot
-    # row keeps its single bit, so no later row operation touches it.
-    ripple = (weight == 1).nonzero()[0].tolist()
-    while ripple:
-        r = ripple.pop()
-        if not free_row[r] or weight[r] != 1:
-            continue
-        word = int(M[r, :nw].nonzero()[0][0])
-        col = word * 64 + int(M[r, word]).bit_length() - 1
-        hits = pivot_on(r, col, rows_with(col))
-        weight[hits] -= 1
-        ripple += hits[weight[hits] == 1].tolist()
-
-    if residual_cap is None or np.count_nonzero(pivot < 0) <= residual_cap:
-        for col in (pivot < 0).nonzero()[0].tolist():
-            hits = rows_with(col)
-            cand = hits[free_row[hits]]
-            if cand.size:
-                pivot_on(int(cand[0]), col, hits)
+    free_row = np.ones(M.shape[0], dtype=bool)
+    for col in range(nu):
+        hits = (M[:, col >> 6] & (_ONE << np.uint64(col & 63))).nonzero()[0]
+        cand = hits[free_row[hits]]
+        if cand.size:
+            r = int(cand[0])
+            M[hits[hits != r]] ^= M[r]
+            pivot[col] = r
+            free_row[r] = False
 
     if M[~M[:, :nw].any(axis=1), nw:].any():
         raise InvalidInputError("inconsistent XOR system")
     return pivot
 
 
-def solve_partial(rows, unknowns, rhs, residual_cap: int | None = None) -> dict:
+def solve_partial(rows, unknowns, rhs) -> dict:
     """Solve XOR equations for as many unknowns as the system determines.
 
     Args:
@@ -184,14 +155,11 @@ def solve_partial(rows, unknowns, rhs, residual_cap: int | None = None) -> dict:
         unknowns: the distinct unknown indices, in any order.
         rhs: (equations, l) uint8 matrix; row r is equation r's right-hand
             side. It is not modified.
-        residual_cap: when more than this many unknowns are left after the
-            peel phase, the dense phase is skipped and only the peeled
-            unknowns are returned.
 
     Returns:
         Mapping unknown index -> its l-byte value (a uint8 row) for every
-        unknown the system pins down: each peeled unknown, and each dense
-        pivot whose reduced row has no free column.
+        unknown the system pins down: each pivot whose reduced row has no
+        free column.
 
     Raises:
         InvalidInputError: the system is inconsistent (a row reduces to
@@ -212,7 +180,7 @@ def solve_partial(rows, unknowns, rhs, residual_cap: int | None = None) -> dict:
     M = _pack(indptr, indices, unknowns, spare=(l + 7) // 8)
     values = M[:, nw:].view(np.uint8)
     values[:, :l] = rhs
-    pivot = _eliminate(M, unknowns.size, residual_cap)
+    pivot = _eliminate(M, unknowns.size)
 
     cols = (pivot >= 0).nonzero()[0]
     unpivoted = (pivot < 0).nonzero()[0]

@@ -28,7 +28,9 @@ from .codec import (DecodeResult, PeelDecoder, RepairBatch, SourceBlock, derive_
 from .distributions import DegreeDistribution
 from .errors import DecodeFailure, InvalidInputError, InvalidParameterError
 
-RESIDUAL_CAP_DEFAULT = 2000
+# Bounds the dense elimination, whose work grows with the square of the
+# unknowns or faster: a system with more unknowns fails before it.
+RESIDUAL_CAP = 2000
 _MAX_CONSTRUCTION_ATTEMPTS = 32
 
 
@@ -157,14 +159,13 @@ def dense_buckets(cfg: PrecodeConfig) -> tuple:
     return tuple(groups)
 
 
-def _xor_dense(out: np.ndarray, src: np.ndarray, cfg: PrecodeConfig,
-               take: np.ndarray | None = None) -> None:
+def _xor_dense(out: np.ndarray, src: np.ndarray, cfg: PrecodeConfig) -> None:
     """``out[j] ^=`` the XOR of ``src`` over the members of dense constraint
-    row s + j (those with ``take`` set, as in ``gf2.xor_rows``): one gather
-    per group of rows into its buckets, then each row from its buckets."""
+    row s + j: one gather per group of rows into its buckets, then each row
+    from its buckets."""
     for lo, hi, (b_ptr, members), rows in dense_buckets(cfg):
         buckets = np.zeros((b_ptr.size - 1, out.shape[1]), dtype=out.dtype)
-        gf2.xor_rows(buckets, src, b_ptr, members, take=take)
+        gf2.xor_rows(buckets, src, b_ptr, members)
         gf2.xor_rows(out[lo - cfg.s:hi - cfg.s], buckets, *rows)
 
 
@@ -189,55 +190,23 @@ def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
     return SourceBlock(inter)
 
 
-class ConstraintRhs:
-    """Right-hand sides of the parity constraints over one ``PeelDecoder``'s
-    covered intermediates, carried across the solves of that decoder.
-
-    Row j is the XOR of constraint j's covered members, so its uncovered
-    members XOR to it. A decoder only ever adds covered intermediates, so
-    each ``fold`` XORs in just those covered since the previous one.
-    """
-
-    def __init__(self, cfg: PrecodeConfig, l: int):
-        self.cfg = cfg
-        self.rhs = np.zeros((cfg.s + cfg.h, l), dtype=np.uint8)
-        self.folded = np.zeros(cfg.total, dtype=bool)
-
-    def fold(self, covered: np.ndarray, payloads: np.ndarray) -> None:
-        """Bring ``rhs`` up to date with the decoder's covered mask and
-        payload matrix."""
-        if (self.folded & ~covered).any():
-            raise InvalidParameterError("constraint right-hand sides of another decoder")
-        take = covered & ~self.folded
-        if take.any():
-            s, indptr, indices = self.cfg.s, *constraint_matrix(self.cfg)
-            rhs, src = gf2.words(self.rhs), gf2.words(payloads)
-            gf2.xor_rows(rhs[:s], src, indptr[:s + 1], indices, take=take)
-            _xor_dense(rhs[s:], src, self.cfg, take=take)
-        self.folded = covered.copy()
-
-
-def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
-                  residual_cap: int = RESIDUAL_CAP_DEFAULT,
-                  state: ConstraintRhs | None = None) -> np.ndarray:
+def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
     """Fill missing intermediates from the parity constraints and return the
     k native payloads as a (k, l) uint8 matrix.
 
     ``decoder`` is a ``PeelDecoder`` over the ``cfg.total`` intermediates,
     read in place: its covered mask, payload matrix and pending equations
     (any further equations over the intermediates go in with ``add_batch``
-    first). ``state`` carries the constraint right-hand sides across the
-    solves of one decoder; without it they are folded from scratch.
+    first). A constraint's right-hand side is the XOR of its covered
+    members, summed in one pass over the payload matrix, whose uncovered
+    rows read zero. The constraints and the pending equations then go to
+    one Gauss-Jordan elimination (``gf2.solve_partial``).
 
-    The constraints and the pending equations go to one bit-packed
-    elimination (``gf2.solve_partial``), whose peel phase pivots on
-    single-unknown equations; its dense phase runs only if at most
-    ``residual_cap`` unknowns are left after that peel.
-
-    A system with fewer equations E than unknowns U fails before any of
-    that work (no fold, no ``pending_rows``, no elimination). E counts the
+    A system with fewer equations E than unknowns U, or with more than
+    ``RESIDUAL_CAP`` unknowns, fails before any of that work (no
+    right-hand sides, no ``pending_rows``, no elimination). E counts the
     constraint rows with an uncovered member and the decoder's
-    ``live_rows``; U the uncovered intermediates. The exit is exact:
+    ``live_rows``; U the uncovered intermediates. The E < U exit is exact:
     uncovered parity k + j lies in constraint row j, and a sparse row lists
     only natives besides its parity while a dense row lists only indices
     below k + s. Those rows are therefore unit lower triangular over the
@@ -266,24 +235,25 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
         rows = counts > 0
         unknowns = np.flatnonzero(~covered)
         equations = int(np.count_nonzero(rows)) + decoder.live_rows
-        if equations < unknowns.size:
+        if equations < unknowns.size or unknowns.size > RESIDUAL_CAP:
             raise DecodeFailure(
                 f"{len(missing)} natives undetermined: {equations} equations for "
-                f"{unknowns.size} unknowns", unresolved=len(missing), stage="precode")
-        if state is None:
-            state = ConstraintRhs(cfg, decoder.l)
-        state.fold(covered, payloads)
+                f"{unknowns.size} unknowns (cap {RESIDUAL_CAP})", unresolved=len(missing),
+                stage="precode")
+        rhs = np.zeros((cfg.s + cfg.h, decoder.l), dtype=np.uint8)
+        src = gf2.words(payloads)
+        gf2.xor_rows(gf2.words(rhs[:cfg.s]), src, indptr[:cfg.s + 1], indices)
+        _xor_dense(gf2.words(rhs[cfg.s:]), src, cfg)
         p_indptr, p_indices, p_rhs = decoder.pending_rows()
         solved = gf2.solve_partial(
             (np.concatenate(([0], np.cumsum(counts[rows]), p_indptr[1:] + counts.sum())),
              np.concatenate((indices[open_entry], p_indices))),
-            unknowns, np.concatenate((state.rhs[rows], p_rhs)),
-            residual_cap=residual_cap)
+            unknowns, np.concatenate((rhs[rows], p_rhs)))
         undetermined = [i for i in missing if i not in solved]
         if undetermined:
             raise DecodeFailure(
                 f"{len(undetermined)} natives undetermined by the parity constraints "
-                f"({unknowns.size - len(solved)} unknowns left, residual cap {residual_cap})",
+                f"({unknowns.size - len(solved)} unknowns left)",
                 unresolved=len(undetermined), stage="precode")
     natives = payloads[:cfg.k].copy()
     for i in missing:
@@ -299,8 +269,7 @@ def raptor_encode(block: SourceBlock, cfg: PrecodeConfig, dist: DegreeDistributi
                          start_id=start_id)
 
 
-def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None,
-                  residual_cap: int = RESIDUAL_CAP_DEFAULT) -> DecodeResult:
+def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None) -> DecodeResult:
     """Peel over the intermediate block, then solve the precode residual.
 
     ``natives`` maps intermediate indices (normally 0..k-1) to payloads, and
@@ -321,7 +290,7 @@ def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None,
     decoder.add_batch(batch)
     decoder.run()
     try:
-        recovered = precode_solve(decoder, cfg, residual_cap=residual_cap)
+        recovered = precode_solve(decoder, cfg)
     except DecodeFailure as exc:
         return DecodeResult(
             recovered={i: p for i, p in decoder.covered_map().items() if i < cfg.k},

@@ -37,7 +37,7 @@ from .codec import PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_st
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
 from .errors import DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure
-from .precode import ConstraintRhs, PrecodeConfig, precode_expand, precode_solve
+from .precode import PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
 
@@ -320,8 +320,6 @@ class SourceState:
 @dataclass
 class _WindowState:
     decoder: PeelDecoder | None  # None once the window is taken
-    # The precode constraints' right-hand sides, carried across NACK rounds.
-    constraints: ConstraintRhs | None
     natives_seen: int = 0
     losses_seen: int = 0
     complete: bool = False
@@ -350,10 +348,7 @@ class DestinationState:
     def _window(self, index: int) -> _WindowState:
         state = self.windows.get(index)
         if state is None:
-            pc = self.precode
-            state = _WindowState(decoder=PeelDecoder(*self._shape),
-                                 constraints=ConstraintRhs(pc, self._shape[1]) if pc else None)
-            self.windows[index] = state
+            state = self.windows[index] = _WindowState(decoder=PeelDecoder(*self._shape))
         return state
 
     def step(self, event) -> list:
@@ -419,7 +414,7 @@ class DestinationState:
             natives = decoder.payloads[:k]
         elif self.precode is not None and (state.repairs_received or state.losses_seen):
             try:
-                natives = precode_solve(decoder, self.precode, state=state.constraints)
+                natives = precode_solve(decoder, self.precode)
             except DecodeFailure:
                 natives = None
         self.metrics.decode_time += time.perf_counter() - t0
@@ -441,7 +436,7 @@ class DestinationState:
         if state is None or state.recovered is None:
             raise InvalidParameterError(f"window {index} is not acked or already taken")
         natives = state.recovered
-        state.recovered = state.decoder = state.constraints = None
+        state.recovered = state.decoder = None
         return natives
 
 

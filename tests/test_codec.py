@@ -228,6 +228,29 @@ def test_decoder_rejects_bad_payload_length():
         dec.add_native(1, b"abc")
 
 
+@pytest.mark.parametrize("w, l, payload", [
+    (4, 2, np.array([256, 2])),
+    (4, 16, np.arange(16, dtype=np.int16)),
+    (4, 2, np.array([[1, 2]], dtype=np.uint8)),
+    (4, 2, [1, 2]),
+    (4, 2, "ab"),
+    (4, 2, memoryview(b"abcd")[::2]),
+])
+def test_decoder_rejects_a_native_that_is_not_l_bytes(w, l, payload):
+    # A native is l bytes or a 1-D uint8 array of l; anything else is
+    # rejected, by add_native and by the constructor alike, covering nothing.
+    # An l-long array of wider integers must not be read as its raw bytes.
+    dec = PeelDecoder(w, l)
+    with pytest.raises(InvalidInputError):
+        dec.add_native(1, payload)
+    assert not dec.covered.any()
+    with pytest.raises(InvalidInputError):
+        PeelDecoder(w, l, {0: payload})
+    for good in (bytes(range(l)), bytearray(range(l)), np.arange(l, dtype=np.uint8)):
+        dec.add_native(int(dec.covered.sum()), good)
+        assert dec.payloads[dec.covered.sum() - 1].tobytes() == bytes(range(l))
+
+
 def test_decoder_requires_resolved_neighbors():
     blk = SourceBlock.random(8, 4, seed=1)
     sym = encode_symbol(blk, ideal_soliton(8), seed=77)
@@ -276,17 +299,22 @@ def test_symbol_id_or_seed_outside_u64_rejected(field, value):
 
 
 def test_pending_rows_are_consistent_equations():
-    # Rows reported for undischarged symbols must XOR to the true values.
+    # Rows reported for undischarged symbols must XOR to the true values,
+    # and reading them changes nothing: a second read returns the same
+    # arrays, and once all natives but one of the rows' unknowns arrive,
+    # the release of that one recovers the block (no covered neighbor is
+    # XORed out twice). The symbols go in before the natives, so the rows
+    # still list covered neighbors.
     w, l = 30, 4
     blk = SourceBlock.random(w, l, seed=8)
     lost = set(range(0, 30, 3))
     dec = PeelDecoder(w, l)
-    for i in range(w):
-        if i not in lost:
-            dec.add_native(i, blk.data[i])
     dist = lrf_ideal(LossContext(w, len(lost)))
     for sym in encode_stream(blk, dist, base_seed=2, count=4):
         dec.add_symbol(sym)
+    for i in range(w):
+        if i not in lost:
+            dec.add_native(i, blk.data[i])
     dec.run()
     ints = [int.from_bytes(row.tobytes(), "little") for row in blk.data]
     indptr, indices, rhs = dec.pending_rows()
@@ -297,6 +325,16 @@ def test_pending_rows_are_consistent_equations():
             assert not dec._covered[j]
             acc ^= ints[j]
         assert acc == int.from_bytes(rhs[r].tobytes(), "little")
+    for got, want in zip(dec.pending_rows(), (indptr, indices, rhs)):
+        np.testing.assert_array_equal(got, want)
+    assert indices.size
+    held_back = int(indices[0])
+    for i in sorted(lost - {held_back}):
+        if not dec._covered[i]:
+            dec.add_native(i, blk.data[i])
+    dec.run()
+    assert dec.success
+    np.testing.assert_array_equal(dec.payloads, blk.data)
 
 
 # ---------------------------------------------------------------------------

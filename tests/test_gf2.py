@@ -40,8 +40,8 @@ def _determined(nu, rows):
 
 
 def _system(seed, nu, nrows, l):
-    """Random equations over unknowns 0..nu-1 (a few of weight one, so the
-    peel phase has work too) and their true values."""
+    """Random equations over unknowns 0..nu-1 (a few of weight one) and
+    their true values."""
     rng = random.Random(seed)
     values = np.random.default_rng(seed).integers(0, 256, size=(nu, l), dtype=np.uint8)
     rows = []
@@ -52,12 +52,12 @@ def _system(seed, nu, nrows, l):
     return rows, rhs, values
 
 
-def _solve(rows, rhs, ids, **kwargs):
+def _solve(rows, rhs, ids):
     """solve_partial over unknown ids ``ids[j]`` for column j, shuffled."""
     order = list(range(len(ids)))
     random.Random(len(rows)).shuffle(order)
     named = gf2.csr([[ids[j] for j in r] for r in rows])
-    return gf2.solve_partial(named, [ids[j] for j in order], rhs, **kwargs)
+    return gf2.solve_partial(named, [ids[j] for j in order], rhs)
 
 
 @pytest.mark.parametrize("nu, extra, l, seed", [
@@ -102,7 +102,7 @@ def test_solve_partial_rejects_inconsistent_systems():
     rows, rhs, _ = _system(21, 100, 120, 8)
     ids = list(range(100))
     _solve(rows, rhs, ids)
-    # Dense phase: the sum of two equations, with a flipped right-hand side.
+    # The sum of two equations, with a flipped right-hand side.
     i, j = next((i, j) for i in range(len(rows)) for j in range(i)
                 if set(rows[i]) != set(rows[j]))
     bad = sorted(set(rows[i]) ^ set(rows[j]))
@@ -110,26 +110,11 @@ def test_solve_partial_rejects_inconsistent_systems():
     wrong[0] ^= 1
     with pytest.raises(InvalidInputError):
         _solve(rows + [bad], np.concatenate((rhs, wrong[None])), ids)
-    # Peel phase: a unit equation repeated with another value.
+    # A unit equation repeated with another value.
     unit = next(r for r in rows if len(r) == 1)
     other = rhs[rows.index(unit)] ^ np.uint8(0x80)
     with pytest.raises(InvalidInputError):
         _solve(rows + [unit], np.concatenate((rhs, other[None])), ids)
-
-
-def test_solve_partial_residual_cap_stops_after_the_peel():
-    # Unit rows peel x0 and x1 from a 100-unknown system whose rest needs
-    # the dense phase; with a cap below the residual only the peel's
-    # values come back.
-    rows, rhs, values = _system(31, 100, 140, 8)
-    rows = [[0], [0, 1]] + [r for r in rows if len(r) > 1]
-    rhs = np.array([np.bitwise_xor.reduce(values[r], axis=0) for r in rows], dtype=np.uint8)
-    ids = list(range(100))
-    full = _solve(rows, rhs, ids)
-    assert len(full) > 2
-    capped = _solve(rows, rhs, ids, residual_cap=len(full) - 3)
-    assert set(capped) == {0, 1}
-    assert all(capped[u].tobytes() == values[u].tobytes() for u in capped)
 
 
 def test_solve_partial_rejects_unlisted_indices():

@@ -13,9 +13,8 @@ from lrfcodes.codec import EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock
 from lrfcodes.distributions import LossContext, lr_raptor_dist, robust_soliton
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
-from lrfcodes.precode import (ConstraintRhs, PrecodeConfig, constraint_matrix, parity_rows,
-                              precode_expand, precode_solve, raptor_decode,
-                              raptor_encode)
+from lrfcodes.precode import (PrecodeConfig, constraint_matrix, parity_rows, precode_expand,
+                              precode_solve, raptor_decode, raptor_encode)
 
 CFG = PrecodeConfig(k=24, s=5, h=3, seed=7)
 
@@ -170,17 +169,16 @@ def test_parity_rows_match_the_per_native_loop(shape):
 @pytest.mark.parametrize("l", [8, 5])
 def test_bucketed_dense_xor_matches_plain_xor_rows(h, l):
     # Each dense constraint row through the buckets equals the plain CSR
-    # XOR of its members, over all of them or only those ``take`` keeps.
+    # XOR of its members.
     cfg = PrecodeConfig(k=90, s=4, h=h, seed=h)
     indptr, indices = constraint_matrix(cfg)
     rng = np.random.default_rng(h)
     src = rng.integers(0, 256, size=(cfg.total, l), dtype=np.uint8)
-    for take in (None, rng.random(cfg.total) < 0.6, np.zeros(cfg.total, dtype=bool)):
-        start = rng.integers(0, 256, size=(h, l), dtype=np.uint8)
-        got, want = start.copy(), start.copy()
-        precode._xor_dense(gf2.words(got), gf2.words(src), cfg, take=take)
-        gf2.xor_rows(gf2.words(want), gf2.words(src), indptr[cfg.s:], indices, take=take)
-        np.testing.assert_array_equal(got, want)
+    start = rng.integers(0, 256, size=(h, l), dtype=np.uint8)
+    got, want = start.copy(), start.copy()
+    precode._xor_dense(gf2.words(got), gf2.words(src), cfg)
+    gf2.xor_rows(gf2.words(want), gf2.words(src), indptr[cfg.s:], indices)
+    np.testing.assert_array_equal(got, want)
     # The layout lists every dense entry once: a bucket per pattern of rows.
     for lo, hi, (b_ptr, members), (r_ptr, r_buckets) in precode.dense_buckets(cfg):
         assert b_ptr.size == (1 << (hi - lo)) + 1 and b_ptr[1] == 0
@@ -262,11 +260,18 @@ def test_precode_solve_validates_input():
         PeelDecoder(CFG.total, 2, [(0, b"ab"), (1, b"abc")])
 
 
-def test_precode_solve_residual_cap():
+def test_precode_solve_residual_cap(monkeypatch):
+    # Three missing natives: E >= U = 3, so only the cap can stop the solve,
+    # and it does so before any elimination.
     blk = _block()
-    inter = precode_expand(blk, CFG)
-    with pytest.raises(DecodeFailure):
-        precode_solve(_decoder(inter, range(CFG.k)), CFG, residual_cap=2)
+    decoder = _decoder(precode_expand(blk, CFG), {0, 1, 2})
+    np.testing.assert_array_equal(precode_solve(decoder, CFG), blk.data)
+    monkeypatch.setattr(precode, "RESIDUAL_CAP", 2)
+    with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
+        with pytest.raises(DecodeFailure) as exc:
+            precode_solve(decoder, CFG)
+    assert exc.value.stage == "precode" and exc.value.unresolved == 3
+    assert not solve.called
 
 
 def test_precode_solve_uses_extra_rows():
@@ -322,8 +327,8 @@ def precode_systems(draw):
 @given(precode_systems())
 def test_early_exit_fires_only_on_an_undetermined_native(system):
     # When precode_solve fails without reaching the elimination, the full
-    # elimination of the same system (no residual cap) must leave some
-    # missing native undetermined.
+    # elimination of the same system must leave some missing native
+    # undetermined.
     cfg, decoder = system
     missing = np.flatnonzero(~decoder.covered[:cfg.k]).tolist()
     with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
@@ -338,13 +343,15 @@ def test_early_exit_fires_only_on_an_undetermined_native(system):
     indptr, indices = constraint_matrix(cfg)
     rows = [[i for i in indices[a:b].tolist() if not covered[i]]
             for a, b in zip(indptr[:-1], indptr[1:])]
-    state = ConstraintRhs(cfg, decoder.l)
-    state.fold(covered, decoder.payloads)
+    # A constraint's uncovered members XOR to its covered ones, and the
+    # payload rows of uncovered intermediates are zero.
+    rhs = np.array([np.bitwise_xor.reduce(decoder.payloads[indices[a:b]])
+                    for a, b in zip(indptr[:-1], indptr[1:])])
     p_indptr, p_indices, p_rhs = decoder.pending_rows()
     pending = [p_indices[a:b].tolist() for a, b in zip(p_indptr[:-1], p_indptr[1:])]
     solved = gf2.solve_partial(gf2.csr([r for r in rows if r] + pending),
                                np.flatnonzero(~covered),
-                               np.concatenate((state.rhs[[bool(r) for r in rows]], p_rhs)))
+                               np.concatenate((rhs[[bool(r) for r in rows]], p_rhs)))
     assert any(i not in solved for i in missing)
 
 

@@ -569,9 +569,8 @@ def test_session_peak_memory_does_not_grow_by_a_decoder_per_window():
 @pytest.mark.parametrize("scheme", ["LRF", "LR-Raptor"])
 def test_taken_windows_hold_no_decoder_after_each_run_window(monkeypatch, scheme):
     # Once run_window returns a window's natives, that window's state in the
-    # destination keeps neither its decoder nor its constraint right-hand
-    # sides: a bound on peak memory alone lets one extra window's decoder
-    # stay alive unnoticed.
+    # destination keeps neither its decoder nor its natives: a bound on peak
+    # memory alone lets one extra window's decoder stay alive unnoticed.
     taken = []
 
     def checked(source, dest, index, block, deliver):
@@ -579,7 +578,7 @@ def test_taken_windows_hold_no_decoder_after_each_run_window(monkeypatch, scheme
         taken.append(index)
         for i in taken:
             state = dest.windows[i]
-            assert (state.decoder, state.constraints, state.recovered) == (None, None, None)
+            assert (state.decoder, state.recovered) == (None, None)
         return natives
 
     run_window = transfer.run_window
@@ -590,10 +589,9 @@ def test_taken_windows_hold_no_decoder_after_each_run_window(monkeypatch, scheme
 
 def test_conclude_matches_a_fresh_precode_solve_every_round():
     # Warm-started far below the true loss, the window needs several NACK
-    # rounds; conclude carries the constraint right-hand sides across them
-    # and must agree each round with solves from scratch of the same
-    # decoder state: in place, and on a fresh decoder given its covered
-    # symbols and pending equations.
+    # rounds; each round conclude must agree with two more solves of the
+    # same decoder state: in place, and on a fresh decoder given its
+    # covered symbols and pending equations.
     cfg = SessionConfig(window=400, symbol_bytes=16, epsilon=0.2, scheme="LR-Raptor",
                         channel=ChannelConfig(0.0, seed=0), seed=12,
                         initial_loss_rate=0.01)
