@@ -11,7 +11,7 @@ Subpackages/modules:
 
 from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
 from .codec import (DecodeResult, EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock,
-                    encode_stream, encode_symbol, peel_decode, select_neighbors)
+                    encode_stream, peel_decode, select_neighbors)
 from .distributions import (DegreeDistribution, LossContext, average_degree,
                             ideal_soliton, lr_raptor_dist, lrf_ideal,
                             min_degree, recovery_probability,

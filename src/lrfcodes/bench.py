@@ -6,28 +6,31 @@ Experiments:
                       ratios are per *lost* symbol.
     lt-compare     -- robust-soliton fountain baseline vs the loss-aware
                       codec; ratios are per *input* symbol.
-    raptor-compare -- precoded baseline vs the capped loss-aware variant;
-                      ratios are per *input* symbol.
+    raptor-compare -- precoded baseline vs the precoded loss-aware codec
+                      (capped only with ``d_max``); ratios are per *input*
+                      symbol.
     transfer       -- full windowed transfer sessions; throughput from wall
                       time.
 
-The three codec experiments share one loop, driven by one table that gives
-each experiment its schemes, its ratio denominator and its trials' seeds.
-A trial is one window through the transfer protocol's exchange loop
+The four experiments share one loop and one aggregator, driven by one
+table that gives each experiment its schemes, its ratio denominator, its
+trials' seeds, its trial and its windows. A codec experiment's trial is one
+window through the transfer protocol's exchange loop
 (``transfer.run_window``): the natives a seeded loss mask marks are lost,
 repair symbols always arrive, and NACK-driven repair batches follow until
 the window is acked or the source's repair budget runs out. Batch sizes,
 repair budgets and the decode-finish logic are therefore those of
-``transfer``; the realized overhead is measured rather than assumed. The
-decode timing column counts repair decoding only (taking repair batches and
-concluding the window), as ``SessionMetrics.decode_time`` does. Timing
-columns are filled only when timing is enabled; without it they stay empty
-so CSV output is byte-identical across runs with the same master seed.
+``transfer``; the realized overhead is measured rather than assumed. A
+transfer trial is one whole session (``transfer.run_session``); a session
+that fails counts as one that completed no window. The decode timing column
+counts repair decoding only (taking repair batches and concluding windows),
+as ``SessionMetrics.decode_time`` does. Timing columns, and transfer's
+throughput, are filled only when timing is enabled; without it they stay
+empty so CSV output is byte-identical across runs with the same master seed.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import statistics
 import sys
@@ -106,10 +109,10 @@ def _trace(spec: ExperimentSpec, line: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Single-trial codec experiments
+# Trials
 
 
-def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float,
+def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
                  seed: int) -> SessionMetrics | None:
     """One w-symbol window of the transfer protocol under ``scheme``; the
     trial succeeded if its metrics count the window completed.
@@ -137,9 +140,26 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float,
         return [Natives(em.window, em.rows, mask) if isinstance(em, Natives) else em
                 for em in emissions]
 
-    with contextlib.suppress(SessionFailure):
+    try:
         run_window(SourceState(cfg, metrics), DestinationState(cfg, metrics), 0, block, deliver)
+    except SessionFailure:
+        _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={t},"
+                     f"failure unresolved_after_budget enc_sent={metrics.encoding_sent}")
     return metrics
+
+
+def _session_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
+                   seed: int) -> SessionMetrics:
+    """One ``run_session`` of ``spec.total_symbols`` symbols in windows of w;
+    a failed session counts as one that completed no window."""
+    try:
+        return run_session(spec.total_symbols * spec.symbol_bytes, w, spec.symbol_bytes,
+                           ChannelConfig(p, derive_seed(seed, 7)), spec.epsilon, scheme,
+                           seed=seed, delta=spec.delta, c=spec.c, d_max=spec.d_max)
+    except SessionFailure as exc:
+        _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={t},"
+                     f"session_failure window={exc.window} unresolved={exc.unresolved}")
+        return SessionMetrics()
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +168,9 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float,
 
 def _aggregate(spec: ExperimentSpec, scheme: str, w: int, p: float,
                trials: list[SessionMetrics | None], per_input: bool) -> ResultRow:
+    """One row over a (window, loss rate, scheme) cell's trials. Ratios
+    average over the trials that succeeded, or over all of them when none
+    did; timing and throughput average over the successful ones only."""
     used = [t for t in trials if t is not None]
     skipped = len(trials) - len(used)
     if skipped:
@@ -157,106 +180,54 @@ def _aggregate(spec: ExperimentSpec, scheme: str, w: int, p: float,
         return ResultRow(spec.experiment, scheme, w, p, 0, 0.0, 0.0,
                          None, None, None, 1.0, spec.master_seed)
     ok = [m for m in used if m.windows_completed]
-    for i, m in enumerate(used):
-        if not m.windows_completed:
-            _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={i},"
-                         f"failure unresolved_after_budget "
-                         f"enc_sent={m.encoding_sent}")
-    denom = (lambda m: w) if per_input else (lambda m: m.lost)
+    denom = (lambda m: w) if per_input else (lambda m: max(m.lost, 1))
     sample = ok if ok else used
     enc_ratio = statistics.fmean(m.encoding_sent / denom(m) for m in sample)
     deg_ratio = statistics.fmean(m.total_degree_sent / denom(m) for m in sample)
-    if spec.timing:
-        enc_ns = statistics.fmean(m.encode_time * 1e9 / denom(m) for m in sample)
-        dec_ns = statistics.fmean(m.decode_time * 1e9 / denom(m) for m in sample)
-    else:
-        enc_ns = dec_ns = None
+    enc_ns = dec_ns = tput = None
+    if spec.timing and ok:
+        enc_ns = statistics.fmean(m.encode_time * 1e9 / denom(m) for m in ok)
+        dec_ns = statistics.fmean(m.decode_time * 1e9 / denom(m) for m in ok)
+        if spec.experiment == "transfer":
+            tput = statistics.fmean(m.throughput_bytes_per_s for m in ok) / 1e6
     return ResultRow(spec.experiment, scheme, w, p, len(used), enc_ratio,
-                     deg_ratio, enc_ns, dec_ns, None, len(ok) / len(used),
+                     deg_ratio, enc_ns, dec_ns, tput, len(ok) / len(used),
                      spec.master_seed)
 
 
 # ---------------------------------------------------------------------------
-# Experiment drivers
+# Experiment driver
 
 
-# Each codec experiment's schemes, whether its ratios are per input symbol
-# (else per lost symbol), and its trials' seed paths from the (window, loss
-# rate, scheme, trial) indices; the leading tag keeps experiments apart.
-_CODEC_EXPERIMENTS = {
-    "window-sweep": (("LRF",), False, lambda wi, pi, si, t: (1, wi, pi, t)),
-    "lt-compare": (("LT", "LRF"), True, lambda wi, pi, si, t: (2, wi, pi, si, t)),
-    "raptor-compare": (("Raptor", "LR-Raptor"), True, lambda wi, pi, si, t: (3, pi, si, t)),
+# Each experiment's schemes, whether its ratios are per input symbol (else
+# per lost symbol), its trials' seed paths from the (window, loss rate,
+# scheme, trial) indices (the leading tag keeps experiments apart), its
+# trial, and its windows: the precoded schemes run over one block of the
+# precode's k natives, and sessions over the first window length only.
+_EXPERIMENTS = {
+    "window-sweep": (("LRF",), False, lambda wi, pi, si, t: (1, wi, pi, t),
+                     _codec_trial, lambda spec: spec.window_lengths),
+    "lt-compare": (("LT", "LRF"), True, lambda wi, pi, si, t: (2, wi, pi, si, t),
+                   _codec_trial, lambda spec: spec.window_lengths),
+    "raptor-compare": (("Raptor", "LR-Raptor"), True, lambda wi, pi, si, t: (3, pi, si, t),
+                       _codec_trial, lambda spec: (spec.precode_k,)),
+    "transfer": (SCHEMES, False, lambda wi, pi, si, t: (4, pi, si, t),
+                 _session_trial, lambda spec: spec.window_lengths[:1]),
 }
 
 
-def _run_codec(spec: ExperimentSpec) -> list[ResultRow]:
-    """One codec experiment: a row per (window, loss rate, scheme)."""
-    schemes, per_input, seed_path = _CODEC_EXPERIMENTS[spec.experiment]
-    # The precoded schemes run over one block of the precode's k natives.
-    windows = (spec.precode_k,) if spec.experiment == "raptor-compare" else spec.window_lengths
+def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
+    """A row per (window, loss rate, scheme) of the spec's experiment."""
+    schemes, per_input, seed_path, trial, windows = _EXPERIMENTS[spec.experiment]
     rows = []
-    for wi, w in enumerate(windows):
+    for wi, w in enumerate(windows(spec)):
         for pi, p in enumerate(spec.loss_rates):
             for si, scheme in enumerate(schemes):
-                trials = [_codec_trial(spec, scheme, w, p,
-                                       _trial_seed(spec.master_seed, *seed_path(wi, pi, si, t)))
+                trials = [trial(spec, scheme, w, p, t,
+                                _trial_seed(spec.master_seed, *seed_path(wi, pi, si, t)))
                           for t in range(spec.trials)]
                 rows.append(_aggregate(spec, scheme, w, p, trials, per_input))
     return rows
-
-
-def run_transfer(spec: ExperimentSpec) -> list[ResultRow]:
-    """Full windowed sessions for each scheme and loss rate."""
-    rows = []
-    w = spec.window_lengths[0]
-    data_size = spec.total_symbols * spec.symbol_bytes
-    for pi, p in enumerate(spec.loss_rates):
-        for si, scheme in enumerate(SCHEMES):
-            metrics_list = []
-            failures = 0
-            for t in range(spec.trials):
-                seed = _trial_seed(spec.master_seed, 4, pi, si, t)
-                try:
-                    metrics_list.append(run_session(
-                        data_size, w, spec.symbol_bytes,
-                        ChannelConfig(p, derive_seed(seed, 7)),
-                        spec.epsilon, scheme, seed=seed,
-                        delta=spec.delta, c=spec.c, d_max=spec.d_max))
-                except SessionFailure as exc:
-                    failures += 1
-                    _trace(spec, f"transfer,{scheme},{w},{p},trial={t},"
-                                 f"session_failure window={exc.window} "
-                                 f"unresolved={exc.unresolved}")
-            if not metrics_list:
-                rows.append(ResultRow("transfer", scheme, w, p, spec.trials,
-                                      0.0, 0.0, None, None, None, 0.0,
-                                      spec.master_seed))
-                continue
-            enc_ratio = statistics.fmean(
-                (m.encoding_sent / m.lost if m.lost else float(m.encoding_sent))
-                for m in metrics_list)
-            deg_ratio = statistics.fmean(
-                (m.total_degree_sent / m.lost if m.lost else float(m.total_degree_sent))
-                for m in metrics_list)
-            if spec.timing:
-                tput = statistics.fmean(m.throughput_bytes_per_s
-                                        for m in metrics_list) / 1e6
-                enc_ns = statistics.fmean(
-                    m.encode_time * 1e9 / max(m.lost, 1) for m in metrics_list)
-                dec_ns = statistics.fmean(
-                    m.decode_time * 1e9 / max(m.lost, 1) for m in metrics_list)
-            else:
-                tput = enc_ns = dec_ns = None
-            total = failures + len(metrics_list)
-            rows.append(ResultRow("transfer", scheme, w, p, total, enc_ratio,
-                                  deg_ratio, enc_ns, dec_ns, tput,
-                                  len(metrics_list) / total, spec.master_seed))
-    return rows
-
-
-def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
-    return run_transfer(spec) if spec.experiment == "transfer" else _run_codec(spec)
 
 
 # ---------------------------------------------------------------------------

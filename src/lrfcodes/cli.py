@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, doc in (
         ("window-sweep", "loss-aware codec across window lengths"),
         ("lt-compare", "fountain baseline vs loss-aware codec"),
-        ("raptor-compare", "precoded baseline vs capped loss-aware variant"),
+        ("raptor-compare", "precoded baseline vs precoded loss-aware codec"),
         ("transfer", "full windowed transfer sessions"),
     ):
         _add_common(sub.add_parser(name, help=doc))

@@ -214,7 +214,7 @@ class SourceBlock:
 class EncodingSymbol:
     """One XOR-combined output symbol, the value of one wire frame.
     ``neighbors`` is a sorted index array, or None for a symbol read off
-    the wire (see ``resolve_neighbors``)."""
+    the wire (see ``RepairBatch.resolved``)."""
 
     id: int
     seed: int
@@ -351,13 +351,6 @@ def _encode(block: SourceBlock, dist: DegreeDistribution, seeds: np.ndarray,
     return RepairBatch(ids, seeds, degrees, indptr, indices, out)
 
 
-def encode_symbol(block: SourceBlock, dist: DegreeDistribution, seed: int,
-                  symbol_id: int = 0) -> EncodingSymbol:
-    """Draw a degree from ``dist`` and XOR that many uniformly chosen symbols."""
-    return _encode(block, dist, np.array([seed], dtype=np.uint64),
-                   np.array([symbol_id], dtype=np.uint64))[0]
-
-
 def encode_stream(block: SourceBlock, dist: DegreeDistribution, base_seed: int,
                   count: int, start_id: int = 0) -> RepairBatch:
     """``count`` symbols with consecutive ids and per-symbol derived seeds,
@@ -383,7 +376,7 @@ def pack_symbol(sym: EncodingSymbol) -> bytes:
 
 def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
     """Parse one symbol; returns (symbol, next offset). Neighbors are left
-    unresolved (None) until ``resolve_neighbors`` is called."""
+    unresolved (None) until a ``RepairBatch`` of it is ``resolved``."""
     if len(buf) - offset < WIRE_HEADER.size:
         raise InvalidInputError("truncated symbol header")
     version, sym_id, seed, degree, payload_len = WIRE_HEADER.unpack_from(buf, offset)
@@ -395,11 +388,6 @@ def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
         raise InvalidInputError("truncated symbol payload")
     return EncodingSymbol(id=sym_id, seed=seed, degree=degree, neighbors=None,
                           payload=bytes(buf[start:end])), end
-
-
-def resolve_neighbors(sym: EncodingSymbol, w: int) -> EncodingSymbol:
-    """Re-derive the neighbor set of a wire-format symbol for a w-symbol window."""
-    return sym if sym.neighbors is not None else RepairBatch.from_symbols([sym]).resolved(w)[0]
 
 
 @dataclass

@@ -44,16 +44,6 @@ def words(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def csr(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Index sequences as CSR ``(indptr, indices)``: row r is
-    ``indices[indptr[r]:indptr[r + 1]]``."""
-    rows = [np.fromiter(r, dtype=np.int64) for r in rows]
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([r.size for r in rows], out=indptr[1:])
-    indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-    return indptr, indices
-
-
 def take_rows(indptr: np.ndarray, indices: np.ndarray,
               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``rows`` of a CSR matrix as a CSR matrix of their own."""
@@ -150,8 +140,8 @@ def solve_partial(rows, unknowns, rhs) -> dict:
     """Solve XOR equations for as many unknowns as the system determines.
 
     Args:
-        rows: the equations as CSR ``(indptr, indices)`` (see ``csr``):
-            equation r XORs the unknowns ``indices[indptr[r]:indptr[r+1]]``.
+        rows: the equations as CSR ``(indptr, indices)``: equation r
+            XORs the unknowns ``indices[indptr[r]:indptr[r+1]]``.
         unknowns: the distinct unknown indices, in any order.
         rhs: (equations, l) uint8 matrix; row r is equation r's right-hand
             side. It is not modified.
@@ -188,14 +178,3 @@ def solve_partial(rows, unknowns, rhs) -> dict:
     np.bitwise_or.at(free_mask, unpivoted >> 6, _ONE << (unpivoted & 63).astype(np.uint64))
     pinned = cols[~(M[pivot[cols], :nw] & free_mask).any(axis=1)]
     return {int(unknowns[c]): values[pivot[c], :l] for c in pinned.tolist()}
-
-
-def rank(rows, unknowns) -> int:
-    """GF(2) rank of the coefficient matrix of ``rows`` (index sequences)
-    over the given unknowns."""
-    indptr, indices = csr(rows)
-    unknowns = np.fromiter(unknowns, dtype=np.int64)
-    if unknowns.size == 0 or indptr.size == 1:
-        return 0
-    pivot = _eliminate(_pack(indptr, indices, unknowns), unknowns.size)
-    return int(np.count_nonzero(pivot >= 0))

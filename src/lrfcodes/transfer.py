@@ -19,8 +19,8 @@ Schemes:
     LRF       -- natives plus loss-aware truncated-soliton repair symbols.
     Raptor    -- systematic precode; natives plus robust-soliton symbols
                  over the intermediate block, streamed on demand.
-    LR-Raptor -- systematic precode; natives plus capped loss-aware repair
-                 symbols over the intermediate block.
+    LR-Raptor -- systematic precode; natives plus loss-aware repair symbols
+                 (capped at ``d_max`` when set) over the intermediate block.
 """
 
 from __future__ import annotations
@@ -54,6 +54,12 @@ DENSE_PARITY_FRACTION = 11 / 10017
 EXTRA_BATCH_FRAC = 0.25
 BUDGET_FACTOR = 3.0
 BASELINE_EXTRA_FACTOR = 3.0
+# LT's and Raptor's NACK batches are a share of the block with a floor:
+# max(MIN, block // DIVISOR). LT's first batch is ceil(w / (1 - p)) for the
+# fed-back rate p, read as at most LT_MAX_LOSS_RATE.
+LT_BATCH_MIN, LT_BATCH_DIVISOR = 32, 50
+RAPTOR_BATCH_MIN, RAPTOR_BATCH_DIVISOR = 16, 100
+LT_MAX_LOSS_RATE = 0.5
 
 
 def default_precode_shape(k: int) -> tuple[int, int]:
@@ -246,8 +252,8 @@ class SourceState:
             dist = robust_soliton(block.w, cfg.delta, cfg.c)
             plan = _RepairPlan(block=block, dist=dist,
                                base_seed=derive_seed(cfg.seed, index))
-            initial = math.ceil(block.w / max(1.0 - min(p_hat, 0.5), 0.5))
-            plan.batch = max(32, block.w // 50)
+            initial = math.ceil(block.w / (1.0 - min(p_hat, LT_MAX_LOSS_RATE)))
+            plan.batch = max(LT_BATCH_MIN, block.w // LT_BATCH_DIVISOR)
             plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * block.w)
             self.plans[index] = plan
             return [self._encode(plan, initial, index)]
@@ -264,7 +270,7 @@ class SourceState:
 
         if cfg.scheme == "Raptor":
             plan.dist = robust_soliton(total, cfg.delta, cfg.c)
-            plan.batch = max(16, total // 100)
+            plan.batch = max(RAPTOR_BATCH_MIN, total // RAPTOR_BATCH_DIVISOR)
             plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * total)
             return emissions
 
@@ -354,7 +360,8 @@ class DestinationState:
     def step(self, event) -> list:
         """Process one arrival event. A malformed event, or a batch's
         malformed rows, is dropped and counted in ``protocol_errors`` before
-        it can open a window."""
+        it can open a window; any error but ``InvalidInputError`` is a fault
+        and propagates."""
         out: list = []
         try:
             if (not isinstance(event, (Natives, Repairs)) or not isinstance(event.window, int)
@@ -395,7 +402,7 @@ class DestinationState:
                     state.repairs_received += len(batch)
                     self.metrics.delivered += len(batch)
                 self.metrics.decode_time += time.perf_counter() - t0
-        except (ValueError, TypeError):
+        except InvalidInputError:
             self.metrics.protocol_errors += 1
         return out
 

@@ -1,14 +1,18 @@
 """Benchmark harness and CLI tests (small, fast configurations)."""
 
 import hashlib
+import io
+import itertools
 import math
+import statistics
 
 import pytest
 
+from lrfcodes import bench
 from lrfcodes.bench import (CSV_COLUMNS, ExperimentSpec, ResultRow, emit_csv,
                             emit_summary, load_csv, run_experiment)
 from lrfcodes.cli import main
-from lrfcodes.errors import InvalidParameterError
+from lrfcodes.errors import InvalidParameterError, SessionFailure
 
 
 def _spec(experiment, **overrides):
@@ -77,6 +81,54 @@ def test_transfer_rows_have_throughput():
     assert {row.scheme for row in rows} == {"LT", "LRF", "Raptor", "LR-Raptor"}
     for row in rows:
         assert row.throughput_MBps is not None and row.throughput_MBps > 0
+
+
+def _failing_sessions(monkeypatch, fails):
+    """Make the bench's sessions raise SessionFailure on the calls whose
+    index ``fails`` picks; returns each call's metrics, None where it failed."""
+    real, calls, results = bench.run_session, itertools.count(), []
+
+    def run_session(*args, **kwargs):
+        if fails(next(calls)):
+            results.append(None)
+            raise SessionFailure("repair budget spent", window=2, unresolved=7)
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(bench, "run_session", run_session)
+    return results
+
+
+def test_transfer_rows_count_failed_sessions(monkeypatch):
+    # Trial 1 of every scheme fails: each row counts it in trials and
+    # success_rate and averages its ratios over the two sessions that ran.
+    results = _failing_sessions(monkeypatch, lambda call: call % 3 == 1)
+    trace = io.StringIO()
+    rows = run_experiment(_spec("transfer", loss_rates=(0.02,), total_symbols=1024,
+                                trace=trace))
+    assert len(results) == 3 * len(rows) == 12
+    for row, trials in zip(rows, (results[i:i + 3] for i in range(0, 12, 3))):
+        assert (row.trials, row.success_rate) == (3, 2 / 3)
+        ok = [m for m in trials if m is not None]
+        assert row.encoding_ratio == statistics.fmean(
+            m.encoding_sent / max(m.lost, 1) for m in ok)
+        assert row.degree_ratio == statistics.fmean(
+            m.total_degree_sent / max(m.lost, 1) for m in ok)
+        assert (f"transfer,{row.scheme},256,0.02,trial=1,session_failure window=2 "
+                f"unresolved=7") in trace.getvalue().splitlines()
+
+
+def test_transfer_rows_whose_sessions_all_fail(monkeypatch):
+    _failing_sessions(monkeypatch, lambda call: True)
+    rows = run_experiment(_spec("transfer", loss_rates=(0.02,), total_symbols=1024,
+                                timing=True))
+    assert len(rows) == 4
+    for row in rows:
+        assert (row.trials, row.success_rate) == (3, 0.0)
+        assert (row.encoding_ratio, row.degree_ratio) == (0.0, 0.0)
+        # No successful session, so no timing or throughput to average.
+        assert row.encode_ns_per_lost is None and row.decode_ns_per_lost is None
+        assert row.throughput_MBps is None
 
 
 def test_timing_mode_fills_columns():

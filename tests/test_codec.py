@@ -11,10 +11,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lrfcodes.codec import (EncodingSymbol, PeelDecoder, SourceBlock, derive_seed,
-                            derive_degree, encode_stream, encode_symbol,
-                            pack_symbol, peel_decode, resolve_neighbors,
-                            select_neighbors, unpack_symbol)
+from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock,
+                            derive_degree, derive_degrees, derive_seed, encode_stream,
+                            neighbor_sets, pack_symbol, peel_decode, select_neighbors,
+                            unpack_symbol)
 from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
 from lrfcodes.errors import InvalidInputError, InvalidParameterError
 
@@ -70,6 +70,16 @@ def _rows(blk):
     return [row.tobytes() for row in blk.data]
 
 
+def encode_one(blk, dist, seed, symbol_id=0):
+    """The encoding symbol of ``blk`` at an explicit seed: degree and
+    neighbors derived as a batch of one, the payload their rows' XOR."""
+    seeds = np.array([seed], dtype=np.uint64)
+    degrees = derive_degrees(seeds, dist)
+    neighbors = neighbor_sets(seeds, blk.w, degrees)[1]
+    return EncodingSymbol(symbol_id, seed, int(degrees[0]), neighbors,
+                          np.bitwise_xor.reduce(blk.data[neighbors], axis=0).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 
@@ -112,12 +122,12 @@ def test_source_block_validation():
 def test_encode_symbol_is_xor_of_neighbors():
     blk = SourceBlock.random(16, 8, seed=5)
     dist = ideal_soliton(16)
-    sym = encode_symbol(blk, dist, seed=42)
+    sym = encode_stream(blk, dist, base_seed=42, count=1)[0]
     acc = np.bitwise_xor.reduce(blk.data[sym.neighbors], axis=0)
     assert sym.payload == acc.tobytes()
     assert sym.degree == len(sym.neighbors)
     # The degree matches the decoder-side derivation from the seed.
-    assert sym.degree == derive_degree(42, dist)
+    assert sym.degree == derive_degree(derive_seed(42, 0), dist)
 
 
 def test_encode_stream_ids_and_determinism():
@@ -138,20 +148,20 @@ def test_encode_stream_ids_and_determinism():
 
 def test_wire_format_roundtrip():
     blk = SourceBlock.random(8, 4, seed=1)
-    sym = encode_symbol(blk, ideal_soliton(8), seed=77, symbol_id=3)
+    sym = encode_one(blk, ideal_soliton(8), seed=77, symbol_id=3)
     buf = pack_symbol(sym)
     parsed, end = unpack_symbol(buf)
     assert end == len(buf)
     assert (parsed.id, parsed.seed, parsed.degree) == (sym.id, sym.seed, sym.degree)
     assert parsed.payload == sym.payload
     assert parsed.neighbors is None
-    resolved = resolve_neighbors(parsed, 8)
+    resolved = RepairBatch.from_symbols([parsed]).resolved(8)[0]
     np.testing.assert_array_equal(resolved.neighbors, sym.neighbors)
 
 
 def test_unpack_truncated():
     blk = SourceBlock.random(8, 4, seed=1)
-    buf = pack_symbol(encode_symbol(blk, ideal_soliton(8), seed=77))
+    buf = pack_symbol(encode_one(blk, ideal_soliton(8), seed=77))
     with pytest.raises(InvalidInputError):
         unpack_symbol(buf[:10])
     with pytest.raises(InvalidInputError):
@@ -170,7 +180,7 @@ def test_peel_decode_pure_fountain_roundtrip():
     decoder = PeelDecoder(w, l)
     count = 0
     while not decoder.success:
-        sym = encode_symbol(blk, dist, derive_seed(11, count), count)
+        sym = encode_one(blk, dist, derive_seed(11, count), count)
         decoder.add_symbol(sym)
         decoder.run()
         count += 1
@@ -253,7 +263,7 @@ def test_decoder_rejects_a_native_that_is_not_l_bytes(w, l, payload):
 
 def test_decoder_requires_resolved_neighbors():
     blk = SourceBlock.random(8, 4, seed=1)
-    sym = encode_symbol(blk, ideal_soliton(8), seed=77)
+    sym = encode_one(blk, ideal_soliton(8), seed=77)
     wire, _ = unpack_symbol(pack_symbol(sym))
     dec = PeelDecoder(8, 4)
     with pytest.raises(InvalidInputError):
@@ -266,7 +276,7 @@ def test_redundant_symbols_are_ignored():
     dec = PeelDecoder(8, 4)
     for i in range(8):
         dec.add_native(i, blk.data[i])
-    sym = encode_symbol(blk, ideal_soliton(8), seed=5)
+    sym = encode_one(blk, ideal_soliton(8), seed=5)
     dec.add_symbol(sym)
     dec.run()
     assert dec.result().recovered == _rows(blk)
@@ -290,7 +300,7 @@ def test_malformed_neighbors_rejected(neighbors):
 @pytest.mark.parametrize("value", [-1, 1 << 64])
 def test_symbol_id_or_seed_outside_u64_rejected(field, value):
     blk = SourceBlock.random(8, 2, seed=4)
-    sym = encode_symbol(blk, ideal_soliton(8), seed=3)
+    sym = encode_one(blk, ideal_soliton(8), seed=3)
     bad = replace(sym, **{field: value})
     with pytest.raises(InvalidInputError, match="u64"):
         peel_decode({}, [bad], 8, 2)

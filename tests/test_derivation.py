@@ -12,13 +12,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from lrfcodes.codec import (_CANDIDATE_CHUNK, MAX_WINDOW, WIRE_HEADER, SourceBlock,
-                            derive_degree, derive_degrees, derive_seed, derive_seeds,
-                            encode_stream, encode_symbol, neighbor_sets, pack_symbol,
-                            resolve_neighbors, select_neighbors, unpack_symbol)
+from lrfcodes.codec import (_CANDIDATE_CHUNK, MAX_WINDOW, WIRE_HEADER, RepairBatch,
+                            SourceBlock, derive_degree, derive_degrees, derive_seed,
+                            derive_seeds, encode_stream, neighbor_sets, pack_symbol,
+                            select_neighbors, unpack_symbol)
 from lrfcodes.distributions import (DegreeDistribution, LossContext, ideal_soliton,
                                     lrf_ideal, recovery_probability, robust_soliton)
 from lrfcodes.errors import InvalidInputError, InvalidParameterError
+from test_codec import encode_one
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -208,13 +209,14 @@ def test_encode_stream_equals_encode_symbol_and_wire_rederivation():
     assert any(2 * s.degree > w for s in syms)
     for sym in syms:
         seed = derive_seed(base, sym.id)
-        one = encode_symbol(blk, dist, seed, sym.id)
+        one = encode_one(blk, dist, seed, sym.id)
         assert (sym.seed, sym.degree, sym.payload) == (one.seed, one.degree, one.payload)
         assert sym.degree == derive_degree(seed, dist)
         np.testing.assert_array_equal(sym.neighbors, one.neighbors)
         wire, end = unpack_symbol(pack_symbol(sym))
         assert end == WIRE_HEADER.size + l
-        np.testing.assert_array_equal(resolve_neighbors(wire, w).neighbors, sym.neighbors)
+        np.testing.assert_array_equal(RepairBatch.from_symbols([wire]).resolved(w)[0].neighbors,
+                                      sym.neighbors)
     assert [s.id for s in syms] == list(range(start, start + 60))
 
 
@@ -264,7 +266,7 @@ def test_degrees_follow_the_distribution():
 
 def test_wire_version_roundtrip_and_rejection():
     blk = SourceBlock.random(8, 4, seed=1)
-    sym = encode_symbol(blk, ideal_soliton(8), seed=77, symbol_id=3)
+    sym = encode_one(blk, ideal_soliton(8), seed=77, symbol_id=3)
     buf = pack_symbol(sym)
     parsed, end = unpack_symbol(buf)
     assert end == len(buf)

@@ -2,7 +2,8 @@
 
 ``gf2_oracle_solve`` (tests/test_codec.py) gives the values of a system
 that determines every unknown; ``_determined`` below gives, for any system,
-the set of unknowns it pins down. Neither shares code with the library.
+the set of unknowns it pins down, and ``rank`` its rank (also the precode
+tests' oracle). None of them shares code with the library.
 """
 
 import random
@@ -15,9 +16,19 @@ from lrfcodes.errors import InvalidInputError
 from test_codec import gf2_oracle_solve
 
 
-def _determined(nu, rows):
-    """Unknowns u whose unit vector lies in the span of the rows, i.e. whose
-    value every solution shares."""
+def csr(rows):
+    """Index sequences as CSR ``(indptr, indices)``: row r is
+    ``indices[indptr[r]:indptr[r + 1]]``."""
+    rows = [np.fromiter(r, dtype=np.int64) for r in rows]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([r.size for r in rows], out=indptr[1:])
+    indices = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+    return indptr, indices
+
+
+def _pivots(rows):
+    """Plain-int forward elimination of the rows (index sequences, index j
+    as bit j): the reduced rows by their leading bit."""
     pivots = {}
     for idxs in rows:
         mask = 0
@@ -29,6 +40,21 @@ def _determined(nu, rows):
                 pivots[lead] = mask
                 break
             mask ^= pivots[lead]
+    return pivots
+
+
+def rank(rows, unknowns):
+    """GF(2) rank of the coefficient matrix of ``rows`` (index sequences)
+    over the given unknowns."""
+    unknowns = set(unknowns)
+    assert all(j in unknowns for r in rows for j in r), "an index is not an unknown"
+    return len(_pivots(rows))
+
+
+def _determined(nu, rows):
+    """Unknowns u whose unit vector lies in the span of the rows, i.e. whose
+    value every solution shares."""
+    pivots = _pivots(rows)
     determined = set()
     for u in range(nu):
         v = 1 << u
@@ -56,7 +82,7 @@ def _solve(rows, rhs, ids):
     """solve_partial over unknown ids ``ids[j]`` for column j, shuffled."""
     order = list(range(len(ids)))
     random.Random(len(rows)).shuffle(order)
-    named = gf2.csr([[ids[j] for j in r] for r in rows])
+    named = csr([[ids[j] for j in r] for r in rows])
     return gf2.solve_partial(named, [ids[j] for j in order], rhs)
 
 
@@ -119,12 +145,12 @@ def test_solve_partial_rejects_inconsistent_systems():
 
 def test_solve_partial_rejects_unlisted_indices():
     with pytest.raises(InvalidInputError):
-        gf2.solve_partial(gf2.csr([[0, 5]]), [0, 1], np.zeros((1, 4), dtype=np.uint8))
+        gf2.solve_partial(csr([[0, 5]]), [0, 1], np.zeros((1, 4), dtype=np.uint8))
 
 
 def test_rank_counts_independent_rows():
-    assert gf2.rank([[0, 1], [1, 2], [0, 2]], range(3)) == 2
-    assert gf2.rank([[j] for j in range(70)] + [[3, 69]], range(70)) == 70
+    assert rank([[0, 1], [1, 2], [0, 2]], range(3)) == 2
+    assert rank([[j] for j in range(70)] + [[3, 69]], range(70)) == 70
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +185,14 @@ def test_xor_rows_matches_a_per_row_loop(l):
     assert gf2.words(src).dtype == (np.uint64 if l % 8 == 0 else np.uint8)
     # Mixed lengths, several rows of each, empty rows among them.
     lengths = rng.choice([0, 1, 3, 7, 40], size=30)
-    indptr, indices = gf2.csr(rng.choice(40, size=n, replace=False) for n in lengths)
+    indptr, indices = csr(rng.choice(40, size=n, replace=False) for n in lengths)
     take = rng.random(40) < 0.6
     for mask in (None, take):
         _check_xor_rows(src, indptr, indices, mask)
         # Row pointers sliced out of a larger matrix start past 0.
         _check_xor_rows(src, indptr[7:], indices, mask)
         _check_xor_rows(src, indptr[7:8], indices, mask)
-    _check_xor_rows(src, *gf2.csr([[] for _ in range(4)]))
+    _check_xor_rows(src, *csr([[] for _ in range(4)]))
 
 
 def test_xor_rows_beyond_the_gather_bound():
@@ -176,14 +202,14 @@ def test_xor_rows_beyond_the_gather_bound():
     src = rng.integers(0, 256, size=(3000, 128), dtype=np.uint8)
     assert 700 * 4 * 128 > gf2._GATHER_BYTES and 3000 * 128 > gf2._GATHER_BYTES
     rows = [rng.choice(3000, size=4, replace=False) for _ in range(700)] + [np.arange(3000)]
-    indptr, indices = gf2.csr(rows)
+    indptr, indices = csr(rows)
     _check_xor_rows(src, indptr, indices)
     _check_xor_rows(src, indptr, indices, rng.random(3000) < 0.5)
     # Long rows of 512 bytes: each slice spans a few rows, reduced one at
     # a time, and a row cut by a slice boundary takes a part from each.
     wide = rng.integers(0, 256, size=(3000, 512), dtype=np.uint8)
     assert 1000 * 512 > gf2._GATHER_BYTES
-    indptr, indices = gf2.csr([rng.choice(3000, size=n, replace=False)
+    indptr, indices = csr([rng.choice(3000, size=n, replace=False)
                                for n in (1000, 3, 2900, 700, 1)])
     _check_xor_rows(wide, indptr, indices)
     _check_xor_rows(wide, indptr, indices, rng.random(3000) < 0.5)

@@ -15,6 +15,7 @@ from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
 from lrfcodes.precode import (PrecodeConfig, constraint_matrix, parity_rows, precode_expand,
                               precode_solve, raptor_decode, raptor_encode)
+from test_gf2 import csr, rank
 
 CFG = PrecodeConfig(k=24, s=5, h=3, seed=7)
 
@@ -227,7 +228,7 @@ def test_precode_solve_agrees_with_rank_oracle():
     for _ in range(200):
         missing = set(rng.sample(range(cfg.total), rng.randint(1, 6)))
         sub_rows = [tuple(i for i in r if i in missing) for r in rows]
-        full_rank = gf2.rank([r for r in sub_rows if r], missing) == len(missing)
+        full_rank = rank([r for r in sub_rows if r], missing) == len(missing)
         try:
             natives = precode_solve(_decoder(inter, missing), cfg)
             ok = True
@@ -349,7 +350,7 @@ def test_early_exit_fires_only_on_an_undetermined_native(system):
                     for a, b in zip(indptr[:-1], indptr[1:])])
     p_indptr, p_indices, p_rhs = decoder.pending_rows()
     pending = [p_indices[a:b].tolist() for a, b in zip(p_indptr[:-1], p_indptr[1:])]
-    solved = gf2.solve_partial(gf2.csr([r for r in rows if r] + pending),
+    solved = gf2.solve_partial(csr([r for r in rows if r] + pending),
                                np.flatnonzero(~covered),
                                np.concatenate((rhs[[bool(r) for r in rows]], p_rhs)))
     assert any(i not in solved for i in missing)

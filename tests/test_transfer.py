@@ -12,7 +12,7 @@ import pytest
 
 from lrfcodes.channel import BurstModel, ChannelConfig
 from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
-                            encode_stream, encode_symbol, pack_symbol, unpack_symbol)
+                            encode_stream, pack_symbol, unpack_symbol)
 from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
 from lrfcodes import transfer
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
@@ -22,6 +22,7 @@ from lrfcodes.transfer import (Ack, DestinationState, Feedback, Natives, Repairs
                                SCHEMES, SessionConfig, SessionMetrics, SourceState,
                                WindowNack, default_precode_shape,
                                normalize_scheme, run_session)
+from test_codec import encode_one
 
 
 def _one(sym, window=0):
@@ -267,6 +268,25 @@ def test_conclude_propagates_non_decode_errors(monkeypatch):
         dst.conclude(0)
 
 
+def test_step_propagates_decoder_errors(monkeypatch):
+    # Only malformed input is a protocol error; a fault inside the decoder,
+    # such as a numpy shape error, must reach the caller, not become a nack.
+    def broken(self, batch):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(PeelDecoder, "_take", broken)
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.05, seed=0), seed=9)
+    metrics = SessionMetrics()
+    src = SourceState(cfg, metrics)
+    dst = DestinationState(cfg, metrics)
+    natives, repairs = src.start_window(0, SourceBlock.random(64, 8, seed=9))
+    dst.step(_dropping(natives, {5}))
+    with pytest.raises(ValueError, match="broadcast"):
+        dst.step(repairs)
+    assert metrics.protocol_errors == 0
+
+
 def test_destination_counts_malformed_events_in_metrics():
     # Malformed events are dropped without disturbing the window, and each
     # one is counted in SessionMetrics.protocol_errors.
@@ -275,7 +295,7 @@ def test_destination_counts_malformed_events_in_metrics():
     metrics = SessionMetrics()
     dst = DestinationState(cfg, metrics)
     blk = SourceBlock.random(16, 8, seed=3)
-    sym = encode_symbol(blk, ideal_soliton(16), seed=5, symbol_id=0)
+    sym = encode_one(blk, ideal_soliton(16), seed=5, symbol_id=0)
     wire, _ = unpack_symbol(pack_symbol(sym))
     bad_degree = dataclasses.replace(wire, degree=17)
     short = dataclasses.replace(sym, payload=sym.payload[:-1])
@@ -329,7 +349,7 @@ def test_destination_counts_only_accepted_symbols():
     assert metrics.delivered == 0
     assert 0 not in dst.windows
     assert metrics.protocol_errors == 2
-    sym = encode_symbol(SourceBlock.random(16, 8, seed=3), ideal_soliton(16), seed=5)
+    sym = encode_one(SourceBlock.random(16, 8, seed=3), ideal_soliton(16), seed=5)
     for bad in (dataclasses.replace(sym, payload=sym.payload[:-1]),
                 dataclasses.replace(sym, neighbors=None, degree=17)):
         assert dst.step(_one(bad)) == []
