@@ -14,9 +14,11 @@ the symbol got inside any larger batch.
 
 Symbols travel as columns: ``encode_stream`` returns one ``RepairBatch``,
 which ``PeelDecoder.add_batch`` takes whole; ``add_natives`` takes a window's
-natives with one masked copy. Payloads are rows of (rows, l) uint8 matrices
-throughout (a ``SourceBlock``, a batch, the decoder's covered symbols); only
-``EncodingSymbol``, the single-frame wire value, holds bytes.
+natives with one masked copy. Taking a batch XORs no payload: a row keeps
+its payload as sent, and pays for its covered neighbors only when ``run``
+releases it or ``pending_rows`` reads it. Payloads are rows of (rows, l)
+uint8 matrices throughout (a ``SourceBlock``, a batch, the decoder's covered
+symbols); only ``EncodingSymbol``, the single-frame wire value, holds bytes.
 """
 
 from __future__ import annotations
@@ -418,11 +420,16 @@ def _span_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class PeelDecoder:
     """Round-based peeling decoder over a window of w symbols of l bytes.
 
-    Covered payloads live in one (w, l) uint8 matrix. Each encoding symbol
-    is a row: its payload with the neighbors covered on arrival XORed out,
-    the CSR list of its other neighbors, and the count and index sum of
-    those still uncovered, so a row with a count of one names its last
-    unknown by the sum (the invertible-Bloom-lookup-table trick).
+    Covered payloads live in one (w, l) uint8 matrix; the rows of uncovered
+    symbols are zero. Each encoding symbol is a row: its payload as sent,
+    the CSR list of all its neighbors, and the count and index sum of the
+    neighbors that were uncovered on arrival and still are, so a row with a
+    count of one names its last unknown by the sum (the
+    invertible-Bloom-lookup-table trick). Which row releases which column
+    is settled from the counts and sums alone; a row's payload is XORed
+    with its whole list only when it is released, while the released
+    column still reads zero, or when ``pending_rows`` reads it. A row that
+    is never used costs no payload work.
 
     A column index finds the rows a newly covered column hits. Each column
     owns a span of slots in one array, with room to spare, so a batch only
@@ -435,10 +442,9 @@ class PeelDecoder:
     ``run`` peels in rounds (parallel peeling): each round releases every
     row with one unknown left, one row per column, XORing their payloads
     with one gather-and-reduce; a ripple of a few rows is released row by
-    row, which takes fewer numpy calls. A row is XORed with each covered
-    neighbor at most once. The fixpoint depends neither on the release
-    order nor on whether natives arrive before or after the encoding
-    symbols.
+    row, which takes fewer numpy calls. The fixpoint depends neither on the
+    release order nor on whether natives arrive before or after the
+    encoding symbols.
     """
 
     def __init__(self, w: int, l: int, natives=None):
@@ -537,7 +543,7 @@ class PeelDecoder:
         self.add_batch(RepairBatch.from_symbols([sym]))
 
     def add_batch(self, batch: RepairBatch) -> None:
-        """Take a batch of encoding symbols, XOR-ing out covered neighbors;
+        """Take a batch of encoding symbols as rows, XOR-ing no payload;
         ``run()`` then peels. Raises InvalidInputError, taking nothing, for
         unresolved neighbors or a ``malformed`` row."""
         if not len(batch):
@@ -557,16 +563,13 @@ class PeelDecoder:
         first = self._count.size
         self._rows = np.concatenate((self._rows, batch.payloads))
         open_entry = ~self._covered[indices]
-        if not open_entry.all():
-            xor_rows(words(self._rows[first:]), words(self._payloads), indptr, indices,
-                     take=self._covered)
         cols = indices[open_entry]
         row_of = np.arange(len(batch)).repeat(indptr[1:] - indptr[:-1])[open_entry]
         count = np.bincount(row_of, minlength=len(batch))
         # Index sums stay far below 2**53, so float weights add them exactly.
         sums = np.bincount(row_of, weights=cols, minlength=len(batch)).astype(np.int64)
-        self._indptr = np.concatenate((self._indptr, self._indptr[-1] + count.cumsum()))
-        self._indices = np.concatenate((self._indices, cols))
+        self._indptr = np.concatenate((self._indptr, self._indptr[-1] + indptr[1:]))
+        self._indices = np.concatenate((self._indices, indices))
         self._count = np.concatenate((self._count, count))
         self._sum = np.concatenate((self._sum, sums))
         if cols.size:
@@ -722,7 +725,8 @@ class PeelDecoder:
         live = (self._count > 0).nonzero()[0]
         indptr, indices = take_rows(self._indptr, self._indices, live)
         values = self._rows[live]
-        xor_rows(words(values), words(self._payloads), indptr, indices, take=self._covered)
+        # Uncovered payload rows are zero, so each row's whole list can go in.
+        xor_rows(words(values), words(self._payloads), indptr, indices)
         keep = ~self._covered[indices]
         return np.concatenate(([0], np.cumsum(keep)))[indptr], indices[keep], values
 

@@ -16,7 +16,8 @@ Elimination is Gauss-Jordan over the packed rows; peeling is left to the
 peeling decoder that hands over its residual. ``xor_rows`` multiplies a
 sparse 0/1 matrix by a payload matrix, also a word at a time (``words``):
 it builds the encoder's repair payloads, the peeling decoder's released
-symbols, the precode's parity symbols and the constraints' right-hand sides.
+symbols and pending equations, and the precode's dense parity symbols and
+their right-hand sides.
 """
 
 from __future__ import annotations
@@ -54,21 +55,15 @@ def take_rows(indptr: np.ndarray, indices: np.ndarray,
     return ptr, indices[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]
 
 
-def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.ndarray,
-             take: np.ndarray | None = None) -> None:
+def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> None:
     """``out[r] ^= XOR of src[j]`` over the entries j of CSR row r.
 
     ``indptr`` may start past 0 (a slice of a larger matrix's row pointers).
-    With ``take`` (a bool mask over src's rows), entries j with
-    ``take[j]`` false are skipped. ``out`` and ``src`` are payload matrices
-    of the same word type (see ``words``).
+    ``out`` and ``src`` are payload matrices of the same word type (see
+    ``words``).
     """
     cols = indices[indptr[0]:indptr[-1]]
     ptr = indptr - indptr[0]
-    if take is not None:
-        keep = take[cols]
-        cols = cols[keep]
-        ptr = np.concatenate(([0], np.cumsum(keep)))[ptr]
     # The entries are gathered in slices of at most _GATHER_BYTES (or one
     # src row), each reduced per row segment; a row cut by a slice boundary
     # takes one partial XOR from each side.

@@ -169,6 +169,25 @@ def _xor_dense(out: np.ndarray, src: np.ndarray, cfg: PrecodeConfig) -> None:
         gf2.xor_rows(out[lo - cfg.s:hi - cfg.s], buckets, *rows)
 
 
+def _xor_sparse(out: np.ndarray, src: np.ndarray, cfg: PrecodeConfig) -> None:
+    """``out[j] ^=`` the XOR of ``src`` over the natives of sparse constraint
+    row j. Native i feeds row (i + off) % s for each offset, so the rows are
+    the fold of the natives by index mod s, XORed with its rolls by the
+    offsets: one read of each native."""
+    k, s = cfg.k, cfg.s
+    if not s:
+        return
+    indptr, indices = constraint_matrix(cfg)
+    # Native 0 feeds exactly the rows whose number is an offset, and a row
+    # lists its members in order, so those rows are the ones that start at 0.
+    offsets = np.flatnonzero(indices[indptr[:s]] == 0)
+    whole = k - k % s
+    fold = np.bitwise_xor.reduce(src[:whole].reshape(-1, s, src.shape[1]), axis=0)
+    fold[:k - whole] ^= src[whole:k]
+    for off in offsets.tolist():
+        out ^= np.roll(fold, off, axis=0)
+
+
 def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
     """The k + s + h intermediates of a k-symbol block: its rows, then the
     s + h parity symbols."""
@@ -177,13 +196,10 @@ def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
     k, s = cfg.k, cfg.s
     inter = np.zeros((cfg.total, block.l), dtype=np.uint8)
     inter[:k] = block.data
-    indptr, indices = constraint_matrix(cfg)
     # Sparse parities read natives only, dense ones also the sparse parities,
-    # so the sparse rows go first. Each row also lists its own parity, which
-    # reads as zero in ``inter`` until the pass is written back.
-    parity = np.zeros((s, block.l), dtype=np.uint8)
-    gf2.xor_rows(gf2.words(parity), gf2.words(inter), indptr[:s + 1], indices)
-    inter[k:k + s] = parity
+    # so the sparse rows go first. A dense row also lists its own parity,
+    # which reads as zero in ``inter`` until the pass is written back.
+    _xor_sparse(gf2.words(inter[k:k + s]), gf2.words(inter), cfg)
     parity = np.zeros((cfg.h, block.l), dtype=np.uint8)
     _xor_dense(gf2.words(parity), gf2.words(inter), cfg)
     inter[k + s:] = parity
@@ -240,9 +256,11 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
                 f"{len(missing)} natives undetermined: {equations} equations for "
                 f"{unknowns.size} unknowns (cap {RESIDUAL_CAP})", unresolved=len(missing),
                 stage="precode")
+        # A sparse row also lists its own parity k + j.
         rhs = np.zeros((cfg.s + cfg.h, decoder.l), dtype=np.uint8)
+        rhs[:cfg.s] = payloads[cfg.k:cfg.k + cfg.s]
         src = gf2.words(payloads)
-        gf2.xor_rows(gf2.words(rhs[:cfg.s]), src, indptr[:cfg.s + 1], indices)
+        _xor_sparse(gf2.words(rhs[:cfg.s]), src, cfg)
         _xor_dense(gf2.words(rhs[cfg.s:]), src, cfg)
         p_indptr, p_indices, p_rhs = decoder.pending_rows()
         solved = gf2.solve_partial(

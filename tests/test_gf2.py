@@ -157,22 +157,21 @@ def test_rank_counts_independent_rows():
 # Sparse row XOR
 
 
-def _xor_rows_loop(src, indptr, indices, take=None):
+def _xor_rows_loop(src, indptr, indices):
     """``xor_rows`` one entry at a time."""
     out = np.zeros((indptr.size - 1, src.shape[1]), dtype=np.uint8)
     for r in range(indptr.size - 1):
         for j in indices[indptr[r]:indptr[r + 1]].tolist():
-            if take is None or take[j]:
-                out[r] ^= src[j]
+            out[r] ^= src[j]
     return out
 
 
-def _check_xor_rows(src, indptr, indices, take=None, seed=0):
+def _check_xor_rows(src, indptr, indices, seed=0):
     # ``out`` starts non-zero: xor_rows XORs into it.
     out = np.random.default_rng(seed).integers(0, 256, size=(indptr.size - 1, src.shape[1]),
                                                dtype=np.uint8)
-    want = out ^ _xor_rows_loop(src, indptr, indices, take)
-    gf2.xor_rows(gf2.words(out), gf2.words(src), indptr, indices, take=take)
+    want = out ^ _xor_rows_loop(src, indptr, indices)
+    gf2.xor_rows(gf2.words(out), gf2.words(src), indptr, indices)
     np.testing.assert_array_equal(out, want)
 
 
@@ -186,12 +185,10 @@ def test_xor_rows_matches_a_per_row_loop(l):
     # Mixed lengths, several rows of each, empty rows among them.
     lengths = rng.choice([0, 1, 3, 7, 40], size=30)
     indptr, indices = csr(rng.choice(40, size=n, replace=False) for n in lengths)
-    take = rng.random(40) < 0.6
-    for mask in (None, take):
-        _check_xor_rows(src, indptr, indices, mask)
-        # Row pointers sliced out of a larger matrix start past 0.
-        _check_xor_rows(src, indptr[7:], indices, mask)
-        _check_xor_rows(src, indptr[7:8], indices, mask)
+    _check_xor_rows(src, indptr, indices)
+    # Row pointers sliced out of a larger matrix start past 0.
+    _check_xor_rows(src, indptr[7:], indices)
+    _check_xor_rows(src, indptr[7:8], indices)
     _check_xor_rows(src, *csr([[] for _ in range(4)]))
 
 
@@ -204,7 +201,6 @@ def test_xor_rows_beyond_the_gather_bound():
     rows = [rng.choice(3000, size=4, replace=False) for _ in range(700)] + [np.arange(3000)]
     indptr, indices = csr(rows)
     _check_xor_rows(src, indptr, indices)
-    _check_xor_rows(src, indptr, indices, rng.random(3000) < 0.5)
     # Long rows of 512 bytes: each slice spans a few rows, reduced one at
     # a time, and a row cut by a slice boundary takes a part from each.
     wide = rng.integers(0, 256, size=(3000, 512), dtype=np.uint8)
@@ -212,4 +208,3 @@ def test_xor_rows_beyond_the_gather_bound():
     indptr, indices = csr([rng.choice(3000, size=n, replace=False)
                                for n in (1000, 3, 2900, 700, 1)])
     _check_xor_rows(wide, indptr, indices)
-    _check_xor_rows(wide, indptr, indices, rng.random(3000) < 0.5)

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrfcodes import gf2
+from lrfcodes import codec, gf2
 from lrfcodes.codec import (PeelDecoder, RepairBatch, SourceBlock, derive_seeds,
                             encode_stream, neighbor_sets)
 from lrfcodes.distributions import robust_soliton
@@ -147,6 +147,35 @@ def test_wide_rounds_match_the_reference():
     decoder.run()
     reference.run()
     assert decoder.encoding_used == reference.encoding_used > w // 2
+    np.testing.assert_array_equal(decoder.covered, reference.covered)
+    np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+    assert _equations(decoder) == reference.pending_rows()
+
+
+def test_add_batch_defers_every_payload_xor(monkeypatch):
+    # Most natives are covered before the batch arrives, yet ``add_batch``
+    # XORs no payload: a row is reduced only when it is released or read as
+    # a pending equation, and both still match the reference.
+    w, l = 300, 8
+    block = SourceBlock.random(w, l, 11)
+    got = np.random.default_rng(11).random(w) < 0.8
+    batch = encode_stream(block, robust_soliton(w, 0.05, 0.03), 6, w // 6)
+    decoder, reference = PeelDecoder(w, l), ReferencePeeler(w, l)
+    decoder.add_natives(block.data, got)
+    for idx in got.nonzero()[0].tolist():
+        reference.add_native(idx, block.data[idx])
+
+    def no_xor(*args, **kwargs):
+        raise AssertionError("add_batch XORed payloads")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(codec, "xor_rows", no_xor)
+        decoder.add_batch(batch)
+    for sym in batch:
+        reference.add_symbol(sym.neighbors.tolist(), np.frombuffer(sym.payload, dtype=np.uint8))
+    decoder.run()
+    reference.run()
+    assert decoder.encoding_used == reference.encoding_used > 0 and decoder.live_rows > 0
     np.testing.assert_array_equal(decoder.covered, reference.covered)
     np.testing.assert_array_equal(decoder.payloads, reference.payloads)
     assert _equations(decoder) == reference.pending_rows()

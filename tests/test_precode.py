@@ -187,6 +187,40 @@ def test_bucketed_dense_xor_matches_plain_xor_rows(h, l):
         assert (np.diff(r_ptr) == 1 << (hi - lo - 1)).all()
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("k, s, h", [(4, 1, 1), (5, 2, 1), (6, 3, 1), (10, 3, 2), (2, 3, 1),
+                                     (1000, 241, 3), (200, 241, 2)])
+def test_rolled_sparse_parities_match_the_csr_gather(k, s, h):
+    # The rolled fold of the natives equals the CSR gather of the sparse
+    # constraint rows: in ``precode_expand``'s parities, and in
+    # ``precode_solve``'s right-hand sides over rows that are no codeword.
+    cfg = PrecodeConfig(k=k, s=s, h=h, seed=k + s)
+    indptr, indices = constraint_matrix(cfg)
+    blk = _block(k=k, l=8, seed=k)
+    natives = np.zeros((cfg.total, 8), dtype=np.uint8)
+    natives[:k] = blk.data
+    want = np.zeros((s, 8), dtype=np.uint8)
+    gf2.xor_rows(gf2.words(want), gf2.words(natives), indptr[:s + 1], indices)
+    np.testing.assert_array_equal(precode_expand(blk, cfg).data[k:k + s], want)
+
+    # One missing native per residue mod s leaves every sparse row an
+    # uncovered member, and no more unknowns than constraints.
+    rows = np.random.default_rng(s).integers(0, 256, size=(cfg.total, 8), dtype=np.uint8)
+    missing = min(k, s)
+    decoder = PeelDecoder(cfg.total, 8, {i: rows[i] for i in range(missing, cfg.total)})
+    want = np.zeros((s + h, 8), dtype=np.uint8)
+    gf2.xor_rows(gf2.words(want), gf2.words(decoder.payloads), indptr, indices)
+    listed = np.add.reduceat(~decoder.covered[indices], indptr[:-1]) > 0
+    assert listed[:s].all()
+    with mock.patch.object(gf2, "solve_partial", side_effect=_Captured) as solve:
+        with pytest.raises(_Captured):
+            precode_solve(decoder, cfg)
+    np.testing.assert_array_equal(solve.call_args.args[2], want[listed])
+
+
 # ---------------------------------------------------------------------------
 # Constraint solving
 
