@@ -123,24 +123,34 @@ class LossRateEstimator:
     def observe_many(self, lost) -> list[LossReport]:
         """Record delivery outcomes in order (True marks a loss); returns the
         reports a loop of ``observe`` over them would return, in order."""
+        # Losses among outcomes [0, i] are cum[i + 1]; one pass for the call.
         lost = np.asarray(lost, dtype=bool)
-        reports = []
-        while lost.size:
-            # Running counts up to the next window report; the first outcome
-            # that triggers a report ends the span.
-            span = lost[:self.window - self._observed]
-            observed = np.arange(self._observed + 1, self._observed + span.size + 1)
-            losses = self._lost + np.cumsum(span)
-            fire = observed >= self.window
-            if (ref := self.estimate) is not None:
-                rate = losses / observed
-                moved = rate > 0 if ref == 0 else np.abs(rate - ref) >= self.relative_change * ref
-                fire |= moved & (observed >= self.min_observations)
-            at = int(fire.argmax()) if fire.any() else span.size - 1
-            self._observed, self._lost = int(observed[at]), int(losses[at])
-            if fire[at]:
+        cum = np.zeros(lost.size + 1, dtype=np.int64)
+        np.cumsum(lost, out=cum[1:])
+        counts = np.arange(1, min(self.window, self._observed + lost.size) + 1)
+        reports, lo = [], 0
+        while lo < cum.size - 1:
+            # A span runs from outcome lo to the next window report at the
+            # latest; the first outcome that triggers a report ends it.
+            seen, base = self._observed, self._lost - int(cum[lo])
+            hi = min(cum.size - 1, lo + self.window - seen)
+            at, fire = hi - 1, seen + hi - lo >= self.window
+            first = lo + max(0, self.min_observations - seen - 1)
+            if (ref := self.estimate) is not None and first < hi:
+                if ref == 0:  # the first outcome from ``first`` on with a loss counted
+                    moved = max(first, int(cum.searchsorted(-base, side="right")) - 1)
+                else:
+                    observed = counts[seen + first - lo:seen + hi - lo]
+                    rate = (base + cum[first + 1:hi + 1]) / observed
+                    hit = np.abs(rate - ref) >= self.relative_change * ref
+                    i = int(hit.argmax())
+                    moved = first + i if hit[i] else hi
+                if moved < hi:
+                    at, fire = moved, True
+            self._observed, self._lost = seen + at + 1 - lo, base + int(cum[at + 1])
+            if fire:
                 reports.append(self._emit())
-            lost = lost[at + 1:]
+            lo = at + 1
         return reports
 
     def _emit(self) -> LossReport:

@@ -14,7 +14,7 @@ the symbol got inside any larger batch.
 
 Symbols travel as columns: ``encode_stream`` returns one ``RepairBatch``,
 which ``PeelDecoder.add_batch`` takes whole; ``add_natives`` takes a window's
-natives with one masked copy. Taking a batch XORs no payload: a row keeps
+natives with one copy of the block. Taking a batch XORs no payload: a row keeps
 its payload as sent, and pays for its covered neighbors only when ``run``
 releases it or ``pending_rows`` reads it. Payloads are rows of (rows, l)
 uint8 matrices throughout (a ``SourceBlock``, a batch, the decoder's covered
@@ -318,14 +318,16 @@ class RepairBatch:
                 or indptr.dtype.kind not in "iu" or idx.dtype.kind not in "iu" or idx.ndim != 1
                 or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != idx.size):
             return np.ones(n, dtype=bool)
-        lengths = indptr[1:] - indptr[:-1]
-        if (lengths < 0).any():
+        if (indptr[1:] < indptr[:-1]).any():
             return np.ones(n, dtype=bool)
-        row = np.repeat(np.arange(n), lengths)
+        # Entry i continues its row unless a row starts at i. A bad entry is
+        # the last row's that starts at or before it (past any empty rows).
+        same_row = np.ones(idx.size + 1, dtype=bool)
+        same_row[indptr[:-1]] = False
         bad = (idx < 0) | (idx >= w)
-        bad[1:] |= (idx[1:] <= idx[:-1]) & (row[1:] == row[:-1])
+        bad[1:] |= (idx[1:] <= idx[:-1]) & same_row[1:-1]
         out = np.zeros(n, dtype=bool)
-        out[row[bad]] = True
+        out[indptr.searchsorted(bad.nonzero()[0], side="right") - 1] = True
         return out
 
 
@@ -529,11 +531,14 @@ class PeelDecoder:
         self._load(rows, got)
 
     def _load(self, rows: np.ndarray, got: np.ndarray, start: int = 0) -> None:
-        """Checked natives from ``start`` on: one masked copy, of words if l
-        allows; rows already held take them out of their counts and sums."""
-        span, rows = slice(start, start + got.size), words(np.ascontiguousarray(rows))
-        np.copyto(words(self._payloads[span]), rows, where=got[:, None])
-        self._covered[span] |= got
+        """Checked natives from ``start`` on: one plain copy of the span, with
+        the rows outside ``got`` (zero, or recovered by peeling) put back;
+        rows already held take them out of their counts and sums."""
+        keep = start + (~got).nonzero()[0]
+        held = self._payloads[keep]
+        self._payloads[start:start + got.size] = rows
+        self._payloads[keep] = held
+        self._covered[start:start + got.size] |= got
         if self._count.size:
             self._cover(start + got.nonzero()[0])
         self._uncovered -= int(np.count_nonzero(got))

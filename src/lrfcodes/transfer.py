@@ -6,8 +6,8 @@ source emits the natives plus, for the loss-aware schemes, ceil((1+eps) * m)
 encoding symbols sized from the latest fed-back loss estimate. The natives
 travel as one ``Natives`` event (the (w, l) rows) and each batch of encoding
 symbols as one ``Repairs`` event; one channel mask drops rows of both. The
-destination takes the received natives in one masked copy and their loss
-mask in one estimator pass, hands each batch to the window's peeling
+destination takes the received natives in one copy of the block and their
+loss mask in one estimator pass, hands each batch to the window's peeling
 decoder, peels when a delivery phase ends, acks the window on full
 recovery, and feeds loss reports back to the source. ``run_window``, the
 one exchange loop of a window for sessions and bench trials alike, takes the
@@ -541,17 +541,21 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
 
     t_start = time.perf_counter()
     windows = _split_windows(data, window, symbol_bytes)
-    recovered_windows: list[bytes] = []
+    # Each window's natives as taken: a read-only view of its decoder's
+    # payload matrix, which the destination no longer holds, or
+    # precode_solve's copy. One join copies them all.
+    recovered_windows: list[np.ndarray] = []
 
     for index, window_data in enumerate(windows):
-        # No name holds the natives: they may view the window's whole decoder.
-        recovered_windows.append(
-            run_window(source, dest, index, SourceBlock(window_data), deliver).tobytes())
+        recovered_windows.append(run_window(source, dest, index, SourceBlock(window_data), deliver))
         if trace:
             trace.write(f"{clock},ack,{index},,\n")
 
     metrics.wall_time = time.perf_counter() - t_start
-    delivered = b"".join(recovered_windows)[:size]
+    # The last window is trimmed of its padding as a view, before the join.
+    tail = size - (len(windows) - 1) * window * symbol_bytes
+    recovered_windows[-1] = recovered_windows[-1].reshape(-1)[:tail]
+    delivered = b"".join(recovered_windows)
     if delivered != data:
         raise SessionFailure("delivered data does not match source data",
                              window=-1, unresolved=0)

@@ -227,13 +227,20 @@ class ReferenceEstimator:
 
 @st.composite
 def estimator_runs(draw):
-    params = dict(window=draw(st.integers(1, 60)),
-                  relative_change=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 100.0])),
-                  min_observations=draw(st.integers(0, 30)),
-                  ewma=draw(st.sampled_from([None, 0.25, 0.5, 1.0])))
-    estimate = draw(st.sampled_from([None, 0.0, 0.01, 0.2, 0.9]))
-    n = draw(st.integers(0, 300))
-    rate = draw(st.sampled_from([0.0, 0.02, 0.2, 0.7, 1.0]))
+    if draw(st.integers(0, 9)) == 0:
+        # A session's shape: the destination's estimator over one or two
+        # 10^4-native windows at p = 0.02, about 100 reports or more.
+        params = dict(window=1000, relative_change=0.5, min_observations=50, ewma=None)
+        estimate = draw(st.sampled_from([0.02, 0.0]))
+        n, rate = draw(st.integers(10_000, 20_000)), 0.02
+    else:
+        params = dict(window=draw(st.integers(1, 60)),
+                      relative_change=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 100.0])),
+                      min_observations=draw(st.integers(0, 30)),
+                      ewma=draw(st.sampled_from([None, 0.25, 0.5, 1.0])))
+        estimate = draw(st.sampled_from([None, 0.0, 0.01, 0.2, 0.9]))
+        n = draw(st.integers(0, 300))
+        rate = draw(st.sampled_from([0.0, 0.02, 0.2, 0.7, 1.0]))
     mask = np.random.default_rng(draw(st.integers(0, 2**32))).random(n) < rate
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
     return params, estimate, mask, cuts

@@ -119,12 +119,18 @@ def test_round_peeler_matches_the_reference(scenario):
         assert decoder.encoding_used == reference.encoding_used
         assert _equations(decoder) == reference.pending_rows()
 
+    garbage = np.random.default_rng(seed).integers(0, 256, size=(w, l), dtype=np.uint8)
     for k in range(len(batches) + 1):
+        # One call over the whole block per slot; the rows outside ``got``
+        # are garbage, which must not reach the columns held (peeled ones
+        # included) or the uncovered ones.
+        got = np.zeros(w, dtype=bool)
         for slot, idx in natives:
             # A native whose column was peeled meanwhile is a duplicate.
             if slot == k and not decoder.covered[idx]:
-                decoder.add_native(idx, block.data[idx])
+                got[idx] = True
                 reference.add_native(idx, block.data[idx])
+        decoder.add_natives(np.where(got[:, None], block.data, garbage), got)
         check()
         if k < len(batches):
             decoder.add_batch(batches[k])
