@@ -13,11 +13,18 @@ Each equation says that the XOR of some unknowns equals its right-hand side.
   operation on coefficients and right-hand side together is one numpy XOR.
 
 Elimination is Gauss-Jordan over the packed rows; peeling is left to the
-peeling decoder that hands over its residual. ``xor_rows`` multiplies a
-sparse 0/1 matrix by a payload matrix, also a word at a time (``words``):
-it builds the encoder's repair payloads, the peeling decoder's released
-symbols and pending equations, and the precode's dense parity symbols and
-their right-hand sides.
+peeling decoder that hands over its residual. Before it, ``solve_partial``
+can substitute out indices that are not wanted (``eliminate``), given
+equations unit lower triangular over them; the rest then determine the
+wanted unknowns exactly as the whole system would. The precode's uncovered
+parities go this way, so its Gauss-Jordan pass runs over the missing
+natives only.
+
+``xor_rows`` multiplies a sparse 0/1 matrix by a payload matrix, also a
+word at a time (``words``): it builds the encoder's repair payloads, the
+peeling decoder's released symbols and pending equations, the precode's
+dense parity symbols and their right-hand sides, and the substitution
+steps above.
 """
 
 from __future__ import annotations
@@ -88,22 +95,48 @@ def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.n
         out[rows[first:end]] ^= np.bitwise_xor.reduceat(gathered, seg, axis=0)
 
 
-def _pack(indptr: np.ndarray, indices: np.ndarray, unknowns: np.ndarray,
-          spare: int = 0) -> np.ndarray:
-    """Packed coefficient rows of the CSR equations over ``unknowns``'
-    columns, followed by ``spare`` zero words per row; an index listed twice
+def _pack(indptr: np.ndarray, indices: np.ndarray, known: np.ndarray, at: np.ndarray,
+          width: int) -> np.ndarray:
+    """Packed coefficient rows of the CSR equations, ``width`` words each,
+    with index ``known[i]`` at packed column ``at[i]``; an index listed twice
     in a row cancels."""
-    order = np.argsort(unknowns, kind="stable")
-    ranked = unknowns[order]
-    at = np.minimum(np.searchsorted(ranked, indices), ranked.size - 1)
-    if (ranked[at] != indices).any():
-        raise InvalidInputError("an equation names an index that is not an unknown")
-    cols = order[at]
+    order = np.argsort(known, kind="stable")
+    ranked = known[order]
+    pos = np.minimum(np.searchsorted(ranked, indices), ranked.size - 1)
+    if (ranked[pos] != indices).any():
+        raise InvalidInputError("an equation names an index that is neither an unknown "
+                                "nor eliminated")
+    cols = at[order[pos]]
     nr = indptr.size - 1
-    packed = np.zeros((nr, (unknowns.size + 63) // 64 + spare), dtype=np.uint64)
+    packed = np.zeros((nr, width), dtype=np.uint64)
     rows = np.repeat(np.arange(nr), np.diff(indptr))
     np.bitwise_xor.at(packed, (rows, cols >> 6), _ONE << (cols & 63).astype(np.uint64))
     return packed
+
+
+def _substitute(M: np.ndarray, first: int, steps: list) -> np.ndarray:
+    """Apply ``solve_partial``'s ``eliminate`` steps in order to the packed
+    rows ``M``, whose step columns start at word ``first``, one ``xor_rows``
+    per step; returns the remaining rows' first ``first`` words. A step
+    changes no row's bits at a later step's columns (its equations list
+    none), so the bits on entry say which equations each step XORs where.
+    """
+    n = sum(idx.size for _, idx in steps)
+    bits = np.unpackbits(M[:, first:].view(np.uint8), axis=1, count=n,
+                         bitorder="little").view(bool)
+    keep = np.ones(M.shape[0], dtype=bool)
+    at = 0
+    for eq, idx in steps:
+        if (bits[eq, at:] != np.eye(idx.size, n - at, dtype=bool)).any():
+            raise InvalidInputError("a step's equation lists another index of its own "
+                                    "or a later step, or not its own")
+        keep[eq] = False
+        rows, hit = (bits[:, at:at + idx.size] & keep[:, None]).nonzero()
+        ptr = np.zeros(M.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=ptr[1:])
+        xor_rows(M, M, ptr, eq[hit])
+        at += idx.size
+    return M[keep, :first]
 
 
 def _eliminate(M: np.ndarray, nu: int) -> np.ndarray:
@@ -131,15 +164,28 @@ def _eliminate(M: np.ndarray, nu: int) -> np.ndarray:
     return pivot
 
 
-def solve_partial(rows, unknowns, rhs) -> dict:
+def solve_partial(rows, unknowns, rhs, eliminate=()) -> dict:
     """Solve XOR equations for as many unknowns as the system determines.
 
     Args:
         rows: the equations as CSR ``(indptr, indices)``: equation r
-            XORs the unknowns ``indices[indptr[r]:indptr[r+1]]``.
+            XORs the indices ``indices[indptr[r]:indptr[r+1]]``, each an
+            unknown or an eliminated index.
         unknowns: the distinct unknown indices, in any order.
         rhs: (equations, l) uint8 matrix; row r is equation r's right-hand
             side. It is not modified.
+        eliminate: steps ``(equations, indices)`` of two equal-length int
+            sequences, applied in order before the elimination. Equation
+            ``equations[i]`` lists ``indices[i]`` and no other index of its
+            own or a later step. A step XORs each of its equations,
+            coefficients and right-hand side, into every other remaining
+            equation that lists its index, then drops its equations. Their
+            indices are not unknowns and are not returned. The rows of the
+            steps' equations are unit lower triangular over the eliminated
+            indices, so any values of the unknowns extend to them in exactly
+            one way: the remaining equations (a Schur complement) determine
+            the same unknowns with the same values as the whole system, and
+            are inconsistent exactly when it is.
 
     Returns:
         Mapping unknown index -> its l-byte value (a uint8 row) for every
@@ -149,24 +195,34 @@ def solve_partial(rows, unknowns, rhs) -> dict:
     Raises:
         InvalidInputError: the system is inconsistent (a row reduces to
             zero coefficients with a non-zero right-hand side, which
-            indicates corrupted input), or an equation names an index that
-            is not among the unknowns.
+            indicates corrupted input); an equation names an index that is
+            neither an unknown nor eliminated; or the steps break their
+            contract.
     """
     indptr, indices = (np.asarray(a, dtype=np.int64) for a in rows)
     unknowns = np.fromiter(unknowns, dtype=np.int64)
+    steps = [tuple(np.asarray(a, dtype=np.int64) for a in step) for step in eliminate]
     rhs = np.asarray(rhs, dtype=np.uint8)
     if rhs.ndim != 2 or rhs.shape[0] != indptr.size - 1:
         raise InvalidInputError(f"{indptr.size - 1} equations but right-hand sides of "
                                 f"shape {rhs.shape}")
+    if any(eq.shape != idx.shape or eq.ndim != 1 for eq, idx in steps):
+        raise InvalidInputError("a step's equations and indices differ in length")
     if unknowns.size == 0 or rhs.shape[0] == 0:
         return {}
-    nw = (unknowns.size + 63) // 64
-    l = rhs.shape[1]
-    M = _pack(indptr, indices, unknowns, spare=(l + 7) // 8)
-    values = M[:, nw:].view(np.uint8)
-    values[:, :l] = rhs
-    pivot = _eliminate(M, unknowns.size)
+    nu, l = unknowns.size, rhs.shape[1]
+    nw, rw = (nu + 63) // 64, (l + 7) // 8
+    # The eliminated indices' columns start on the word after the right-hand side.
+    known = np.concatenate([unknowns, *(idx for _, idx in steps)])
+    at = np.arange(known.size)
+    at[nu:] += 64 * (nw + rw) - nu
+    M = _pack(indptr, indices, known, at, nw + rw + (known.size - nu + 63) // 64)
+    M[:, nw:nw + rw].view(np.uint8)[:, :l] = rhs
+    if steps:
+        M = _substitute(M, nw + rw, steps)
+    pivot = _eliminate(M, nu)
 
+    values = M[:, nw:].view(np.uint8)
     cols = (pivot >= 0).nonzero()[0]
     unpivoted = (pivot < 0).nonzero()[0]
     free_mask = np.zeros(nw, dtype=np.uint64)

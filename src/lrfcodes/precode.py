@@ -216,21 +216,29 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
     first). A constraint's right-hand side is the XOR of its covered
     members, summed in one pass over the payload matrix, whose uncovered
     rows read zero. The constraints and the pending equations then go to
-    one Gauss-Jordan elimination (``gf2.solve_partial``).
+    one ``gf2.solve_partial`` over the missing natives, which first
+    substitutes out the uncovered parities.
+
+    Constraint row j lists its own parity k + j, and besides it a sparse row
+    lists only natives while a dense row lists only natives and sparse
+    parities. So the rows of the uncovered parities are unit lower
+    triangular over them, and they are eliminated in two steps: the sparse
+    rows, then the dense rows (each a ``solve_partial`` step: a row lists
+    its own parity and none of its step or a later one). Any values of the
+    natives extend to the uncovered parities in exactly one way, so the
+    remaining equations determine the same natives as the whole system, and
+    are inconsistent exactly when it is.
 
     A system with fewer equations E than unknowns U, or with more than
     ``RESIDUAL_CAP`` unknowns, fails before any of that work (no
     right-hand sides, no ``pending_rows``, no elimination). E counts the
     constraint rows with an uncovered member and the decoder's
     ``live_rows``; U the uncovered intermediates. The E < U exit is exact:
-    uncovered parity k + j lies in constraint row j, and a sparse row lists
-    only natives besides its parity while a dense row lists only indices
-    below k + s. Those rows are therefore unit lower triangular over the
-    uncovered parities, so natives that are all determined determine every
-    parity too, and then rank = U <= E. On this path ``unresolved`` is every
-    missing native, which is k - len(recovered) in ``raptor_decode``'s
-    failure result; after an elimination it counts the natives the
-    elimination left undetermined.
+    by the same triangular structure, natives that are all determined
+    determine every parity too, and then rank = U <= E. On this path
+    ``unresolved`` is every missing native, which is k - len(recovered) in
+    ``raptor_decode``'s failure result; after an elimination it counts the
+    natives the elimination left undetermined.
 
     Raises:
         DecodeFailure: the system does not determine every native.
@@ -249,12 +257,12 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
         open_entry = ~covered[indices]
         counts = np.add.reduceat(open_entry, indptr[:-1])
         rows = counts > 0
-        unknowns = np.flatnonzero(~covered)
+        uncovered = cfg.total - np.count_nonzero(covered)
         equations = int(np.count_nonzero(rows)) + decoder.live_rows
-        if equations < unknowns.size or unknowns.size > RESIDUAL_CAP:
+        if equations < uncovered or uncovered > RESIDUAL_CAP:
             raise DecodeFailure(
                 f"{len(missing)} natives undetermined: {equations} equations for "
-                f"{unknowns.size} unknowns (cap {RESIDUAL_CAP})", unresolved=len(missing),
+                f"{uncovered} unknowns (cap {RESIDUAL_CAP})", unresolved=len(missing),
                 stage="precode")
         # A sparse row also lists its own parity k + j.
         rhs = np.zeros((cfg.s + cfg.h, decoder.l), dtype=np.uint8)
@@ -263,16 +271,21 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
         _xor_sparse(gf2.words(rhs[:cfg.s]), src, cfg)
         _xor_dense(gf2.words(rhs[cfg.s:]), src, cfg)
         p_indptr, p_indices, p_rhs = decoder.pending_rows()
+        # Constraint row j is equation at[j]; an uncovered parity's row lists it.
+        at = np.cumsum(rows) - 1
+        open_parity = ~covered[cfg.k:]
+        steps = [(at[j], cfg.k + j) for j in (np.flatnonzero(open_parity[:cfg.s]),
+                                              cfg.s + np.flatnonzero(open_parity[cfg.s:]))]
         solved = gf2.solve_partial(
             (np.concatenate(([0], np.cumsum(counts[rows]), p_indptr[1:] + counts.sum())),
              np.concatenate((indices[open_entry], p_indices))),
-            unknowns, np.concatenate((rhs[rows], p_rhs)))
+            missing, np.concatenate((rhs[rows], p_rhs)), eliminate=steps)
         undetermined = [i for i in missing if i not in solved]
         if undetermined:
             raise DecodeFailure(
-                f"{len(undetermined)} natives undetermined by the parity constraints "
-                f"({unknowns.size - len(solved)} unknowns left)",
-                unresolved=len(undetermined), stage="precode")
+                f"{len(undetermined)} of {len(missing)} missing natives undetermined by the "
+                "parity constraints and pending equations", unresolved=len(undetermined),
+                stage="precode")
     natives = payloads[:cfg.k].copy()
     for i in missing:
         natives[i] = solved[i]

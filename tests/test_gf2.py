@@ -148,6 +148,116 @@ def test_solve_partial_rejects_unlisted_indices():
         gf2.solve_partial(csr([[0, 5]]), [0, 1], np.zeros((1, 4), dtype=np.uint8))
 
 
+# ---------------------------------------------------------------------------
+# Eliminated indices
+
+
+def _stepped_system(seed, nu, na, nb, nrows, l):
+    """Random equations shaped like the precode's, over unknowns 0..nu-1,
+    step-1 indices nu..nu+na-1 and step-2 indices after them: a step-1
+    pivot row lists its index and unknowns, a step-2 pivot row its index,
+    unknowns and step-1 indices, and ``nrows`` further rows list any of
+    them. Returns the rows in shuffled order, their right-hand sides, the
+    true values and the two steps over row positions."""
+    rng = random.Random(seed)
+    n = nu + na + nb
+    values = np.random.default_rng(seed).integers(0, 256, size=(n, l), dtype=np.uint8)
+    pivots = [sorted({a, *rng.sample(range(nu), rng.randint(1, 3))}) for a in range(nu, nu + na)]
+    pivots += [sorted({b, *rng.sample(range(nu + na), rng.randint(1, (nu + na) // 2))})
+               for b in range(nu + na, n)]
+    rows = pivots + [sorted(rng.sample(range(n), rng.randint(1, max(1, n // 4))))
+                     for _ in range(nrows)]
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    at = np.argsort(order)
+    rows = [rows[i] for i in order]
+    rhs = np.array([np.bitwise_xor.reduce(values[r], axis=0) for r in rows], dtype=np.uint8)
+    steps = [(at[:na], np.arange(nu, nu + na)), (at[na:na + nb], np.arange(nu + na, n))]
+    return rows, rhs, values, steps
+
+
+def _solve_stepped(rows, rhs, steps, nu, ids):
+    """solve_partial over the unknowns, index j named ``ids[j]``."""
+    named = csr([[ids[j] for j in r] for r in rows])
+    return gf2.solve_partial(named, ids[:nu][::-1], rhs,
+                             eliminate=[(eq, [ids[j] for j in idx]) for eq, idx in steps])
+
+
+@pytest.mark.parametrize("nu, na, nb, extra, l, seed", [
+    (1, 1, 1, 0, 8, 31), (40, 30, 3, 10, 5, 32), (64, 70, 11, 4, 8, 33),
+    (100, 241, 11, 20, 16, 34), (150, 5, 0, 30, 12, 35),
+    # Rows of 4 KB: a step's gather spans several ``xor_rows`` slices.
+    (40, 30, 3, 10, 4096, 36),
+])
+def test_eliminated_solve_matches_oracle_on_full_rank_systems(nu, na, nb, extra, l, seed):
+    rows, rhs, values, steps = _stepped_system(seed, nu, na, nb, nu + extra, l)
+    n = nu + na + nb
+    missing = sorted(set(range(nu)) - _determined(n, rows))
+    rows += [[u] for u in missing]
+    rhs = np.concatenate((rhs, values[missing]))
+    oracle = gf2_oracle_solve(n, [(r, rhs[i].tobytes()) for i, r in enumerate(rows)])
+    ids = [1000 + 3 * j for j in range(n)]
+    solved = _solve_stepped(rows, rhs, steps, nu, ids)
+    assert set(solved) == set(ids[:nu])
+    assert [solved[ids[j]].tobytes() for j in range(nu)] == oracle[:nu]
+
+
+@pytest.mark.parametrize("nu, na, nb, nrows, l, seed", [
+    (30, 20, 3, 15, 8, 41), (70, 60, 5, 40, 8, 42), (130, 241, 11, 90, 7, 43),
+])
+def test_eliminated_solve_matches_oracle_on_rank_deficient_systems(nu, na, nb, nrows, l, seed):
+    rows, rhs, values, steps = _stepped_system(seed, nu, na, nb, nrows, l)
+    # Unknowns 0 and 1 only ever appear together, in pivot rows too.
+    rows = [sorted(set(r) | {0, 1}) if 0 in r or 1 in r else r for r in rows]
+    rhs = np.array([np.bitwise_xor.reduce(values[r], axis=0) for r in rows], dtype=np.uint8)
+    determined = _determined(nu + na + nb, rows) & set(range(nu))
+    assert 0 not in determined and 1 not in determined
+    solved = _solve_stepped(rows, rhs, steps, nu, list(range(nu + na + nb)))
+    assert set(solved) == determined
+    for u, value in solved.items():
+        assert value.tobytes() == values[u].tobytes()
+
+
+def test_eliminated_solve_finds_inconsistency_after_substitution():
+    nu, na, nb = 40, 30, 3
+    rows, _, values, steps = _stepped_system(51, nu, na, nb, 50, 8)
+    ids = list(range(nu + na + nb))
+    p, a = int(steps[0][0][0]), nu
+    # Only step-1 pivot row p lists a, so a flip of its right-hand side
+    # moves a's value alone and the system stays consistent.
+    rows = [r if i == p else [j for j in r if j != a] for i, r in enumerate(rows)]
+    x = next(i for i, r in enumerate(rows) if max(r) < nu)
+    # A redundant row: row p plus a row of unknowns only.
+    rows.append(sorted(set(rows[p]) ^ set(rows[x])))
+    rhs = np.array([np.bitwise_xor.reduce(values[r], axis=0) for r in rows], dtype=np.uint8)
+    rhs[p, 0] ^= 1
+    _solve_stepped(rows[:-1], rhs[:-1], steps, nu, ids)
+    with pytest.raises(InvalidInputError):
+        _solve_stepped(rows, rhs, steps, nu, ids)
+
+
+def test_eliminated_solve_validates_its_steps():
+    rows, rhs, _, steps = _stepped_system(61, 20, 10, 2, 30, 8)
+    ids = list(range(32))
+    want = _solve_stepped(rows, rhs, steps, 20, ids)
+    # An empty step changes nothing.
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    for padded in ([empty, *steps], [steps[0], empty, steps[1]], [*steps, empty]):
+        got = _solve_stepped(rows, rhs, padded, 20, ids)
+        assert got.keys() == want.keys()
+        assert all((got[u] == want[u]).all() for u in want)
+    # An index that is neither an unknown nor eliminated.
+    with pytest.raises(InvalidInputError):
+        _solve_stepped(rows + [[0, 32]], np.concatenate((rhs, rhs[:1])), steps, 20, ids + [32])
+    # A step-1 equation that lists a step-2 index, and an eliminated index
+    # that is also an unknown.
+    bad = [sorted(set(r) | {30}) if i == steps[0][0][0] else r for i, r in enumerate(rows)]
+    with pytest.raises(InvalidInputError):
+        _solve_stepped(bad, rhs, steps, 20, ids)
+    with pytest.raises(InvalidInputError):
+        _solve_stepped(rows, rhs, steps, 21, ids)
+
+
 def test_rank_counts_independent_rows():
     assert rank([[0, 1], [1, 2], [0, 2]], range(3)) == 2
     assert rank([[j] for j in range(70)] + [[3, 69]], range(70)) == 70

@@ -390,6 +390,42 @@ def test_early_exit_fires_only_on_an_undetermined_native(system):
     assert any(i not in solved for i in missing)
 
 
+def _full_solve(cfg, decoder):
+    """A plain ``solve_partial`` over every uncovered intermediate of the
+    decoder's precode system, with no index eliminated."""
+    covered = decoder.covered
+    indptr, indices = constraint_matrix(cfg)
+    rows = [[i for i in indices[a:b].tolist() if not covered[i]]
+            for a, b in zip(indptr[:-1], indptr[1:])]
+    rhs = np.array([np.bitwise_xor.reduce(decoder.payloads[indices[a:b]])
+                    for a, b in zip(indptr[:-1], indptr[1:])])
+    p_indptr, p_indices, p_rhs = decoder.pending_rows()
+    pending = [p_indices[a:b].tolist() for a, b in zip(p_indptr[:-1], p_indptr[1:])]
+    return gf2.solve_partial(csr([r for r in rows if r] + pending), np.flatnonzero(~covered),
+                             np.concatenate((rhs[[bool(r) for r in rows]], p_rhs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(precode_systems())
+def test_precode_solve_decides_as_the_full_system(system):
+    # Substituting out the uncovered parities before the elimination
+    # changes neither which natives are determined nor their values.
+    cfg, decoder = system
+    missing = np.flatnonzero(~decoder.covered[:cfg.k]).tolist()
+    full = _full_solve(cfg, decoder)
+    undetermined = [i for i in missing if i not in full]
+    with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
+        try:
+            natives = precode_solve(decoder, cfg)
+        except DecodeFailure as exc:
+            assert undetermined and exc.stage == "precode"
+            assert exc.unresolved == (len(undetermined) if solve.called else len(missing))
+            return
+    assert not undetermined
+    for i in missing:
+        np.testing.assert_array_equal(natives[i], full[i])
+
+
 def test_early_exit_reports_every_missing_native():
     # 12 lost natives and no repair: 8 constraint rows for at least 12
     # unknowns, so the solve fails before any elimination, and the failure
