@@ -3,6 +3,11 @@
 The default channel drops each symbol independently with probability p
 (Bernoulli erasures). A two-state burst model is available behind a flag for
 experimentation; it is excluded from the acceptance metrics.
+
+The loss-rate estimator reports once per call of ``observe_many``: the
+destination hands it one window's natives mask per ``Natives`` event, and the
+report counts exactly that mask. The source reads the latest report when it
+sizes the next window's proactive repair.
 """
 
 from __future__ import annotations
@@ -94,71 +99,32 @@ class LossReport:
 
 
 class LossRateEstimator:
-    """Streaming estimator emitting a report every ``window`` symbols, or
-    earlier when the running window rate moves >= ``relative_change`` away
-    from the last reported estimate (after a minimum of observations).
+    """Destination-side estimator: one report per ``observe_many`` call, over
+    exactly the outcomes it was given (a window's natives mask per event).
 
-    The default estimate is the plain windowed ratio; pass ``ewma`` in (0, 1]
-    to smooth reports exponentially instead.
+    The default estimate is the call's plain loss ratio; pass ``ewma`` in
+    (0, 1] to smooth reports exponentially instead.
     """
 
-    def __init__(self, window: int = 1000, relative_change: float = 0.5,
-                 min_observations: int = 50, ewma: float | None = None):
-        if window < 1:
-            raise InvalidParameterError(f"window must be >= 1, got {window}")
+    def __init__(self, ewma: float | None = None):
         if ewma is not None and not 0.0 < ewma <= 1.0:
             raise InvalidParameterError(f"ewma {ewma} outside (0, 1]")
-        self.window = window
-        self.relative_change = relative_change
-        self.min_observations = min_observations
         self.ewma = ewma
         self.estimate: float | None = None
-        self._observed = 0
-        self._lost = 0
 
-    def observe(self, lost: bool) -> LossReport | None:
-        """Record one delivery outcome; returns a report when triggered."""
-        return next(iter(self.observe_many((lost,))), None)
+    def observe(self, lost: bool) -> LossReport:
+        """Record one delivery outcome; returns its report."""
+        return self.observe_many((lost,))
 
-    def observe_many(self, lost) -> list[LossReport]:
-        """Record delivery outcomes in order (True marks a loss); returns the
-        reports a loop of ``observe`` over them would return, in order."""
-        # Losses among outcomes [0, i] are cum[i + 1]; one pass for the call.
+    def observe_many(self, lost) -> LossReport | None:
+        """Report over the delivery outcomes given (True marks a loss); None
+        for no outcomes."""
         lost = np.asarray(lost, dtype=bool)
-        cum = np.zeros(lost.size + 1, dtype=np.int64)
-        np.cumsum(lost, out=cum[1:])
-        counts = np.arange(1, min(self.window, self._observed + lost.size) + 1)
-        reports, lo = [], 0
-        while lo < cum.size - 1:
-            # A span runs from outcome lo to the next window report at the
-            # latest; the first outcome that triggers a report ends it.
-            seen, base = self._observed, self._lost - int(cum[lo])
-            hi = min(cum.size - 1, lo + self.window - seen)
-            at, fire = hi - 1, seen + hi - lo >= self.window
-            first = lo + max(0, self.min_observations - seen - 1)
-            if (ref := self.estimate) is not None and first < hi:
-                if ref == 0:  # the first outcome from ``first`` on with a loss counted
-                    moved = max(first, int(cum.searchsorted(-base, side="right")) - 1)
-                else:
-                    observed = counts[seen + first - lo:seen + hi - lo]
-                    rate = (base + cum[first + 1:hi + 1]) / observed
-                    hit = np.abs(rate - ref) >= self.relative_change * ref
-                    i = int(hit.argmax())
-                    moved = first + i if hit[i] else hi
-                if moved < hi:
-                    at, fire = moved, True
-            self._observed, self._lost = seen + at + 1 - lo, base + int(cum[at + 1])
-            if fire:
-                reports.append(self._emit())
-            lo = at + 1
-        return reports
-
-    def _emit(self) -> LossReport:
-        rate = self._lost / self._observed
+        if not lost.size:
+            return None
+        count = int(np.count_nonzero(lost))
+        rate = count / lost.size
         if self.ewma is not None and self.estimate is not None:
             rate = self.ewma * rate + (1.0 - self.ewma) * self.estimate
-        report = LossReport(observed_window=self._observed, lost=self._lost, estimate=rate)
         self.estimate = rate
-        self._observed = 0
-        self._lost = 0
-        return report
+        return LossReport(observed_window=lost.size, lost=count, estimate=rate)

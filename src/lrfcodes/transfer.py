@@ -9,9 +9,10 @@ symbols as one ``Repairs`` event; one channel mask drops rows of both. The
 destination takes the received natives in one copy of the block and their
 loss mask in one estimator pass, hands each batch to the window's peeling
 decoder, peels when a delivery phase ends, acks the window on full
-recovery, and feeds loss reports back to the source. ``run_window``, the
-one exchange loop of a window for sessions and bench trials alike, takes the
-acked window's natives and the destination forgets the window.
+recovery, and feeds back one loss report per natives event, counting that
+window's natives, to the source. ``run_window``, the one exchange loop of a
+window for sessions and bench trials alike, takes the acked window's natives
+and the destination forgets the window.
 
 Schemes:
     LT        -- pure fountain baseline: robust-soliton encoding symbols
@@ -339,8 +340,8 @@ def _is_array(a, shape: tuple, dtype) -> bool:
 
 class DestinationState:
     """Destination side: feeds arrivals to per-window decoders, peels when a
-    delivery phase ends, acks windows on full recovery, and emits loss
-    reports."""
+    delivery phase ends, acks windows on full recovery, and emits one loss
+    report per natives event."""
 
     def __init__(self, cfg: SessionConfig, metrics: SessionMetrics):
         self.cfg = cfg
@@ -379,7 +380,7 @@ class DestinationState:
                 if not state.complete:
                     # Rejects a covered native before any count moves.
                     state.decoder.add_natives(event.rows, ~lost)
-                out += [Feedback(r) for r in self.estimator.observe_many(lost)]
+                out.append(Feedback(self.estimator.observe_many(lost)))
                 dropped = int(np.count_nonzero(lost))
                 state.natives_seen += k - dropped
                 state.losses_seen += dropped

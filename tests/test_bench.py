@@ -227,13 +227,14 @@ def test_cli_trace_log(tmp_path):
 
 
 # SHA-256 of each experiment's CSV before the codec experiments shared one
-# loop and one exchange loop with sessions; two windows and two loss rates,
-# so a trial seed that swaps its window and loss-rate indices shows.
+# loop and one exchange loop with sessions (transfer's since the estimator
+# reports once per natives event); two windows and two loss rates, so a
+# trial seed that swaps its window and loss-rate indices shows.
 PINNED_CSV = {
     "window-sweep": "f8d78a1cee641155a81d95d15f8a6c44b4b4a6ee6bbff3ef1a27fd4394dd50c8",
     "lt-compare": "b5d54c4f231e22cae625461309d2b367584a7366fb932f6ed317462000393f76",
     "raptor-compare": "42a27aa8e88abf87913ffbd6fc15f265a827375caf8813bee9ce197d88e17d53",
-    "transfer": "b33a44e4d27a78ca8730f3232d943253cee63d67e8b6b4185bc23e380c85f7ec",
+    "transfer": "a8eec5045ea3e1ed852b22669de1e30723e305f8bbbba5c0b016dd99beef5d9e",
 }
 
 

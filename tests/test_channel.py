@@ -131,138 +131,52 @@ def test_loss_report_validation():
         LossReport(observed_window=5, lost=6, estimate=1.2)
 
 
-def test_estimator_reports_every_window():
-    est = LossRateEstimator(window=100)
-    reports = []
-    for i in range(350):
-        r = est.observe(i % 10 == 0)
-        if r is not None:
-            reports.append(r)
-    assert len(reports) == 3
-    for r in reports:
-        assert r.observed_window == 100
-        assert math.isclose(r.estimate, 0.1)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), max_size=300),
+       st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
+       st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_estimator_reports_once_per_call(mask, ewma, prior):
+    est = LossRateEstimator(ewma=ewma)
+    est.estimate = prior
+    report = est.observe_many(np.array(mask, dtype=bool))
+    if not mask:
+        assert report is None and est.estimate == prior
+        return
+    lost = sum(mask)
+    rate = lost / len(mask)
+    if ewma is not None and prior is not None:
+        rate = ewma * rate + (1.0 - ewma) * prior
+    assert report == LossReport(observed_window=len(mask), lost=lost, estimate=rate)
+    assert est.estimate == rate
 
 
 def test_estimator_is_unbiased():
     rng = np.random.default_rng(17)
     p = 0.03
-    est = LossRateEstimator(window=1000)
-    # One batch returns the reports a per-outcome ``observe`` loop would.
-    reports = [r.estimate for r in est.observe_many(rng.random(50_000) < p)]
+    est = LossRateEstimator()
+    mask = rng.random(50_000) < p
+    reports = [est.observe_many(mask[i:i + 1000]).estimate for i in range(0, mask.size, 1000)]
     mean = sum(reports) / len(reports)
     sigma = math.sqrt(p * (1 - p) / 1000 / len(reports))
     assert abs(mean - p) < 5 * sigma
 
 
-def test_estimator_early_report_on_rate_jump():
-    est = LossRateEstimator(window=1000, relative_change=0.5,
-                           min_observations=50)
-    for _ in range(1000):
-        est.observe(False)  # first report: rate 0... emitted at the window
-    assert est.estimate == 0.0
-    # A sudden burst triggers a report before the next full window.
-    emitted = None
-    for i in range(1000):
-        r = est.observe(True)
-        if r is not None:
-            emitted = (i, r)
-            break
-    assert emitted is not None
-    assert emitted[0] < 999
-    assert emitted[1].estimate > 0.0
-
-
 def test_estimator_ewma_smooths():
-    # relative_change is large so only the fixed window cadence reports.
-    est = LossRateEstimator(window=100, ewma=0.5, relative_change=100.0,
-                           min_observations=10_000)
-    for _ in range(100):
-        est.observe(False)
-    assert est.estimate == 0.0
-    for _ in range(100):
-        est.observe(True)
-    # One fully lossy window moves the EWMA halfway, not all the way.
-    assert math.isclose(est.estimate, 0.5)
+    est = LossRateEstimator(ewma=0.5)
+    # The first report has nothing to smooth against.
+    assert est.observe_many(np.zeros(100, dtype=bool)).estimate == 0.0
+    report = est.observe_many(np.ones(100, dtype=bool))
+    # One fully lossy call moves the EWMA halfway, not all the way.
+    assert (report.observed_window, report.lost) == (100, 100)
+    assert math.isclose(report.estimate, 0.5) and est.estimate == report.estimate
+    # ``observe`` is the one-outcome call of the same path.
+    assert est.observe(True) == LossReport(observed_window=1, lost=1, estimate=0.75)
 
 
 def test_estimator_validation():
-    with pytest.raises(InvalidParameterError):
-        LossRateEstimator(window=0)
-    with pytest.raises(InvalidParameterError):
-        LossRateEstimator(ewma=1.5)
-
-
-class ReferenceEstimator:
-    """The per-outcome loop ``observe_many`` replaced: a report at the
-    window, or earlier once the running rate moves far enough from the last
-    estimate (or above an estimate of 0)."""
-
-    def __init__(self, window, relative_change, min_observations, ewma, estimate):
-        self.window, self.relative_change = window, relative_change
-        self.min_observations, self.ewma = min_observations, ewma
-        self.estimate, self.observed, self.lost = estimate, 0, 0
-
-    def observe(self, lost):
-        self.observed += 1
-        self.lost += int(lost)
-        if self.observed >= self.window:
-            return self._emit()
-        if self.estimate is not None and self.observed >= self.min_observations:
-            rate, reference = self.lost / self.observed, self.estimate
-            if reference > 0 and abs(rate - reference) >= self.relative_change * reference:
-                return self._emit()
-            if reference == 0 and rate > 0:
-                return self._emit()
-        return None
-
-    def _emit(self):
-        rate = self.lost / self.observed
-        if self.ewma is not None and self.estimate is not None:
-            rate = self.ewma * rate + (1.0 - self.ewma) * self.estimate
-        report = LossReport(observed_window=self.observed, lost=self.lost, estimate=rate)
-        self.estimate, self.observed, self.lost = rate, 0, 0
-        return report
-
-
-@st.composite
-def estimator_runs(draw):
-    if draw(st.integers(0, 9)) == 0:
-        # A session's shape: the destination's estimator over one or two
-        # 10^4-native windows at p = 0.02, about 100 reports or more.
-        params = dict(window=1000, relative_change=0.5, min_observations=50, ewma=None)
-        estimate = draw(st.sampled_from([0.02, 0.0]))
-        n, rate = draw(st.integers(10_000, 20_000)), 0.02
-    else:
-        params = dict(window=draw(st.integers(1, 60)),
-                      relative_change=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0, 100.0])),
-                      min_observations=draw(st.integers(0, 30)),
-                      ewma=draw(st.sampled_from([None, 0.25, 0.5, 1.0])))
-        estimate = draw(st.sampled_from([None, 0.0, 0.01, 0.2, 0.9]))
-        n = draw(st.integers(0, 300))
-        rate = draw(st.sampled_from([0.0, 0.02, 0.2, 0.7, 1.0]))
-    mask = np.random.default_rng(draw(st.integers(0, 2**32))).random(n) < rate
-    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
-    return params, estimate, mask, cuts
-
-
-@settings(max_examples=300, deadline=None)
-@given(estimator_runs())
-def test_observe_many_matches_the_per_outcome_loop(run):
-    params, estimate, mask, cuts = run
-    est = LossRateEstimator(**params)
-    est.estimate = estimate
-    reference = ReferenceEstimator(estimate=estimate, **params)
-    # The mask goes in split at the cuts (empty pieces included); the
-    # reports of the pieces, in order, are those of the whole loop.
-    reports = []
-    for lo, hi in zip([0] + cuts, cuts + [mask.size]):
-        reports += est.observe_many(mask[lo:hi])
-    expected = [r for r in map(reference.observe, mask.tolist()) if r is not None]
-    assert reports == expected
-    assert (est.estimate, est._observed, est._lost) == (reference.estimate, reference.observed,
-                                                         reference.lost)
-    # ``observe`` is the one-outcome call of the same path.
-    assert est.observe(True) == reference.observe(True)
-    assert (est.estimate, est._observed, est._lost) == (reference.estimate, reference.observed,
-                                                         reference.lost)
+    for ewma in (0.0, -0.5, 1.5):
+        with pytest.raises(InvalidParameterError):
+            LossRateEstimator(ewma=ewma)
+    # The estimator takes no window or trigger knobs.
+    with pytest.raises(TypeError):
+        LossRateEstimator(window=1000)

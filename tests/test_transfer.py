@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrfcodes.channel import BurstModel, ChannelConfig
+from lrfcodes.channel import BurstModel, ChannelConfig, LossReport
 from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
                             encode_stream, pack_symbol, unpack_symbol)
 from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
@@ -204,9 +204,7 @@ def test_destination_feeds_back_loss_reports():
     dst = DestinationState(cfg, metrics)
     rows = np.frombuffer(b"abcd" * 2000, dtype=np.uint8).reshape(2000, 4)
     ev = Natives(0, rows, np.arange(2000) % 2 == 1)
-    feedback = [r for r in dst.step(ev) if isinstance(r, Feedback)]
-    assert feedback, "estimator never reported"
-    assert math.isclose(feedback[0].report.estimate, 0.5, abs_tol=0.1)
+    assert dst.step(ev) == [Feedback(LossReport(observed_window=2000, lost=1000, estimate=0.5))]
 
 
 def test_source_updates_rate_from_feedback():
@@ -215,7 +213,6 @@ def test_source_updates_rate_from_feedback():
     metrics = SessionMetrics()
     src = SourceState(cfg, metrics)
     assert math.isclose(src.known_loss_rate, 0.01)
-    from lrfcodes.channel import LossReport
     src.step([Feedback(LossReport(observed_window=1000, lost=80,
                                   estimate=0.08))])
     assert math.isclose(src.known_loss_rate, 0.08)
@@ -337,6 +334,28 @@ def test_trace_stamps_each_symbol_with_its_link_position():
         assert getattr(untraced, field) == getattr(metrics, field)
 
 
+def test_next_window_is_sized_from_the_last_natives_report(monkeypatch):
+    # Window 0's natives event feeds back one report over its 300 natives,
+    # so window 1's first repair batch is ceil((1+eps) * m0) for window 0's
+    # m0 lost natives, whatever the configured rate (here 0.05, or 15).
+    first_batches = {}
+    start_window = SourceState.start_window
+
+    def recording(self, index, block):
+        out = start_window(self, index, block)
+        first_batches[index] = sum(len(em.batch) for em in out if isinstance(em, Repairs))
+        return out
+
+    monkeypatch.setattr(SourceState, "start_window", recording)
+    trace = io.StringIO()
+    run_session(2 * 300 * 8, 300, 8, ChannelConfig(0.05, seed=3), 0.2, "LRF", seed=3,
+                trace=trace)
+    lines = [line.split(",") for line in trace.getvalue().splitlines()]
+    m0 = sum(1 for f in lines if f[1] == "NativeLoss" and f[2] == "0")
+    assert m0 != 15
+    assert first_batches[1] == math.ceil((1 + 0.2) * m0)
+
+
 def test_destination_counts_only_accepted_symbols():
     # A symbol the decoder rejects is a protocol error, not a delivery.
     cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
@@ -400,7 +419,9 @@ def test_destination_rejects_a_natives_event_whole():
     dst = DestinationState(cfg, metrics)
     rows = SourceBlock.random(16, 8, seed=3).data
     odd = np.arange(16) % 2 == 1
-    assert dst.step(Natives(0, rows, odd)) == []
+    # An accepted event feeds back one report over its own mask.
+    half = [Feedback(LossReport(observed_window=16, lost=8, estimate=0.5))]
+    assert dst.step(Natives(0, rows, odd)) == half
     state = dst.windows[0]
     covered, payloads = state.decoder.covered.copy(), state.decoder.payloads.copy()
     counts = (metrics.delivered, metrics.lost, state.natives_seen, state.losses_seen)
@@ -415,7 +436,7 @@ def test_destination_rejects_a_natives_event_whole():
         np.testing.assert_array_equal(state.decoder.covered, covered)
         np.testing.assert_array_equal(state.decoder.payloads, payloads)
     # The odd natives still arrive in an event of their own.
-    assert dst.step(Natives(0, rows, ~odd)) == []
+    assert dst.step(Natives(0, rows, ~odd)) == half
     assert dst.conclude(0) == [Ack(0)]
     np.testing.assert_array_equal(dst.take(0), rows)
 
@@ -661,12 +682,14 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
 
 @pytest.mark.parametrize("window, symbol_bytes, seed, encoding_sent, total_degree_sent", [
     (1000, 32, 11, 181, 16714),
-    (800, 20, 3, 208, 14793),
+    (800, 20, 3, 200, 13032),
 ])
 def test_lr_raptor_session_counts_are_pinned(window, symbol_bytes, seed, encoding_sent,
                                              total_degree_sent):
-    # Bursty sessions with several NACK rounds each; how the precode system
-    # is solved must not change which rounds succeed, so these stay fixed.
+    # Bursty two-window sessions with NACK rounds; how the precode system is
+    # solved must not change which rounds succeed, so these stay fixed.
+    # Window 1's proactive repair is sized from window 0's natives report,
+    # over 1,000 outcomes in the first row and 800 in the second.
     channel = ChannelConfig(0.03, seed=seed, burst=BurstModel(0.01, 0.1))
     data = _payload(2 * window, symbol_bytes, seed)
     metrics, delivered = run_session(data, window, symbol_bytes, channel, 0.2, "LR-Raptor",
@@ -676,18 +699,19 @@ def test_lr_raptor_session_counts_are_pinned(window, symbol_bytes, seed, encodin
             metrics.windows_completed) == (encoding_sent, total_degree_sent, 2)
 
 
-# SHA-256 of each session's trace at the commit before natives travelled as
-# one event per window; a change to the protocol's event path must leave
-# every symbol, loss, clock and ack where it was.
+# SHA-256 of each session's trace: LT's and Raptor's from the commit before
+# natives travelled as one event per window, LRF's and LR-Raptor's since the
+# estimator reports once per natives event. A change to the protocol's event
+# path must leave every symbol, loss, clock and ack where it was.
 PINNED_TRACES = {
     ("LT", "bernoulli"): "b533bb761771f60e2fd17bba4c1fd530c3976d9c78ef46a4d7f4ee6e466e74bb",
     ("LT", "burst"): "b8613510ffd499a366b5b0b1366ff40150fb801014097f6ddc01585c22edf06b",
-    ("LRF", "bernoulli"): "5c2eca12d04ed30689d8dccc30e06b8dcda85d25dc4a8b996f1937d01464abbe",
-    ("LRF", "burst"): "a90c9545245dca1315680d1f835e449a33a2bb659f4c330612bc33ef9823bad9",
+    ("LRF", "bernoulli"): "b84892d580ecfe9f23a57aca798ad0519ff7e90c375b6afae02595448cc2ab99",
+    ("LRF", "burst"): "c03ab64b952a92da763fef39fa6239dd94ff2e7e2182eac732aa52c76942f02d",
     ("Raptor", "bernoulli"): "b64bbfe79d40cd3447cae368e385a0aaed8e9014d07324ec3adc12614e1a2a01",
     ("Raptor", "burst"): "ff89ddc39b7088056da8556da2bfe77289b0bc32c5d3b5d44d7a98916ff3992e",
-    ("LR-Raptor", "bernoulli"): "95c8f9909abfbc293504cd3b2014fcb3fd79c058fdf40b85ffe2edd44ea8b1ce",
-    ("LR-Raptor", "burst"): "32657ca2f31c5ddbe2daf640c862c1d4a21ef2ab904c4708b1ae52843f06f792",
+    ("LR-Raptor", "bernoulli"): "8bb86ca6a5cded2e990cb8796f6b4ccc1b3b64affc48ab8f3fa7c1a380462f32",
+    ("LR-Raptor", "burst"): "8e894307ca7cba607c0f9a6cb62145d47d86f52648243f2cc7d6190656db3472",
 }
 
 
