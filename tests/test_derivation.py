@@ -6,6 +6,7 @@ hypergeometric hit probabilities the loss-aware analysis rests on. Every
 test runs at fixed seeds, so each is deterministic.
 """
 
+import hashlib
 import math
 from itertools import combinations
 
@@ -17,7 +18,8 @@ from lrfcodes.codec import (_CANDIDATE_CHUNK, MAX_WINDOW, WIRE_HEADER, RepairBat
                             derive_seeds, encode_stream, neighbor_sets, pack_symbol,
                             select_neighbors, unpack_symbol)
 from lrfcodes.distributions import (DegreeDistribution, LossContext, ideal_soliton,
-                                    lrf_ideal, recovery_probability, robust_soliton)
+                                    lr_raptor_dist, lrf_ideal, recovery_probability,
+                                    robust_soliton)
 from lrfcodes.errors import InvalidInputError, InvalidParameterError
 from test_codec import encode_one
 
@@ -91,9 +93,9 @@ def test_derive_seeds_broadcasts_over_bases():
 
 def test_neighbor_sets_match_reference_definition():
     rng = np.random.default_rng(12)
-    for w in (1, 2, 3, 5, 7, 16, 31, 64):
+    for w in (1, 2, 3, 5, 7, 16, 31, 64, 10_007, MAX_WINDOW):
         seeds = rng.integers(0, 2**64, size=50, dtype=np.uint64)
-        degrees = rng.integers(1, w + 1, size=50)
+        degrees = rng.integers(1, min(w, 64) + 1, size=50)
         indptr, indices = neighbor_sets(seeds, w, degrees)
         for i, (seed, d) in enumerate(zip(seeds.tolist(), degrees.tolist())):
             assert indices[indptr[i]:indptr[i + 1]].tolist() == reference_neighbors(seed, w, d)
@@ -115,14 +117,62 @@ def test_neighbor_sets_independent_of_batch():
 
 def test_draws_in_the_top_partial_range_are_rejected():
     # The first draw of this seed is 2**64 - 1, above the largest multiple of
-    # w (w = 3, 5, 10 do not divide 2**64), so the set starts at the second draw.
+    # w (none of these w divides 2**64), so the set starts at the second draw.
     seed = (unmix(MASK) - GAMMA) & MASK
     assert derive_seed(seed, 0) == MASK
-    for w in (3, 5, 10):
+    for w in (3, 5, 10, 10_007, MAX_WINDOW - 1):
         second = derive_seed(seed, 1) % w
         assert MASK % w != second  # keeping the first draw would give another set
         assert select_neighbors(seed, w, 1).tolist() == [second]
         assert select_neighbors(seed, w, 1).tolist() == reference_neighbors(seed, w, 1)
+        for d in (2, 5, 40):
+            if d <= w:
+                assert select_neighbors(seed, w, d).tolist() == reference_neighbors(seed, w, d)
+
+
+def test_a_stream_short_of_distinct_values_is_redrawn():
+    # Seed 40's first six draws at w = 7 hold only the values 3 and 4: a
+    # degree-3 row drawn with a margin of three repeats is still short, and
+    # its set comes from a longer stream. The other rows of its batch keep
+    # theirs.
+    w, seed = 7, 40
+    assert {derive_seed(seed, j) % w for j in range(6)} == {3, 4}
+    seeds = np.concatenate(([seed], derive_seeds(2, np.arange(40)), [seed])).astype(np.uint64)
+    degrees = np.full(seeds.size, 3)
+    degrees[1::3] = 4
+    indptr, indices = neighbor_sets(seeds, w, degrees)
+    for i, (s, d) in enumerate(zip(seeds.tolist(), degrees.tolist())):
+        assert indices[indptr[i]:indptr[i + 1]].tolist() == reference_neighbors(s, w, d)
+    assert indices[:3].tolist() == reference_neighbors(seed, w, 3) == [3, 4, 6]
+
+
+def golden_batch(w, n):
+    """n symbols each of robust soliton, ``lrf_ideal`` and ``lr_raptor_dist``
+    degrees over w, then the edge degrees 1, w // 2, w // 2 + 1 and w."""
+    ctx = LossContext(w, max(1, w // 50))
+    dists = (robust_soliton(w, 0.5, 0.1), lrf_ideal(ctx),
+             lr_raptor_dist(ctx, min(w, 4 * -(-w // ctx.m))))
+    seeds = derive_seeds(w, np.arange(3 * n + 4))
+    degrees = [derive_degrees(seeds[i * n:(i + 1) * n], d) for i, d in enumerate(dists)]
+    return seeds, np.concatenate(degrees + [np.clip([1, w // 2, w // 2 + 1, w], 1, w)])
+
+
+@pytest.mark.parametrize("w,n,digest", [
+    (1, 20, "4b0aa5f1f4a9fac4"), (2, 50, "5d250cca1a1439e2"), (7, 100, "e6f505c07947e0b9"),
+    (64, 200, "84172740a6d1f9fb"), (4096, 1000, "34fb3a4595ad231c"),
+    (10_000, 300, "65373ad7a9303a51"), (10_252, 300, "f318d84be2fa1517"),
+    (MAX_WINDOW, 40, "ec5cbdb74cc81e83")])
+def test_neighbor_sets_golden_digests(w, n, digest):
+    # The wire format names this derivation (WIRE_VERSION 1): a decoder
+    # re-derives every set from (seed, degree), so the sets are pinned bit
+    # for bit. Each batch spans several candidate chunks (w >= 64) and
+    # holds rows whose draws repeat, so it also takes the redraw.
+    seeds, degrees = golden_batch(w, n)
+    indptr, indices = neighbor_sets(seeds, w, degrees)
+    if w >= 64:
+        assert indptr[-1] > 3 * _CANDIDATE_CHUNK
+    got = hashlib.sha256(indptr.astype("<i8").tobytes() + indices.astype("<i8").tobytes())
+    assert got.hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("w,d", [(6, 1), (9, 1), (7, 2), (7, 3), (6, 3), (6, 4), (7, 5), (8, 7)])
