@@ -50,8 +50,9 @@ _CANDIDATE_CHUNK = 1 << 13
 _SMALL_RIPPLE = 4
 # Slots each column of ``PeelDecoder``'s column index starts with.
 _SPARE_SLOTS = 4
-# Largest window ``neighbor_sets`` accepts: a chunk's sort codes
-# (row, value, draw index) then stay far inside int64.
+# Largest window ``neighbor_sets`` accepts. A chunk's int64 sort keys pack
+# (row, value, draw index): at most 13 bits of row and 20 of value leave 30
+# for the draw index, 2**9 times what a chunk draws at first at MAX_WINDOW.
 MAX_WINDOW = 1 << 20
 
 
@@ -133,12 +134,13 @@ def _first_distinct(seeds: np.ndarray, w: int, k: np.ndarray) -> tuple[np.ndarra
     out = np.empty(ptr[-1], dtype=np.int64)
     rem = (1 << 64) % w
     limit = np.uint64((1 << 64) - rem) if rem else None
-    # Draws per stream: k plus about twice the expected number of repeats;
-    # a stream that still falls short is redrawn with twice the margin.
-    margin = k * k // (w - k + 1) + 2
+    # Draws per stream: exactly k when a repeat is rare (16 k^2 < w), else k
+    # plus about twice the expected number of repeats; a stream that still
+    # falls short is redrawn with twice the extra, plus two.
+    extra = np.where(16 * k * k < w, 0, k * k // (w - k + 1) + 2)
     todo = k.nonzero()[0]
     while todo.size:
-        draws = k[todo] + margin[todo]
+        draws = k[todo] + extra[todo]
         ends = draws.cumsum()
         cuts = ends.searchsorted(np.arange(_CANDIDATE_CHUNK, ends[-1], _CANDIDATE_CHUNK),
                                  side="right").tolist()
@@ -149,47 +151,51 @@ def _first_distinct(seeds: np.ndarray, w: int, k: np.ndarray) -> tuple[np.ndarra
                 done = _draw_rows(seeds[rows], w, k[rows], draws[lo:hi], limit, out, ptr[rows])
                 short.append(rows[~done])
         todo = np.concatenate(short)
-        margin[todo] *= 2
+        extra[todo] = 2 * extra[todo] + 2
     return ptr, out
 
 
 def _draw_rows(seeds, w, k, draws, limit, out, starts) -> np.ndarray:
     """Draw ``draws[r]`` values from each row's stream; write the sorted first
     ``k[r]`` distinct ones to ``out[starts[r]:]``. Returns which rows had
-    enough distinct draws (the others are left unwritten)."""
-    n = k.size
-    ends = draws.cumsum()
-    row_start = ends - draws
-    seg = np.arange(n).repeat(draws)
-    j = np.arange(ends[-1]) - row_start.repeat(draws)
-    x = derive_seeds(seeds.repeat(draws), j)
-    # One sort orders the draws by (row, value, draw index), so the first
-    # entry of each (row, value) run is that value's earliest draw.
-    span = int(draws.max())
-    code = (seg * w + (x % np.uint64(w)).astype(np.int64)) * span + j
-    if limit is not None:
-        ok = x < limit
-        if not ok.all():
-            code = code[ok]
-    code.sort()
-    key = code // span
-    new = np.empty(code.size, dtype=bool)
+    enough distinct draws (the others get fewer values, to be overwritten)."""
+    n, ends = k.size, draws.cumsum()
+    total = int(ends[-1])
+    # Draw g of the chunk is draw g - (its row's first g) of that row's stream.
+    g = np.arange(total, dtype=np.uint64)
+    x = derive_seeds((seeds - _GAMMA * (ends - draws).astype(np.uint64)).repeat(draws), g)
+    ok = x < limit if limit is not None and x.max() >= limit else None
+    # x mod w: numpy's remainder divides in hardware, x // w multiplies.
+    x -= x // w * w
+    # One sort of the (row, value, g) keys orders each row's draws of one
+    # value by g, so a (row, value) run starts with the value's first draw.
+    gbits, vbits = total.bit_length(), (w - 1).bit_length()
+    key = x.view(np.int64)
+    key <<= gbits
+    key |= g.view(np.int64)
+    key |= (np.arange(n) << (vbits + gbits)).repeat(draws)
+    if ok is not None:
+        key = key[ok]
+    key.sort()
+    rv = key >> gbits
+    new = np.empty(key.size, dtype=bool)
     new[:1] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
+    np.not_equal(rv[1:], rv[:-1], out=new[1:])
     uniq = key[new]
-    useg = uniq // w
-    # Rank each distinct value among its row's distinct values by first draw.
-    pos = row_start[useg] + code[new] % span
-    firsts_before = np.zeros(ends[-1] + 1, dtype=np.int64)
-    firsts_before[pos + 1] = 1
-    firsts_before.cumsum(out=firsts_before)
-    rank = firsts_before[pos] - firsts_before[row_start[useg]]
-    done = np.bincount(useg, minlength=n) >= k
-    take = (rank < k[useg]) & done[useg]
-    kd = k[done]
-    dst = (starts[done] - (kd.cumsum() - kd)).repeat(kd) + np.arange(kd.sum())
-    out[dst] = uniq[take] - useg[take] * w
-    return done
+    # Row r's distinct values are uniq[bounds[r]:bounds[r + 1]].
+    bounds = uniq.searchsorted(np.arange(n + 1) << (vbits + gbits))
+    have = bounds[1:] - bounds[:-1]
+    if total > k.sum():
+        # A row that drew extra keeps the values first drawn no later than its
+        # k-th distinct one; its values' first draws are, in draw order,
+        # firsts[bounds[r]:bounds[r + 1]].
+        pos = uniq & ((1 << gbits) - 1)
+        first = np.zeros(total, dtype=bool)
+        first[pos] = True
+        firsts = first.nonzero()[0]
+        uniq = uniq[pos <= firsts.take(bounds[:-1] + k - 1, mode="clip").repeat(have)]
+    out[_span_index(starts, np.minimum(k, have))] = (uniq >> gbits) & ((1 << vbits) - 1)
+    return have >= k
 
 
 class SourceBlock:
@@ -301,7 +307,8 @@ class RepairBatch:
         """Per-row mask of the symbols a window of w symbols of l bytes must
         reject: a payload other than l bytes, a wire symbol's degree outside
         1..w, or neighbors that are not strictly increasing integers in
-        0..w-1 (a repeated index would cancel in the XOR but count once).
+        0..w-1 (a repeated index would cancel in the XOR but count once) or
+        not as many as the degree, which is at least 1.
         Every row is rejected when the columns themselves are malformed:
         ids, seeds and degrees that are not 1-D integer arrays of one
         length, a payload matrix of another shape, or exactly one of
@@ -318,15 +325,16 @@ class RepairBatch:
                 or indptr.dtype.kind not in "iu" or idx.dtype.kind not in "iu" or idx.ndim != 1
                 or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != idx.size):
             return np.ones(n, dtype=bool)
-        if (indptr[1:] < indptr[:-1]).any():
+        lengths = indptr[1:] - indptr[:-1]
+        if (lengths < 0).any():
             return np.ones(n, dtype=bool)
         # Entry i continues its row unless a row starts at i. A bad entry is
         # the last row's that starts at or before it (past any empty rows).
         same_row = np.ones(idx.size + 1, dtype=bool)
         same_row[indptr[:-1]] = False
-        bad = (idx < 0) | (idx >= w)
+        bad = idx.astype(np.uint64) >= w  # a negative index casts to a huge one
         bad[1:] |= (idx[1:] <= idx[:-1]) & same_row[1:-1]
-        out = np.zeros(n, dtype=bool)
+        out = (lengths != self.degrees) | (self.degrees < 1)
         out[indptr.searchsorted(bad.nonzero()[0], side="right") - 1] = True
         return out
 
@@ -563,30 +571,28 @@ class PeelDecoder:
         self._take(batch)
 
     def _take(self, batch: RepairBatch) -> None:
-        """``add_batch`` of a resolved batch already checked for malformed rows."""
+        """``add_batch`` of a resolved batch already checked for malformed
+        rows, so that no row is empty."""
         indptr, indices = batch.indptr, batch.indices.astype(np.int64, copy=False)
         first = self._count.size
         self._rows = np.concatenate((self._rows, batch.payloads))
         open_entry = ~self._covered[indices]
-        cols = indices[open_entry]
-        row_of = np.arange(len(batch)).repeat(indptr[1:] - indptr[:-1])[open_entry]
-        count = np.bincount(row_of, minlength=len(batch))
-        # Index sums stay far below 2**53, so float weights add them exactly.
-        sums = np.bincount(row_of, weights=cols, minlength=len(batch)).astype(np.int64)
+        count = np.add.reduceat(open_entry, indptr[:-1], dtype=np.int64)
+        sums = np.add.reduceat(indices * open_entry, indptr[:-1])
         self._indptr = np.concatenate((self._indptr, self._indptr[-1] + indptr[1:]))
         self._indices = np.concatenate((self._indices, indices))
         self._count = np.concatenate((self._count, count))
         self._sum = np.concatenate((self._sum, sums))
-        if cols.size:
-            # One sort of (column, row) keys orders the entries by column; a
-            # column takes 31 bits and a row of the batch 32, far beyond any
-            # window or batch a payload matrix can hold.
-            key = row_of
-            key |= cols << 32
+        key = indices[open_entry]
+        if key.size:
+            # One sort of (column, row) keys orders the open entries by
+            # column; a column takes 31 bits and a row 32, far beyond any
+            # window or row count a payload matrix can hold.
+            key <<= 32
+            key |= np.arange(first, self._count.size).repeat(count)
             key.sort()
             cols = key >> 32
             key &= 0xFFFFFFFF
-            key += first
             self._index(cols, key)
 
     def _index(self, cols: np.ndarray, rows: np.ndarray) -> None:

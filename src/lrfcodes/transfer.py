@@ -300,8 +300,8 @@ class SourceState:
                 if plan is None:
                     continue
                 if self.cfg.scheme in ("LRF", "LR-Raptor"):
-                    # Size (or re-size) the repair distribution from the
-                    # nack's unresolved-native count.
+                    # Re-size the repair law only for more unresolved natives
+                    # than the m_hat it was sized for (or size it, if none).
                     m_hat = max(1, ev.unresolved)
                     if plan.dist is None or m_hat > plan.m_hat:
                         plan.dist = self._loss_aware_dist(plan.block.w, m_hat)

@@ -296,6 +296,24 @@ def test_malformed_neighbors_rejected(neighbors):
         peel_decode(natives, [sym], w, l)
 
 
+@pytest.mark.parametrize("indptr,degrees,bad", [
+    ([0, 0, 2], [2, 2], [True, False]),  # an empty row
+    ([0, 0, 2], [0, 2], [True, False]),  # an empty row of degree 0
+    ([0, 2, 4], [2, 3], [False, True]),  # fewer neighbors than the degree
+    ([0, 3, 4], [2, 1], [True, False]),  # more
+])
+def test_neighbor_count_must_match_the_degree(indptr, degrees, bad):
+    # Such a row used to be taken: an empty one stayed in the decoder as a
+    # dead row with a count of 0.
+    w, l = 8, 2
+    batch = RepairBatch(np.arange(2, dtype=np.uint64), np.zeros(2, dtype=np.uint64),
+                        np.array(degrees), np.array(indptr), np.array([1, 4, 5, 6][:indptr[-1]]),
+                        np.zeros((2, l), dtype=np.uint8))
+    assert batch.malformed(w, l).tolist() == bad
+    with pytest.raises(InvalidInputError):
+        PeelDecoder(w, l).add_batch(batch)
+
+
 @pytest.mark.parametrize("field", ["id", "seed"])
 @pytest.mark.parametrize("value", [-1, 1 << 64])
 def test_symbol_id_or_seed_outside_u64_rejected(field, value):

@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from lrfcodes import codec
 from lrfcodes.codec import (_CANDIDATE_CHUNK, MAX_WINDOW, WIRE_HEADER, RepairBatch,
                             SourceBlock, derive_degree, derive_degrees, derive_seed,
                             derive_seeds, encode_stream, neighbor_sets, pack_symbol,
@@ -144,6 +145,32 @@ def test_a_stream_short_of_distinct_values_is_redrawn():
     for i, (s, d) in enumerate(zip(seeds.tolist(), degrees.tolist())):
         assert indices[indptr[i]:indptr[i + 1]].tolist() == reference_neighbors(s, w, d)
     assert indices[:3].tolist() == reference_neighbors(seed, w, 3) == [3, 4, 6]
+
+
+def test_packed_sort_key_fits_at_max_window(monkeypatch):
+    # The fullest chunk at MAX_WINDOW: a row drawing w / 2 distinct values
+    # (about w draws) and the single draws of the rows that end in the same
+    # chunk. Its sort keys take 13 row bits, 20 value bits and 21 bits of
+    # draw index, well inside int64's 63.
+    w, n = MAX_WINDOW, _CANDIDATE_CHUNK
+    chunks = []
+    draw_rows = codec._draw_rows
+    monkeypatch.setattr(codec, "_draw_rows", lambda seeds, w, k, draws, *rest: (
+        chunks.append((k.size, int(draws.sum()))) or draw_rows(seeds, w, k, draws, *rest)))
+    seeds = derive_seeds(21, np.arange(n))
+    degrees = np.ones(n, dtype=np.int64)
+    degrees[0] = w // 2
+    indptr, indices = neighbor_sets(seeds, w, degrees)
+    rows, draws = chunks[0]
+    assert rows > n - 8 and draws > w
+    assert (rows - 1).bit_length() + (w - 1).bit_length() + draws.bit_length() <= 63 - 8
+    # Row 0 against the definition, by numpy over a stream long enough to
+    # hold w / 2 distinct values (w divides 2**64: nothing is rejected).
+    values = derive_seeds(int(seeds[0]), np.arange(2 * w)) % np.uint64(w)
+    firsts = np.sort(np.unique(values, return_index=True)[1])[:w // 2]
+    np.testing.assert_array_equal(indices[:w // 2], np.sort(values[firsts]))
+    for i in range(1, n, 331):
+        assert indices[indptr[i]:indptr[i + 1]].tolist() == reference_neighbors(int(seeds[i]), w, 1)
 
 
 def golden_batch(w, n):

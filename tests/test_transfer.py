@@ -502,11 +502,12 @@ def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
     bad = corrupted([4])
     assert bad.malformed(64, 8).tolist() == [r == 4 for r in range(9)]
     # With row 3 emptied, row 4's first entry is also where row 3 starts;
-    # a bad entry there is still row 4's.
+    # a bad entry there is still row 4's. Row 3 is bad too: it no longer
+    # lists as many neighbors as its degree.
     lo, hi = bad.indptr[3:5]
     gap = dataclasses.replace(bad, indices=np.delete(bad.indices, np.s_[lo:hi]),
                               indptr=np.concatenate((bad.indptr[:4], bad.indptr[4:] - (hi - lo))))
-    assert gap.malformed(64, 8).tolist() == [r == 4 for r in range(9)]
+    assert gap.malformed(64, 8).tolist() == [r in (3, 4) for r in range(9)]
     assert dst.step(Repairs(0, bad)) == []
     assert metrics.protocol_errors == 1
     assert metrics.delivered == 61 + 8
