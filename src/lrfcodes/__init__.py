@@ -18,8 +18,7 @@ from .distributions import (DegreeDistribution, LossContext, average_degree,
                             required_symbols_bound, robust_soliton, sample)
 from .errors import (DecodeFailure, InfeasibleCapError, InvalidInputError,
                      InvalidParameterError, NoLossError, SessionFailure)
-from .precode import (PrecodeConfig, precode_expand, precode_solve, raptor_decode,
-                      raptor_encode)
+from .precode import PrecodeConfig, precode_expand, precode_solve, raptor_decode
 from .transfer import SessionMetrics, run_session
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -61,8 +61,6 @@ class ExperimentSpec:
     symbol_bytes: int = 64
     total_symbols: int = 100_000
     epsilon: float = 0.1
-    delta: float = 0.5
-    c: float = 0.1
     precode_k: int = 1024
     precode_s: int = 25
     precode_h: int = 2
@@ -130,7 +128,7 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
         return None
     cfg = SessionConfig(window=w, symbol_bytes=spec.symbol_bytes,
                         epsilon=spec.epsilon, scheme=scheme, channel=channel,
-                        seed=seed, delta=spec.delta, c=spec.c, d_max=spec.d_max,
+                        seed=seed, d_max=spec.d_max,
                         precode_s=spec.precode_s, precode_h=spec.precode_h,
                         initial_loss_rate=0.0 if scheme == "LT" else m / w)
     metrics = SessionMetrics()
@@ -155,7 +153,7 @@ def _session_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
     try:
         return run_session(spec.total_symbols * spec.symbol_bytes, w, spec.symbol_bytes,
                            ChannelConfig(p, derive_seed(seed, 7)), spec.epsilon, scheme,
-                           seed=seed, delta=spec.delta, c=spec.c, d_max=spec.d_max)
+                           seed=seed, d_max=spec.d_max)
     except SessionFailure as exc:
         _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={t},"
                      f"session_failure window={exc.window} unresolved={exc.unresolved}")

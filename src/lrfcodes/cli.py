@@ -47,10 +47,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="repair overhead factor in (1+epsilon)*m")
     p.add_argument("--d-max", type=int, default=None,
                    help="degree cap for the precoded loss-aware scheme")
-    p.add_argument("--delta", type=float, default=0.5,
-                   help="robust soliton failure bound")
-    p.add_argument("--c", type=float, default=0.1,
-                   help="robust soliton tuning constant")
     p.add_argument("--k", type=int, default=None, help="precode native count")
     p.add_argument("--s", type=int, default=None, help="precode sparse parity count")
     p.add_argument("--h", type=int, default=None, help="precode dense parity count")
@@ -100,8 +96,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         total_symbols=(args.total_symbols if args.total_symbols is not None
                        else scale["total_symbols"]),
         epsilon=args.epsilon,
-        delta=args.delta,
-        c=args.c,
         precode_k=args.k if args.k is not None else scale["precode_k"],
         precode_s=args.s if args.s is not None else scale["precode_s"],
         precode_h=args.h if args.h is not None else scale["precode_h"],

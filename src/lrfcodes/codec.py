@@ -48,7 +48,7 @@ _CANDIDATE_CHUNK = 1 << 13
 # at a time: a peel's tail is mostly such ripples, and a row costs fewer
 # numpy calls than a round.
 _SMALL_RIPPLE = 4
-# Slots each column of ``PeelDecoder``'s column index starts with.
+# Fewest spare slots a column of ``PeelDecoder``'s column index moves with.
 _SPARE_SLOTS = 4
 # Largest window ``neighbor_sets`` accepts. A chunk's int64 sort keys pack
 # (row, value, draw index): at most 13 bits of row and 20 of value leave 30
@@ -442,12 +442,12 @@ class PeelDecoder:
     is never used costs no payload work.
 
     A column index finds the rows a newly covered column hits. Each column
-    owns a span of slots in one array, with room to spare, so a batch only
+    owns a span of slots in one array, empty at first, so a batch only
     writes its own entries; a column that outgrows its span moves to one
-    at least twice as large at the end. When the free slots run out, the
-    array is rebuilt without the covered columns, whose entries are never
-    read again, so it stays within a constant factor of the live entries
-    plus w, whatever the skew of the columns.
+    at least twice as large at the end, and a full array grows by half
+    again. A span holds at most twice its entries plus ``_SPARE_SLOTS``,
+    and the spans a column left behind hold fewer slots than its last, so
+    the array stays within a constant factor of the entries taken plus w.
 
     ``run`` peels in rounds (parallel peeling): each round releases every
     row with one unknown left, one row per column, XORing their payloads
@@ -472,12 +472,12 @@ class PeelDecoder:
         self._rows = np.zeros((0, l), dtype=np.uint8)
         # Column c's rows are ``_col_rows[_col_start[c]:][:_col_fill[c]]``,
         # in a span of ``_col_cap[c]`` slots; slots from ``_col_end`` on
-        # are free. Each column starts with _SPARE_SLOTS empty slots.
-        self._col_start = np.arange(0, w * _SPARE_SLOTS, _SPARE_SLOTS)
+        # are free. Each column starts with an empty span.
+        self._col_start = np.zeros(w, dtype=np.int64)
         self._col_fill = np.zeros(w, dtype=np.int64)
-        self._col_cap = np.full(w, _SPARE_SLOTS)
-        self._col_rows = np.empty(w * _SPARE_SLOTS, dtype=np.int64)
-        self._col_end = self._col_rows.size
+        self._col_cap = np.zeros(w, dtype=np.int64)
+        self._col_rows = np.empty(0, dtype=np.int64)
+        self._col_end = 0
         # Scratch for picking one ripple row per column in a release round.
         self._claim = np.zeros(w, dtype=np.int64)
         if natives:
@@ -609,39 +609,27 @@ class PeelDecoder:
         over = fill > cap
         if over.any():
             # A column that outgrows its span gets room for its entries and
-            # as many spare slots as the span had, so its spans at least
-            # double.
-            self._grow(new[over], fill[over] + cap[over])
+            # as many spare slots as the span had, at least _SPARE_SLOTS, so
+            # its spans at least double.
+            self._move(new[over], fill[over] + np.maximum(cap[over], _SPARE_SLOTS))
         at = (self._col_start[new] + old - head).repeat(added)
         at += np.arange(cols.size)
         self._col_rows[at] = rows
         self._col_fill[new] = fill
 
-    def _grow(self, cols: np.ndarray, cap: np.ndarray) -> None:
-        """Give ``cols`` spans of ``cap`` slots: free slots at the end if
-        there are enough, else in a rebuilt index. The rebuild keeps every
-        other uncovered column's span and drops the covered ones, and it
-        leaves half as many slots again free."""
-        if self._col_end + cap.sum() <= self._col_rows.size:
-            self._col_end = self._move(cols, cap, self._col_rows, self._col_end)
-            return
-        self._col_cap[cols] = cap
-        self._col_cap[self._covered] = 0
-        self._col_fill[self._covered] = 0
-        held = self._col_cap.nonzero()[0]
-        total = int(self._col_cap.sum())
-        slots = np.empty(total + total // 2, dtype=np.int64)
-        self._col_end = self._move(held, self._col_cap[held], slots, 0)
-        self._col_rows = slots
-
-    def _move(self, cols: np.ndarray, cap: np.ndarray, slots: np.ndarray, at: int) -> int:
-        """Give ``cols`` spans of ``cap`` slots in ``slots`` from ``at`` on,
-        copying their entries; returns the end of the last span."""
-        fill = self._col_fill[cols]
-        start = at + cap.cumsum() - cap
-        slots[_span_index(start, fill)] = self._col_rows[_span_index(self._col_start[cols], fill)]
-        self._col_start[cols], self._col_cap[cols] = start, cap
-        return int(start[-1] + cap[-1])
+    def _move(self, cols: np.ndarray, cap: np.ndarray) -> None:
+        """Give ``cols`` spans of ``cap`` slots at the end of the slot array,
+        copying their entries; if they do not fit, the array first grows to
+        hold them and half as many slots again."""
+        fill, old = self._col_fill[cols], self._col_start[cols]
+        start = self._col_end + cap.cumsum() - cap
+        end = int(start[-1] + cap[-1])
+        if end > self._col_rows.size:
+            slots = np.empty(end + end // 2, dtype=np.int64)
+            slots[:self._col_end] = self._col_rows[:self._col_end]
+            self._col_rows = slots
+        self._col_rows[_span_index(start, fill)] = self._col_rows[_span_index(old, fill)]
+        self._col_start[cols], self._col_cap[cols], self._col_end = start, cap, end
 
     def _cover(self, cols: np.ndarray) -> np.ndarray:
         """Take the newly covered ``cols`` out of the count and index sum of

@@ -48,8 +48,8 @@ class DegreeDistribution:
             raise InvalidParameterError("degrees must be strictly increasing")
         if degrees[0] < 1 or degrees[-1] > self.w:
             raise InvalidParameterError(f"support must lie in 1..{self.w}")
-        if np.any(probs < 0):
-            raise InvalidParameterError("probabilities must be non-negative")
+        if not np.all(probs >= 0):
+            raise InvalidParameterError("probabilities must be non-negative numbers")
         total = float(probs.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise InvalidParameterError(f"probabilities sum to {total}, expected 1")
@@ -109,8 +109,8 @@ def robust_soliton(w: int, delta: float, c: float) -> DegreeDistribution:
         raise InvalidParameterError(f"window length must be >= 1, got {w}")
     if not 0.0 < delta < 1.0:
         raise InvalidParameterError(f"delta {delta} outside (0, 1)")
-    if c <= 0.0:
-        raise InvalidParameterError(f"c must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise InvalidParameterError(f"c must be positive and finite, got {c}")
 
     base = ideal_soliton(w)
     weights = base.probs.copy()

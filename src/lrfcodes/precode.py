@@ -23,9 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2
-from .codec import (DecodeResult, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
-                    encode_stream)
-from .distributions import DegreeDistribution
+from .codec import DecodeResult, PeelDecoder, RepairBatch, SourceBlock, derive_seed
 from .errors import DecodeFailure, InvalidInputError, InvalidParameterError
 
 # Bounds the dense elimination, whose work grows with the square of the
@@ -290,14 +288,6 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
     for i in missing:
         natives[i] = solved[i]
     return natives
-
-
-def raptor_encode(block: SourceBlock, cfg: PrecodeConfig, dist: DegreeDistribution,
-                  base_seed: int, count: int, start_id: int = 0) -> RepairBatch:
-    """Expand the precode, then run the inner fountain encoder over the
-    intermediate block with the given degree distribution."""
-    return encode_stream(precode_expand(block, cfg), dist, base_seed, count,
-                         start_id=start_id)
 
 
 def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None) -> DecodeResult:

@@ -61,6 +61,8 @@ BASELINE_EXTRA_FACTOR = 3.0
 LT_BATCH_MIN, LT_BATCH_DIVISOR = 32, 50
 RAPTOR_BATCH_MIN, RAPTOR_BATCH_DIVISOR = 16, 100
 LT_MAX_LOSS_RATE = 0.5
+# The robust soliton law of LT and Raptor: failure bound delta, constant c.
+ROBUST_DELTA, ROBUST_C = 0.5, 0.1
 
 
 def default_precode_shape(k: int) -> tuple[int, int]:
@@ -155,8 +157,6 @@ class SessionConfig:
     scheme: str
     channel: ChannelConfig
     seed: int = 0
-    delta: float = 0.5
-    c: float = 0.1
     d_max: int | None = None
     precode_s: int | None = None
     precode_h: int | None = None
@@ -169,8 +169,8 @@ class SessionConfig:
         self.scheme = normalize_scheme(self.scheme)
         if self.window < 1 or self.symbol_bytes < 1:
             raise InvalidParameterError("window and symbol_bytes must be >= 1")
-        if self.epsilon < 0:
-            raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise InvalidParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.initial_loss_rate is not None and not 0.0 <= self.initial_loss_rate <= 1.0:
             raise InvalidParameterError(
                 f"initial loss rate {self.initial_loss_rate} outside [0, 1]")
@@ -250,7 +250,7 @@ class SourceState:
         p_hat = self.known_loss_rate
 
         if cfg.scheme == "LT":
-            dist = robust_soliton(block.w, cfg.delta, cfg.c)
+            dist = robust_soliton(block.w, ROBUST_DELTA, ROBUST_C)
             plan = _RepairPlan(block=block, dist=dist,
                                base_seed=derive_seed(cfg.seed, index))
             initial = math.ceil(block.w / (1.0 - min(p_hat, LT_MAX_LOSS_RATE)))
@@ -270,7 +270,7 @@ class SourceState:
         self.plans[index] = plan
 
         if cfg.scheme == "Raptor":
-            plan.dist = robust_soliton(total, cfg.delta, cfg.c)
+            plan.dist = robust_soliton(total, ROBUST_DELTA, ROBUST_C)
             plan.batch = max(RAPTOR_BATCH_MIN, total // RAPTOR_BATCH_DIVISOR)
             plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * total)
             return emissions
@@ -496,12 +496,13 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
             budget.
     """
     if isinstance(data, int):
-        size = data
+        if data < 0:
+            raise InvalidParameterError(f"payload size must be >= 0, got {data}")
         rng = np.random.default_rng(derive_seed(seed, 0xDA7A))
-        data = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+        data = rng.integers(0, 256, size=data, dtype=np.uint8).tobytes()
     else:
         data = bytes(data)
-        size = len(data)
+    size = len(data)
     if size == 0:
         raise InvalidParameterError("no data to transfer")
 

@@ -217,6 +217,15 @@ def test_cli_invalid_parameter_is_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [("window-sweep", "--epsilon", "nan"),
+                                  ("transfer", "--total-symbols", "-5")])
+def test_cli_non_finite_or_negative_parameter_is_error(args, capsys):
+    code = _cli(*args, "--window", "64", "--loss-rate", "0.2", "--trials", "1",
+                "--symbol-bytes", "8")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_trace_log(tmp_path):
     trace = tmp_path / "trace.log"
     code = _cli("transfer", "--window", "128", "--loss-rate", "0.05",

@@ -32,6 +32,10 @@ def test_distribution_validates_probability_sum():
     with pytest.raises(InvalidParameterError):
         DegreeDistribution(w=4, degrees=np.array([1, 2]),
                           probs=np.array([0.5, 0.4]))
+    # NaN fails both the sign and the sum comparison, so it is caught apart.
+    for probs in ([np.nan, 1.0], [np.nan, np.nan], [np.inf, 0.0]):
+        with pytest.raises(InvalidParameterError):
+            DegreeDistribution(w=4, degrees=np.array([1, 2]), probs=np.array(probs))
 
 
 def test_distribution_rejects_bad_degrees():
@@ -91,6 +95,9 @@ def test_robust_soliton_rejects_bad_params():
         robust_soliton(10, 0.0, 0.1)
     with pytest.raises(InvalidParameterError):
         robust_soliton(10, 0.5, -1.0)
+    for delta, c in ((0.5, float("inf")), (0.5, float("nan")), (float("nan"), 0.1)):
+        with pytest.raises(InvalidParameterError):
+            robust_soliton(256, delta, c)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,7 @@ def test_a_row_longer_than_one_gather_releases_in_slices():
 def test_a_column_growing_past_its_span_matches_the_reference():
     # Every row lists column 0, each of the first four batches four times
     # as many as the one before, so column 0 outgrows whatever room the
-    # column index gave it and the index rebuilds. Each row also lists one
+    # column index gave it and moves to a larger span. Each row also lists one
     # column of ``late``, whose natives come after the batches, so nothing
     # peels until then; the last batch lists column 1 in every row, which
     # then outgrows its span alone and moves. Natives of the other columns
@@ -250,6 +250,85 @@ def test_a_column_growing_past_its_span_matches_the_reference():
         natives(early[k::4])
     assert not decoder.covered[0] and decoder.live_rows == 3 + 12 + 48 + 192 + 40
     natives(late)
+    assert decoder.success
+    np.testing.assert_array_equal(decoder.payloads, block.data)
+
+
+def test_many_nack_batches_grow_the_index_and_match_the_reference():
+    # One decoder takes 60 NACK-sized batches of 8 rows over w = 64. Six
+    # rows of each list two of the 16 ``late`` columns, whose natives come
+    # last, so those columns take entries from batch after batch: their
+    # spans move again and again and the slot array grows several times.
+    # The other two rows list early columns only; they peel as the early
+    # natives arrive, one after each of the first 48 batches.
+    w, l, rows = 64, 8, 8
+    block = SourceBlock.random(w, l, 9)
+    rng = np.random.default_rng(9)
+    late, early = np.arange(16), np.arange(16, w)
+    batches = []
+    for k in range(60):
+        sets = [np.unique([*rng.choice(late, 2, replace=False),
+                           *rng.choice(early, rng.integers(0, 3))]) for _ in range(rows - 2)]
+        sets += [np.unique(rng.choice(early, rng.integers(1, 3))) for _ in range(2)]
+        indptr = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum([s.size for s in sets], out=indptr[1:])
+        payloads = np.array([np.bitwise_xor.reduce(block.data[s], axis=0) for s in sets])
+        batches.append(RepairBatch(np.arange(k * rows, (k + 1) * rows),
+                                   np.zeros(rows, dtype=np.uint64), np.diff(indptr), indptr,
+                                   np.concatenate(sets), payloads))
+    carried = sum(a.nbytes for b in batches for a in (b.ids, b.seeds, b.degrees, b.indptr,
+                                                      b.indices, b.payloads))
+
+    def due(decoder, k):
+        """The natives due after batch k that ``decoder`` does not hold."""
+        got = np.zeros(w, dtype=bool)
+        got[early[k:k + 1]] = True
+        return got & ~decoder.covered
+
+    decoder, reference = PeelDecoder(w, l), ReferencePeeler(w, l)
+
+    def check():
+        decoder.run()
+        reference.run()
+        np.testing.assert_array_equal(decoder.covered, reference.covered)
+        np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+        assert decoder.encoding_used == reference.encoding_used
+        assert _equations(decoder) == reference.pending_rows()
+
+    sizes = set()
+    for k, batch in enumerate(batches):
+        decoder.add_batch(batch)
+        for sym in batch:
+            reference.add_symbol(sym.neighbors.tolist(), np.frombuffer(sym.payload, dtype=np.uint8))
+        check()
+        sizes.add(decoder._col_rows.size)
+        got = due(decoder, k)
+        decoder.add_natives(block.data, got)
+        for idx in got.nonzero()[0].tolist():
+            reference.add_native(idx, block.data[idx])
+        check()
+    assert len(sizes) >= 4 and not decoder.covered[late].any(), sizes
+    assert decoder.encoding_used > 0 and decoder.live_rows >= 6 * len(batches)
+
+    # The same stream again, alone under tracemalloc.
+    replay = PeelDecoder(w, l)
+    tracemalloc.start()
+    try:
+        for k, batch in enumerate(batches):
+            replay.add_batch(batch)
+            replay.run()
+            replay.add_natives(block.data, due(replay, k))
+            replay.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(replay.payloads, decoder.payloads)
+    assert peak < 4 * carried, (peak, carried)
+
+    got = np.zeros(w, dtype=bool)
+    got[late] = True
+    decoder.add_natives(block.data, got)
+    decoder.run()
     assert decoder.success
     np.testing.assert_array_equal(decoder.payloads, block.data)
 

@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrfcodes import gf2, precode
-from lrfcodes.codec import EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock, derive_seed
+from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
+                            encode_stream)
 from lrfcodes.distributions import LossContext, lr_raptor_dist, robust_soliton
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
 from lrfcodes.precode import (PrecodeConfig, constraint_matrix, parity_rows, precode_expand,
-                              precode_solve, raptor_decode, raptor_encode)
+                              precode_solve, raptor_decode)
 from test_gf2 import csr, rank
 
 CFG = PrecodeConfig(k=24, s=5, h=3, seed=7)
@@ -449,7 +450,7 @@ def test_raptor_roundtrip_with_losses():
     dist = lr_raptor_dist(LossContext(CFG.total, 4), 16)
     lost = {1, 8, 19}
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
-    encoding = raptor_encode(blk, CFG, dist, base_seed=21, count=8)
+    encoding = encode_stream(precode_expand(blk, CFG), dist, base_seed=21, count=8)
     res = raptor_decode(natives, encoding, CFG)
     assert res.success
     assert res.recovered == _rows(blk)
@@ -481,7 +482,7 @@ def test_raptor_robust_soliton_roundtrip():
     lost = {0, 5}
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     for count in (8, 16, 32, 64):
-        encoding = raptor_encode(blk, CFG, dist, base_seed=33, count=count)
+        encoding = encode_stream(precode_expand(blk, CFG), dist, base_seed=33, count=count)
         res = raptor_decode(natives, encoding, CFG)
         if res.success:
             assert res.recovered == _rows(blk)

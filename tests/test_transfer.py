@@ -79,6 +79,14 @@ def test_session_config_validation():
                           channel=cfg, initial_loss_rate=rate)
     with pytest.raises(InvalidParameterError):
         run_session(64, 8, 8, cfg, 0.1, "LRF", initial_loss_rate=1.5)
+    # Nor may epsilon be NaN or infinite, or a payload size negative.
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            SessionConfig(window=8, symbol_bytes=8, epsilon=eps, scheme="LRF", channel=cfg)
+        with pytest.raises(InvalidParameterError):
+            run_session(64, 8, 8, cfg, eps, "LRF")
+    with pytest.raises(InvalidParameterError):
+        run_session(-5, 8, 8, cfg, 0.1, "LRF")
 
 
 # ---------------------------------------------------------------------------
