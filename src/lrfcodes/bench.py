@@ -14,8 +14,10 @@ Experiments:
 
 The four experiments share one loop and one aggregator, driven by one
 table that gives each experiment its schemes, its ratio denominator, its
-trials' seeds, its trial and its windows. A codec experiment's trial is one
-window through the transfer protocol's exchange loop
+trials' seeds and its trial, over the spec's window lengths; raptor-compare
+and transfer take one. raptor-compare's window is the precode's k, and s and
+h follow from it (``SessionConfig.precode_config``). A codec experiment's
+trial is one window through the transfer protocol's exchange loop
 (``transfer.run_window``): the natives a seeded loss mask marks are lost,
 repair symbols always arrive, and NACK-driven repair batches follow until
 the window is acked or the source's repair budget runs out. Batch sizes,
@@ -61,9 +63,6 @@ class ExperimentSpec:
     symbol_bytes: int = 64
     total_symbols: int = 100_000
     epsilon: float = 0.1
-    precode_k: int = 1024
-    precode_s: int = 25
-    precode_h: int = 2
     d_max: int | None = None
     timing: bool = False
     trace: object = None
@@ -74,8 +73,11 @@ class ExperimentSpec:
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
-        if not self.window_lengths or not self.loss_rates:
-            raise InvalidParameterError("window_lengths and loss_rates must be non-empty")
+        if not self.loss_rates or not self.window_lengths or min(self.window_lengths) < 1:
+            raise InvalidParameterError("need loss rates and window lengths, every window >= 1")
+        if self.experiment in ("raptor-compare", "transfer") and len(self.window_lengths) > 1:
+            raise InvalidParameterError(
+                f"{self.experiment} takes one window, got {self.window_lengths}")
 
 
 @dataclass
@@ -129,7 +131,6 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
     cfg = SessionConfig(window=w, symbol_bytes=spec.symbol_bytes,
                         epsilon=spec.epsilon, scheme=scheme, channel=channel,
                         seed=seed, d_max=spec.d_max,
-                        precode_s=spec.precode_s, precode_h=spec.precode_h,
                         initial_loss_rate=0.0 if scheme == "LT" else m / w)
     metrics = SessionMetrics()
     block = SourceBlock.random(w, spec.symbol_bytes, derive_seed(seed, 0))
@@ -199,26 +200,26 @@ def _aggregate(spec: ExperimentSpec, scheme: str, w: int, p: float,
 
 # Each experiment's schemes, whether its ratios are per input symbol (else
 # per lost symbol), its trials' seed paths from the (window, loss rate,
-# scheme, trial) indices (the leading tag keeps experiments apart), its
-# trial, and its windows: the precoded schemes run over one block of the
-# precode's k natives, and sessions over the first window length only.
+# scheme, trial) indices (the leading tag keeps experiments apart), and its
+# trial. raptor-compare and transfer run one window, so their paths leave
+# out its index.
 _EXPERIMENTS = {
     "window-sweep": (("LRF",), False, lambda wi, pi, si, t: (1, wi, pi, t),
-                     _codec_trial, lambda spec: spec.window_lengths),
+                     _codec_trial),
     "lt-compare": (("LT", "LRF"), True, lambda wi, pi, si, t: (2, wi, pi, si, t),
-                   _codec_trial, lambda spec: spec.window_lengths),
+                   _codec_trial),
     "raptor-compare": (("Raptor", "LR-Raptor"), True, lambda wi, pi, si, t: (3, pi, si, t),
-                       _codec_trial, lambda spec: (spec.precode_k,)),
+                       _codec_trial),
     "transfer": (SCHEMES, False, lambda wi, pi, si, t: (4, pi, si, t),
-                 _session_trial, lambda spec: spec.window_lengths[:1]),
+                 _session_trial),
 }
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """A row per (window, loss rate, scheme) of the spec's experiment."""
-    schemes, per_input, seed_path, trial, windows = _EXPERIMENTS[spec.experiment]
+    schemes, per_input, seed_path, trial = _EXPERIMENTS[spec.experiment]
     rows = []
-    for wi, w in enumerate(windows(spec)):
+    for wi, w in enumerate(spec.window_lengths):
         for pi, p in enumerate(spec.loss_rates):
             for si, scheme in enumerate(schemes):
                 trials = [trial(spec, scheme, w, p, t,

@@ -43,6 +43,8 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 <= self.loss_rate <= 1.0:
             raise InvalidParameterError(f"loss rate {self.loss_rate} outside [0, 1]")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 class Channel:

@@ -1,8 +1,10 @@
 """Command-line entry point for the benchmark harness.
 
 Subcommands mirror the experiments: window-sweep, lt-compare,
-raptor-compare, transfer. Exit codes: 0 success, 1 I/O error, 2 a session
-or trial failed in some row (unless --allow-failures).
+raptor-compare, transfer. raptor-compare and transfer take one --window;
+raptor-compare's is its precode's k, and s and h follow from k. Exit codes:
+0 success, 1 an invalid parameter or I/O error, 2 a session or trial failed
+in some row (unless --allow-failures).
 
 Results are reproducible: with a fixed --seed the emitted CSV is
 byte-identical across runs. Timing columns are filled only with --timing,
@@ -18,25 +20,26 @@ from .bench import ExperimentSpec, emit_csv, emit_summary, run_experiment
 from .errors import InvalidParameterError
 
 DESK_WINDOWS = (1000, 3000, 10000, 30000, 100000)
+# Each scale's session length and each experiment's default windows.
 PAPER_SCALE = {
     "total_symbols": 1_000_000,
-    "lt_window": 10267,
-    "precode_k": 10017,
-    "precode_s": 241,
-    "precode_h": 11,
+    "window-sweep": DESK_WINDOWS,
+    "lt-compare": (10267,),
+    "raptor-compare": (10017,),
+    "transfer": (10_000,),
 }
 DESK = {
     "total_symbols": 100_000,
-    "lt_window": 1024,
-    "precode_k": 1024,
-    "precode_s": 25,
-    "precode_h": 2,
+    "window-sweep": DESK_WINDOWS,
+    "lt-compare": (1024,),
+    "raptor-compare": (1024,),
+    "transfer": (10_000,),
 }
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--window", type=int, action="append", dest="windows",
-                   help="window length (repeatable)")
+                   help="window length (repeatable but for raptor-compare, transfer)")
     p.add_argument("--loss-rate", type=float, action="append", dest="loss_rates",
                    help="loss probability (repeatable)")
     p.add_argument("--trials", type=int, default=30)
@@ -47,9 +50,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="repair overhead factor in (1+epsilon)*m")
     p.add_argument("--d-max", type=int, default=None,
                    help="degree cap for the precoded loss-aware scheme")
-    p.add_argument("--k", type=int, default=None, help="precode native count")
-    p.add_argument("--s", type=int, default=None, help="precode sparse parity count")
-    p.add_argument("--h", type=int, default=None, help="precode dense parity count")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--trace", default=None, help="diagnostics trace log path")
     p.add_argument("--timing", action="store_true",
@@ -77,14 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
     scale = PAPER_SCALE if args.paper_scale else DESK
-    windows = tuple(args.windows) if args.windows else None
-    if windows is None:
-        if args.experiment == "window-sweep":
-            windows = DESK_WINDOWS
-        elif args.experiment == "transfer":
-            windows = (10_000,)
-        else:
-            windows = (scale["lt_window"],)
+    windows = tuple(args.windows) if args.windows else scale[args.experiment]
     loss_rates = tuple(args.loss_rates) if args.loss_rates else (0.005, 0.01, 0.02)
     return ExperimentSpec(
         experiment=args.experiment,
@@ -96,9 +89,6 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
         total_symbols=(args.total_symbols if args.total_symbols is not None
                        else scale["total_symbols"]),
         epsilon=args.epsilon,
-        precode_k=args.k if args.k is not None else scale["precode_k"],
-        precode_s=args.s if args.s is not None else scale["precode_s"],
-        precode_h=args.h if args.h is not None else scale["precode_h"],
         d_max=args.d_max,
         timing=args.timing,
     )

@@ -389,6 +389,8 @@ def pack_symbol(sym: EncodingSymbol) -> bytes:
 def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
     """Parse one symbol; returns (symbol, next offset). Neighbors are left
     unresolved (None) until a ``RepairBatch`` of it is ``resolved``."""
+    if not 0 <= offset <= len(buf):
+        raise InvalidInputError(f"offset {offset} outside 0..{len(buf)}")
     if len(buf) - offset < WIRE_HEADER.size:
         raise InvalidInputError("truncated symbol header")
     version, sym_id, seed, degree, payload_len = WIRE_HEADER.unpack_from(buf, offset)

@@ -148,24 +148,19 @@ def recovery_probability(ctx: LossContext, d: int, i: int) -> float:
 
 
 def lrf_ideal(ctx: LossContext) -> DegreeDistribution:
-    """Loss-aware soliton: P(d) proportional to 1/(d(d-1)) on ceil(w/m)..w.
+    """Loss-aware soliton: P(d) proportional to 1/(d(d-1)) on ceil(w/m)..w,
+    the uncapped ``lr_raptor_dist``.
 
     Degenerates to the ideal soliton when everything was lost (m = w), where
     the truncation would start at d = 1 and 1/(d(d-1)) is undefined.
     """
-    if ctx.m == 0:
-        raise NoLossError("no symbols lost; send zero encoding symbols")
-    low = min_degree(ctx)
-    if low < 2:
-        return ideal_soliton(ctx.w)
-    degrees = np.arange(low, ctx.w + 1, dtype=np.int64)
-    d = degrees.astype(np.float64)
-    return _from_weights(ctx.w, degrees, 1.0 / (d * (d - 1.0)))
+    return lr_raptor_dist(ctx, ctx.w)
 
 
 def lr_raptor_dist(ctx: LossContext, d_max: int) -> DegreeDistribution:
     """Loss-aware soliton capped at d_max, for the inner code of a precoded
-    codec where the degree must not grow with the block length."""
+    codec where the degree must not grow with the block length. When m = w
+    it is the ideal soliton cut at d_max, itself if nothing is cut."""
     if ctx.m == 0:
         raise NoLossError("no symbols lost; send zero encoding symbols")
     if not 1 <= d_max <= ctx.w:
@@ -175,6 +170,8 @@ def lr_raptor_dist(ctx: LossContext, d_max: int) -> DegreeDistribution:
         raise InfeasibleCapError(f"d_max {d_max} below minimum useful degree {low}")
     if low < 2:
         base = ideal_soliton(ctx.w)
+        if d_max == ctx.w:
+            return base
         keep = base.degrees <= d_max
         return _from_weights(ctx.w, base.degrees[keep], base.probs[keep])
     degrees = np.arange(low, d_max + 1, dtype=np.int64)

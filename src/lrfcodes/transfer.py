@@ -42,8 +42,8 @@ from .precode import PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
 
-# Default precode shape fractions relative to k, matching the standard
-# (k, s, h) proportions for a ~10k block.
+# The precode's shape: k is the window, and s and h are these fractions of
+# it, matching the standard (k, s, h) proportions for a ~10k block.
 SPARSE_PARITY_FRACTION = 241 / 10017
 DENSE_PARITY_FRACTION = 11 / 10017
 
@@ -158,8 +158,6 @@ class SessionConfig:
     channel: ChannelConfig
     seed: int = 0
     d_max: int | None = None
-    precode_s: int | None = None
-    precode_h: int | None = None
     # Warm-start loss estimate; None means "assume the channel's configured
     # rate was already fed back before the session".
     initial_loss_rate: float | None = None
@@ -180,13 +178,8 @@ class SessionConfig:
         return self.scheme in ("Raptor", "LR-Raptor")
 
     def precode_config(self) -> PrecodeConfig:
-        k = self.window
-        s, h = default_precode_shape(k)
-        if self.precode_s is not None:
-            s = self.precode_s
-        if self.precode_h is not None:
-            h = self.precode_h
-        return PrecodeConfig(k=k, s=s, h=h, seed=derive_seed(self.seed, 0x9C0DE))
+        return PrecodeConfig(self.window, *default_precode_shape(self.window),
+                             seed=derive_seed(self.seed, 0x9C0DE))
 
 
 # ---------------------------------------------------------------------------

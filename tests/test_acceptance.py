@@ -143,8 +143,7 @@ def test_criterion_6_lr_raptor_overhead():
     # rates, with the standard precode shape scaled to k = 1024.
     spec = ExperimentSpec(experiment="raptor-compare", window_lengths=(1024,),
                           loss_rates=(0.005, 0.01), trials=30, master_seed=7,
-                          symbol_bytes=64, total_symbols=100_000, epsilon=0.1,
-                          precode_k=1024, precode_s=25, precode_h=2)
+                          symbol_bytes=64, total_symbols=100_000, epsilon=0.1)
     rows = run_experiment(spec)
     ratios = {(r.scheme, r.loss_rate): r.encoding_ratio for r in rows}
     for p in (0.005, 0.01):
@@ -194,7 +193,7 @@ def test_criterion_9_cli_determinism(tmp_path):
     # across two consecutive runs.
     common = ["--trials", "2", "--seed", "9", "--symbol-bytes", "16",
               "--total-symbols", "2048", "--window", "256",
-              "--loss-rate", "0.02", "--k", "256", "--s", "9", "--h", "2"]
+              "--loss-rate", "0.02"]
     for experiment in ("window-sweep", "lt-compare", "raptor-compare",
                        "transfer"):
         a = tmp_path / f"{experiment}-a.csv"

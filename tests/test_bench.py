@@ -11,15 +11,14 @@ import pytest
 from lrfcodes import bench
 from lrfcodes.bench import (CSV_COLUMNS, ExperimentSpec, ResultRow, emit_csv,
                             emit_summary, load_csv, run_experiment)
-from lrfcodes.cli import main
+from lrfcodes.cli import DESK_WINDOWS, build_parser, main, spec_from_args
 from lrfcodes.errors import InvalidParameterError, SessionFailure
 
 
 def _spec(experiment, **overrides):
     base = dict(experiment=experiment, window_lengths=(256,),
                 loss_rates=(0.01, 0.02), trials=3, master_seed=5,
-                symbol_bytes=16, total_symbols=2048, epsilon=0.2,
-                precode_k=256, precode_s=9, precode_h=2)
+                symbol_bytes=16, total_symbols=2048, epsilon=0.2)
     base.update(overrides)
     return ExperimentSpec(**base)
 
@@ -36,6 +35,17 @@ def test_spec_rejects_unknown_experiment():
 def test_spec_rejects_bad_trials():
     with pytest.raises(InvalidParameterError):
         _spec("window-sweep", trials=0)
+
+
+@pytest.mark.parametrize("experiment,window_lengths", [
+    ("window-sweep", ()), ("window-sweep", (0,)), ("lt-compare", (256, -1)),
+    ("raptor-compare", (256, 512)), ("transfer", (256, 512))])
+def test_spec_rejects_bad_windows(experiment, window_lengths):
+    # Unchecked, a zero window gives window-sweep a "successful" row of no
+    # trials and raptor-compare a bare ZeroDivisionError; raptor-compare and
+    # transfer take one window.
+    with pytest.raises(InvalidParameterError):
+        _spec(experiment, window_lengths=window_lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +236,34 @@ def test_cli_non_finite_or_negative_parameter_is_error(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_cli_raptor_compare_runs_at_its_window(tmp_path):
+    # raptor-compare's block is its --window, the precode's k.
+    out = tmp_path / "rc.csv"
+    assert _cli("raptor-compare", "--window", "300", "--loss-rate", "0.05",
+                "--trials", "1", "--symbol-bytes", "8", "--out", str(out)) == 0
+    assert {row.window_len for row in load_csv(out)} == {300}
+
+
+@pytest.mark.parametrize("experiment", ["raptor-compare", "transfer"])
+def test_cli_two_windows_for_one_window_experiment_is_error(experiment, capsys):
+    code = _cli(experiment, "--window", "256", "--window", "1024", "--loss-rate", "0.05",
+                "--trials", "1", "--symbol-bytes", "8", "--total-symbols", "256")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("paper_scale", [False, True], ids=["desk", "paper-scale"])
+def test_cli_default_windows(paper_scale):
+    expected = {"window-sweep": DESK_WINDOWS,
+                "lt-compare": (10267,) if paper_scale else (1024,),
+                "raptor-compare": (10017,) if paper_scale else (1024,),
+                "transfer": (10_000,)}
+    for experiment, windows in expected.items():
+        argv = [experiment, "--paper-scale"] if paper_scale else [experiment]
+        spec = spec_from_args(build_parser().parse_args(argv))
+        assert spec.window_lengths == windows, experiment
+
+
 def test_cli_trace_log(tmp_path):
     trace = tmp_path / "trace.log"
     code = _cli("transfer", "--window", "128", "--loss-rate", "0.05",
@@ -239,6 +277,9 @@ def test_cli_trace_log(tmp_path):
 # loop and one exchange loop with sessions (transfer's since the estimator
 # reports once per natives event); two windows and two loss rates, so a
 # trial seed that swaps its window and loss-rate indices shows.
+# raptor-compare and transfer take one window: raptor-compare's is the
+# precode's k, 512, with its (12, 2) shape, and transfer's is 256.
+PINNED_WINDOWS = {"raptor-compare": ("--window", "512"), "transfer": ("--window", "256")}
 PINNED_CSV = {
     "window-sweep": "f8d78a1cee641155a81d95d15f8a6c44b4b4a6ee6bbff3ef1a27fd4394dd50c8",
     "lt-compare": "b5d54c4f231e22cae625461309d2b367584a7366fb932f6ed317462000393f76",
@@ -251,7 +292,7 @@ PINNED_CSV = {
 def test_cli_csv_is_pinned(experiment, tmp_path):
     out = tmp_path / f"{experiment}.csv"
     assert _cli(experiment, "--trials", "3", "--seed", "9", "--symbol-bytes", "16",
-                "--total-symbols", "4096", "--window", "256", "--window", "1024",
-                "--loss-rate", "0.02", "--loss-rate", "0.05", "--k", "512", "--s", "12",
-                "--h", "2", "--out", str(out)) == 0
+                "--total-symbols", "4096",
+                *PINNED_WINDOWS.get(experiment, ("--window", "256", "--window", "1024")),
+                "--loss-rate", "0.02", "--loss-rate", "0.05", "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_CSV[experiment]

@@ -23,6 +23,12 @@ def test_config_validation():
         ChannelConfig(loss_rate=1.5)
     with pytest.raises(InvalidParameterError):
         BurstModel(p_good_to_bad=2.0, p_bad_to_good=0.5)
+    for seed in (-1, 1.5, "3", None):
+        with pytest.raises(InvalidParameterError):
+            ChannelConfig(0.02, seed=seed)
+    assert ChannelConfig(0.02, seed=np.uint64(2**63)).seed == 2**63
+    with pytest.raises(InvalidParameterError):
+        ChannelConfig(0.02, seed=np.int64(-1))
 
 
 def test_loss_mask_deterministic():

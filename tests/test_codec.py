@@ -166,6 +166,14 @@ def test_unpack_truncated():
         unpack_symbol(buf[:10])
     with pytest.raises(InvalidInputError):
         unpack_symbol(buf[:-1])
+    # An offset outside 0..len(buf) is rejected, not read from the end (a
+    # loop on the returned offset would never advance) or left to struct.
+    for offset in (-1, -len(buf), len(buf) + 1):
+        with pytest.raises(InvalidInputError):
+            unpack_symbol(buf, offset)
+    with pytest.raises(InvalidInputError):
+        unpack_symbol(buf, len(buf))
+    assert unpack_symbol(buf + buf, len(buf))[1] == 2 * len(buf)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,35 @@ def test_lrf_ideal_fallback_when_support_degenerate():
     np.testing.assert_allclose(dist.probs, ideal.probs)
 
 
+def _truncated_soliton_reference(ctx):
+    # The truncated soliton built directly: 1/(d(d-1)) on ceil(w/m)..w over
+    # its own sum, or the ideal soliton where that support starts at 1.
+    low = -(-ctx.w // ctx.m)
+    if low < 2:
+        base = ideal_soliton(ctx.w)
+        return base.degrees, base.probs
+    d = np.arange(low, ctx.w + 1, dtype=np.float64)
+    weights = 1.0 / (d * (d - 1.0))
+    return d.astype(np.int64), weights / weights.sum()
+
+
+@pytest.mark.parametrize("pairs", [
+    [(w, m) for w in range(1, 121) for m in range(1, w + 1)],
+    [(10017, 1), (10017, 50), (10017, 100), (10269, 103), (10269, 10269), (100000, 1000)],
+], ids=["w<=120", "paper-scale"])
+def test_lrf_ideal_is_uncapped_lr_raptor_dist(pairs):
+    # One loss-aware law: lrf_ideal is lr_raptor_dist with d_max = w, bit for
+    # bit, and both equal the directly built truncated soliton; at m = w
+    # nothing is cut, so the ideal soliton comes back unrenormalized.
+    for w, m in pairs:
+        ctx = LossContext(w, m)
+        ideal, capped = lrf_ideal(ctx), lr_raptor_dist(ctx, w)
+        degrees, probs = _truncated_soliton_reference(ctx)
+        for dist in (ideal, capped):
+            assert np.array_equal(dist.degrees, degrees), (w, m)
+            assert np.array_equal(dist.probs, probs), (w, m)
+
+
 def test_average_degree_frozen_value():
     # E[d] = alpha * sum_{d=5}^{10} 1/(d-1), exact via fractions.
     ctx = LossContext(10, 2)
