@@ -24,7 +24,6 @@ symbols); only ``EncodingSymbol``, the single-frame wire value, holds bytes.
 from __future__ import annotations
 
 import struct
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -265,16 +264,13 @@ class RepairBatch:
 
     @classmethod
     def from_symbols(cls, symbols) -> "RepairBatch":
-        """Symbols stacked into a batch (a batch passes through); wire
-        symbols stay unresolved.
+        """Symbols stacked into a batch; wire symbols stay unresolved.
 
         Raises:
             InvalidInputError: payloads of different lengths, an id or seed
                 outside u64, neighbors that are not 1-D, or wire and
                 resolved symbols mixed.
         """
-        if isinstance(symbols, RepairBatch):
-            return symbols
         symbols = list(symbols)
         n = len(symbols)
         if len({len(s.payload) for s in symbols}) > 1:
@@ -404,24 +400,6 @@ def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
                           payload=bytes(buf[start:end])), end
 
 
-@dataclass
-class DecodeResult:
-    """Outcome of a peeling pass: recovered payloads plus bookkeeping.
-
-    ``recovered`` is the full ordered list of payloads on success, or a
-    partial mapping index -> payload otherwise. ``encoding_used`` counts the
-    encoding symbols consumed to cover a previously uncovered input symbol.
-    ``failed_stage`` names the stage that stopped an unsuccessful decode:
-    "inner" (peeling) or "precode" (the parity-constraint solve).
-    """
-
-    recovered: list[bytes] | dict[int, bytes]
-    success: bool
-    unresolved: int
-    encoding_used: int
-    failed_stage: str | None = None
-
-
 def _span_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions ``starts[i]:starts[i] + lengths[i]``, span after span."""
     at = (starts - lengths.cumsum() + lengths).repeat(lengths)
@@ -459,7 +437,7 @@ class PeelDecoder:
     encoding symbols.
     """
 
-    def __init__(self, w: int, l: int, natives=None):
+    def __init__(self, w: int, l: int):
         if w < 1 or l < 1:
             raise InvalidParameterError(f"need w >= 1 and l >= 1, got w={w}, l={l}")
         self.w = w
@@ -482,11 +460,6 @@ class PeelDecoder:
         self._col_end = 0
         # Scratch for picking one ripple row per column in a release round.
         self._claim = np.zeros(w, dtype=np.int64)
-        if natives:
-            rows, got = np.zeros((w, l), dtype=np.uint8), np.zeros(w, dtype=bool)
-            for idx, payload in natives.items() if isinstance(natives, Mapping) else natives:
-                rows[idx], got[idx] = self._native_row(idx, payload, got), True
-            self._load(rows, got)
 
     @property
     def success(self) -> bool:
@@ -502,13 +475,15 @@ class PeelDecoder:
         equations ``pending_rows`` would return."""
         return int(np.count_nonzero(self._count))
 
-    def _native_row(self, idx: int, payload, covered: np.ndarray) -> np.ndarray:
+    def _native_row(self, idx: int, payload) -> np.ndarray:
         """Native ``idx``'s payload, l bytes or a 1-D uint8 array of l, as a
         uint8 row; raises InvalidInputError for anything else or for an
-        index out of range or already ``covered``."""
-        if not 0 <= idx < self.w:
-            raise InvalidInputError(f"native index {idx} outside 0..{self.w - 1}")
-        if covered[idx]:
+        index that is not an integer in range (a bool is not) or is already
+        covered."""
+        if (isinstance(idx, bool) or not isinstance(idx, (int, np.integer))
+                or not 0 <= idx < self.w):
+            raise InvalidInputError(f"native index {idx!r} is not an integer in 0..{self.w - 1}")
+        if self._covered[idx]:
             raise InvalidInputError(f"duplicate native index {idx}")
         try:
             row = payload if isinstance(payload, np.ndarray) else np.frombuffer(payload, np.uint8)
@@ -521,8 +496,7 @@ class PeelDecoder:
 
     def add_native(self, idx: int, payload) -> None:
         """``add_natives`` of one symbol: ``bytes`` or a uint8 row of l bytes."""
-        self._load(self._native_row(idx, payload, self._covered)[None],
-                   np.ones(1, dtype=bool), idx)
+        self._load(self._native_row(idx, payload)[None], np.ones(1, dtype=bool), int(idx))
 
     def add_natives(self, rows: np.ndarray, got: np.ndarray) -> None:
         """Cover symbol i with ``rows[i]`` wherever ``got[i]``, for an (n, l)
@@ -733,23 +707,3 @@ class PeelDecoder:
 
     def covered_map(self) -> dict[int, bytes]:
         return {int(i): self._payloads[i].tobytes() for i in np.flatnonzero(self._covered)}
-
-    def result(self) -> DecodeResult:
-        if self.success:
-            recovered: list[bytes] | dict[int, bytes] = [
-                self._payloads[i].tobytes() for i in range(self.w)
-            ]
-        else:
-            recovered = self.covered_map()
-        return DecodeResult(recovered=recovered, success=self.success,
-                            unresolved=self._uncovered, encoding_used=self.encoding_used,
-                            failed_stage=None if self.success else "inner")
-
-
-def peel_decode(natives, encoding, w: int, l: int) -> DecodeResult:
-    """One-shot peeling decode: seed coverage with natives, add the encoding
-    symbols (a ``RepairBatch`` or a sequence of symbols), peel to fixpoint."""
-    decoder = PeelDecoder(w, l, natives)
-    decoder.add_batch(RepairBatch.from_symbols(encoding))
-    decoder.run()
-    return decoder.result()

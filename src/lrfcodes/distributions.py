@@ -10,7 +10,7 @@ distributions that exploit a known loss count m out of a window of w symbols:
 
 Also exposes the closed-form analysis quantities: minimum useful degree,
 the hypergeometric probability that an encoding symbol hits a given number
-of uncovered symbols, average degree, and the symbol-count lower bound.
+of uncovered symbols, and the normalizers of the truncated and capped laws.
 """
 
 from __future__ import annotations
@@ -177,23 +177,6 @@ def lr_raptor_dist(ctx: LossContext, d_max: int) -> DegreeDistribution:
     degrees = np.arange(low, d_max + 1, dtype=np.int64)
     d = degrees.astype(np.float64)
     return _from_weights(ctx.w, degrees, 1.0 / (d * (d - 1.0)))
-
-
-def average_degree(dist: DegreeDistribution) -> float:
-    """Expected degree of an encoding symbol drawn from ``dist``."""
-    return float(dist.degrees @ dist.probs)
-
-
-def required_symbols_bound(w: int, d_avg: float, c: float) -> float:
-    """Lower bound (c*w/d_avg) * ln(w/d_avg) on the encoding-symbol count a
-    reliable decoder needs at average degree d_avg. Analysis quantity only."""
-    if d_avg <= 1.0:
-        raise InvalidParameterError(f"average degree must exceed 1, got {d_avg}")
-    if c <= 0.0:
-        raise InvalidParameterError(f"c must be positive, got {c}")
-    if w <= d_avg:
-        raise InvalidParameterError(f"window {w} must exceed average degree {d_avg}")
-    return (c * w / d_avg) * math.log(w / d_avg)
 
 
 def truncated_normalizer_closed_form(ctx: LossContext) -> float:

@@ -16,15 +16,14 @@ standards-compliant generator; outputs are labeled as such.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import gf2
-from .codec import DecodeResult, PeelDecoder, RepairBatch, SourceBlock, derive_seed
-from .errors import DecodeFailure, InvalidInputError, InvalidParameterError
+from .codec import PeelDecoder, SourceBlock, derive_seed
+from .errors import DecodeFailure, InvalidParameterError
 
 # Bounds the dense elimination, whose work grows with the square of the
 # unknowns or faster: a system with more unknowns fails before it.
@@ -234,9 +233,9 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
     ``live_rows``; U the uncovered intermediates. The E < U exit is exact:
     by the same triangular structure, natives that are all determined
     determine every parity too, and then rank = U <= E. On this path
-    ``unresolved`` is every missing native, which is k - len(recovered) in
-    ``raptor_decode``'s failure result; after an elimination it counts the
-    natives the elimination left undetermined.
+    ``unresolved`` is every missing native, the k natives less those the
+    decoder covers; after an elimination it counts the natives the
+    elimination left undetermined.
 
     Raises:
         DecodeFailure: the system does not determine every native.
@@ -288,34 +287,3 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
     for i in missing:
         natives[i] = solved[i]
     return natives
-
-
-def raptor_decode(natives, encoding, cfg: PrecodeConfig, l: int | None = None) -> DecodeResult:
-    """Peel over the intermediate block, then solve the precode residual.
-
-    ``natives`` maps intermediate indices (normally 0..k-1) to payloads, and
-    ``encoding`` is a ``RepairBatch`` or a sequence of symbols. The result is
-    over the k natives; on failure ``failed_stage`` is "precode".
-    """
-    items = dict(natives.items() if isinstance(natives, Mapping) else natives)
-    batch = RepairBatch.from_symbols(encoding)
-    if l is None:
-        if items:
-            l = len(next(iter(items.values())))
-        elif len(batch):
-            l = batch.payloads.shape[1]
-        else:
-            raise InvalidInputError("cannot infer symbol length from empty input")
-
-    decoder = PeelDecoder(cfg.total, l, items)
-    decoder.add_batch(batch)
-    decoder.run()
-    try:
-        recovered = precode_solve(decoder, cfg)
-    except DecodeFailure as exc:
-        return DecodeResult(
-            recovered={i: p for i, p in decoder.covered_map().items() if i < cfg.k},
-            success=False, unresolved=exc.unresolved,
-            encoding_used=decoder.encoding_used, failed_stage=exc.stage or "precode")
-    return DecodeResult(recovered=[row.tobytes() for row in recovered], success=True,
-                        unresolved=0, encoding_used=decoder.encoding_used)

@@ -16,8 +16,8 @@ from test_codec import gf2_oracle_solve
 from lrfcodes.bench import ExperimentSpec, run_experiment
 from lrfcodes.channel import ChannelConfig
 from lrfcodes.cli import main as cli_main
-from lrfcodes.codec import (EncodingSymbol, derive_seed, peel_decode,
-                            select_neighbors, SourceBlock)
+from lrfcodes.codec import (PeelDecoder, RepairBatch, SourceBlock, derive_seed, derive_seeds,
+                            neighbor_sets)
 from lrfcodes.distributions import (LossContext, capped_normalizer_closed_form,
                                     recovery_probability,
                                     truncated_normalizer_closed_form)
@@ -72,7 +72,9 @@ def test_criterion_2_min_degree_optimality():
 
 def test_criterion_3_decoder_soundness():
     # 10^4 random small instances against the independent GF(2) oracle:
-    # peeling success implies oracle success with matching bytes.
+    # peeling success implies oracle success with matching bytes. An
+    # instance's repair symbols go in as one batch; symbol t's neighbor set
+    # depends on its seed derive_seed(trial, t) alone.
     rng = random.Random(31337)
     successes = 0
     for trial in range(10_000):
@@ -80,23 +82,24 @@ def test_criterion_3_decoder_soundness():
         l = 4
         data = SourceBlock.random(w, l, seed=trial).data
         rows = [row.tobytes() for row in data]
-        lost = {i for i in range(w) if rng.random() < 0.5}
-        natives = {i: rows[i] for i in range(w) if i not in lost}
-        equations = [([i], natives[i]) for i in natives]
-        encoding = []
-        for t in range(rng.randint(0, 2 * max(1, len(lost)))):
-            degree = rng.randint(1, w)
-            seed = derive_seed(trial, t)
-            nb = select_neighbors(seed, w, degree)
-            payload = np.bitwise_xor.reduce(data[nb], axis=0).tobytes()
-            encoding.append(EncodingSymbol(id=t, seed=seed, degree=degree,
-                                           neighbors=nb, payload=payload))
-            equations.append((nb.tolist(), payload))
-        res = peel_decode(natives, encoding, w, l)
-        if res.success:
+        lost = np.array([rng.random() < 0.5 for _ in range(w)])
+        n = rng.randint(0, 2 * max(1, int(lost.sum())))
+        degrees = np.array([rng.randint(1, w) for _ in range(n)], dtype=np.int64)
+        seeds = derive_seeds(trial, np.arange(n))
+        indptr, indices = neighbor_sets(seeds, w, degrees)
+        payloads = np.bitwise_xor.reduceat(data[indices], indptr[:-1], axis=0)
+        decoder = PeelDecoder(w, l)
+        decoder.add_natives(data, ~lost)
+        decoder.add_batch(RepairBatch(np.arange(n, dtype=np.uint64), seeds, degrees,
+                                      indptr, indices, payloads))
+        decoder.run()
+        if decoder.success:
+            equations = [([i], rows[i]) for i in np.flatnonzero(~lost).tolist()]
+            equations += [(indices[a:b].tolist(), p.tobytes())
+                          for a, b, p in zip(indptr[:-1], indptr[1:], payloads)]
             oracle = gf2_oracle_solve(w, equations)
             assert oracle is not None, "peeling succeeded where oracle failed"
-            assert res.recovered == oracle == rows
+            assert [row.tobytes() for row in decoder.payloads] == oracle == rows
             successes += 1
     assert successes > 1000
     print("ACCEPTANCE 3 decoder-soundness: PASS")

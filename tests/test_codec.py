@@ -10,11 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock,
                             derive_degree, derive_degrees, derive_seed, encode_stream,
-                            neighbor_sets, pack_symbol, peel_decode, select_neighbors,
-                            unpack_symbol)
+                            neighbor_sets, pack_symbol, select_neighbors, unpack_symbol)
 from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
 from lrfcodes.errors import InvalidInputError, InvalidParameterError
 
@@ -65,9 +66,23 @@ def gf2_oracle_solve(w, equations):
     return [values[j].to_bytes(l, "little") for j in range(w)]
 
 
-def _rows(blk):
-    """A block's rows as the list of bytes a ``DecodeResult`` recovers."""
-    return [row.tobytes() for row in blk.data]
+def _rows(data):
+    """A payload matrix's rows as a list of bytes, as the oracle returns them."""
+    return [row.tobytes() for row in data]
+
+
+def peeled(natives, encoding, w, l):
+    """A ``PeelDecoder`` over w symbols of l bytes given ``natives`` (index ->
+    payload) and then the encoding symbols (a ``RepairBatch`` or a sequence
+    of symbols), run to fixpoint."""
+    decoder = PeelDecoder(w, l)
+    for idx, payload in natives.items():
+        decoder.add_native(idx, payload)
+    if not isinstance(encoding, RepairBatch):
+        encoding = RepairBatch.from_symbols(encoding)
+    decoder.add_batch(encoding)
+    decoder.run()
+    return decoder
 
 
 def encode_one(blk, dist, seed, symbol_id=0):
@@ -176,6 +191,30 @@ def test_unpack_truncated():
     assert unpack_symbol(buf + buf, len(buf))[1] == 2 * len(buf)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_damaged_frame_is_taken_or_rejected(data):
+    # Bit flips, truncation or trailing bytes on a packed frame: from the
+    # wire to the decoder, the symbol is either taken (released, or held as
+    # a live row) or flagged malformed, or the path raises InvalidInputError.
+    w, l = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 16))
+    blk = SourceBlock.random(w, l, seed=w * l)
+    frame = bytearray(pack_symbol(encode_one(blk, ideal_soliton(w),
+                                             seed=data.draw(st.integers(0, 2**64 - 1)))))
+    for bit in data.draw(st.lists(st.integers(0, 8 * len(frame) - 1), max_size=3)):
+        frame[bit // 8] ^= 1 << bit % 8
+    frame = frame[:data.draw(st.integers(0, len(frame)))] + data.draw(st.binary(max_size=8))
+    dec = PeelDecoder(w, l)
+    try:
+        batch = RepairBatch.from_symbols([unpack_symbol(bytes(frame))[0]])
+        taken = ~batch.malformed(w, l)
+        dec.add_batch(batch.select(taken).resolved(w))
+        dec.run()
+    except InvalidInputError:
+        return
+    assert dec.encoding_used + dec.live_rows == int(taken.sum())
+
+
 # ---------------------------------------------------------------------------
 # Peeling decoder
 
@@ -193,7 +232,7 @@ def test_peel_decode_pure_fountain_roundtrip():
         decoder.run()
         count += 1
         assert count < 50 * w, "decoder made no progress"
-    assert decoder.result().recovered == _rows(blk)
+    assert _rows(decoder.payloads) == _rows(blk.data)
 
 
 def test_peel_decode_with_natives_and_losses():
@@ -204,10 +243,10 @@ def test_peel_decode_with_natives_and_losses():
     dist = lrf_ideal(ctx)
     natives = {i: blk.data[i] for i in range(w) if i not in lost}
     encoding = encode_stream(blk, dist, base_seed=4, count=12)
-    res = peel_decode(natives, encoding, w, l)
-    if res.success:
-        assert res.recovered == _rows(blk)
-        assert res.unresolved == 0
+    dec = peeled(natives, encoding, w, l)
+    if dec.success:
+        assert _rows(dec.payloads) == _rows(blk.data)
+        assert dec.unresolved == 0
 
 
 def test_peeling_fixpoint_independent_of_native_order():
@@ -219,7 +258,9 @@ def test_peeling_fixpoint_independent_of_native_order():
     natives = {i: blk.data[i] for i in range(w) if i not in lost}
     encoding = encode_stream(blk, lrf_ideal(LossContext(w, len(lost))),
                              base_seed=3, count=6)
-    natives_first = PeelDecoder(w, l, natives)
+    natives_first = PeelDecoder(w, l)
+    for idx, payload in natives.items():
+        natives_first.add_native(idx, payload)
     for sym in encoding:
         natives_first.add_symbol(sym)
     natives_first.run()
@@ -229,8 +270,9 @@ def test_peeling_fixpoint_independent_of_native_order():
     for idx, payload in natives.items():
         repairs_first.add_native(idx, payload)
     repairs_first.run()
-    assert natives_first.result().recovered == _rows(blk)
-    assert repairs_first.result() == natives_first.result()
+    assert natives_first.success and _rows(natives_first.payloads) == _rows(blk.data)
+    assert repairs_first.success and _rows(repairs_first.payloads) == _rows(blk.data)
+    assert repairs_first.encoding_used == natives_first.encoding_used
 
 
 def test_decoder_duplicate_native_rejected():
@@ -238,6 +280,16 @@ def test_decoder_duplicate_native_rejected():
     dec.add_native(0, b"ab")
     with pytest.raises(InvalidInputError):
         dec.add_native(0, b"ab")
+    # So is an index that is not an integer in 0..w-1, covering nothing: a
+    # float, a bool, None or a string used to escape as IndexError,
+    # ValueError or TypeError. Numpy integers in range are taken.
+    for idx in (1.5, True, np.True_, None, "1", -1, 4, np.int64(4)):
+        with pytest.raises(InvalidInputError):
+            dec.add_native(idx, b"ab")
+    assert dec.covered.tolist() == [True, False, False, False]
+    for good in (np.uint64(1), np.int32(2), np.uint8(3)):
+        dec.add_native(good, bytes([good, good]))
+    assert dec.success and dec.payloads[:, 0].tolist() == [97, 1, 2, 3]
 
 
 def test_decoder_rejects_bad_payload_length():
@@ -256,14 +308,14 @@ def test_decoder_rejects_bad_payload_length():
 ])
 def test_decoder_rejects_a_native_that_is_not_l_bytes(w, l, payload):
     # A native is l bytes or a 1-D uint8 array of l; anything else is
-    # rejected, by add_native and by the constructor alike, covering nothing.
-    # An l-long array of wider integers must not be read as its raw bytes.
+    # rejected by add_native at any index, covering nothing. An l-long
+    # array of wider integers must not be read as its raw bytes.
     dec = PeelDecoder(w, l)
     with pytest.raises(InvalidInputError):
         dec.add_native(1, payload)
     assert not dec.covered.any()
     with pytest.raises(InvalidInputError):
-        PeelDecoder(w, l, {0: payload})
+        PeelDecoder(w, l).add_native(0, payload)
     for good in (bytes(range(l)), bytearray(range(l)), np.arange(l, dtype=np.uint8)):
         dec.add_native(int(dec.covered.sum()), good)
         assert dec.payloads[dec.covered.sum() - 1].tobytes() == bytes(range(l))
@@ -287,7 +339,7 @@ def test_redundant_symbols_are_ignored():
     sym = encode_one(blk, ideal_soliton(8), seed=5)
     dec.add_symbol(sym)
     dec.run()
-    assert dec.result().recovered == _rows(blk)
+    assert dec.success and _rows(dec.payloads) == _rows(blk.data)
 
 
 @pytest.mark.parametrize("neighbors", [[3, 3], [-1, 2], [2, 8], [5, 2]])
@@ -301,7 +353,7 @@ def test_malformed_neighbors_rejected(neighbors):
     sym = EncodingSymbol(id=0, seed=0, degree=len(neighbors),
                          neighbors=np.array(neighbors), payload=payload)
     with pytest.raises(InvalidInputError):
-        peel_decode(natives, [sym], w, l)
+        peeled(natives, [sym], w, l)
 
 
 @pytest.mark.parametrize("indptr,degrees,bad", [
@@ -329,7 +381,7 @@ def test_symbol_id_or_seed_outside_u64_rejected(field, value):
     sym = encode_one(blk, ideal_soliton(8), seed=3)
     bad = replace(sym, **{field: value})
     with pytest.raises(InvalidInputError, match="u64"):
-        peel_decode({}, [bad], 8, 2)
+        peeled({}, [bad], 8, 2)
     with pytest.raises(InvalidInputError, match="u64"):
         PeelDecoder(8, 2).add_symbol(bad)
 
@@ -398,12 +450,12 @@ def test_peel_decode_agrees_with_oracle_small():
                                            neighbors=nb, payload=payload))
             equations.append((nb.tolist(), payload))
 
-        res = peel_decode(natives, encoding, w, l)
+        dec = peeled(natives, encoding, w, l)
         oracle = gf2_oracle_solve(w, equations) if equations else None
-        if res.success:
+        if dec.success:
             # Peeling success implies the linear system is solvable and the
             # payloads agree.
             assert oracle is not None
-            assert res.recovered == oracle == _rows(blk)
+            assert _rows(dec.payloads) == oracle == _rows(blk.data)
             agree_success += 1
     assert agree_success > 50  # the comparison actually exercised successes

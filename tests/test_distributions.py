@@ -13,12 +13,10 @@ import numpy as np
 import pytest
 
 from lrfcodes.distributions import (DegreeDistribution, LossContext,
-                                    average_degree,
                                     capped_normalizer_closed_form,
                                     ideal_soliton, inverse_cdf, lr_raptor_dist,
                                     lrf_ideal, min_degree, recovery_probability,
-                                    required_symbols_bound, robust_soliton,
-                                    sample,
+                                    robust_soliton, sample,
                                     truncated_normalizer_closed_form)
 from lrfcodes.errors import (InfeasibleCapError, InvalidParameterError,
                              NoLossError)
@@ -219,7 +217,8 @@ def test_average_degree_frozen_value():
     ctx = LossContext(10, 2)
     alpha = Fraction(20, 3)
     expect = alpha * sum(Fraction(1, d - 1) for d in range(5, 11))
-    got = average_degree(lrf_ideal(ctx))
+    dist = lrf_ideal(ctx)
+    got = float(dist.degrees @ dist.probs)
     assert math.isclose(got, float(expect), rel_tol=1e-12)
     assert math.isclose(got, 2509 / 378, rel_tol=1e-12)  # ~6.63757
 
@@ -247,14 +246,6 @@ def test_lr_raptor_dist_support_and_cap():
 def test_lr_raptor_dist_infeasible_cap():
     with pytest.raises(InfeasibleCapError):
         lr_raptor_dist(LossContext(100, 10), 9)
-
-
-def test_required_symbols_bound_positive_and_monotone():
-    b1 = required_symbols_bound(1000, 10.0, 1.0)
-    b2 = required_symbols_bound(1000, 100.0, 1.0)
-    assert b1 > b2 > 0
-    assert math.isclose(required_symbols_bound(1000, 10.0, 2.0), 2 * b1,
-                        rel_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

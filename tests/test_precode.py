@@ -15,7 +15,8 @@ from lrfcodes.distributions import LossContext, lr_raptor_dist, robust_soliton
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
 from lrfcodes.precode import (PrecodeConfig, constraint_matrix, parity_rows, precode_expand,
-                              precode_solve, raptor_decode)
+                              precode_solve)
+from test_codec import peeled
 from test_gf2 import csr, rank
 
 CFG = PrecodeConfig(k=24, s=5, h=3, seed=7)
@@ -27,13 +28,9 @@ def _block(k=CFG.k, l=8, seed=0):
 
 def _decoder(inter, missing=()):
     """A decoder over an intermediate block holding all its rows but ``missing``."""
-    return PeelDecoder(inter.w, inter.l,
-                       {i: row for i, row in enumerate(inter.data) if i not in missing})
-
-
-def _rows(blk):
-    """A block's rows as the list of bytes a ``DecodeResult`` recovers."""
-    return [row.tobytes() for row in blk.data]
+    decoder = PeelDecoder(inter.w, inter.l)
+    decoder.add_natives(inter.data, ~np.isin(np.arange(inter.w), list(missing)))
+    return decoder
 
 
 def constraint_rows(cfg):
@@ -211,7 +208,8 @@ def test_rolled_sparse_parities_match_the_csr_gather(k, s, h):
     # uncovered member, and no more unknowns than constraints.
     rows = np.random.default_rng(s).integers(0, 256, size=(cfg.total, 8), dtype=np.uint8)
     missing = min(k, s)
-    decoder = PeelDecoder(cfg.total, 8, {i: rows[i] for i in range(missing, cfg.total)})
+    decoder = PeelDecoder(cfg.total, 8)
+    decoder.add_natives(rows, np.arange(cfg.total) >= missing)
     want = np.zeros((s + h, 8), dtype=np.uint8)
     gf2.xor_rows(gf2.words(want), gf2.words(decoder.payloads), indptr, indices)
     listed = np.add.reduceat(~decoder.covered[indices], indptr[:-1]) > 0
@@ -291,9 +289,11 @@ def test_precode_solve_validates_input():
             precode_solve(not_over_the_intermediates, CFG)
     # Known intermediates are checked where the decoder takes them.
     with pytest.raises(InvalidInputError):
-        PeelDecoder(CFG.total, 1, {CFG.total: b"x"})
+        PeelDecoder(CFG.total, 1).add_native(CFG.total, b"x")
+    decoder = PeelDecoder(CFG.total, 2)
+    decoder.add_native(0, b"ab")
     with pytest.raises(InvalidInputError):
-        PeelDecoder(CFG.total, 2, [(0, b"ab"), (1, b"abc")])
+        decoder.add_native(1, b"abc")
 
 
 def test_precode_solve_residual_cap(monkeypatch):
@@ -430,15 +430,17 @@ def test_precode_solve_decides_as_the_full_system(system):
 def test_early_exit_reports_every_missing_native():
     # 12 lost natives and no repair: 8 constraint rows for at least 12
     # unknowns, so the solve fails before any elimination, and the failure
-    # counts each native the result does not recover.
+    # counts each native the decoder does not cover.
     blk = _block(seed=15)
     lost = set(range(0, 24, 2))
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
+    decoder = peeled(natives, [], CFG.total, blk.l)
     with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
-        res = raptor_decode(natives, [], CFG)
+        with pytest.raises(DecodeFailure) as exc:
+            precode_solve(decoder, CFG)
     assert not solve.called
-    assert (res.success, res.failed_stage) == (False, "precode")
-    assert res.unresolved == CFG.k - len(res.recovered) == len(lost)
+    assert exc.value.stage == "precode"
+    assert exc.value.unresolved == CFG.k - decoder.covered[:CFG.k].sum() == len(lost)
 
 
 # ---------------------------------------------------------------------------
@@ -451,27 +453,25 @@ def test_raptor_roundtrip_with_losses():
     lost = {1, 8, 19}
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     encoding = encode_stream(precode_expand(blk, CFG), dist, base_seed=21, count=8)
-    res = raptor_decode(natives, encoding, CFG)
-    assert res.success
-    assert res.recovered == _rows(blk)
+    decoded = precode_solve(peeled(natives, encoding, CFG.total, blk.l), CFG)
+    np.testing.assert_array_equal(decoded, blk.data)
 
 
 def test_raptor_decode_no_loss_shortcut():
     blk = _block(seed=14)
     natives = {i: blk.data[i] for i in range(CFG.k)}
-    res = raptor_decode(natives, [], CFG)
-    assert res.success
-    assert res.recovered == _rows(blk)
+    decoded = precode_solve(peeled(natives, [], CFG.total, blk.l), CFG)
+    np.testing.assert_array_equal(decoded, blk.data)
 
 
 def test_raptor_decode_reports_failure_stage():
     blk = _block(seed=15)
     lost = set(range(12))
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
-    res = raptor_decode(natives, [], CFG)
-    assert not res.success
-    assert res.failed_stage == "precode"
-    assert res.unresolved > 0
+    with pytest.raises(DecodeFailure) as exc:
+        precode_solve(peeled(natives, [], CFG.total, blk.l), CFG)
+    assert exc.value.stage == "precode"
+    assert exc.value.unresolved > 0
 
 
 def test_raptor_robust_soliton_roundtrip():
@@ -483,8 +483,10 @@ def test_raptor_robust_soliton_roundtrip():
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     for count in (8, 16, 32, 64):
         encoding = encode_stream(precode_expand(blk, CFG), dist, base_seed=33, count=count)
-        res = raptor_decode(natives, encoding, CFG)
-        if res.success:
-            assert res.recovered == _rows(blk)
-            return
+        try:
+            decoded = precode_solve(peeled(natives, encoding, CFG.total, blk.l), CFG)
+        except DecodeFailure:
+            continue
+        np.testing.assert_array_equal(decoded, blk.data)
+        return
     pytest.fail("robust-soliton inner stream never completed the decode")

@@ -666,7 +666,8 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
         decoder = state.decoder
         indptr, indices, rhs = decoder.pending_rows()
         n = indptr.size - 1
-        again = PeelDecoder(pc.total, 16, decoder.covered_map())
+        again = PeelDecoder(pc.total, 16)
+        again.add_natives(decoder.payloads, decoder.covered)
         again.add_batch(RepairBatch(np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64),
                                     np.diff(indptr), indptr, indices, rhs))
         again.run()
