@@ -46,12 +46,6 @@ from .transfer import (SCHEMES, DestinationState, Natives, SessionConfig, Sessio
 
 EXPERIMENTS = ("window-sweep", "lt-compare", "raptor-compare", "transfer")
 
-CSV_COLUMNS = (
-    "experiment", "scheme", "window_len", "loss_rate", "trials",
-    "encoding_ratio", "degree_ratio", "encode_ns_per_lost",
-    "decode_ns_per_lost", "throughput_MBps", "success_rate", "master_seed",
-)
-
 
 @dataclass
 class ExperimentSpec:
@@ -78,6 +72,8 @@ class ExperimentSpec:
         if self.experiment in ("raptor-compare", "transfer") and len(self.window_lengths) > 1:
             raise InvalidParameterError(
                 f"{self.experiment} takes one window, got {self.window_lengths}")
+        if self.experiment in ("window-sweep", "lt-compare") and self.d_max is not None:
+            raise InvalidParameterError(f"{self.experiment} runs no LR-Raptor, so takes no d_max")
 
 
 @dataclass
@@ -94,6 +90,9 @@ class ResultRow:
     throughput_MBps: float | None
     success_rate: float
     master_seed: int
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _trial_seed(master: int, *parts: int) -> int:
@@ -250,31 +249,6 @@ def emit_csv(rows: list[ResultRow], path) -> None:
         writer.writerow(CSV_COLUMNS)
         for row in rows:
             writer.writerow(_format_cell(getattr(row, col)) for col in CSV_COLUMNS)
-
-
-def load_csv(path) -> list[ResultRow]:
-    """Parse a CSV produced by ``emit_csv`` back into rows."""
-    types = {f.name: f.type for f in fields(ResultRow)}
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != CSV_COLUMNS:
-            raise InvalidParameterError(f"unexpected CSV header in {path}")
-        for rec in reader:
-            kwargs = {}
-            for col in CSV_COLUMNS:
-                raw = rec[col]
-                ty = types[col]
-                if raw == "" and "None" in str(ty):
-                    kwargs[col] = None
-                elif ty is int or ty == "int":
-                    kwargs[col] = int(raw)
-                elif ty is str or ty == "str":
-                    kwargs[col] = raw
-                else:
-                    kwargs[col] = float(raw)
-            rows.append(ResultRow(**kwargs))
-    return rows
 
 
 def emit_summary(rows: list[ResultRow], file=None) -> None:

@@ -103,16 +103,7 @@ class LossReport:
 class LossRateEstimator:
     """Destination-side estimator: one report per ``observe_many`` call, over
     exactly the outcomes it was given (a window's natives mask per event).
-
-    The default estimate is the call's plain loss ratio; pass ``ewma`` in
-    (0, 1] to smooth reports exponentially instead.
-    """
-
-    def __init__(self, ewma: float | None = None):
-        if ewma is not None and not 0.0 < ewma <= 1.0:
-            raise InvalidParameterError(f"ewma {ewma} outside (0, 1]")
-        self.ewma = ewma
-        self.estimate: float | None = None
+    The estimate is the call's plain loss ratio."""
 
     def observe(self, lost: bool) -> LossReport:
         """Record one delivery outcome; returns its report."""
@@ -125,8 +116,4 @@ class LossRateEstimator:
         if not lost.size:
             return None
         count = int(np.count_nonzero(lost))
-        rate = count / lost.size
-        if self.ewma is not None and self.estimate is not None:
-            rate = self.ewma * rate + (1.0 - self.ewma) * self.estimate
-        self.estimate = rate
-        return LossReport(observed_window=lost.size, lost=count, estimate=rate)
+        return LossReport(observed_window=lost.size, lost=count, estimate=count / lost.size)

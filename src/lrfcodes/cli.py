@@ -14,6 +14,7 @@ which necessarily breaks byte-identity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .bench import ExperimentSpec, emit_csv, emit_summary, run_experiment
@@ -96,38 +97,21 @@ def spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    trace_file = None
     try:
-        try:
-            if args.trace:
-                trace_file = open(args.trace, "w")
-        except OSError as exc:
-            print(f"error: cannot open trace log: {exc}", file=sys.stderr)
-            return 1
-        try:
+        with open(args.trace, "w") if args.trace else contextlib.nullcontext() as trace:
             spec = spec_from_args(args)
-            spec.trace = trace_file
+            spec.trace = trace
             rows = run_experiment(spec)
-        except InvalidParameterError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-        try:
             if args.out:
                 emit_csv(rows, args.out)
             emit_summary(rows)
-        except (OSError, InvalidParameterError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-        if any(r.success_rate < 1.0 for r in rows) and not args.allow_failures:
-            print("error: some rows contain failed trials (see --trace)",
-                  file=sys.stderr)
-            return 2
-        return 0
-    finally:
-        if trace_file is not None:
-            trace_file.close()
+    except (OSError, InvalidParameterError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if any(r.success_rate < 1.0 for r in rows) and not args.allow_failures:
+        print("error: some rows contain failed trials (see --trace)", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -9,10 +9,12 @@ symbols as one ``Repairs`` event; one channel mask drops rows of both. The
 destination takes the received natives in one copy of the block and their
 loss mask in one estimator pass, hands each batch to the window's peeling
 decoder, peels when a delivery phase ends, acks the window on full
-recovery, and feeds back one loss report per natives event, counting that
-window's natives, to the source. ``run_window``, the one exchange loop of a
-window for sessions and bench trials alike, takes the acked window's natives
-and the destination forgets the window.
+recovery, and feeds back one ``LossReport`` per natives event, counting that
+window's natives, to the source; the report is itself the feedback event.
+One rule, ``SourceState._resize``, sizes a loss-aware window's law, NACK
+batch and repair budget, at window start and on a NACK. ``run_window``, the
+one exchange loop of a window for sessions and bench trials alike, takes the
+acked window's natives and the destination forgets the window.
 
 Schemes:
     LT        -- pure fountain baseline: robust-soliton encoding symbols
@@ -113,11 +115,6 @@ class WindowNack:
     unresolved: int
 
 
-@dataclass(frozen=True)
-class Feedback:
-    report: LossReport
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -165,8 +162,11 @@ class SessionConfig:
 
     def __post_init__(self):
         self.scheme = normalize_scheme(self.scheme)
-        if self.window < 1 or self.symbol_bytes < 1:
-            raise InvalidParameterError("window and symbol_bytes must be >= 1")
+        # Each size is an integer >= 1 (a bool is not); a None d_max is no cap.
+        for name in ("window", "symbol_bytes") + (("d_max",) if self.d_max is not None else ()):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+                raise InvalidParameterError(f"{name} must be an integer >= 1, got {v!r}")
         if not 0 <= self.epsilon < math.inf:
             raise InvalidParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.initial_loss_rate is not None and not 0.0 <= self.initial_loss_rate <= 1.0:
@@ -221,20 +221,23 @@ class SourceState:
         self.metrics.total_degree_sent += int(batch.degrees.sum())
         return Repairs(window, batch)
 
-    def _loss_aware_dist(self, total: int, m_hat: int) -> DegreeDistribution:
+    def _resize(self, plan: _RepairPlan, m_hat: int) -> int:
+        """Size the plan's loss-aware law, NACK batch and extra budget for a
+        predicted loss of m_hat natives; returns the proactive count m'. The
+        budget never shrinks, and allows BUDGET_FACTOR * m' symbols beyond
+        the extra repair already sent."""
+        total = plan.block.w
         ctx = LossContext(total, min(m_hat, total))
         if self.cfg.scheme == "LR-Raptor":
-            cap = self.cfg.d_max if self.cfg.d_max is not None else total
-            cap = min(cap, total)
-            return lr_raptor_dist(ctx, cap)
-        return lrf_ideal(ctx)
-
-    def _sizing(self, m_hat: int) -> tuple[int, int, int]:
-        """(proactive count, batch size, extra budget) for a predicted loss."""
+            plan.dist = lr_raptor_dist(ctx, min(self.cfg.d_max or total, total))
+        else:
+            plan.dist = lrf_ideal(ctx)
+        plan.m_hat = m_hat
         m_prime = math.ceil((1.0 + self.cfg.epsilon) * m_hat)
-        batch = max(1, math.ceil(EXTRA_BATCH_FRAC * max(m_prime, 1)))
-        budget = math.ceil(BUDGET_FACTOR * max(m_prime, 1))
-        return m_prime, batch, budget
+        plan.batch = max(1, math.ceil(EXTRA_BATCH_FRAC * max(m_prime, 1)))
+        plan.extra_budget = max(plan.extra_budget,
+                                plan.extra_sent + math.ceil(BUDGET_FACTOR * max(m_prime, 1)))
+        return m_prime
 
     # -- protocol surface
 
@@ -272,10 +275,7 @@ class SourceState:
         # Lost natives alone set the size; for the precoded scheme the parity
         # intermediates fall out of the precode constraints at the decoder.
         if p_hat > 0:
-            m_hat = max(1, round(p_hat * block.w))
-            plan.dist = self._loss_aware_dist(total, m_hat)
-            plan.m_hat = m_hat
-            m_prime, plan.batch, plan.extra_budget = self._sizing(m_hat)
+            m_prime = self._resize(plan, max(1, round(p_hat * block.w)))
             emissions.append(self._encode(plan, m_prime, index))
         return emissions
 
@@ -284,8 +284,8 @@ class SourceState:
         another repair batch (bounded by the window's extra budget)."""
         emissions: list = []
         for ev in events:
-            if isinstance(ev, Feedback):
-                self.known_loss_rate = ev.report.estimate
+            if isinstance(ev, LossReport):
+                self.known_loss_rate = ev.estimate
             elif isinstance(ev, Ack):
                 self.plans.pop(ev.window, None)
             elif isinstance(ev, WindowNack):
@@ -297,11 +297,7 @@ class SourceState:
                     # than the m_hat it was sized for (or size it, if none).
                     m_hat = max(1, ev.unresolved)
                     if plan.dist is None or m_hat > plan.m_hat:
-                        plan.dist = self._loss_aware_dist(plan.block.w, m_hat)
-                        plan.m_hat = m_hat
-                        m_prime, plan.batch, budget = self._sizing(m_hat)
-                        plan.extra_budget = max(plan.extra_budget,
-                                                plan.extra_sent + budget)
+                        self._resize(plan, m_hat)
                 count = min(plan.batch, plan.extra_budget - plan.extra_sent)
                 if count <= 0:
                     raise SessionFailure(
@@ -321,10 +317,8 @@ class SourceState:
 class _WindowState:
     decoder: PeelDecoder | None  # None once the window is taken
     natives_seen: int = 0
-    losses_seen: int = 0
     complete: bool = False
     recovered: np.ndarray | None = None   # (k, l) natives once complete
-    repairs_received: int = 0
 
 
 def _is_array(a, shape: tuple, dtype) -> bool:
@@ -373,10 +367,9 @@ class DestinationState:
                 if not state.complete:
                     # Rejects a covered native before any count moves.
                     state.decoder.add_natives(event.rows, ~lost)
-                out.append(Feedback(self.estimator.observe_many(lost)))
+                out.append(self.estimator.observe_many(lost))
                 dropped = int(np.count_nonzero(lost))
                 state.natives_seen += k - dropped
-                state.losses_seen += dropped
                 self.metrics.delivered += k - dropped
                 self.metrics.lost += dropped
             else:
@@ -393,7 +386,6 @@ class DestinationState:
                     state = self._window(event.window)
                     if not state.complete:
                         state.decoder._take(batch.resolved(self._shape[0]))
-                    state.repairs_received += len(batch)
                     self.metrics.delivered += len(batch)
                 self.metrics.decode_time += time.perf_counter() - t0
         except InvalidInputError:
@@ -413,7 +405,7 @@ class DestinationState:
         k = self.cfg.window
         if decoder.covered[:k].all():
             natives = decoder.payloads[:k]
-        elif self.precode is not None and (state.repairs_received or state.losses_seen):
+        elif self.precode is not None:
             try:
                 natives = precode_solve(decoder, self.precode)
             except DecodeFailure:

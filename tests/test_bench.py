@@ -1,5 +1,7 @@
 """Benchmark harness and CLI tests (small, fast configurations)."""
 
+import csv
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -10,7 +12,7 @@ import pytest
 
 from lrfcodes import bench
 from lrfcodes.bench import (CSV_COLUMNS, ExperimentSpec, ResultRow, emit_csv,
-                            emit_summary, load_csv, run_experiment)
+                            emit_summary, run_experiment)
 from lrfcodes.cli import DESK_WINDOWS, build_parser, main, spec_from_args
 from lrfcodes.errors import InvalidParameterError, SessionFailure
 
@@ -161,13 +163,22 @@ def test_rows_deterministic_for_master_seed():
 # CSV round trip
 
 
+def _records(path):
+    """The CSV's data rows, each a dict of its cells by column name."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_csv_roundtrip(tmp_path):
     rows = run_experiment(_spec("window-sweep"))
     path = tmp_path / "out.csv"
     emit_csv(rows, path)
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
-    assert load_csv(path) == rows
+    # Every cell is its value's repr, a string as is and None empty.
+    assert [list(rec.values()) for rec in _records(path)] == [
+        ["" if v is None else v if isinstance(v, str) else repr(v)
+         for v in dataclasses.astuple(row)] for row in rows]
 
 
 def test_csv_bytes_identical_across_runs(tmp_path):
@@ -198,8 +209,8 @@ def test_cli_window_sweep_writes_csv(tmp_path):
                 "--trials", "2", "--total-symbols", "1024",
                 "--symbol-bytes", "16", "--out", str(out))
     assert code == 0
-    rows = load_csv(out)
-    assert rows and rows[0].experiment == "window-sweep"
+    rows = _records(out)
+    assert rows and rows[0]["experiment"] == "window-sweep"
 
 
 def test_cli_determinism(tmp_path):
@@ -241,7 +252,7 @@ def test_cli_raptor_compare_runs_at_its_window(tmp_path):
     out = tmp_path / "rc.csv"
     assert _cli("raptor-compare", "--window", "300", "--loss-rate", "0.05",
                 "--trials", "1", "--symbol-bytes", "8", "--out", str(out)) == 0
-    assert {row.window_len for row in load_csv(out)} == {300}
+    assert {row["window_len"] for row in _records(out)} == {"300"}
 
 
 @pytest.mark.parametrize("experiment", ["raptor-compare", "transfer"])
@@ -250,6 +261,35 @@ def test_cli_two_windows_for_one_window_experiment_is_error(experiment, capsys):
                 "--trials", "1", "--symbol-bytes", "8", "--total-symbols", "256")
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("experiment", ["window-sweep", "lt-compare"])
+def test_d_max_for_an_experiment_without_lr_raptor_is_error(experiment, capsys):
+    # Neither experiment runs LR-Raptor, so a degree cap would be ignored.
+    with pytest.raises(InvalidParameterError):
+        ExperimentSpec(experiment, d_max=100)
+    code = _cli(experiment, "--d-max", "3", "--window", "64", "--loss-rate", "0.05",
+                "--trials", "1", "--symbol-bytes", "8")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_raptor_compare_applies_its_degree_cap(tmp_path, capsys):
+    # A cap below the loss-aware law's minimum useful degree is an error; a
+    # feasible one lowers LR-Raptor's degree ratio and leaves Raptor's.
+    args = ("raptor-compare", "--window", "300", "--loss-rate", "0.05", "--trials", "2",
+            "--symbol-bytes", "8")
+    assert _cli(*args, "--d-max", "3") == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+    def degree_ratios(*cap):
+        out = tmp_path / f"rc{len(cap)}.csv"
+        assert _cli(*args, *cap, "--out", str(out)) == 0
+        return {r["scheme"]: float(r["degree_ratio"]) for r in _records(out)}
+
+    uncapped, capped = degree_ratios(), degree_ratios("--d-max", "30")
+    assert capped["Raptor"] == uncapped["Raptor"]
+    assert capped["LR-Raptor"] < uncapped["LR-Raptor"]
 
 
 @pytest.mark.parametrize("paper_scale", [False, True], ids=["desk", "paper-scale"])

@@ -138,22 +138,17 @@ def test_loss_report_validation():
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.booleans(), max_size=300),
-       st.one_of(st.none(), st.floats(0.0, 1.0, exclude_min=True)),
-       st.one_of(st.none(), st.floats(0.0, 1.0)))
-def test_estimator_reports_once_per_call(mask, ewma, prior):
-    est = LossRateEstimator(ewma=ewma)
-    est.estimate = prior
+@given(st.lists(st.booleans(), max_size=300))
+def test_estimator_reports_once_per_call(mask):
+    est = LossRateEstimator()
     report = est.observe_many(np.array(mask, dtype=bool))
+    # ``observe`` is the one-outcome call of the same path.
+    assert est.observe(True) == LossReport(observed_window=1, lost=1, estimate=1.0)
     if not mask:
-        assert report is None and est.estimate == prior
+        assert report is None
         return
     lost = sum(mask)
-    rate = lost / len(mask)
-    if ewma is not None and prior is not None:
-        rate = ewma * rate + (1.0 - ewma) * prior
-    assert report == LossReport(observed_window=len(mask), lost=lost, estimate=rate)
-    assert est.estimate == rate
+    assert report == LossReport(observed_window=len(mask), lost=lost, estimate=lost / len(mask))
 
 
 def test_estimator_is_unbiased():
@@ -167,22 +162,9 @@ def test_estimator_is_unbiased():
     assert abs(mean - p) < 5 * sigma
 
 
-def test_estimator_ewma_smooths():
-    est = LossRateEstimator(ewma=0.5)
-    # The first report has nothing to smooth against.
-    assert est.observe_many(np.zeros(100, dtype=bool)).estimate == 0.0
-    report = est.observe_many(np.ones(100, dtype=bool))
-    # One fully lossy call moves the EWMA halfway, not all the way.
-    assert (report.observed_window, report.lost) == (100, 100)
-    assert math.isclose(report.estimate, 0.5) and est.estimate == report.estimate
-    # ``observe`` is the one-outcome call of the same path.
-    assert est.observe(True) == LossReport(observed_window=1, lost=1, estimate=0.75)
-
-
 def test_estimator_validation():
-    for ewma in (0.0, -0.5, 1.5):
-        with pytest.raises(InvalidParameterError):
-            LossRateEstimator(ewma=ewma)
-    # The estimator takes no window or trigger knobs.
+    # The estimator takes no smoothing, window or trigger knobs.
+    with pytest.raises(TypeError):
+        LossRateEstimator(ewma=0.5)
     with pytest.raises(TypeError):
         LossRateEstimator(window=1000)

@@ -18,7 +18,7 @@ from lrfcodes import transfer
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError, SessionFailure)
 from lrfcodes.precode import precode_solve
-from lrfcodes.transfer import (Ack, DestinationState, Feedback, Natives, Repairs,
+from lrfcodes.transfer import (Ack, DestinationState, Natives, Repairs,
                                SCHEMES, SessionConfig, SessionMetrics, SourceState,
                                WindowNack, default_precode_shape,
                                normalize_scheme, run_session)
@@ -87,6 +87,45 @@ def test_session_config_validation():
             run_session(64, 8, 8, cfg, eps, "LRF")
     with pytest.raises(InvalidParameterError):
         run_session(-5, 8, 8, cfg, 0.1, "LRF")
+
+
+@pytest.mark.parametrize("name, value", [("window", 2.5), ("symbol_bytes", 2.5), ("window", True),
+                                         ("symbol_bytes", np.float64(8)), ("d_max", 0),
+                                         ("d_max", -3), ("d_max", 2.5), ("d_max", True)])
+def test_session_config_rejects_a_size_it_cannot_run(name, value):
+    # Window, symbol bytes and the degree cap are integers >= 1, a bool not
+    # counting: a typed failure at construction, not one mid-session.
+    cfg = ChannelConfig(0.05, seed=1)
+    sizes = {"window": 200, "symbol_bytes": 8, name: value}
+    with pytest.raises(InvalidParameterError):
+        SessionConfig(epsilon=0.2, scheme="LR-Raptor", channel=cfg, **sizes)
+    with pytest.raises(InvalidParameterError):
+        run_session(400 * 8, sizes.pop("window"), sizes.pop("symbol_bytes"), cfg, 0.2,
+                    "LR-Raptor", **sizes)
+
+
+def test_session_takes_numpy_integer_sizes():
+    data = _payload(400, 8, seed=4)
+    _, delivered = run_session(data, np.int64(200), np.int64(8), ChannelConfig(0.05, seed=1),
+                               0.2, "LR-Raptor", seed=4, d_max=np.int64(100),
+                               return_payload=True)
+    assert delivered == data
+
+
+def test_capped_lr_raptor_session_stays_within_its_cap():
+    # A feasible cap, twice the loss-aware law's minimum degree
+    # ceil(total / m_hat), bounds every repair symbol's degree, and the
+    # bytes still arrive exactly. Uncapped, the mean degree is above it.
+    window, l, p = 500, 8, 0.05
+    d_max = 2 * math.ceil((window + sum(default_precode_shape(window))) / round(p * window))
+    data = _payload(3 * window, l, seed=5)
+    sent = {}
+    for cap in (d_max, None):
+        metrics, delivered = run_session(data, window, l, ChannelConfig(p, seed=5), 0.2,
+                                         "LR-Raptor", seed=5, d_max=cap, return_payload=True)
+        assert delivered == data and metrics.encoding_sent > 0
+        sent[cap] = metrics.total_degree_sent / metrics.encoding_sent
+    assert sent[d_max] <= d_max < sent[None]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +251,7 @@ def test_destination_feeds_back_loss_reports():
     dst = DestinationState(cfg, metrics)
     rows = np.frombuffer(b"abcd" * 2000, dtype=np.uint8).reshape(2000, 4)
     ev = Natives(0, rows, np.arange(2000) % 2 == 1)
-    assert dst.step(ev) == [Feedback(LossReport(observed_window=2000, lost=1000, estimate=0.5))]
+    assert dst.step(ev) == [LossReport(observed_window=2000, lost=1000, estimate=0.5)]
 
 
 def test_source_updates_rate_from_feedback():
@@ -221,8 +260,7 @@ def test_source_updates_rate_from_feedback():
     metrics = SessionMetrics()
     src = SourceState(cfg, metrics)
     assert math.isclose(src.known_loss_rate, 0.01)
-    src.step([Feedback(LossReport(observed_window=1000, lost=80,
-                                  estimate=0.08))])
+    src.step([LossReport(observed_window=1000, lost=80, estimate=0.08)])
     assert math.isclose(src.known_loss_rate, 0.08)
 
 
@@ -401,7 +439,7 @@ def test_malformed_events_open_no_window():
     # A valid event for an unseen window still opens it, repairs first.
     good = encode_stream(SourceBlock(rows), ideal_soliton(1000), 1, 2)
     dst.step(Repairs(12, good))
-    assert list(dst.windows) == [12] and dst.windows[12].repairs_received == 2
+    assert list(dst.windows) == [12] and metrics.delivered == 2
 
 
 def test_repairs_event_without_a_batch_is_one_protocol_error():
@@ -428,19 +466,19 @@ def test_destination_rejects_a_natives_event_whole():
     rows = SourceBlock.random(16, 8, seed=3).data
     odd = np.arange(16) % 2 == 1
     # An accepted event feeds back one report over its own mask.
-    half = [Feedback(LossReport(observed_window=16, lost=8, estimate=0.5))]
+    half = [LossReport(observed_window=16, lost=8, estimate=0.5)]
     assert dst.step(Natives(0, rows, odd)) == half
     state = dst.windows[0]
     covered, payloads = state.decoder.covered.copy(), state.decoder.payloads.copy()
-    counts = (metrics.delivered, metrics.lost, state.natives_seen, state.losses_seen)
-    assert counts == (8, 8, 8, 8)
+    counts = (metrics.delivered, metrics.lost, state.natives_seen)
+    assert counts == (8, 8, 8)
     rejected = [Natives(0, rows[:15]), Natives(0, rows[:, :7]), Natives(0, rows.astype(np.int64)),
                 Natives(0, rows, odd[:15]), Natives(0, rows, odd.astype(np.uint8)),
                 Natives(0, rows), Natives(0, rows, ~odd ^ (np.arange(16) == 4))]
     for i, ev in enumerate(rejected, 1):
         assert dst.step(ev) == []
         assert metrics.protocol_errors == i
-        assert (metrics.delivered, metrics.lost, state.natives_seen, state.losses_seen) == counts
+        assert (metrics.delivered, metrics.lost, state.natives_seen) == counts
         np.testing.assert_array_equal(state.decoder.covered, covered)
         np.testing.assert_array_equal(state.decoder.payloads, payloads)
     # The odd natives still arrive in an event of their own.
@@ -519,7 +557,6 @@ def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
     assert dst.step(Repairs(0, bad)) == []
     assert metrics.protocol_errors == 1
     assert metrics.delivered == 61 + 8
-    assert dst.windows[0].repairs_received == 8
     assert dst.conclude(0) == [Ack(0)]
     np.testing.assert_array_equal(dst.windows[0].recovered, block.data)
     other = DestinationState(cfg, SessionMetrics())
