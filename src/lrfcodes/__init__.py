@@ -9,13 +9,11 @@ Subpackages/modules:
     bench         -- CSV-emitting benchmark harness (CLI: lrf-bench)
 """
 
-from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
-from .codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock,
-                    encode_stream, select_neighbors)
+from .channel import Channel, ChannelConfig
+from .codec import PeelDecoder, RepairBatch, SourceBlock, encode_stream
 from .distributions import (DegreeDistribution, LossContext,
                             ideal_soliton, lr_raptor_dist, lrf_ideal,
-                            min_degree, recovery_probability,
-                            robust_soliton, sample)
+                            min_degree, recovery_probability, robust_soliton)
 from .errors import (DecodeFailure, InfeasibleCapError, InvalidInputError,
                      InvalidParameterError, NoLossError, SessionFailure)
 from .precode import PrecodeConfig, precode_expand, precode_solve

@@ -38,9 +38,9 @@ import statistics
 import sys
 from dataclasses import dataclass, fields
 
-from .channel import ChannelConfig, loss_mask
+from .channel import Channel, ChannelConfig
 from .codec import SourceBlock, derive_seed
-from .errors import InvalidParameterError, SessionFailure
+from .errors import InvalidParameterError, SessionFailure, check_size
 from .transfer import (SCHEMES, DestinationState, Natives, SessionConfig, SessionMetrics,
                        SourceState, run_session, run_window)
 
@@ -65,10 +65,11 @@ class ExperimentSpec:
         if self.experiment not in EXPERIMENTS:
             raise InvalidParameterError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
-        if self.trials < 1:
-            raise InvalidParameterError("trials must be >= 1")
-        if not self.loss_rates or not self.window_lengths or min(self.window_lengths) < 1:
-            raise InvalidParameterError("need loss rates and window lengths, every window >= 1")
+        check_size("trials", self.trials)
+        if not self.loss_rates or not self.window_lengths:
+            raise InvalidParameterError("need loss rates and window lengths")
+        for w in self.window_lengths:
+            check_size("window length", w)
         if self.experiment in ("raptor-compare", "transfer") and len(self.window_lengths) > 1:
             raise InvalidParameterError(
                 f"{self.experiment} takes one window, got {self.window_lengths}")
@@ -123,7 +124,7 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
     nothing: it sends no repair, so there is nothing to measure.
     """
     channel = ChannelConfig(p, derive_seed(seed, 1))
-    mask = loss_mask(w, channel)
+    mask = Channel(channel).loss_mask(w)
     m = int(mask.sum())
     if m == 0 and scheme in ("LRF", "LR-Raptor"):
         return None

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check_size
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class ChannelConfig:
     def __post_init__(self):
         if not 0.0 <= self.loss_rate <= 1.0:
             raise InvalidParameterError(f"loss rate {self.loss_rate} outside [0, 1]")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_size("seed", self.seed, low=0)
 
 
 class Channel:
@@ -58,8 +57,7 @@ class Channel:
 
     def loss_mask(self, count: int) -> np.ndarray:
         """Boolean mask of length ``count``; True marks a dropped symbol."""
-        if count < 0:
-            raise InvalidParameterError(f"count must be >= 0, got {count}")
+        check_size("count", count, low=0)
         if self.cfg.burst is None:
             return self._rng.random(count) < self.cfg.loss_rate
         b = self.cfg.burst
@@ -79,11 +77,6 @@ class Channel:
         if count:
             self._bad = bool(bad[-1])
         return u_loss < np.where(bad, b.loss_bad, b.loss_good)
-
-
-def loss_mask(count: int, cfg: ChannelConfig) -> np.ndarray:
-    """Stateless mask: deterministic for a fixed config."""
-    return Channel(cfg).loss_mask(count)
 
 
 @dataclass(frozen=True)

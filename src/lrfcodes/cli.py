@@ -22,13 +22,6 @@ from .errors import InvalidParameterError
 
 DESK_WINDOWS = (1000, 3000, 10000, 30000, 100000)
 # Each scale's session length and each experiment's default windows.
-PAPER_SCALE = {
-    "total_symbols": 1_000_000,
-    "window-sweep": DESK_WINDOWS,
-    "lt-compare": (10267,),
-    "raptor-compare": (10017,),
-    "transfer": (10_000,),
-}
 DESK = {
     "total_symbols": 100_000,
     "window-sweep": DESK_WINDOWS,
@@ -36,6 +29,8 @@ DESK = {
     "raptor-compare": (1024,),
     "transfer": (10_000,),
 }
+PAPER_SCALE = {**DESK, "total_symbols": 1_000_000, "lt-compare": (10267,),
+               "raptor-compare": (10017,)}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

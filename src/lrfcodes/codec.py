@@ -28,9 +28,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# ``sample`` stays importable from this module for existing callers.
+# ``sample`` stays importable from this module, where perfbench wraps it.
 from .distributions import DegreeDistribution, inverse_cdf, sample  # noqa: F401
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, check_size
 from .gf2 import _GATHER_BYTES, take_rows, words, xor_rows
 
 _MASK64 = (1 << 64) - 1
@@ -99,8 +99,7 @@ def neighbor_sets(seeds: np.ndarray, w: int, degrees) -> tuple[np.ndarray, np.nd
     uniform k-subset, so the set (the draws when d <= w/2, their complement
     otherwise, everything when d = w) is uniform over all C(w, d) subsets.
     """
-    if not 1 <= w <= MAX_WINDOW:
-        raise InvalidParameterError(f"window {w} outside 1..{MAX_WINDOW}")
+    w = check_size("window", w, high=MAX_WINDOW)
     seeds = np.asarray(seeds, dtype=np.uint64)
     degrees = np.asarray(degrees, dtype=np.int64)
     if seeds.shape != degrees.shape or seeds.ndim != 1:
@@ -363,8 +362,8 @@ def encode_stream(block: SourceBlock, dist: DegreeDistribution, base_seed: int,
                   count: int, start_id: int = 0) -> RepairBatch:
     """``count`` symbols with consecutive ids and per-symbol derived seeds,
     encoded as one batch."""
-    if count < 0:
-        raise InvalidParameterError(f"count must be >= 0, got {count}")
+    check_size("count", count, low=0)
+    check_size("start_id", start_id, low=0)
     ids = np.arange(start_id, start_id + count, dtype=np.uint64)
     return _encode(block, dist, derive_seeds(base_seed, ids), ids)
 
@@ -438,10 +437,8 @@ class PeelDecoder:
     """
 
     def __init__(self, w: int, l: int):
-        if w < 1 or l < 1:
-            raise InvalidParameterError(f"need w >= 1 and l >= 1, got w={w}, l={l}")
-        self.w = w
-        self.l = l
+        self.w = check_size("w", w)
+        self.l = check_size("l", l)
         self._payloads = np.zeros((w, l), dtype=np.uint8)
         self._covered = np.zeros(w, dtype=bool)
         self._uncovered = w

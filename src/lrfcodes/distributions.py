@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleCapError, InvalidParameterError, NoLossError
+from .errors import InfeasibleCapError, InvalidParameterError, NoLossError, check_size
 
 SUM_TOL = 1e-9
 
@@ -38,8 +38,7 @@ class DegreeDistribution:
     cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.w < 1:
-            raise InvalidParameterError(f"window length must be >= 1, got {self.w}")
+        check_size("window length", self.w)
         degrees = np.ascontiguousarray(self.degrees, dtype=np.int64)
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         if degrees.ndim != 1 or degrees.shape != probs.shape or degrees.size == 0:
@@ -70,15 +69,11 @@ class LossContext:
     w: int
     m: int
     n: int = field(init=False)
-    loss_rate: float = field(init=False)
 
     def __post_init__(self):
-        if self.w < 1:
-            raise InvalidParameterError(f"window length must be >= 1, got {self.w}")
-        if not 0 <= self.m <= self.w:
-            raise InvalidParameterError(f"lost count {self.m} outside 0..{self.w}")
+        check_size("window length", self.w)
+        check_size("lost count", self.m, 0, self.w)
         object.__setattr__(self, "n", self.w - self.m)
-        object.__setattr__(self, "loss_rate", self.m / self.w)
 
 
 def _from_weights(w: int, degrees: np.ndarray, weights: np.ndarray) -> DegreeDistribution:
@@ -88,8 +83,7 @@ def _from_weights(w: int, degrees: np.ndarray, weights: np.ndarray) -> DegreeDis
 
 def ideal_soliton(w: int) -> DegreeDistribution:
     """Ideal soliton: P(1) = 1/w, P(d) = 1/(d(d-1)) for d = 2..w."""
-    if w < 1:
-        raise InvalidParameterError(f"window length must be >= 1, got {w}")
+    check_size("window length", w)
     degrees = np.arange(1, w + 1, dtype=np.int64)
     probs = np.empty(w, dtype=np.float64)
     probs[0] = 1.0 / w
@@ -105,8 +99,7 @@ def robust_soliton(w: int, delta: float, c: float) -> DegreeDistribution:
     The tail adds mass R/(d*w) below the spike degree round(w/R) and a spike
     of R*ln(R/delta)/w there, with R = c * ln(w/delta) * sqrt(w).
     """
-    if w < 1:
-        raise InvalidParameterError(f"window length must be >= 1, got {w}")
+    check_size("window length", w)
     if not 0.0 < delta < 1.0:
         raise InvalidParameterError(f"delta {delta} outside (0, 1)")
     if not 0.0 < c < math.inf:
@@ -138,10 +131,8 @@ def recovery_probability(ctx: LossContext, d: int, i: int) -> float:
     Hypergeometric: C(m,i) * C(n,d-i) / C(w,d), computed with exact
     big-integer binomials so it stays finite at w ~ 1e5.
     """
-    if not 1 <= d <= ctx.w:
-        raise InvalidParameterError(f"degree {d} outside 1..{ctx.w}")
-    if not 0 <= i <= min(d, ctx.m):
-        raise InvalidParameterError(f"hit count {i} outside 0..{min(d, ctx.m)}")
+    check_size("degree", d, 1, ctx.w)
+    check_size("hit count", i, 0, min(d, ctx.m))
     if d - i > ctx.n:
         return 0.0
     return math.comb(ctx.m, i) * math.comb(ctx.n, d - i) / math.comb(ctx.w, d)
@@ -163,8 +154,7 @@ def lr_raptor_dist(ctx: LossContext, d_max: int) -> DegreeDistribution:
     it is the ideal soliton cut at d_max, itself if nothing is cut."""
     if ctx.m == 0:
         raise NoLossError("no symbols lost; send zero encoding symbols")
-    if not 1 <= d_max <= ctx.w:
-        raise InvalidParameterError(f"d_max {d_max} outside 1..{ctx.w}")
+    check_size("d_max", d_max, 1, ctx.w)
     low = min_degree(ctx)
     if d_max < low:
         raise InfeasibleCapError(f"d_max {d_max} below minimum useful degree {low}")

@@ -1,8 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one size check."""
+
+import numbers
 
 
 class InvalidParameterError(ValueError):
     """A constructor or operation received an out-of-range parameter."""
+
+
+def check_size(name: str, value, low: int = 1, high: int | None = None):
+    """``value`` as an int if it is an integer in ``low..high`` (no upper
+    bound for None); a numpy integer is one, a bool is not. Raises
+    ``InvalidParameterError`` otherwise."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low
+            or high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InvalidParameterError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
 
 
 class NoLossError(InvalidParameterError):

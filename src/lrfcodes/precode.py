@@ -23,7 +23,7 @@ import numpy as np
 
 from . import gf2
 from .codec import PeelDecoder, SourceBlock, derive_seed
-from .errors import DecodeFailure, InvalidParameterError
+from .errors import DecodeFailure, InvalidParameterError, check_size
 
 # Bounds the dense elimination, whose work grows with the square of the
 # unknowns or faster: a system with more unknowns fails before it.
@@ -41,10 +41,8 @@ class PrecodeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidParameterError(f"k must be >= 1, got {self.k}")
-        if self.s < 0 or self.h < 0:
-            raise InvalidParameterError("s and h must be >= 0")
+        for name, low in (("k", 1), ("s", 0), ("h", 0)):
+            check_size(name, getattr(self, name), low)
         if self.s + self.h == 0:
             raise InvalidParameterError("precode needs at least one parity symbol")
 

@@ -29,6 +29,7 @@ Schemes:
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -39,7 +40,8 @@ from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
 from .codec import PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_stream
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
-from .errors import DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure
+from .errors import (DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure,
+                     check_size)
 from .precode import PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
@@ -162,11 +164,9 @@ class SessionConfig:
 
     def __post_init__(self):
         self.scheme = normalize_scheme(self.scheme)
-        # Each size is an integer >= 1 (a bool is not); a None d_max is no cap.
+        # Each size is an integer >= 1; a None d_max is no cap.
         for name in ("window", "symbol_bytes") + (("d_max",) if self.d_max is not None else ()):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise InvalidParameterError(f"{name} must be an integer >= 1, got {v!r}")
+            check_size(name, getattr(self, name))
         if not 0 <= self.epsilon < math.inf:
             raise InvalidParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.initial_loss_rate is not None and not 0.0 <= self.initial_loss_rate <= 1.0:
@@ -244,32 +244,25 @@ class SourceState:
     def start_window(self, index: int, block: SourceBlock) -> list:
         cfg = self.cfg
         p_hat = self.known_loss_rate
-
-        if cfg.scheme == "LT":
-            dist = robust_soliton(block.w, ROBUST_DELTA, ROBUST_C)
-            plan = _RepairPlan(block=block, dist=dist,
-                               base_seed=derive_seed(cfg.seed, index))
-            initial = math.ceil(block.w / (1.0 - min(p_hat, LT_MAX_LOSS_RATE)))
-            plan.batch = max(LT_BATCH_MIN, block.w // LT_BATCH_DIVISOR)
-            plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * block.w)
-            self.plans[index] = plan
-            return [self._encode(plan, initial, index)]
-
         enc_block = precode_expand(block, cfg.precode_config()) if cfg.uses_precode else block
         total = enc_block.w
+        plan = self.plans[index] = _RepairPlan(block=enc_block, dist=None,
+                                               base_seed=derive_seed(cfg.seed, index))
+        emissions: list = []
         # Natives travel for every systematic scheme.
-        emissions: list = [Natives(index, block.data)]
-        self.metrics.natives_sent += block.w
+        if cfg.scheme != "LT":
+            emissions.append(Natives(index, block.data))
+            self.metrics.natives_sent += block.w
 
-        plan = _RepairPlan(block=enc_block, dist=None,
-                           base_seed=derive_seed(cfg.seed, index))
-        self.plans[index] = plan
-
-        if cfg.scheme == "Raptor":
+        if cfg.scheme in ("LT", "Raptor"):
             plan.dist = robust_soliton(total, ROBUST_DELTA, ROBUST_C)
-            plan.batch = max(RAPTOR_BATCH_MIN, total // RAPTOR_BATCH_DIVISOR)
             plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * total)
-            return emissions
+            if cfg.scheme == "Raptor":
+                plan.batch = max(RAPTOR_BATCH_MIN, total // RAPTOR_BATCH_DIVISOR)
+                return emissions
+            plan.batch = max(LT_BATCH_MIN, total // LT_BATCH_DIVISOR)
+            initial = math.ceil(total / (1.0 - min(p_hat, LT_MAX_LOSS_RATE)))
+            return [self._encode(plan, initial, index)]
 
         # Loss-aware schemes: proactive repair sized from the fed-back rate.
         # Lost natives alone set the size; for the precoded scheme the parity
@@ -480,11 +473,10 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
         SessionFailure: some window stayed undecodable within its repair
             budget.
     """
-    if isinstance(data, int):
-        if data < 0:
-            raise InvalidParameterError(f"payload size must be >= 0, got {data}")
+    if isinstance(data, numbers.Integral):
         rng = np.random.default_rng(derive_seed(seed, 0xDA7A))
-        data = rng.integers(0, 256, size=data, dtype=np.uint8).tobytes()
+        data = rng.integers(0, 256, size=check_size("payload size", data, low=0),
+                            dtype=np.uint8).tobytes()
     else:
         data = bytes(data)
     size = len(data)

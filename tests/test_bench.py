@@ -8,6 +8,7 @@ import itertools
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from lrfcodes import bench
@@ -48,6 +49,18 @@ def test_spec_rejects_bad_windows(experiment, window_lengths):
     # transfer take one window.
     with pytest.raises(InvalidParameterError):
         _spec(experiment, window_lengths=window_lengths)
+
+
+@pytest.mark.parametrize("overrides", [dict(window_lengths=(64.5,)), dict(window_lengths=(True,)),
+                                       dict(trials=1.5)], ids=["window-float", "window-bool",
+                                                               "trials-float"])
+def test_spec_sizes_are_integers(overrides):
+    # Accepted unchecked, each stopped run_experiment with a bare TypeError.
+    with pytest.raises(InvalidParameterError):
+        _spec("window-sweep", **overrides)
+    rows = run_experiment(_spec("window-sweep", window_lengths=(np.int64(256),),
+                                trials=np.int64(2)))
+    assert len(rows) == 2
 
 
 # ---------------------------------------------------------------------------

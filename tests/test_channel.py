@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrfcodes.channel import (BurstModel, Channel, ChannelConfig,
-                              LossRateEstimator, LossReport, loss_mask)
+                              LossRateEstimator, LossReport)
 from lrfcodes.errors import InvalidParameterError
 
 
@@ -33,24 +33,24 @@ def test_config_validation():
 
 def test_loss_mask_deterministic():
     cfg = ChannelConfig(0.3, seed=42)
-    np.testing.assert_array_equal(loss_mask(1000, cfg), loss_mask(1000, cfg))
+    np.testing.assert_array_equal(Channel(cfg).loss_mask(1000), Channel(cfg).loss_mask(1000))
 
 
 def test_loss_mask_differs_across_seeds():
-    a = loss_mask(1000, ChannelConfig(0.3, seed=1))
-    b = loss_mask(1000, ChannelConfig(0.3, seed=2))
+    a = Channel(ChannelConfig(0.3, seed=1)).loss_mask(1000)
+    b = Channel(ChannelConfig(0.3, seed=2)).loss_mask(1000)
     assert (a != b).any()
 
 
 def test_loss_mask_extremes():
-    assert not loss_mask(500, ChannelConfig(0.0, seed=3)).any()
-    assert loss_mask(500, ChannelConfig(1.0, seed=3)).all()
+    assert not Channel(ChannelConfig(0.0, seed=3)).loss_mask(500).any()
+    assert Channel(ChannelConfig(1.0, seed=3)).loss_mask(500).all()
 
 
 def test_loss_rate_concentrates():
     # Binomial concentration: observed rate within 5 sigma of p.
     p, n = 0.05, 200_000
-    mask = loss_mask(n, ChannelConfig(p, seed=9))
+    mask = Channel(ChannelConfig(p, seed=9)).loss_mask(n)
     sigma = math.sqrt(p * (1 - p) / n)
     assert abs(mask.mean() - p) < 5 * sigma
 
@@ -66,6 +66,17 @@ def test_stateful_channel_continues_stream():
 def test_negative_count_rejected():
     with pytest.raises(InvalidParameterError):
         Channel(ChannelConfig(0.1)).loss_mask(-1)
+
+
+@pytest.mark.parametrize("call", [lambda: Channel(ChannelConfig(0.1)).loss_mask(2.5),
+                                  lambda: Channel(ChannelConfig(0.1)).loss_mask(True),
+                                  lambda: ChannelConfig(0.1, seed=True)],
+                         ids=["count-float", "count-bool", "seed-bool"])
+def test_channel_sizes_are_integers(call):
+    # A float count failed with a bare TypeError; a bool was taken as 1.
+    with pytest.raises(InvalidParameterError):
+        call()
+    assert Channel(ChannelConfig(0.1, seed=np.int64(1))).loss_mask(np.int64(5)).size == 5
 
 
 # ---------------------------------------------------------------------------

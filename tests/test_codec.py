@@ -125,6 +125,31 @@ def test_select_neighbors_bad_degree():
         select_neighbors(1, 10, 11)
 
 
+_BLOCK = SourceBlock.random(4, 2, seed=1)
+_SEEDS = np.array([1], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("call, args", [
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2.5)),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, True)),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2, -1)),
+    (PeelDecoder, (2.5, 1)),
+    (PeelDecoder, (4, True)),
+    (neighbor_sets, (_SEEDS, 2.5, [1])),
+], ids=["count-float", "count-bool", "start-id-negative", "decoder-w-float", "decoder-l-bool",
+        "neighbors-w-float"])
+def test_codec_sizes_are_integers(call, args):
+    # Each size is an integer (a bool is not) in its range: a float count
+    # sent a rounded-up batch, True one symbol, and the rest failed with a
+    # bare TypeError or OverflowError.
+    with pytest.raises(InvalidParameterError):
+        call(*args)
+    i = np.int64
+    assert encode_stream(_BLOCK, ideal_soliton(4), 1, i(2), start_id=i(3)).ids.tolist() == [3, 4]
+    assert PeelDecoder(i(4), i(2)).w == 4
+    assert neighbor_sets(_SEEDS, i(10), [1])[1].size == 1
+
+
 def test_source_block_validation():
     with pytest.raises(InvalidParameterError):
         SourceBlock(np.zeros((0, 2), dtype=np.uint8))

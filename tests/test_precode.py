@@ -51,6 +51,14 @@ def test_config_validation():
     assert PrecodeConfig(k=4, s=1, h=0).total == 5
 
 
+@pytest.mark.parametrize("k, s, h", [(2.5, 1, 2), (4, 1.5, 1), (4, 1, True)])
+def test_config_sizes_are_integers(k, s, h):
+    # Accepted unchecked, k = 2.5 made a precode of 5.5 intermediates.
+    with pytest.raises(InvalidParameterError):
+        PrecodeConfig(k=k, s=s, h=h)
+    assert PrecodeConfig(k=np.int64(4), s=np.int64(1), h=np.int64(0)).total == 5
+
+
 def test_parity_rows_shape_and_coverage():
     sparse, dense = parity_rows(CFG)
     assert len(sparse) == CFG.s

@@ -112,6 +112,17 @@ def test_session_takes_numpy_integer_sizes():
     assert delivered == data
 
 
+def test_session_takes_a_numpy_integer_payload_size():
+    # A numpy size was taken as bytes: bytes(np.int64(5)) is five zero bytes.
+    cfg = ChannelConfig(0.05, seed=1)
+    sent = [run_session(size, 8, 8, cfg, 0.2, "LRF", seed=3, return_payload=True)[1]
+            for size in (5, np.int64(5))]
+    assert sent[0] == sent[1] == _payload(5, 1, seed=3)
+    # A bool is no size.
+    with pytest.raises(InvalidParameterError):
+        run_session(True, 8, 8, cfg, 0.2, "LRF")
+
+
 def test_capped_lr_raptor_session_stays_within_its_cap():
     # A feasible cap, twice the loss-aware law's minimum degree
     # ceil(total / m_hat), bounds every repair symbol's degree, and the
