@@ -66,6 +66,8 @@ class ExperimentSpec:
             raise InvalidParameterError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
         check_size("trials", self.trials)
+        check_size("total_symbols", self.total_symbols)
+        check_size("symbol_bytes", self.symbol_bytes)
         if not self.loss_rates or not self.window_lengths:
             raise InvalidParameterError("need loss rates and window lengths")
         for w in self.window_lengths:

@@ -14,9 +14,9 @@ the symbol got inside any larger batch.
 
 Symbols travel as columns: ``encode_stream`` returns one ``RepairBatch``,
 which ``PeelDecoder.add_batch`` takes whole; ``add_natives`` takes a window's
-natives with one copy of the block. Taking a batch XORs no payload: a row keeps
-its payload as sent, and pays for its covered neighbors only when ``run``
-releases it or ``pending_rows`` reads it. Payloads are rows of (rows, l)
+natives with one copy of the block. Neither ``add_batch`` nor ``run`` XORs a
+payload: a row pays for its covered neighbors only when its release is read
+or ``pending_rows`` reads it. Payloads are rows of (rows, l)
 uint8 matrices throughout (a ``SourceBlock``, a batch, the decoder's covered
 symbols); only ``EncodingSymbol``, the single-frame wire value, holds bytes.
 """
@@ -43,10 +43,6 @@ _DEGREE_SALT = np.uint64(0xD6E8FEB86659FD93)
 # Upper bound on the candidate draws held at once by ``neighbor_sets``; a
 # larger batch is processed in chunks of about this many candidates.
 _CANDIDATE_CHUNK = 1 << 13
-# ``PeelDecoder.run`` releases a ripple of at most this many rows one row
-# at a time: a peel's tail is mostly such ripples, and a row costs fewer
-# numpy calls than a round.
-_SMALL_RIPPLE = 4
 # Fewest spare slots a column of ``PeelDecoder``'s column index moves with.
 _SPARE_SLOTS = 4
 # Largest window ``neighbor_sets`` accepts. A chunk's int64 sort keys pack
@@ -323,14 +319,17 @@ class RepairBatch:
         lengths = indptr[1:] - indptr[:-1]
         if (lengths < 0).any():
             return np.ones(n, dtype=bool)
-        # Entry i continues its row unless a row starts at i. A bad entry is
-        # the last row's that starts at or before it (past any empty rows).
-        same_row = np.ones(idx.size + 1, dtype=bool)
-        same_row[indptr[:-1]] = False
+        # Entry i must step up from entry i - 1 unless a row starts at i. A
+        # bad entry is the last row's that starts at or before it (past any
+        # empty rows).
+        row_start = np.zeros(idx.size + 1, dtype=bool)
+        row_start[indptr[:-1]] = True
         bad = idx.astype(np.uint64) >= w  # a negative index casts to a huge one
-        bad[1:] |= (idx[1:] <= idx[:-1]) & same_row[1:-1]
+        bad[1:] |= (idx[1:] <= idx[:-1]) > row_start[1:-1]  # on bools, a > b is a and not b
         out = (lengths != self.degrees) | (self.degrees < 1)
-        out[indptr.searchsorted(bad.nonzero()[0], side="right") - 1] = True
+        bad = bad.nonzero()[0]
+        if bad.size:
+            out[indptr.searchsorted(bad, side="right") - 1] = True
         return out
 
 
@@ -415,10 +414,10 @@ class PeelDecoder:
     neighbors that were uncovered on arrival and still are, so a row with a
     count of one names its last unknown by the sum (the
     invertible-Bloom-lookup-table trick). Which row releases which column
-    is settled from the counts and sums alone; a row's payload is XORed
-    with its whole list only when it is released, while the released
-    column still reads zero, or when ``pending_rows`` reads it. A row that
-    is never used costs no payload work.
+    is settled from the counts and sums alone; a released row's payload is
+    XORed with its whole list only when the payloads are next read, or
+    when ``pending_rows`` reads it as a live row. A row that is never used
+    costs no payload work.
 
     A column index finds the rows a newly covered column hits. Each column
     owns a span of slots in one array, empty at first, so a batch only
@@ -428,12 +427,12 @@ class PeelDecoder:
     and the spans a column left behind hold fewer slots than its last, so
     the array stays within a constant factor of the entries taken plus w.
 
-    ``run`` peels in rounds (parallel peeling): each round releases every
-    row with one unknown left, one row per column, XORing their payloads
-    with one gather-and-reduce; a ripple of a few rows is released row by
-    row, which takes fewer numpy calls. The fixpoint depends neither on the
-    release order nor on whether natives arrive before or after the
-    encoding symbols.
+    ``run`` peels in rounds (parallel peeling) on counts and sums alone:
+    each round releases every row with one unknown left, one row per
+    column. ``payloads``, ``pending_rows`` and ``covered_map`` first write
+    the releases queued since, so stalled runs gather their released rows
+    once per read. The fixpoint depends neither on the release order nor
+    on whether natives arrive before or after the encoding symbols.
     """
 
     def __init__(self, w: int, l: int):
@@ -457,6 +456,7 @@ class PeelDecoder:
         self._col_end = 0
         # Scratch for picking one ripple row per column in a release round.
         self._claim = np.zeros(w, dtype=np.int64)
+        self._levels: list = []  # released (rows, cols) awaiting ``_resolve``
 
     @property
     def success(self) -> bool:
@@ -572,7 +572,8 @@ class PeelDecoder:
         """Append the entries (cols[i], rows[i]), sorted by column, to the
         column index."""
         # Where each column's run of entries starts, and the end.
-        bound = np.ones(cols.size + 1, dtype=bool)
+        bound = np.empty(cols.size + 1, dtype=bool)
+        bound[0] = bound[-1] = True
         np.not_equal(cols[1:], cols[:-1], out=bound[1:-1])
         bound = bound.nonzero()[0]
         head = bound[:-1]
@@ -614,16 +615,17 @@ class PeelDecoder:
         return rows
 
     def run(self) -> None:
-        """Peel to fixpoint in rounds. Linear in the total edge count."""
+        """Peel to fixpoint on counts and index sums; linear in the edges."""
         ripple = (self._count == 1).nonzero()[0]
         while ripple.size:
-            if ripple.size > _SMALL_RIPPLE:
-                ripple = self._release_round(ripple)
-            else:
-                ripple = self._release_each(ripple)
+            rows, cols, ripple = self._release_round(ripple)
+            self._covered[cols] = True
+            self._uncovered -= cols.size
+            self.encoding_used += cols.size
+            self._levels.append((rows, cols))  # one level for ``_resolve``
 
-    def _release_round(self, ripple: np.ndarray) -> np.ndarray:
-        """Release the ripple's rows at once; returns the next ripple."""
+    def _release_round(self, ripple: np.ndarray):
+        """Release the ripple at once; returns (rows, their columns, next ripple)."""
         # One row per last unknown releases it: each ripple position claims
         # its row's column, and the positions whose claim survived release.
         # This also drops a row listed twice.
@@ -631,46 +633,33 @@ class PeelDecoder:
         self._claim[last] = at
         kept = self._claim[last] == at
         rows, cols = ripple[kept], last[kept]
-        # The released columns' payload rows are still zero, so each row's
-        # whole list, never empty, can go into the XOR.
-        values = words(self._rows[rows])
-        src = words(self._payloads)
-        ptr, nbrs = take_rows(self._indptr, self._indices, rows)
-        if nbrs.size * self.l <= _GATHER_BYTES:
-            values ^= np.bitwise_xor.reduceat(src.take(nbrs, axis=0), ptr[:-1], axis=0)
-        else:
-            xor_rows(values, src, ptr, nbrs)
-        src[cols] = values
-        self._covered[cols] = True
-        self._uncovered -= cols.size
-        self.encoding_used += cols.size
         hits = self._cover(cols)
-        return hits[self._count[hits] == 1]
+        return rows, cols, hits[self._count[hits] == 1]
 
-    def _release_each(self, ripple: np.ndarray) -> np.ndarray:
-        """Release a small ripple row by row, gathering at most
-        ``_GATHER_BYTES`` at once; returns the next ripple."""
-        span = max(1, _GATHER_BYTES // self.l)
-        hits = [ripple[:0]]
-        for r in ripple.tolist():
-            if self._count[r] != 1:
-                continue  # a release just before covered its last unknown
-            col, lo, hi = int(self._sum[r]), self._indptr[r], self._indptr[r + 1]
-            value = self._rows[r].copy()
-            for a in range(lo, hi, span):
-                value ^= np.bitwise_xor.reduce(self._payloads[self._indices[a:min(hi, a + span)]],
-                                               axis=0)
-            self._payloads[col] = value
-            self._covered[col] = True
-            self._uncovered -= 1
-            self.encoding_used += 1
-            # A row lists a column once, so these are distinct rows.
-            start = self._col_start[col]
-            hits.append(self._col_rows[start:start + self._col_fill[col]])
-            self._count[hits[-1]] -= 1
-            self._sum[hits[-1]] -= col
-        hits = np.concatenate(hits)
-        return hits[self._count[hits] == 1]
+    def _resolve(self) -> None:
+        """Write the payloads of the columns released since the last call.
+        Each released column first takes its row's payload as sent; then,
+        level by level in release order, the XOR of the row's whole list,
+        which names besides that column only columns covered before its
+        level."""
+        if not self._levels:
+            return
+        rows, cols = map(np.concatenate, zip(*self._levels))
+        ptr, nbrs = take_rows(self._indptr, self._indices, rows)
+        src = words(self._payloads)
+        src[cols] = words(self._rows[rows])
+        lo = 0
+        for _, cols in self._levels:
+            hi = lo + cols.size
+            a, b = ptr[lo], ptr[hi]
+            if (b - a) * self.l <= _GATHER_BYTES:
+                out = np.bitwise_xor.reduceat(src.take(nbrs[a:b], axis=0), ptr[lo:hi] - a, axis=0)
+            else:
+                out = np.zeros((cols.size, src.shape[1]), dtype=src.dtype)
+                xor_rows(out, src, ptr[lo:hi + 1], nbrs)
+            src[cols] = out
+            lo = hi
+        self._levels = []
 
     @property
     def covered(self) -> np.ndarray:
@@ -682,7 +671,9 @@ class PeelDecoder:
     @property
     def payloads(self) -> np.ndarray:
         """Read-only view of the (w, l) uint8 payload matrix; the rows of
-        uncovered symbols are zero."""
+        uncovered symbols are zero. A view held across a later ``run`` shows
+        that run's releases only once ``payloads`` is read again."""
+        self._resolve()
         view = self._payloads.view()
         view.setflags(write=False)
         return view
@@ -694,6 +685,7 @@ class PeelDecoder:
         of those neighbors' payloads. Lets a caller finish with elimination
         what peeling alone could not. A pure read: the decoder is unchanged.
         """
+        self._resolve()
         live = (self._count > 0).nonzero()[0]
         indptr, indices = take_rows(self._indptr, self._indices, live)
         values = self._rows[live]
@@ -703,4 +695,5 @@ class PeelDecoder:
         return np.concatenate(([0], np.cumsum(keep)))[indptr], indices[keep], values
 
     def covered_map(self) -> dict[int, bytes]:
+        self._resolve()
         return {int(i): self._payloads[i].tobytes() for i in np.flatnonzero(self._covered)}

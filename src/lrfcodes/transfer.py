@@ -465,11 +465,13 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
                 return_payload: bool = False, **options):
     """Drive one source -> channel -> destination session to completion.
 
-    ``data`` is either the payload bytes or an integer size (deterministic
-    pseudo-random payload derived from ``seed``). Returns ``SessionMetrics``
-    (or ``(metrics, delivered_bytes)`` with ``return_payload=True``).
+    ``data`` is either the payload (bytes, bytearray, memoryview or a uint8
+    array) or an integer size (deterministic pseudo-random payload derived
+    from ``seed``). Returns ``SessionMetrics`` (or ``(metrics,
+    delivered_bytes)`` with ``return_payload=True``).
 
     Raises:
+        InvalidParameterError: ``data`` is neither bytes-like nor a size.
         SessionFailure: some window stayed undecodable within its repair
             budget.
     """
@@ -477,8 +479,12 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
         rng = np.random.default_rng(derive_seed(seed, 0xDA7A))
         data = rng.integers(0, 256, size=check_size("payload size", data, low=0),
                             dtype=np.uint8).tobytes()
-    else:
+    elif isinstance(data, (bytes, bytearray, memoryview)) or (
+            isinstance(data, np.ndarray) and data.dtype == np.uint8):
         data = bytes(data)
+    else:
+        raise InvalidParameterError(f"data must be bytes, bytearray, memoryview, a uint8 array "
+                                    f"or a size, not {type(data).__name__}")
     size = len(data)
     if size == 0:
         raise InvalidParameterError("no data to transfer")

@@ -63,6 +63,19 @@ def test_spec_sizes_are_integers(overrides):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("overrides", [dict(total_symbols=2.5), dict(total_symbols=True),
+                                       dict(symbol_bytes=2.5)],
+                         ids=["total-float", "total-bool", "bytes-float"])
+def test_transfer_sizes_are_integers(overrides):
+    # Unchecked, a float stopped a transfer run with a bare TypeError from
+    # bytes(), and True ran as one symbol.
+    with pytest.raises(InvalidParameterError):
+        _spec("transfer", **overrides)
+    rows = run_experiment(_spec("transfer", loss_rates=(0.01,), trials=1,
+                                total_symbols=np.int64(512), symbol_bytes=np.int64(16)))
+    assert len(rows) == 4 and all(row.success_rate == 1.0 for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # Experiments produce sane rows
 

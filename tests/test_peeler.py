@@ -187,6 +187,118 @@ def test_add_batch_defers_every_payload_xor(monkeypatch):
     assert _equations(decoder) == reference.pending_rows()
 
 
+def _nack_rounds(seed, batches):
+    """A window of w = 300 whose natives arrive 70 % whole, then NACK-sized
+    batches, each followed by ``run()`` on both decoders and no read: the
+    state of a window between feedback rounds. Returns the block, the
+    decoder and the reference, and the rest of the stream."""
+    w, l = 300, 8
+    block = SourceBlock.random(w, l, seed)
+    got = np.random.default_rng(seed).random(w) < 0.7
+    stream = encode_stream(block, robust_soliton(w, 0.05, 0.03), seed, 6 * w // 8)
+    decoder, reference = PeelDecoder(w, l), ReferencePeeler(w, l)
+    decoder.add_natives(block.data, got)
+    for idx in got.nonzero()[0].tolist():
+        reference.add_native(idx, block.data[idx])
+    parts = np.array_split(np.arange(len(stream)), 6)
+    for part in parts[:batches]:
+        _feed(decoder, reference, stream.select(part))
+    return block, decoder, reference, [stream.select(part) for part in parts[batches:]]
+
+
+def _feed(decoder, reference, batch):
+    decoder.add_batch(batch)
+    for sym in batch:
+        reference.add_symbol(sym.neighbors.tolist(), np.frombuffer(sym.payload, dtype=np.uint8))
+    decoder.run()
+    reference.run()
+
+
+def _no_xor(monkeypatch):
+    """Make every payload XOR path of ``codec`` raise."""
+    def no_xor(*args, **kwargs):
+        raise AssertionError("payloads XORed")
+
+    for name in ("xor_rows", "take_rows", "words"):
+        monkeypatch.setattr(codec, name, no_xor)
+
+
+def test_a_payloads_read_between_batches_matches_the_reference():
+    # Several stalled runs leave their releases unwritten; a read between
+    # batches writes them all, and the runs after it build on them.
+    block, decoder, reference, rest = _nack_rounds(13, 3)
+    assert len(decoder._levels) > 1
+    np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+    for batch in rest:
+        _feed(decoder, reference, batch)
+    assert len(decoder._levels) > 1
+    np.testing.assert_array_equal(decoder.covered, reference.covered)
+    np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+    np.testing.assert_array_equal(decoder.payloads[decoder.covered], block.data[decoder.covered])
+    assert decoder.encoding_used == reference.encoding_used
+
+
+def test_natives_after_stalled_runs_match_the_reference():
+    # Natives that arrive after repair, as a NACKed window's would, land on
+    # a decoder whose releases are not yet written; the run they start
+    # releases more, and the whole window still decodes as the reference.
+    block, decoder, reference, _ = _nack_rounds(14, 4)
+    assert decoder._levels and not decoder.success
+    got = ~decoder.covered & (np.arange(decoder.w) % 3 == 0)
+    decoder.add_natives(block.data, got)
+    for idx in got.nonzero()[0].tolist():
+        reference.add_native(idx, block.data[idx])
+    decoder.run()
+    reference.run()
+    np.testing.assert_array_equal(decoder.covered, reference.covered)
+    np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+    assert decoder.encoding_used == reference.encoding_used
+    decoder.add_natives(block.data, ~decoder.covered)
+    decoder.run()
+    assert decoder.success
+    np.testing.assert_array_equal(decoder.payloads, block.data)
+
+
+def test_pending_rows_after_stalled_runs_match_the_reference():
+    _, decoder, reference, _ = _nack_rounds(15, 4)
+    assert decoder._levels and decoder.live_rows
+    assert _equations(decoder) == reference.pending_rows()
+    np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+
+
+def test_covered_map_after_stalled_runs_matches_the_reference():
+    _, decoder, reference, _ = _nack_rounds(16, 4)
+    assert decoder._levels
+    assert decoder.covered_map() == {i: reference.payloads[i].tobytes()
+                                     for i in reference.covered.nonzero()[0].tolist()}
+
+
+def test_run_settles_releases_without_payload_work(monkeypatch):
+    # ``run`` covers columns on counts and index sums alone: no payload
+    # XOR, and the payload matrix is left as it was until a read.
+    _, decoder, reference, rest = _nack_rounds(17, 0)
+    before = decoder._payloads.copy()
+    with monkeypatch.context() as patched:
+        _no_xor(patched)
+        for batch in rest[:4]:
+            _feed(decoder, reference, batch)
+    assert decoder.encoding_used == reference.encoding_used > 0
+    np.testing.assert_array_equal(decoder._payloads, before)
+    np.testing.assert_array_equal(decoder.covered, reference.covered)
+    np.testing.assert_array_equal(decoder.payloads, reference.payloads)
+
+
+def test_a_second_payloads_read_does_no_xor(monkeypatch):
+    _, decoder, reference, _ = _nack_rounds(18, 4)
+    first = decoder.payloads.copy()
+    with monkeypatch.context() as patched:
+        _no_xor(patched)
+        np.testing.assert_array_equal(decoder.payloads, first)
+        decoder.run()  # nothing left to release
+        np.testing.assert_array_equal(decoder.payloads, first)
+    np.testing.assert_array_equal(first, reference.payloads)
+
+
 def test_a_row_longer_than_one_gather_releases_in_slices():
     # Row 0 lists all w symbols, none covered on arrival. Natives then cover
     # all but symbols 0 and w - 1, row 1 releases w - 1, and row 0 is

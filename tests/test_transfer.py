@@ -123,6 +123,19 @@ def test_session_takes_a_numpy_integer_payload_size():
         run_session(True, 8, 8, cfg, 0.2, "LRF")
 
 
+@pytest.mark.parametrize("data", [2.5, "abc", None, np.float64(2.5), np.bool_(True),
+                                  [1, 2, 300], np.arange(4, dtype=np.int32)])
+def test_session_data_is_bytes_like_or_a_size(data):
+    # Only bytes, bytearray, memoryview or a uint8 array is a payload: numpy
+    # scalars and other arrays export buffers too, but not of payload bytes.
+    cfg = ChannelConfig(0.05, seed=1)
+    with pytest.raises(InvalidParameterError):
+        run_session(data, 8, 8, cfg, 0.2, "LRF")
+    sent = _payload(40, 8, seed=2)
+    for payload in (bytearray(sent), memoryview(sent), np.frombuffer(sent, dtype=np.uint8)):
+        assert run_session(payload, 8, 8, cfg, 0.2, "LRF", return_payload=True)[1] == sent
+
+
 def test_capped_lr_raptor_session_stays_within_its_cap():
     # A feasible cap, twice the loss-aware law's minimum degree
     # ceil(total / m_hat), bounds every repair symbol's degree, and the
