@@ -66,6 +66,7 @@ class ExperimentSpec:
             raise InvalidParameterError(
                 f"unknown experiment {self.experiment!r}; expected one of {EXPERIMENTS}")
         check_size("trials", self.trials)
+        self.master_seed = check_size("master_seed", self.master_seed, low=0)
         check_size("total_symbols", self.total_symbols)
         check_size("symbol_bytes", self.symbol_bytes)
         if not self.loss_rates or not self.window_lengths:

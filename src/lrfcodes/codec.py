@@ -18,7 +18,7 @@ natives with one copy of the block. Neither ``add_batch`` nor ``run`` XORs a
 payload: a row pays for its covered neighbors only when its release is read
 or ``pending_rows`` reads it. Payloads are rows of (rows, l)
 uint8 matrices throughout (a ``SourceBlock``, a batch, the decoder's covered
-symbols); only ``EncodingSymbol``, the single-frame wire value, holds bytes.
+symbols); only a wire frame (``pack_batch``), one per batch, holds bytes.
 """
 
 from __future__ import annotations
@@ -213,26 +213,12 @@ class SourceBlock:
 
 
 @dataclass(frozen=True, eq=False)
-class EncodingSymbol:
-    """One XOR-combined output symbol, the value of one wire frame.
-    ``neighbors`` is a sorted index array, or None for a symbol read off
-    the wire (see ``RepairBatch.resolved``)."""
-
-    id: int
-    seed: int
-    degree: int
-    neighbors: np.ndarray | None
-    payload: bytes
-
-
-@dataclass(frozen=True, eq=False)
 class RepairBatch:
     """n encoding symbols as columns: (n,) uint64 ``ids`` and ``seeds``,
     int64 ``degrees``, the neighbor sets as CSR ``(indptr, indices)`` with
-    ``indptr[0] == 0`` (None for wire symbols until ``resolved``), and an
-    (n, l) uint8 ``payloads`` matrix. An int index (or iteration) yields
-    ``EncodingSymbol``s; ``select`` picks rows as a new batch. Ids and seeds
-    are u64, as on the wire."""
+    ``indptr[0] == 0`` (None for a batch read off the wire until
+    ``resolved``), and an (n, l) uint8 ``payloads`` matrix. ``select`` picks
+    rows as a new batch. Ids and seeds are u64, as on the wire."""
 
     ids: np.ndarray
     seeds: np.ndarray
@@ -244,48 +230,12 @@ class RepairBatch:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, key: int) -> EncodingSymbol:
-        i = range(len(self))[key]
-        nb = None if self.indptr is None else self.indices[self.indptr[i]:self.indptr[i + 1]]
-        return EncodingSymbol(int(self.ids[i]), int(self.seeds[i]), int(self.degrees[i]), nb,
-                              self.payloads[i].tobytes())
-
     def select(self, key) -> "RepairBatch":
         """The rows ``key`` picks: a bool mask, an index array or a slice."""
         rows = np.arange(len(self))[key]
         csr = (None, None) if self.indptr is None else take_rows(self.indptr, self.indices, rows)
         return RepairBatch(self.ids[rows], self.seeds[rows], self.degrees[rows], *csr,
                            self.payloads[rows])
-
-    @classmethod
-    def from_symbols(cls, symbols) -> "RepairBatch":
-        """Symbols stacked into a batch; wire symbols stay unresolved.
-
-        Raises:
-            InvalidInputError: payloads of different lengths, an id or seed
-                outside u64, neighbors that are not 1-D, or wire and
-                resolved symbols mixed.
-        """
-        symbols = list(symbols)
-        n = len(symbols)
-        if len({len(s.payload) for s in symbols}) > 1:
-            raise InvalidInputError("payload lengths differ within a batch")
-        if any(not 0 <= v <= _MASK64 for s in symbols for v in (s.id, s.seed)):
-            raise InvalidInputError("symbol ids and seeds must be u64")
-        batch = cls(np.array([s.id for s in symbols], dtype=np.uint64),
-                    np.array([s.seed for s in symbols], dtype=np.uint64),
-                    np.array([s.degree for s in symbols], dtype=np.int64), None, None,
-                    np.frombuffer(b"".join(s.payload for s in symbols), dtype=np.uint8)
-                    .reshape(n, len(symbols[0].payload) if n else 0))
-        sets = [s.neighbors for s in symbols]
-        if all(nb is None for nb in sets):
-            return batch
-        sets = [np.asarray(nb) for nb in sets if nb is not None]
-        if len(sets) < n or any(nb.ndim != 1 for nb in sets):
-            raise InvalidInputError("neighbors must be 1-D index arrays on every symbol or none")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum([nb.size for nb in sets], out=indptr[1:])
-        return replace(batch, indptr=indptr, indices=np.concatenate(sets))
 
     def resolved(self, w: int) -> "RepairBatch":
         """This batch with its neighbor sets derived for a w-symbol window."""
@@ -361,41 +311,65 @@ def encode_stream(block: SourceBlock, dist: DegreeDistribution, base_seed: int,
                   count: int, start_id: int = 0) -> RepairBatch:
     """``count`` symbols with consecutive ids and per-symbol derived seeds,
     encoded as one batch."""
+    base_seed = check_size("base_seed", base_seed, low=0)
     check_size("count", count, low=0)
     check_size("start_id", start_id, low=0)
     ids = np.arange(start_id, start_id + count, dtype=np.uint64)
     return _encode(block, dist, derive_seeds(base_seed, ids), ids)
 
 
-# Wire format: little-endian {version: u8, id: u64, seed: u64, degree: u32,
-# payload_len: u32} followed by payload bytes. Bit-exact so dumps are
-# replayable across runs. ``version`` names the neighbor derivation the
+# Wire format: one frame per batch, little-endian {version: u8, n: u32,
+# l: u32}, then the n u64 ids, n u64 seeds, n u32 degrees and the n x l
+# payload bytes, so n * (20 + l) bytes follow the header. Bit-exact so dumps
+# are replayable across runs. ``version`` names the neighbor derivation the
 # decoder must re-run; a frame of another version is rejected.
 WIRE_VERSION = 1
-WIRE_HEADER = struct.Struct("<BQQII")
+WIRE_HEADER = struct.Struct("<BII")
 
 
-def pack_symbol(sym: EncodingSymbol) -> bytes:
-    return WIRE_HEADER.pack(WIRE_VERSION, sym.id, sym.seed, sym.degree,
-                            len(sym.payload)) + sym.payload
+def _wire_column(a, n: int, bits: int) -> bytes:
+    """Column ``a`` as little-endian u``bits`` bytes; InvalidInputError
+    unless it is a 1-D integer array of n values that fit."""
+    if (not isinstance(a, np.ndarray) or a.shape != (n,) or a.dtype.kind not in "iu"
+            or n and (int(a.min()) < 0 or int(a.max()) >> bits)):
+        raise InvalidInputError(f"batch column must be {n} integers that fit u{bits}")
+    return a.astype(f"<u{bits // 8}").tobytes()
 
 
-def unpack_symbol(buf: bytes, offset: int = 0) -> tuple[EncodingSymbol, int]:
-    """Parse one symbol; returns (symbol, next offset). Neighbors are left
-    unresolved (None) until a ``RepairBatch`` of it is ``resolved``."""
+def pack_batch(batch: RepairBatch) -> bytes:
+    """One wire frame of the batch's ids, seeds, degrees and payloads; the
+    neighbor sets are not sent. Raises InvalidInputError, wrapping no
+    value, for ids or seeds that are not u64, a degree outside u32 or
+    payloads that are not an (n, l) uint8 matrix."""
+    n, rows = len(batch), batch.payloads
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.uint8 and rows.ndim == 2
+            and len(rows) == n and rows.shape[1] <= 0xFFFFFFFF):
+        raise InvalidInputError("batch payloads must be an (n, l) uint8 matrix")
+    return b"".join((WIRE_HEADER.pack(WIRE_VERSION, n, rows.shape[1]),
+                     _wire_column(batch.ids, n, 64), _wire_column(batch.seeds, n, 64),
+                     _wire_column(batch.degrees, n, 32), rows.tobytes()))
+
+
+def unpack_batch(buf, offset: int = 0) -> tuple[RepairBatch, int]:
+    """Parse one frame; returns (batch, next offset). The batch is
+    unresolved until ``resolved``, which derives all its neighbor sets in
+    one ``neighbor_sets`` call. Raises InvalidInputError for an offset
+    outside 0..len(buf), another version, or a header or body cut short;
+    the body's length is checked before any array is built."""
     if not 0 <= offset <= len(buf):
         raise InvalidInputError(f"offset {offset} outside 0..{len(buf)}")
     if len(buf) - offset < WIRE_HEADER.size:
-        raise InvalidInputError("truncated symbol header")
-    version, sym_id, seed, degree, payload_len = WIRE_HEADER.unpack_from(buf, offset)
+        raise InvalidInputError("truncated batch header")
+    version, n, l = WIRE_HEADER.unpack_from(buf, offset)
     if version != WIRE_VERSION:
         raise InvalidInputError(f"unknown wire version {version}; expected {WIRE_VERSION}")
-    start = offset + WIRE_HEADER.size
-    end = start + payload_len
-    if len(buf) < end:
-        raise InvalidInputError("truncated symbol payload")
-    return EncodingSymbol(id=sym_id, seed=seed, degree=degree, neighbors=None,
-                          payload=bytes(buf[start:end])), end
+    at = offset + WIRE_HEADER.size
+    if len(buf) - at < n * (20 + l):
+        raise InvalidInputError(f"truncated batch body: {n} rows of {l} bytes")
+    ids, seeds = (np.frombuffer(buf, "<u8", n, at + 8 * n * i).astype(np.uint64) for i in (0, 1))
+    degrees = np.frombuffer(buf, "<u4", n, at + 16 * n).astype(np.int64)
+    payloads = np.frombuffer(buf, np.uint8, n * l, at + 20 * n).reshape(n, l).copy()
+    return RepairBatch(ids, seeds, degrees, None, None, payloads), at + n * (20 + l)
 
 
 def _span_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -524,24 +498,20 @@ class PeelDecoder:
             self._cover(start + got.nonzero()[0])
         self._uncovered -= int(np.count_nonzero(got))
 
-    def add_symbol(self, sym: EncodingSymbol) -> None:
-        """``add_batch`` of one symbol."""
-        self.add_batch(RepairBatch.from_symbols([sym]))
-
     def add_batch(self, batch: RepairBatch) -> None:
         """Take a batch of encoding symbols as rows, XOR-ing no payload;
-        ``run()`` then peels. Raises InvalidInputError, taking nothing, for
-        unresolved neighbors or a ``malformed`` row."""
+        ``run()`` then peels. A batch read off the wire is resolved here.
+        Raises InvalidInputError, taking nothing, for a ``malformed`` row."""
         if not len(batch):
             return
-        if batch.indptr is None:
-            raise InvalidInputError("symbol neighbors unresolved; resolve them first")
         bad = batch.malformed(self.w, self.l)
         if bad.any():
             raise InvalidInputError(f"batch row {int(bad.argmax())}: ids, seeds and degrees must "
                                     f"be 1-D integer arrays of one length, neighbors strictly "
                                     f"increasing in 0..{self.w - 1} and payloads {self.l} bytes")
-        self._take(batch)
+        self._take(batch.resolved(self.w))
+
+    add_symbol = add_batch  # perfbench wraps this name until ROADMAP item 1 re-keys it
 
     def _take(self, batch: RepairBatch) -> None:
         """``add_batch`` of a resolved batch already checked for malformed

@@ -43,6 +43,7 @@ class PrecodeConfig:
     def __post_init__(self):
         for name, low in (("k", 1), ("s", 0), ("h", 0)):
             check_size(name, getattr(self, name), low)
+        object.__setattr__(self, "seed", check_size("seed", self.seed, low=0))
         if self.s + self.h == 0:
             raise InvalidParameterError("precode needs at least one parity symbol")
 

@@ -164,6 +164,7 @@ class SessionConfig:
 
     def __post_init__(self):
         self.scheme = normalize_scheme(self.scheme)
+        self.seed = check_size("seed", self.seed, low=0)
         # Each size is an integer >= 1; a None d_max is no cap.
         for name in ("window", "symbol_bytes") + (("d_max",) if self.d_max is not None else ()):
             check_size(name, getattr(self, name))
@@ -345,18 +346,19 @@ class DestinationState:
         and propagates."""
         out: list = []
         try:
-            if (not isinstance(event, (Natives, Repairs)) or not isinstance(event.window, int)
-                    or event.window < 0
+            if (not isinstance(event, (Natives, Repairs)) or isinstance(event.window, bool)
+                    or not isinstance(event.window, numbers.Integral) or event.window < 0
                     or isinstance(event, Repairs) and not isinstance(event.batch, RepairBatch)):
-                raise InvalidInputError("not an arrival event (a window index >= 0, and a "
-                                        "RepairBatch for repairs)")
+                raise InvalidInputError("not an arrival event (an integer window index >= 0, "
+                                        "and a RepairBatch for repairs)")
+            index = int(event.window)
             if isinstance(event, Natives):
                 k, l = self.cfg.window, self.cfg.symbol_bytes
                 lost = np.zeros(k, dtype=bool) if event.lost is None else event.lost
                 if not (_is_array(event.rows, (k, l), np.uint8) and _is_array(lost, (k,), bool)):
                     raise InvalidInputError(
                         f"natives event: ({k}, {l}) uint8 rows, ({k},) bool mask")
-                state = self._window(event.window)
+                state = self._window(index)
                 if not state.complete:
                     # Rejects a covered native before any count moves.
                     state.decoder.add_natives(event.rows, ~lost)
@@ -376,7 +378,7 @@ class DestinationState:
                 if good:
                     if good < bad.size:
                         batch = batch.select(~bad)
-                    state = self._window(event.window)
+                    state = self._window(index)
                     if not state.complete:
                         state.decoder._take(batch.resolved(self._shape[0]))
                     self.metrics.delivered += len(batch)
@@ -475,8 +477,10 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
         SessionFailure: some window stayed undecodable within its repair
             budget.
     """
+    cfg = SessionConfig(window=window, symbol_bytes=symbol_bytes, epsilon=epsilon,
+                        scheme=scheme, channel=channel_cfg, seed=seed, **options)
     if isinstance(data, numbers.Integral):
-        rng = np.random.default_rng(derive_seed(seed, 0xDA7A))
+        rng = np.random.default_rng(derive_seed(cfg.seed, 0xDA7A))
         data = rng.integers(0, 256, size=check_size("payload size", data, low=0),
                             dtype=np.uint8).tobytes()
     elif isinstance(data, (bytes, bytearray, memoryview)) or (
@@ -489,8 +493,6 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
     if size == 0:
         raise InvalidParameterError("no data to transfer")
 
-    cfg = SessionConfig(window=window, symbol_bytes=symbol_bytes, epsilon=epsilon,
-                        scheme=scheme, channel=channel_cfg, seed=seed, **options)
     metrics = SessionMetrics()
     source = SourceState(cfg, metrics)
     dest = DestinationState(cfg, metrics)

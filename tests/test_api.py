@@ -18,7 +18,7 @@ def test_public_names_are_the_batch_api():
     # The per-symbol forms and the destination's internals are not exported,
     # but stay in their modules, where tests and perfbench reach them.
     assert sorted(lrfcodes.__all__) == PUBLIC
-    for module, name in (("codec", "EncodingSymbol"), ("codec", "select_neighbors"),
+    for module, name in (("codec", "pack_batch"), ("codec", "select_neighbors"),
                          ("codec", "sample"), ("channel", "LossRateEstimator"),
                          ("channel", "LossReport")):
         assert name not in lrfcodes.__all__

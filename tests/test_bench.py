@@ -52,15 +52,21 @@ def test_spec_rejects_bad_windows(experiment, window_lengths):
 
 
 @pytest.mark.parametrize("overrides", [dict(window_lengths=(64.5,)), dict(window_lengths=(True,)),
-                                       dict(trials=1.5)], ids=["window-float", "window-bool",
-                                                               "trials-float"])
+                                       dict(trials=1.5), dict(master_seed=1.5),
+                                       dict(master_seed=True), dict(master_seed=-1)],
+                         ids=["window-float", "window-bool", "trials-float", "seed-float",
+                              "seed-bool", "seed-negative"])
 def test_spec_sizes_are_integers(overrides):
-    # Accepted unchecked, each stopped run_experiment with a bare TypeError.
+    # Accepted unchecked, each stopped run_experiment with a bare TypeError,
+    # but True as a master seed ran as seed 1. A numpy master seed
+    # overflowed in derive_seed; it now runs as the same int seed.
     with pytest.raises(InvalidParameterError):
         _spec("window-sweep", **overrides)
     rows = run_experiment(_spec("window-sweep", window_lengths=(np.int64(256),),
                                 trials=np.int64(2)))
     assert len(rows) == 2
+    assert run_experiment(_spec("window-sweep", window_lengths=(256,), trials=2,
+                                master_seed=np.int64(5))) == rows
 
 
 @pytest.mark.parametrize("overrides", [dict(total_symbols=2.5), dict(total_symbols=True),
@@ -265,7 +271,8 @@ def test_cli_invalid_parameter_is_error(capsys):
 
 
 @pytest.mark.parametrize("args", [("window-sweep", "--epsilon", "nan"),
-                                  ("transfer", "--total-symbols", "-5")])
+                                  ("transfer", "--total-symbols", "-5"),
+                                  ("window-sweep", "--seed", "-1")])
 def test_cli_non_finite_or_negative_parameter_is_error(args, capsys):
     code = _cli(*args, "--window", "64", "--loss-rate", "0.2", "--trials", "1",
                 "--symbol-bytes", "8")

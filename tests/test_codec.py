@@ -6,17 +6,17 @@ the library's solver.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock,
-                            derive_degree, derive_degrees, derive_seed, encode_stream,
-                            neighbor_sets, pack_symbol, select_neighbors, unpack_symbol)
-from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
+from lrfcodes.codec import (WIRE_HEADER, PeelDecoder, RepairBatch, SourceBlock, derive_degree,
+                            derive_degrees, derive_seed, derive_seeds, encode_stream,
+                            neighbor_sets, pack_batch, select_neighbors, unpack_batch)
+from lrfcodes.distributions import DegreeDistribution, LossContext, ideal_soliton, lrf_ideal
 from lrfcodes.errors import InvalidInputError, InvalidParameterError
 
 
@@ -73,26 +73,49 @@ def _rows(data):
 
 def peeled(natives, encoding, w, l):
     """A ``PeelDecoder`` over w symbols of l bytes given ``natives`` (index ->
-    payload) and then the encoding symbols (a ``RepairBatch`` or a sequence
-    of symbols), run to fixpoint."""
+    payload) and then the ``RepairBatch`` of encoding symbols, run to
+    fixpoint."""
     decoder = PeelDecoder(w, l)
     for idx, payload in natives.items():
         decoder.add_native(idx, payload)
-    if not isinstance(encoding, RepairBatch):
-        encoding = RepairBatch.from_symbols(encoding)
     decoder.add_batch(encoding)
     decoder.run()
     return decoder
 
 
+def batch_of(sets, data, seeds=None):
+    """A resolved ``RepairBatch`` of hand-written rows: row i lists the
+    neighbors ``sets[i]`` and its payload is the XOR of those rows of the
+    (w, l) matrix ``data`` (indices taken mod w, so that a malformed list
+    has a payload too). Ids count from 0, each degree is its list's length
+    and the seeds are ``seeds`` (zero by default)."""
+    n = len(sets)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in sets], out=indptr[1:])
+    indices = np.concatenate([np.asarray(s, dtype=np.int64) for s in sets] + [indptr[:0]])
+    payloads = np.array([np.bitwise_xor.reduce(data[np.asarray(s) % len(data)], axis=0)
+                         for s in sets], dtype=np.uint8).reshape(n, data.shape[1])
+    return RepairBatch(np.arange(n, dtype=np.uint64),
+                       np.zeros(n, dtype=np.uint64) if seeds is None else seeds,
+                       np.diff(indptr), indptr, indices, payloads)
+
+
+def assert_same_columns(a, b):
+    """Two batches hold equal ids, seeds, degrees, CSR neighbors and payloads."""
+    for field in fields(RepairBatch):
+        np.testing.assert_array_equal(getattr(a, field.name), getattr(b, field.name),
+                                      err_msg=field.name)
+
+
 def encode_one(blk, dist, seed, symbol_id=0):
-    """The encoding symbol of ``blk`` at an explicit seed: degree and
-    neighbors derived as a batch of one, the payload their rows' XOR."""
+    """The batch of one encoding symbol of ``blk`` at an explicit seed:
+    degree and neighbors derived as a batch of one, the payload their rows'
+    XOR."""
     seeds = np.array([seed], dtype=np.uint64)
     degrees = derive_degrees(seeds, dist)
-    neighbors = neighbor_sets(seeds, blk.w, degrees)[1]
-    return EncodingSymbol(symbol_id, seed, int(degrees[0]), neighbors,
-                          np.bitwise_xor.reduce(blk.data[neighbors], axis=0).tobytes())
+    indptr, neighbors = neighbor_sets(seeds, blk.w, degrees)
+    return RepairBatch(np.array([symbol_id], dtype=np.uint64), seeds, degrees, indptr, neighbors,
+                       np.bitwise_xor.reduce(blk.data[neighbors], axis=0)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +156,25 @@ _SEEDS = np.array([1], dtype=np.uint64)
     (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2.5)),
     (encode_stream, (_BLOCK, ideal_soliton(4), 1, True)),
     (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2, -1)),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1.5, 4)),
+    (encode_stream, (_BLOCK, ideal_soliton(4), True, 4)),
+    (encode_stream, (_BLOCK, ideal_soliton(4), -1, 4)),
     (PeelDecoder, (2.5, 1)),
     (PeelDecoder, (4, True)),
     (neighbor_sets, (_SEEDS, 2.5, [1])),
-], ids=["count-float", "count-bool", "start-id-negative", "decoder-w-float", "decoder-l-bool",
-        "neighbors-w-float"])
+], ids=["count-float", "count-bool", "start-id-negative", "base-seed-float", "base-seed-bool",
+        "base-seed-negative", "decoder-w-float", "decoder-l-bool", "neighbors-w-float"])
 def test_codec_sizes_are_integers(call, args):
     # Each size is an integer (a bool is not) in its range: a float count
-    # sent a rounded-up batch, True one symbol, and the rest failed with a
-    # bare TypeError or OverflowError.
+    # sent a rounded-up batch, True one symbol, a float base seed drew the
+    # seeds of its floor, and the rest failed with a bare TypeError or
+    # OverflowError.
     with pytest.raises(InvalidParameterError):
         call(*args)
     i = np.int64
     assert encode_stream(_BLOCK, ideal_soliton(4), 1, i(2), start_id=i(3)).ids.tolist() == [3, 4]
+    assert_same_columns(encode_stream(_BLOCK, ideal_soliton(4), np.uint64(2**64 - 1), 4),
+                        encode_stream(_BLOCK, ideal_soliton(4), 2**64 - 1, 4))
     assert PeelDecoder(i(4), i(2)).w == 4
     assert neighbor_sets(_SEEDS, i(10), [1])[1].size == 1
 
@@ -162,24 +191,24 @@ def test_source_block_validation():
 def test_encode_symbol_is_xor_of_neighbors():
     blk = SourceBlock.random(16, 8, seed=5)
     dist = ideal_soliton(16)
-    sym = encode_stream(blk, dist, base_seed=42, count=1)[0]
-    acc = np.bitwise_xor.reduce(blk.data[sym.neighbors], axis=0)
-    assert sym.payload == acc.tobytes()
-    assert sym.degree == len(sym.neighbors)
+    sym = encode_stream(blk, dist, base_seed=42, count=1)
+    acc = np.bitwise_xor.reduce(blk.data[sym.indices], axis=0)
+    assert sym.payloads[0].tobytes() == acc.tobytes()
+    assert sym.degrees[0] == len(sym.indices)
     # The degree matches the decoder-side derivation from the seed.
-    assert sym.degree == derive_degree(derive_seed(42, 0), dist)
+    assert sym.degrees[0] == derive_degree(derive_seed(42, 0), dist)
 
 
 def test_encode_stream_ids_and_determinism():
     blk = SourceBlock.random(16, 8, seed=5)
     dist = ideal_soliton(16)
     syms = encode_stream(blk, dist, base_seed=9, count=10)
-    assert [s.id for s in syms] == list(range(10))
+    assert syms.ids.tolist() == list(range(10))
     again = encode_stream(blk, dist, base_seed=9, count=10)
-    assert [s.payload for s in syms] == [s.payload for s in again]
+    np.testing.assert_array_equal(syms.payloads, again.payloads)
     # start_id continues the same seed sequence.
     tail = encode_stream(blk, dist, base_seed=9, count=4, start_id=6)
-    assert [s.payload for s in tail] == [s.payload for s in list(syms)[6:]]
+    np.testing.assert_array_equal(tail.payloads, syms.payloads[6:])
 
 
 # ---------------------------------------------------------------------------
@@ -189,55 +218,72 @@ def test_encode_stream_ids_and_determinism():
 def test_wire_format_roundtrip():
     blk = SourceBlock.random(8, 4, seed=1)
     sym = encode_one(blk, ideal_soliton(8), seed=77, symbol_id=3)
-    buf = pack_symbol(sym)
-    parsed, end = unpack_symbol(buf)
-    assert end == len(buf)
-    assert (parsed.id, parsed.seed, parsed.degree) == (sym.id, sym.seed, sym.degree)
-    assert parsed.payload == sym.payload
-    assert parsed.neighbors is None
-    resolved = RepairBatch.from_symbols([parsed]).resolved(8)[0]
-    np.testing.assert_array_equal(resolved.neighbors, sym.neighbors)
+    buf = pack_batch(sym)
+    parsed, end = unpack_batch(buf)
+    assert end == len(buf) == WIRE_HEADER.size + 20 + 4
+    assert parsed.indptr is None and parsed.indices is None
+    assert_same_columns(parsed.resolved(8), sym)
+    # Several rows, drawn (degree 3), complemented (12, above w/2) and whole
+    # (16), come back as the same columns once resolved.
+    w = 16
+    blk = SourceBlock.random(w, 5, seed=2)
+    dist = DegreeDistribution(w, np.array([3, 12, 16]), np.array([0.4, 0.4, 0.2]))
+    batch = encode_stream(blk, dist, 2**64 - 1, 40, start_id=2**40)
+    assert set(batch.degrees.tolist()) == {3, 12, 16}
+    parsed, end = unpack_batch(pack_batch(batch))
+    assert end == WIRE_HEADER.size + 40 * (20 + 5)
+    assert_same_columns(parsed.resolved(w), batch)
 
 
 def test_unpack_truncated():
     blk = SourceBlock.random(8, 4, seed=1)
-    buf = pack_symbol(encode_one(blk, ideal_soliton(8), seed=77))
-    with pytest.raises(InvalidInputError):
-        unpack_symbol(buf[:10])
-    with pytest.raises(InvalidInputError):
-        unpack_symbol(buf[:-1])
+    buf = pack_batch(encode_stream(blk, ideal_soliton(8), 77, 3))
+    # Every proper prefix of a 3-row frame is cut short.
+    for end in range(len(buf)):
+        with pytest.raises(InvalidInputError, match="truncated"):
+            unpack_batch(buf[:end])
     # An offset outside 0..len(buf) is rejected, not read from the end (a
     # loop on the returned offset would never advance) or left to struct.
     for offset in (-1, -len(buf), len(buf) + 1):
         with pytest.raises(InvalidInputError):
-            unpack_symbol(buf, offset)
+            unpack_batch(buf, offset)
     with pytest.raises(InvalidInputError):
-        unpack_symbol(buf, len(buf))
-    assert unpack_symbol(buf + buf, len(buf))[1] == 2 * len(buf)
+        unpack_batch(buf, len(buf))
+    assert unpack_batch(buf + buf, len(buf))[1] == 2 * len(buf)
+    # A header claiming far more rows or bytes than the buffer holds is
+    # rejected before any array is built (building it would not fit).
+    for n, l in ((2**32 - 1, 4), (3, 2**32 - 1), (2**32 - 1, 2**32 - 1)):
+        with pytest.raises(InvalidInputError, match="truncated"):
+            unpack_batch(WIRE_HEADER.pack(1, n, l) + buf[WIRE_HEADER.size:])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_a_damaged_frame_is_taken_or_rejected(data):
-    # Bit flips, truncation or trailing bytes on a packed frame: from the
-    # wire to the decoder, the symbol is either taken (released, or held as
-    # a live row) or flagged malformed, or the path raises InvalidInputError.
+    # Bit flips, truncation or trailing bytes on a packed frame of 0 to 8
+    # rows: from the wire to the decoder, each row is either taken (released,
+    # held as a live row, or left with no unknown by another release) or
+    # flagged malformed, or the path raises InvalidInputError. An undamaged
+    # frame gives back the batch packed.
     w, l = data.draw(st.integers(1, 64)), data.draw(st.integers(1, 16))
     blk = SourceBlock.random(w, l, seed=w * l)
-    frame = bytearray(pack_symbol(encode_one(blk, ideal_soliton(w),
-                                             seed=data.draw(st.integers(0, 2**64 - 1)))))
+    sent = encode_stream(blk, ideal_soliton(w), data.draw(st.integers(0, 2**64 - 1)),
+                         data.draw(st.integers(0, 8)))
+    frame = bytearray(pack_batch(sent))
     for bit in data.draw(st.lists(st.integers(0, 8 * len(frame) - 1), max_size=3)):
         frame[bit // 8] ^= 1 << bit % 8
     frame = frame[:data.draw(st.integers(0, len(frame)))] + data.draw(st.binary(max_size=8))
     dec = PeelDecoder(w, l)
     try:
-        batch = RepairBatch.from_symbols([unpack_symbol(bytes(frame))[0]])
+        batch = unpack_batch(bytes(frame))[0]
         taken = ~batch.malformed(w, l)
         dec.add_batch(batch.select(taken).resolved(w))
         dec.run()
     except InvalidInputError:
         return
-    assert dec.encoding_used + dec.live_rows == int(taken.sum())
+    assert dec.encoding_used + dec.live_rows <= int(taken.sum()) == dec._count.size
+    if bytes(frame) == pack_batch(sent):
+        assert_same_columns(batch.resolved(w), sent)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +299,7 @@ def test_peel_decode_pure_fountain_roundtrip():
     count = 0
     while not decoder.success:
         sym = encode_one(blk, dist, derive_seed(11, count), count)
-        decoder.add_symbol(sym)
+        decoder.add_batch(sym)
         decoder.run()
         count += 1
         assert count < 50 * w, "decoder made no progress"
@@ -286,12 +332,10 @@ def test_peeling_fixpoint_independent_of_native_order():
     natives_first = PeelDecoder(w, l)
     for idx, payload in natives.items():
         natives_first.add_native(idx, payload)
-    for sym in encoding:
-        natives_first.add_symbol(sym)
+    natives_first.add_batch(encoding)
     natives_first.run()
     repairs_first = PeelDecoder(w, l)
-    for sym in encoding:
-        repairs_first.add_symbol(sym)
+    repairs_first.add_batch(encoding)
     for idx, payload in natives.items():
         repairs_first.add_native(idx, payload)
     repairs_first.run()
@@ -346,13 +390,24 @@ def test_decoder_rejects_a_native_that_is_not_l_bytes(w, l, payload):
         assert dec.payloads[dec.covered.sum() - 1].tobytes() == bytes(range(l))
 
 
-def test_decoder_requires_resolved_neighbors():
-    blk = SourceBlock.random(8, 4, seed=1)
-    sym = encode_one(blk, ideal_soliton(8), seed=77)
-    wire, _ = unpack_symbol(pack_symbol(sym))
-    dec = PeelDecoder(8, 4)
+def test_decoder_resolves_a_wire_batch():
+    # A batch read off the wire decodes exactly like the resolved batch it
+    # was packed from: add_batch derives its neighbor sets itself, after
+    # the malformed check, which still rejects a degree outside 1..w.
+    w, l = 8, 4
+    blk = SourceBlock.random(w, l, seed=1)
+    natives = {i: blk.data[i] for i in range(w) if i not in (2, 5)}
+    batch = encode_stream(blk, ideal_soliton(w), 77, 6)
+    wire, _ = unpack_batch(pack_batch(batch))
+    assert wire.indptr is None
+    got, want = peeled(natives, wire, w, l), peeled(natives, batch, w, l)
+    assert got.encoding_used == want.encoding_used > 0
+    np.testing.assert_array_equal(got.covered, want.covered)
+    np.testing.assert_array_equal(got.payloads, want.payloads)
+    for a, b in zip(got.pending_rows(), want.pending_rows()):
+        np.testing.assert_array_equal(a, b)
     with pytest.raises(InvalidInputError):
-        dec.add_symbol(wire)
+        PeelDecoder(w, l).add_batch(replace(wire, degrees=wire.degrees + w))
 
 
 def test_redundant_symbols_are_ignored():
@@ -362,7 +417,7 @@ def test_redundant_symbols_are_ignored():
     for i in range(8):
         dec.add_native(i, blk.data[i])
     sym = encode_one(blk, ideal_soliton(8), seed=5)
-    dec.add_symbol(sym)
+    dec.add_batch(sym)
     dec.run()
     assert dec.success and _rows(dec.payloads) == _rows(blk.data)
 
@@ -374,11 +429,8 @@ def test_malformed_neighbors_rejected(neighbors):
     w, l = 8, 2
     blk = SourceBlock.random(w, l, seed=4)
     natives = {i: blk.data[i] for i in range(w) if i != 3}
-    payload = np.bitwise_xor.reduce(blk.data[np.array(neighbors) % w], axis=0).tobytes()
-    sym = EncodingSymbol(id=0, seed=0, degree=len(neighbors),
-                         neighbors=np.array(neighbors), payload=payload)
     with pytest.raises(InvalidInputError):
-        peeled(natives, [sym], w, l)
+        peeled(natives, batch_of([neighbors], blk.data), w, l)
 
 
 @pytest.mark.parametrize("indptr,degrees,bad", [
@@ -402,13 +454,21 @@ def test_neighbor_count_must_match_the_degree(indptr, degrees, bad):
 @pytest.mark.parametrize("field", ["id", "seed"])
 @pytest.mark.parametrize("value", [-1, 1 << 64])
 def test_symbol_id_or_seed_outside_u64_rejected(field, value):
+    # The frame wraps no value: an id or seed outside u64, or a degree
+    # outside u32, raises rather than travel as another number. A column
+    # of Python ints (1 << 64 fits no integer dtype) is malformed for the
+    # decoder too.
     blk = SourceBlock.random(8, 2, seed=4)
     sym = encode_one(blk, ideal_soliton(8), seed=3)
-    bad = replace(sym, **{field: value})
+    bad = replace(sym, **{f"{field}s": np.array([value])})
     with pytest.raises(InvalidInputError, match="u64"):
-        peeled({}, [bad], 8, 2)
-    with pytest.raises(InvalidInputError, match="u64"):
-        PeelDecoder(8, 2).add_symbol(bad)
+        pack_batch(bad)
+    if value > 0:
+        with pytest.raises(InvalidInputError):
+            peeled({}, bad, 8, 2)
+    for degree in (-1, 1 << 32):
+        with pytest.raises(InvalidInputError, match="u32"):
+            pack_batch(replace(sym, degrees=np.array([degree])))
 
 
 def test_pending_rows_are_consistent_equations():
@@ -423,8 +483,7 @@ def test_pending_rows_are_consistent_equations():
     lost = set(range(0, 30, 3))
     dec = PeelDecoder(w, l)
     dist = lrf_ideal(LossContext(w, len(lost)))
-    for sym in encode_stream(blk, dist, base_seed=2, count=4):
-        dec.add_symbol(sym)
+    dec.add_batch(encode_stream(blk, dist, base_seed=2, count=4))
     for i in range(w):
         if i not in lost:
             dec.add_native(i, blk.data[i])
@@ -465,17 +524,14 @@ def test_peel_decode_agrees_with_oracle_small():
         natives = {i: blk.data[i] for i in range(w) if i not in lost}
         count = rng.randint(0, 2 * max(1, len(lost)))
         equations = [([i], natives[i].tobytes()) for i in natives]
-        encoding = []
+        sets, seeds = [], derive_seeds(trial, np.arange(count))
         for t in range(count):
             degree = rng.randint(1, w)
-            seed = derive_seed(trial, t)
-            nb = select_neighbors(seed, w, degree)
-            payload = np.bitwise_xor.reduce(blk.data[nb], axis=0).tobytes()
-            encoding.append(EncodingSymbol(id=t, seed=seed, degree=degree,
-                                           neighbors=nb, payload=payload))
-            equations.append((nb.tolist(), payload))
+            nb = select_neighbors(derive_seed(trial, t), w, degree)
+            sets.append(nb)
+            equations.append((nb.tolist(), np.bitwise_xor.reduce(blk.data[nb], axis=0).tobytes()))
 
-        dec = peeled(natives, encoding, w, l)
+        dec = peeled(natives, batch_of(sets, blk.data, seeds), w, l)
         oracle = gf2_oracle_solve(w, equations) if equations else None
         if dec.success:
             # Peeling success implies the linear system is solvable and the

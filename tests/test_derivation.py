@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from lrfcodes import codec
-from lrfcodes.codec import (_CANDIDATE_CHUNK, MAX_WINDOW, WIRE_HEADER, RepairBatch,
-                            SourceBlock, derive_degree, derive_degrees, derive_seed,
-                            derive_seeds, encode_stream, neighbor_sets, pack_symbol,
-                            select_neighbors, unpack_symbol)
+from lrfcodes.codec import (_CANDIDATE_CHUNK, MAX_WINDOW, WIRE_HEADER, SourceBlock,
+                            derive_degree, derive_degrees, derive_seed, derive_seeds,
+                            encode_stream, neighbor_sets, pack_batch, select_neighbors,
+                            unpack_batch)
 from lrfcodes.distributions import (DegreeDistribution, LossContext, ideal_soliton,
                                     lr_raptor_dist, lrf_ideal, recovery_probability,
                                     robust_soliton)
 from lrfcodes.errors import InvalidInputError, InvalidParameterError
-from test_codec import encode_one
+from test_codec import assert_same_columns, encode_one
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -284,18 +284,19 @@ def test_encode_stream_equals_encode_symbol_and_wire_rederivation():
     dist = lrf_ideal(LossContext(w, 2))
     base, start = 0xFEED, 11
     syms = encode_stream(blk, dist, base, 60, start_id=start)
-    assert any(2 * s.degree > w for s in syms)
-    for sym in syms:
-        seed = derive_seed(base, sym.id)
-        one = encode_one(blk, dist, seed, sym.id)
-        assert (sym.seed, sym.degree, sym.payload) == (one.seed, one.degree, one.payload)
-        assert sym.degree == derive_degree(seed, dist)
-        np.testing.assert_array_equal(sym.neighbors, one.neighbors)
-        wire, end = unpack_symbol(pack_symbol(sym))
-        assert end == WIRE_HEADER.size + l
-        np.testing.assert_array_equal(RepairBatch.from_symbols([wire]).resolved(w)[0].neighbors,
-                                      sym.neighbors)
-    assert [s.id for s in syms] == list(range(start, start + 60))
+    assert (2 * syms.degrees > w).any()
+    for i, sym_id in enumerate(syms.ids.tolist()):
+        seed = derive_seed(base, sym_id)
+        sym = syms.select([i])
+        assert_same_columns(sym, encode_one(blk, dist, seed, sym_id))
+        assert sym.degrees[0] == derive_degree(seed, dist)
+        wire, end = unpack_batch(pack_batch(sym))
+        assert end == WIRE_HEADER.size + 20 + l
+        assert_same_columns(wire.resolved(w), sym)
+    wire, end = unpack_batch(pack_batch(syms))
+    assert end == WIRE_HEADER.size + 60 * (20 + l)
+    assert_same_columns(wire.resolved(w), syms)
+    assert syms.ids.tolist() == list(range(start, start + 60))
 
 
 @pytest.mark.parametrize("l", [5, 64])
@@ -306,13 +307,13 @@ def test_encode_stream_payloads_are_xor_of_block_rows(l):
     blk = SourceBlock.random(w, l, seed=l)
     dist = DegreeDistribution(w, np.array([3, 12, 16]), np.array([0.4, 0.4, 0.2]))
     syms = encode_stream(blk, dist, 5, 300)
-    assert {s.degree for s in syms} == {3, 12, 16}
+    assert set(syms.degrees.tolist()) == {3, 12, 16}
     ints = [int.from_bytes(row.tobytes(), "little") for row in blk.data]
-    for sym in syms:
+    for i in range(len(syms)):
         acc = 0
-        for j in sym.neighbors.tolist():
+        for j in syms.indices[syms.indptr[i]:syms.indptr[i + 1]].tolist():
             acc ^= ints[j]
-        assert sym.payload == acc.to_bytes(l, "little")
+        assert syms.payloads[i].tobytes() == acc.to_bytes(l, "little")
 
 
 def test_start_id_continues_the_stream():
@@ -320,10 +321,9 @@ def test_start_id_continues_the_stream():
     blk = SourceBlock.random(w, 4, seed=2)
     dist = robust_soliton(w, 0.5, 0.1)
     whole = encode_stream(blk, dist, 3, 50)
-    parts = [*encode_stream(blk, dist, 3, 20), *encode_stream(blk, dist, 3, 30, start_id=20)]
-    for a, b in zip(whole, parts):
-        assert (a.id, a.seed, a.degree, a.payload) == (b.id, b.seed, b.degree, b.payload)
-        np.testing.assert_array_equal(a.neighbors, b.neighbors)
+    head, tail = encode_stream(blk, dist, 3, 20), encode_stream(blk, dist, 3, 30, start_id=20)
+    assert_same_columns(whole.select(slice(20)), head)
+    assert_same_columns(whole.select(slice(20, None)), tail)
 
 
 def test_degrees_follow_the_distribution():
@@ -345,18 +345,23 @@ def test_degrees_follow_the_distribution():
 def test_wire_version_roundtrip_and_rejection():
     blk = SourceBlock.random(8, 4, seed=1)
     sym = encode_one(blk, ideal_soliton(8), seed=77, symbol_id=3)
-    buf = pack_symbol(sym)
-    parsed, end = unpack_symbol(buf)
-    assert end == len(buf)
-    assert (parsed.id, parsed.seed, parsed.degree, parsed.payload) == (
-        sym.id, sym.seed, sym.degree, sym.payload)
+    batch = encode_stream(blk, ideal_soliton(8), 77, 5, start_id=3)
+    buf = pack_batch(sym) + pack_batch(batch)
+    parsed, end = unpack_batch(buf)
+    assert end == WIRE_HEADER.size + 20 + 4
+    assert_same_columns(parsed.resolved(8), sym)
     for version in (0, 2, 255):
         with pytest.raises(InvalidInputError, match="version"):
-            unpack_symbol(bytes([version]) + buf[1:])
+            unpack_batch(bytes([version]) + buf[1:])
+        with pytest.raises(InvalidInputError, match="version"):
+            unpack_batch(buf[:end] + bytes([version]) + buf[end + 1:], end)
     with pytest.raises(InvalidInputError, match="header"):
-        unpack_symbol(buf[:WIRE_HEADER.size - 1])
-    with pytest.raises(InvalidInputError, match="payload"):
-        unpack_symbol(buf[:-1])
+        unpack_batch(buf[:WIRE_HEADER.size - 1])
+    with pytest.raises(InvalidInputError, match="body"):
+        unpack_batch(buf[:end - 1])
+    with pytest.raises(InvalidInputError, match="header"):
+        unpack_batch(buf, len(buf) - 1)
     # Frames concatenated in one buffer parse from their offsets.
-    parsed2, end2 = unpack_symbol(buf + buf, end)
-    assert end2 == 2 * len(buf) and parsed2.payload == sym.payload
+    parsed2, end2 = unpack_batch(buf, end)
+    assert end2 == len(buf)
+    assert_same_columns(parsed2.resolved(8), batch)

@@ -56,6 +56,12 @@ class ReferencePeeler:
         for j in remaining if len(remaining) > 1 else ():
             self.adj.setdefault(j, []).append((data, remaining))
 
+    def add_batch(self, batch):
+        """``add_symbol`` of each row of a resolved batch, in order."""
+        for i in range(len(batch)):
+            self.add_symbol(batch.indices[batch.indptr[i]:batch.indptr[i + 1]].tolist(),
+                            batch.payloads[i])
+
     def run(self):
         while self.ripple:
             data, remaining = pending = self.ripple.popleft()
@@ -134,9 +140,7 @@ def test_round_peeler_matches_the_reference(scenario):
         check()
         if k < len(batches):
             decoder.add_batch(batches[k])
-            for sym in batches[k]:
-                reference.add_symbol(sym.neighbors.tolist(),
-                                     np.frombuffer(sym.payload, dtype=np.uint8))
+            reference.add_batch(batches[k])
             check()
 
 
@@ -148,8 +152,7 @@ def test_wide_rounds_match_the_reference():
     batch = encode_stream(block, robust_soliton(w, 0.05, 0.03), 4, w + w // 4)
     decoder, reference = PeelDecoder(w, l), ReferencePeeler(w, l)
     decoder.add_batch(batch)
-    for sym in batch:
-        reference.add_symbol(sym.neighbors.tolist(), np.frombuffer(sym.payload, dtype=np.uint8))
+    reference.add_batch(batch)
     decoder.run()
     reference.run()
     assert decoder.encoding_used == reference.encoding_used > w // 2
@@ -177,8 +180,7 @@ def test_add_batch_defers_every_payload_xor(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(codec, "xor_rows", no_xor)
         decoder.add_batch(batch)
-    for sym in batch:
-        reference.add_symbol(sym.neighbors.tolist(), np.frombuffer(sym.payload, dtype=np.uint8))
+    reference.add_batch(batch)
     decoder.run()
     reference.run()
     assert decoder.encoding_used == reference.encoding_used > 0 and decoder.live_rows > 0
@@ -208,8 +210,7 @@ def _nack_rounds(seed, batches):
 
 def _feed(decoder, reference, batch):
     decoder.add_batch(batch)
-    for sym in batch:
-        reference.add_symbol(sym.neighbors.tolist(), np.frombuffer(sym.payload, dtype=np.uint8))
+    reference.add_batch(batch)
     decoder.run()
     reference.run()
 
@@ -410,8 +411,7 @@ def test_many_nack_batches_grow_the_index_and_match_the_reference():
     sizes = set()
     for k, batch in enumerate(batches):
         decoder.add_batch(batch)
-        for sym in batch:
-            reference.add_symbol(sym.neighbors.tolist(), np.frombuffer(sym.payload, dtype=np.uint8))
+        reference.add_batch(batch)
         check()
         sizes.add(decoder._col_rows.size)
         got = due(decoder, k)

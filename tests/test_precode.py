@@ -9,14 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lrfcodes import gf2, precode
-from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
-                            encode_stream)
+from lrfcodes.codec import PeelDecoder, SourceBlock, derive_seed, encode_stream
 from lrfcodes.distributions import LossContext, lr_raptor_dist, robust_soliton
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
 from lrfcodes.precode import (PrecodeConfig, constraint_matrix, parity_rows, precode_expand,
                               precode_solve)
-from test_codec import peeled
+from test_codec import batch_of, peeled
 from test_gf2 import csr, rank
 
 CFG = PrecodeConfig(k=24, s=5, h=3, seed=7)
@@ -57,6 +56,17 @@ def test_config_sizes_are_integers(k, s, h):
     with pytest.raises(InvalidParameterError):
         PrecodeConfig(k=k, s=s, h=h)
     assert PrecodeConfig(k=np.int64(4), s=np.int64(1), h=np.int64(0)).total == 5
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1])
+def test_config_seed_is_an_integer_from_zero(seed):
+    # parity_rows stopped on a float seed with a bare TypeError, True ran
+    # as seed 1, and a numpy seed overflowed in derive_seed.
+    with pytest.raises(InvalidParameterError, match="seed"):
+        PrecodeConfig(20, 2, 2, seed=seed)
+    for a, b in zip(*(parity_rows(PrecodeConfig(20, 2, 2, seed=s)) for s in (3, np.int64(3)))):
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 def test_parity_rows_shape_and_coverage():
@@ -326,14 +336,10 @@ def test_precode_solve_uses_extra_rows():
     missing = set(range(10))  # more erasures than parity equations
     with pytest.raises(DecodeFailure):
         precode_solve(_decoder(inter, missing), CFG)
-    extra = []
     rng = random.Random(3)
-    for t in range(12):
-        idxs = sorted(rng.sample(sorted(missing), rng.randint(1, 6)))
-        extra.append(EncodingSymbol(id=t, seed=0, degree=len(idxs), neighbors=np.array(idxs),
-                                    payload=np.bitwise_xor.reduce(inter.data[idxs]).tobytes()))
+    extra = [sorted(rng.sample(sorted(missing), rng.randint(1, 6))) for _ in range(12)]
     decoder = _decoder(inter, missing)
-    decoder.add_batch(RepairBatch.from_symbols(extra))
+    decoder.add_batch(batch_of(extra, inter.data))
     decoder.run()
     natives = precode_solve(decoder, CFG)
     np.testing.assert_array_equal(natives, blk.data)
@@ -355,13 +361,9 @@ def precode_systems(draw):
     inter = precode_expand(SourceBlock.random(cfg.k, 8, int(rng.integers(1 << 30))), cfg)
     covered = rng.random(cfg.total) < draw(st.sampled_from([0.1, 0.5, 0.8, 0.95]))
     decoder = _decoder(inter, set(np.flatnonzero(~covered).tolist()))
-    symbols = []
-    for t in range(draw(st.integers(0, cfg.total + 4))):
-        idxs = np.sort(rng.choice(cfg.total, int(rng.integers(1, min(cfg.total, 6) + 1)),
-                                  replace=False))
-        symbols.append(EncodingSymbol(id=t, seed=0, degree=idxs.size, neighbors=idxs,
-                                      payload=np.bitwise_xor.reduce(inter.data[idxs]).tobytes()))
-    decoder.add_batch(RepairBatch.from_symbols(symbols))
+    sets = [np.sort(rng.choice(cfg.total, int(rng.integers(1, min(cfg.total, 6) + 1)),
+                               replace=False)) for _ in range(draw(st.integers(0, cfg.total + 4)))]
+    decoder.add_batch(batch_of(sets, inter.data))
     if draw(st.booleans()):
         decoder.run()
     return cfg, decoder

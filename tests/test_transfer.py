@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lrfcodes.channel import BurstModel, ChannelConfig, LossReport
-from lrfcodes.codec import (EncodingSymbol, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
-                            encode_stream, pack_symbol, unpack_symbol)
+from lrfcodes.channel import BurstModel, Channel, ChannelConfig, LossReport
+from lrfcodes.codec import (PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_stream,
+                            pack_batch, unpack_batch)
 from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
 from lrfcodes import transfer
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
@@ -22,12 +22,7 @@ from lrfcodes.transfer import (Ack, DestinationState, Natives, Repairs,
                                SCHEMES, SessionConfig, SessionMetrics, SourceState,
                                WindowNack, default_precode_shape,
                                normalize_scheme, run_session)
-from test_codec import encode_one
-
-
-def _one(sym, window=0):
-    """A repair event carrying a batch of one symbol."""
-    return Repairs(window, RepairBatch.from_symbols([sym]))
+from test_codec import batch_of, encode_one
 
 
 def _dropping(em, indices):
@@ -91,10 +86,13 @@ def test_session_config_validation():
 
 @pytest.mark.parametrize("name, value", [("window", 2.5), ("symbol_bytes", 2.5), ("window", True),
                                          ("symbol_bytes", np.float64(8)), ("d_max", 0),
-                                         ("d_max", -3), ("d_max", 2.5), ("d_max", True)])
+                                         ("d_max", -3), ("d_max", 2.5), ("d_max", True),
+                                         ("seed", 1.5), ("seed", True), ("seed", -1)])
 def test_session_config_rejects_a_size_it_cannot_run(name, value):
-    # Window, symbol bytes and the degree cap are integers >= 1, a bool not
-    # counting: a typed failure at construction, not one mid-session.
+    # Window, symbol bytes and the degree cap are integers >= 1, and the
+    # seed one >= 0, a bool not counting: a typed failure at construction,
+    # not one mid-session (a float seed stopped run_session with a bare
+    # TypeError, and True ran as seed 1).
     cfg = ChannelConfig(0.05, seed=1)
     sizes = {"window": 200, "symbol_bytes": 8, name: value}
     with pytest.raises(InvalidParameterError):
@@ -110,6 +108,11 @@ def test_session_takes_numpy_integer_sizes():
                                0.2, "LR-Raptor", seed=4, d_max=np.int64(100),
                                return_payload=True)
     assert delivered == data
+    # A numpy seed overflowed in derive_seed; it runs as the same int seed.
+    runs = [run_session(data, 200, 8, ChannelConfig(0.05, seed=1), 0.2, "LR-Raptor", seed=s)
+            for s in (4, np.uint64(4))]
+    assert runs[0].encoding_sent == runs[1].encoding_sent
+    assert runs[0].total_degree_sent == runs[1].total_degree_sent
 
 
 def test_session_takes_a_numpy_integer_payload_size():
@@ -230,6 +233,66 @@ def _drive_window(cfg, block, drop_indices=()):
     recovered = transfer.run_window(SourceState(cfg, metrics), DestinationState(cfg, metrics), 0,
                                     block, lambda ems: [_dropping(em, drop_indices) for em in ems])
     return recovered, metrics
+
+
+def _over_the_wire(scheme, framed):
+    """Three windows through ``run_window`` with a deliver shaped like
+    ``run_session``'s: one seeded channel mask over each round's emissions.
+    With ``framed``, every surviving repair batch is packed into a wire
+    frame and read back, unresolved, before the destination sees it.
+    Returns the window replies (Ack or WindowNack) in order, the metrics,
+    the natives taken and the number of frames sent."""
+    cfg = SessionConfig(window=120, symbol_bytes=16, epsilon=0.2, scheme=scheme,
+                        channel=ChannelConfig(0.05, seed=4), seed=4)
+    metrics = SessionMetrics()
+    source, dest = SourceState(cfg, metrics), DestinationState(cfg, metrics)
+    chan, replies, frames = Channel(cfg.channel), [], []
+    conclude = dest.conclude
+
+    def concluding(index):
+        out = conclude(index)
+        replies.extend(out)
+        return out
+
+    def deliver(emissions):
+        ends = np.cumsum([0] + [len(em.rows) if isinstance(em, Natives) else len(em.batch)
+                                for em in emissions])
+        mask = chan.loss_mask(int(ends[-1]))
+        events = []
+        for em, dropped in zip(emissions, np.split(mask, ends[1:-1])):
+            if isinstance(em, Natives):
+                events.append(Natives(em.window, em.rows, dropped))
+            elif not dropped.all():
+                batch = em.batch.select(~dropped)
+                if framed:
+                    frame = pack_batch(batch)
+                    batch, end = unpack_batch(frame)
+                    assert end == len(frame) and batch.indptr is None
+                    frames.append(end)
+                events.append(Repairs(em.window, batch))
+        return events
+
+    dest.conclude = concluding
+    blocks = np.random.default_rng(4).integers(0, 256, size=(3, 120, 16), dtype=np.uint8)
+    natives = [transfer.run_window(source, dest, i, SourceBlock(b), deliver)
+               for i, b in enumerate(blocks)]
+    np.testing.assert_array_equal(natives, blocks)
+    return replies, metrics, natives, len(frames)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_windows_over_the_batch_wire_frame_run_as_in_memory(scheme):
+    # The frame carries what the destination needs: the same Ack/NACK
+    # sequence, repair counts and natives as the in-memory batches, and no
+    # protocol error.
+    replies, metrics, natives, frames = _over_the_wire(scheme, framed=True)
+    want_replies, want, want_natives, _ = _over_the_wire(scheme, framed=False)
+    assert frames > 0 and replies == want_replies
+    assert [r.window for r in replies if isinstance(r, Ack)] == [0, 1, 2]
+    for field in ("encoding_sent", "total_degree_sent", "delivered", "lost", "recovered"):
+        assert getattr(metrics, field) == getattr(want, field)
+    assert metrics.protocol_errors == want.protocol_errors == 0
+    np.testing.assert_array_equal(natives, want_natives)
 
 
 def test_source_dest_machines_recover_driven_losses():
@@ -363,16 +426,17 @@ def test_destination_counts_malformed_events_in_metrics():
     dst = DestinationState(cfg, metrics)
     blk = SourceBlock.random(16, 8, seed=3)
     sym = encode_one(blk, ideal_soliton(16), seed=5, symbol_id=0)
-    wire, _ = unpack_symbol(pack_symbol(sym))
-    bad_degree = dataclasses.replace(wire, degree=17)
-    short = dataclasses.replace(sym, payload=sym.payload[:-1])
+    wire, _ = unpack_batch(pack_batch(sym))
+    bad_degree = dataclasses.replace(wire, degrees=np.array([17]))
+    short = dataclasses.replace(sym, payloads=sym.payloads[:, :-1])
     malformed = [object(), Natives(0, np.zeros((16, 7), dtype=np.uint8)),
-                 Natives(0, blk.data, np.zeros(99, dtype=bool)), _one(short), _one(bad_degree)]
+                 Natives(0, blk.data, np.zeros(99, dtype=bool)), Repairs(0, short),
+                 Repairs(0, bad_degree)]
     for i, ev in enumerate(malformed, 1):
         assert dst.step(ev) == []
         assert metrics.protocol_errors == i
     # A well-formed wire symbol still decodes after the rejected ones.
-    assert dst.step(_one(wire)) == []
+    assert dst.step(Repairs(0, wire)) == []
     assert metrics.protocol_errors == len(malformed)
     assert run_session(64 * 8, 64, 8, ChannelConfig(0.05, seed=1), 0.2, "LRF",
                        seed=1).protocol_errors == 0
@@ -439,12 +503,34 @@ def test_destination_counts_only_accepted_symbols():
     assert 0 not in dst.windows
     assert metrics.protocol_errors == 2
     sym = encode_one(SourceBlock.random(16, 8, seed=3), ideal_soliton(16), seed=5)
-    for bad in (dataclasses.replace(sym, payload=sym.payload[:-1]),
-                dataclasses.replace(sym, neighbors=None, degree=17)):
-        assert dst.step(_one(bad)) == []
+    for bad in (dataclasses.replace(sym, payloads=sym.payloads[:, :-1]),
+                dataclasses.replace(sym, indptr=None, indices=None, degrees=np.array([17]))):
+        assert dst.step(Repairs(0, bad)) == []
     assert metrics.delivered == 0
     assert 0 not in dst.windows
     assert metrics.protocol_errors == 4
+
+
+def test_destination_window_index_is_an_integer_not_a_bool():
+    # True used to open window 1 and count no protocol error, and a numpy
+    # integer index was refused as one; both now follow errors.check_size.
+    cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.05, seed=0), seed=3)
+    metrics = SessionMetrics()
+    dst = DestinationState(cfg, metrics)
+    block = SourceBlock.random(16, 8, seed=3)
+    lost = np.arange(16) == 5
+    repairs = batch_of([[4, 5], [5]], block.data)
+    for ev in (Natives(True, block.data, lost), Repairs(np.True_, repairs),
+               Natives(np.int64(-1), block.data, lost), Natives(1.0, block.data, lost)):
+        assert dst.step(ev) == []
+    assert dst.windows == {} and (metrics.protocol_errors, metrics.delivered) == (4, 0)
+    assert len(dst.step(Natives(np.int64(1), block.data, lost))) == 1
+    assert dst.step(Repairs(np.uint64(1), repairs)) == []
+    assert [type(index) for index in dst.windows] == [int]
+    assert (metrics.protocol_errors, metrics.delivered) == (4, 15 + 2)
+    assert dst.conclude(1) == [Ack(1)]
+    np.testing.assert_array_equal(dst.take(1), block.data)
 
 
 def test_malformed_events_open_no_window():
@@ -455,8 +541,8 @@ def test_malformed_events_open_no_window():
     metrics = SessionMetrics()
     dst = DestinationState(cfg, metrics)
     rows = SourceBlock.random(1000, 8, seed=3).data
-    sym = EncodingSymbol(id=0, seed=0, degree=2, neighbors=np.array([3, 3]), payload=bytes(8))
-    for ev in (Natives(7, rows[:, :5]), Natives("x", rows), _one(sym, window=12)):
+    sym = batch_of([[3, 3]], np.zeros_like(rows))
+    for ev in (Natives(7, rows[:, :5]), Natives("x", rows), Repairs(12, sym)):
         assert dst.step(ev) == []
     assert dst.windows == {}
     assert (metrics.protocol_errors, metrics.delivered, metrics.lost) == (3, 0, 0)
@@ -539,9 +625,8 @@ def test_destination_counts_malformed_neighbors_as_protocol_errors():
     metrics = SessionMetrics()
     dst = DestinationState(cfg, metrics)
     for i, nb in enumerate(([3, 3], [-1, 2], [2, 8]), 1):
-        sym = EncodingSymbol(id=i, seed=0, degree=2, neighbors=np.array(nb),
-                             payload=bytes(2))
-        assert dst.step(_one(sym)) == []
+        sym = batch_of([nb], np.zeros((8, 2), dtype=np.uint8))
+        assert dst.step(Repairs(0, sym)) == []
         assert metrics.protocol_errors == i
     assert metrics.delivered == 0
     assert 0 not in dst.windows
