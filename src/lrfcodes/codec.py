@@ -246,10 +246,11 @@ class RepairBatch:
 
     def malformed(self, w: int, l: int) -> np.ndarray:
         """Per-row mask of the symbols a window of w symbols of l bytes must
-        reject: a payload other than l bytes, a wire symbol's degree outside
-        1..w, or neighbors that are not strictly increasing integers in
-        0..w-1 (a repeated index would cancel in the XOR but count once) or
-        not as many as the degree, which is at least 1.
+        reject: a payload other than l bytes, an id or seed below 0 (no u64
+        holds it), a wire symbol's degree outside 1..w, or neighbors that are
+        not strictly increasing integers in 0..w-1 (a repeated index would
+        cancel in the XOR but count once) or not as many as the degree, which
+        is at least 1.
         Every row is rejected when the columns themselves are malformed:
         ids, seeds and degrees that are not 1-D integer arrays of one
         length, a payload matrix of another shape, or exactly one of
@@ -260,8 +261,11 @@ class RepairBatch:
                 or not isinstance(self.payloads, np.ndarray) or self.payloads.dtype != np.uint8
                 or self.payloads.shape != (n, l) or (indptr is None) != (idx is None)):
             return np.ones(n, dtype=bool)
+        low = self.degrees < 1  # or an id or seed below 0, which only a signed column holds
+        for col in (c for c in (self.ids, self.seeds) if c.dtype.kind == "i"):
+            low = low | (col < 0)
         if indptr is None:
-            return (self.degrees < 1) | (self.degrees > w)
+            return low | (self.degrees > w)
         if (not isinstance(indptr, np.ndarray) or not isinstance(idx, np.ndarray)
                 or indptr.dtype.kind not in "iu" or idx.dtype.kind not in "iu" or idx.ndim != 1
                 or indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != idx.size):
@@ -276,7 +280,7 @@ class RepairBatch:
         row_start[indptr[:-1]] = True
         bad = idx.astype(np.uint64) >= w  # a negative index casts to a huge one
         bad[1:] |= (idx[1:] <= idx[:-1]) > row_start[1:-1]  # on bools, a > b is a and not b
-        out = (lengths != self.degrees) | (self.degrees < 1)
+        out = (lengths != self.degrees) | low
         bad = bad.nonzero()[0]
         if bad.size:
             out[indptr.searchsorted(bad, side="right") - 1] = True

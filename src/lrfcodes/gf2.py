@@ -29,16 +29,18 @@ steps above.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import InvalidInputError
 
 _ONE = np.uint64(1)
-# Upper bound on the bytes ``xor_rows`` gathers at once.
+# Upper bound on the bytes ``xor_rows`` gathers at once (or one ``src`` row).
 _GATHER_BYTES = 1 << 18
-# ``xor_rows`` reduces a gather spanning at most _FEW_SEGMENTS rows of at
-# least _WIDE_ROW_BYTES one row at a time: over such rows ``reduce`` is
-# faster than ``reduceat``, which is the faster one over narrow rows.
+# ``xor_rows`` reduces a slice of at most _FEW_SEGMENTS rows of at least
+# _WIDE_ROW_BYTES one row at a time: there ``reduce`` is faster than
+# ``reduceat``, which is faster over narrow rows or many short wide ones.
 _FEW_SEGMENTS = 8
 _WIDE_ROW_BYTES = 512
 
@@ -67,32 +69,36 @@ def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.n
 
     ``indptr`` may start past 0 (a slice of a larger matrix's row pointers).
     ``out`` and ``src`` are payload matrices of the same word type (see
-    ``words``).
+    ``words``); ``out`` may be ``src`` when no row written is a row read.
     """
     cols = indices[indptr[0]:indptr[-1]]
     ptr = indptr - indptr[0]
-    # The entries are gathered in slices of at most _GATHER_BYTES (or one
-    # src row), each reduced per row segment; a row cut by a slice boundary
-    # takes one partial XOR from each side.
-    rows = (ptr[1:] > ptr[:-1]).nonzero()[0]
-    starts = ptr[rows]
+    # Slices of whole rows, at most _GATHER_BYTES together, each reduced per
+    # row; a longer row goes alone, _GATHER_BYTES at a time, one partial XOR
+    # per piece. bounds (each non-empty row's start, then the end) reads as
+    # plain ints through a memoryview, so a slice is found with no numpy call.
+    step = np.append(ptr[1:] > ptr[:-1], True)
+    rows, starts = step[:-1].nonzero()[0], ptr[step]
+    bounds = memoryview(starts)
     row_bytes = src.shape[1] * src.itemsize
     span = max(1, _GATHER_BYTES // row_bytes)
-    for lo in range(0, cols.size, span):
-        hi = min(cols.size, lo + span)
-        first, end = 0, rows.size
-        if cols.size > span:
-            first = int(starts.searchsorted(lo, side="right")) - 1
-            end = int(starts.searchsorted(hi))
-        gathered = src.take(cols[lo:hi], axis=0)
-        if end - first <= _FEW_SEGMENTS and row_bytes >= _WIDE_ROW_BYTES:
-            bounds = [0, *(starts[first + 1:end] - lo).tolist(), hi - lo]
-            for r, a, b in zip(rows[first:end].tolist(), bounds, bounds[1:]):
-                out[r] ^= np.bitwise_xor.reduce(gathered[a:b], axis=0)
+    k = 0
+    while k < rows.size:
+        lo = bounds[k]
+        end = bisect_right(bounds, lo + span, k + 1) - 1
+        if end == k:
+            r, hi = rows[k], bounds[k + 1]
+            for a in range(lo, hi, span):
+                out[r] ^= np.bitwise_xor.reduce(src.take(cols[a:min(a + span, hi)], axis=0), axis=0)
+            k += 1
             continue
-        seg = starts[first:end] - lo
-        seg[0] = 0
-        out[rows[first:end]] ^= np.bitwise_xor.reduceat(gathered, seg, axis=0)
+        gathered = src.take(cols[lo:bounds[end]], axis=0)
+        if end - k <= _FEW_SEGMENTS and row_bytes >= _WIDE_ROW_BYTES:
+            for r, a, b in zip(rows[k:end].tolist(), bounds[k:end], bounds[k + 1:end + 1]):
+                out[r] ^= np.bitwise_xor.reduce(gathered[a - lo:b - lo], axis=0)
+        else:
+            out[rows[k:end]] ^= np.bitwise_xor.reduceat(gathered, starts[k:end] - lo, axis=0)
+        k = end
 
 
 def _pack(indptr: np.ndarray, indices: np.ndarray, known: np.ndarray, at: np.ndarray,

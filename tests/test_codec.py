@@ -455,17 +455,16 @@ def test_neighbor_count_must_match_the_degree(indptr, degrees, bad):
 @pytest.mark.parametrize("value", [-1, 1 << 64])
 def test_symbol_id_or_seed_outside_u64_rejected(field, value):
     # The frame wraps no value: an id or seed outside u64, or a degree
-    # outside u32, raises rather than travel as another number. A column
-    # of Python ints (1 << 64 fits no integer dtype) is malformed for the
-    # decoder too.
+    # outside u32, raises rather than travel as another number. The decoder
+    # rejects both too: -1 as a value below 0, and a column of Python ints
+    # (1 << 64 fits no integer dtype) as malformed.
     blk = SourceBlock.random(8, 2, seed=4)
     sym = encode_one(blk, ideal_soliton(8), seed=3)
     bad = replace(sym, **{f"{field}s": np.array([value])})
     with pytest.raises(InvalidInputError, match="u64"):
         pack_batch(bad)
-    if value > 0:
-        with pytest.raises(InvalidInputError):
-            peeled({}, bad, 8, 2)
+    with pytest.raises(InvalidInputError):
+        peeled({}, bad, 8, 2)
     for degree in (-1, 1 << 32):
         with pytest.raises(InvalidInputError, match="u32"):
             pack_batch(replace(sym, degrees=np.array([degree])))

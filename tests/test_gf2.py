@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrfcodes import gf2
 from lrfcodes.errors import InvalidInputError
@@ -268,11 +270,15 @@ def test_rank_counts_independent_rows():
 
 
 def _xor_rows_loop(src, indptr, indices):
-    """``xor_rows`` one entry at a time."""
-    out = np.zeros((indptr.size - 1, src.shape[1]), dtype=np.uint8)
+    """``xor_rows`` one entry at a time, each row of ``src`` as a Python int."""
+    l = src.shape[1]
+    values = [int.from_bytes(row.tobytes(), "little") for row in src]
+    out = np.zeros((indptr.size - 1, l), dtype=np.uint8)
     for r in range(indptr.size - 1):
+        acc = 0
         for j in indices[indptr[r]:indptr[r + 1]].tolist():
-            out[r] ^= src[j]
+            acc ^= values[j]
+        out[r] = np.frombuffer(acc.to_bytes(l, "little"), dtype=np.uint8)
     return out
 
 
@@ -285,10 +291,15 @@ def _check_xor_rows(src, indptr, indices, seed=0):
     np.testing.assert_array_equal(out, want)
 
 
-@pytest.mark.parametrize("l", [5, 16, 512])
+def _span(l):
+    """Entries of l bytes in one ``xor_rows`` slice."""
+    return max(1, gf2._GATHER_BYTES // l)
+
+
+@pytest.mark.parametrize("l", [5, 16, 128, 512, 1024, 4096])
 def test_xor_rows_matches_a_per_row_loop(l):
-    # l = 5 runs on the uint8 matrix, l = 16 and 512 on its uint64 words;
-    # a gather of a few 512-byte rows is reduced one row at a time.
+    # l = 5 runs on the uint8 matrix, the others on its uint64 words; a
+    # slice of a few rows of 512 bytes or more is reduced one row at a time.
     rng = np.random.default_rng(l)
     src = rng.integers(0, 256, size=(40, l), dtype=np.uint8)
     assert gf2.words(src).dtype == (np.uint64 if l % 8 == 0 else np.uint8)
@@ -311,10 +322,63 @@ def test_xor_rows_beyond_the_gather_bound():
     rows = [rng.choice(3000, size=4, replace=False) for _ in range(700)] + [np.arange(3000)]
     indptr, indices = csr(rows)
     _check_xor_rows(src, indptr, indices)
-    # Long rows of 512 bytes: each slice spans a few rows, reduced one at
-    # a time, and a row cut by a slice boundary takes a part from each.
+    # Long rows of 512 bytes: a row longer than a slice is gathered alone, a
+    # slice at a time, each piece taking one partial XOR.
     wide = rng.integers(0, 256, size=(3000, 512), dtype=np.uint8)
     assert 1000 * 512 > gf2._GATHER_BYTES
     indptr, indices = csr([rng.choice(3000, size=n, replace=False)
                                for n in (1000, 3, 2900, 700, 1)])
     _check_xor_rows(wide, indptr, indices)
+
+
+@pytest.mark.parametrize("l", [512, 1024, 4096])
+def test_xor_rows_slices_end_on_row_boundaries(l):
+    # Rows of one entry short of a slice, a slice, one entry more and three
+    # slices, between empty rows first and last: a slice ends where a row
+    # ends unless the row alone is longer.
+    span = _span(l)
+    rng = np.random.default_rng(l + 1)
+    src = rng.integers(0, 256, size=(4 * span, l), dtype=np.uint8)
+    lengths = [0, span - 1, 1, span, span + 1, 0, 3 * span, 2, span - 1, 0]
+    indptr, indices = csr(rng.integers(0, 4 * span, size=n) for n in lengths)
+    _check_xor_rows(src, indptr, indices)
+    _check_xor_rows(src, indptr[3:], indices)
+    # More than _FEW_SEGMENTS wide rows in one slice take one reduceat.
+    many = 2 * gf2._FEW_SEGMENTS
+    assert many * 2 <= span
+    _check_xor_rows(src, *csr(rng.integers(0, 4 * span, size=2) for _ in range(many)))
+
+
+@pytest.mark.parametrize("l", [8, 560, 4096])
+def test_xor_rows_writes_into_its_own_source(l):
+    # The substitution steps of solve_partial XOR rows of M into other rows
+    # of M: out is src, and no row written is a row read. One row is longer
+    # than a slice.
+    rng = np.random.default_rng(l)
+    n = 600
+    M = rng.integers(0, 256, size=(n, l), dtype=np.uint8)
+    read = rng.choice(n, size=n // 3, replace=False)
+    lengths = rng.choice([0, 0, 1, 4, 7], size=n)
+    lengths[read] = 0
+    lengths[np.setdiff1d(np.arange(n), read)[0]] = _span(l) + 2
+    indptr, indices = csr(rng.choice(read, size=k) for k in lengths)
+    want = M ^ _xor_rows_loop(M, indptr, indices)
+    gf2.xor_rows(gf2.words(M), gf2.words(M), indptr, indices)
+    np.testing.assert_array_equal(M, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(l=st.sampled_from([5, 16, 128, 512, 1024, 4096]),
+       lengths=st.lists(st.one_of(st.integers(0, 12), st.sampled_from(["span-1", "span", "span+1",
+                                                                       "3span"])), max_size=12),
+       skip=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_xor_rows_matches_the_loop_on_any_csr_shape(l, lengths, skip, seed):
+    # Row lengths around the slice size, and the first ``skip`` rows of
+    # 3 entries cut off, so that indptr starts past 0.
+    span = _span(l)
+    named = {"span-1": span - 1, "span": span, "span+1": span + 1, "3span": 3 * span}
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, 256, size=(int(rng.integers(1, 50)), l), dtype=np.uint8)
+    indptr, indices = csr(rng.integers(0, len(src), size=named.get(n, n))
+                          for n in [3] * skip + lengths)
+    _check_xor_rows(src, indptr[skip:], indices, seed)

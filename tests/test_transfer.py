@@ -673,6 +673,24 @@ def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
     assert (other.metrics.protocol_errors, other.metrics.delivered) == (2, 7)
 
 
+@pytest.mark.parametrize("field", ["ids", "seeds"])
+def test_a_negative_id_or_seed_is_a_malformed_row(field):
+    # A signed column may hold a value below 0, which no u64 frame carries:
+    # pack_batch refuses it, and so do the decoder and the destination,
+    # rather than derive the sets of seed 2**64 - 5. The other rows stand.
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+                        channel=ChannelConfig(0.0, seed=0), seed=3)
+    batch = encode_stream(SourceBlock.random(64, 8, seed=3), lrf_ideal(LossContext(64, 3)), 5, 3)
+    bad = dataclasses.replace(batch, **{field: np.array([-5, 0, 1])})
+    for form in (bad, dataclasses.replace(bad, indptr=None, indices=None)):
+        assert form.malformed(64, 8).tolist() == [True, False, False]
+        with pytest.raises(InvalidInputError):
+            PeelDecoder(64, 8).add_batch(form)
+    metrics = SessionMetrics()
+    assert DestinationState(cfg, metrics).step(Repairs(0, bad)) == []
+    assert (metrics.protocol_errors, metrics.delivered) == (1, 2)
+
+
 def _bad_columns(case):
     """A repair batch for a (16, 8) window whose columns disagree."""
     good = encode_stream(SourceBlock.random(16, 8, seed=3), ideal_soliton(16), 5, 2)
