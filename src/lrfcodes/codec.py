@@ -411,12 +411,25 @@ class PeelDecoder:
     the releases queued since, so stalled runs gather their released rows
     once per read. The fixpoint depends neither on the release order nor
     on whether natives arrive before or after the encoding symbols.
+
+    ``payloads``, when given, is the matrix the covered payloads are
+    written into, so a caller can decode straight into its own buffer: a
+    writable, C-contiguous (w, l) uint8 matrix whose rows are zero (the
+    caller's contract; the rows are not scanned). By default the decoder
+    allocates its own.
     """
 
-    def __init__(self, w: int, l: int):
+    def __init__(self, w: int, l: int, payloads: np.ndarray | None = None):
         self.w = check_size("w", w)
         self.l = check_size("l", l)
-        self._payloads = np.zeros((w, l), dtype=np.uint8)
+        if payloads is None:
+            payloads = np.zeros((w, l), dtype=np.uint8)
+        elif not (isinstance(payloads, np.ndarray) and payloads.dtype == np.uint8
+                  and payloads.shape == (self.w, self.l) and payloads.flags.c_contiguous
+                  and payloads.flags.writeable):
+            raise InvalidParameterError(f"payloads must be a writable, C-contiguous ({w}, {l}) "
+                                        f"uint8 matrix")
+        self._payloads = payloads
         self._covered = np.zeros(w, dtype=bool)
         self._uncovered = w
         self.encoding_used = 0

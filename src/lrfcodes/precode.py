@@ -8,7 +8,8 @@ constraint XORs to zero over the full intermediate block.
 
 Intermediates are rows of one (k + s + h, l) uint8 matrix: ``precode_expand``
 returns them as a ``SourceBlock`` that the inner encoder takes as it is,
-and ``precode_solve`` returns the k natives as a (k, l) matrix.
+and ``precode_solve`` writes the k natives into a (k, l) matrix, its own or
+the caller's.
 
 This is a simplified construction with the standard (k, s, h) shape, not a
 standards-compliant generator; outputs are labeled as such.
@@ -202,9 +203,12 @@ def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
     return SourceBlock(inter)
 
 
-def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
+def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Fill missing intermediates from the parity constraints and return the
-    k native payloads as a (k, l) uint8 matrix.
+    k native payloads as a (k, l) uint8 matrix: ``out``, a writable (k, l)
+    uint8 matrix, when given (written only once every native is
+    determined, so a failure leaves it untouched), else a new one.
 
     ``decoder`` is a ``PeelDecoder`` over the ``cfg.total`` intermediates,
     read in place: its covered mask, payload matrix and pending equations
@@ -239,10 +243,14 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
     Raises:
         DecodeFailure: the system does not determine every native.
         InvalidInputError: an inconsistent system.
-        InvalidParameterError: not a decoder over the config's intermediates.
+        InvalidParameterError: not a decoder over the config's intermediates,
+            or an ``out`` that is not a writable (k, l) uint8 matrix.
     """
     if not isinstance(decoder, PeelDecoder) or decoder.w != cfg.total:
         raise InvalidParameterError(f"need a PeelDecoder over the {cfg.total} intermediates")
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.uint8
+                                and out.shape == (cfg.k, decoder.l) and out.flags.writeable):
+        raise InvalidParameterError(f"out must be a writable ({cfg.k}, {decoder.l}) uint8 matrix")
     covered, payloads = decoder.covered, decoder.payloads
     missing = np.flatnonzero(~covered[:cfg.k]).tolist()
     solved = {}
@@ -282,7 +290,10 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig) -> np.ndarray:
                 f"{len(undetermined)} of {len(missing)} missing natives undetermined by the "
                 "parity constraints and pending equations", unresolved=len(undetermined),
                 stage="precode")
-    natives = payloads[:cfg.k].copy()
+    if out is None:
+        out = payloads[:cfg.k].copy()
+    else:
+        out[...] = payloads[:cfg.k]
     for i in missing:
-        natives[i] = solved[i]
-    return natives
+        out[i] = solved[i]
+    return out

@@ -14,7 +14,9 @@ window's natives, to the source; the report is itself the feedback event.
 One rule, ``SourceState._resize``, sizes a loss-aware window's law, NACK
 batch and repair budget, at window start and on a NACK. ``run_window``, the
 one exchange loop of a window for sessions and bench trials alike, takes the
-acked window's natives and the destination forgets the window.
+acked window's natives and the destination forgets the window. A session
+decodes in place: ``run_session`` allocates the delivered payload once, and
+each window's natives land in their rows of it.
 
 Schemes:
     LT        -- pure fountain baseline: robust-soliton encoding symbols
@@ -322,9 +324,16 @@ def _is_array(a, shape: tuple, dtype) -> bool:
 class DestinationState:
     """Destination side: feeds arrivals to per-window decoders, peels when a
     delivery phase ends, acks windows on full recovery, and emits one loss
-    report per natives event."""
+    report per natives event.
 
-    def __init__(self, cfg: SessionConfig, metrics: SessionMetrics):
+    ``out``, when given, is a zeroed (windows, k, l) uint8 matrix that
+    receives window i's natives in ``out[i]``: LT and LRF decode straight
+    into it, the precoded schemes write their natives there once solved.
+    A window index past it is then a malformed event. Without it, each
+    window's natives go to a matrix of their own."""
+
+    def __init__(self, cfg: SessionConfig, metrics: SessionMetrics,
+                 out: np.ndarray | None = None):
         self.cfg = cfg
         self.metrics = metrics
         self.estimator = LossRateEstimator()
@@ -332,11 +341,20 @@ class DestinationState:
         self.precode = cfg.precode_config() if cfg.uses_precode else None
         # Every window's decoder: its symbol count and symbol bytes.
         self._shape = (self.precode.total if self.precode else cfg.window, cfg.symbol_bytes)
+        if out is not None and not (
+                _is_array(out, np.shape(out)[:1] + (cfg.window, cfg.symbol_bytes), np.uint8)
+                and out.flags.c_contiguous and out.flags.writeable):
+            raise InvalidParameterError(f"out must be a writable, C-contiguous (windows, "
+                                        f"{cfg.window}, {cfg.symbol_bytes}) uint8 matrix")
+        self.out = out
 
     def _window(self, index: int) -> _WindowState:
         state = self.windows.get(index)
         if state is None:
-            state = self.windows[index] = _WindowState(decoder=PeelDecoder(*self._shape))
+            # LT and LRF decode into the window's rows of ``out``.
+            rows = None if self.out is None or self.precode is not None else self.out[index]
+            state = self.windows[index] = _WindowState(
+                decoder=PeelDecoder(*self._shape, payloads=rows))
         return state
 
     def step(self, event) -> list:
@@ -348,9 +366,11 @@ class DestinationState:
         try:
             if (not isinstance(event, (Natives, Repairs)) or isinstance(event.window, bool)
                     or not isinstance(event.window, numbers.Integral) or event.window < 0
+                    or self.out is not None and event.window >= len(self.out)
                     or isinstance(event, Repairs) and not isinstance(event.batch, RepairBatch)):
                 raise InvalidInputError("not an arrival event (an integer window index >= 0, "
-                                        "and a RepairBatch for repairs)")
+                                        "below the output's windows if given, and a "
+                                        "RepairBatch for repairs)")
             index = int(event.window)
             if isinstance(event, Natives):
                 k, l = self.cfg.window, self.cfg.symbol_bytes
@@ -398,11 +418,17 @@ class DestinationState:
         decoder.run()
         natives: np.ndarray | None = None
         k = self.cfg.window
+        # A precoded window's natives go to ``out`` here; LT's and LRF's are
+        # there already.
+        out = None if self.out is None or self.precode is None else self.out[index]
         if decoder.covered[:k].all():
             natives = decoder.payloads[:k]
+            if out is not None:
+                out[...] = natives
+                natives = out
         elif self.precode is not None:
             try:
-                natives = precode_solve(decoder, self.precode)
+                natives = precode_solve(decoder, self.precode, out)
             except DecodeFailure:
                 natives = None
         self.metrics.decode_time += time.perf_counter() - t0
@@ -418,8 +444,9 @@ class DestinationState:
         return [Ack(index)]
 
     def take(self, index: int) -> np.ndarray:
-        """The (k, l) natives of an acked window. Its decoder goes with them;
-        later events for the window count as delivered and touch no decoder."""
+        """The (k, l) natives of an acked window (a view of ``out[index]``
+        when ``out`` is given). Its decoder goes with them; later events for
+        the window count as delivered and touch no decoder."""
         state = self.windows.get(index)
         if state is None or state.recovered is None:
             raise InvalidParameterError(f"window {index} is not acked or already taken")
@@ -454,12 +481,17 @@ def run_window(source: SourceState, dest: DestinationState, index: int, block: S
             return dest.take(index)
 
 
-def _split_windows(data: bytes, w: int, l: int) -> np.ndarray:
-    """The zero-padded data as a read-only (windows, w, l) uint8 view."""
-    pad = -len(data) % (w * l)
-    if pad:
-        data += bytes(pad)
-    return np.frombuffer(data, dtype=np.uint8).reshape(-1, w, l)
+def _split_windows(data: bytes, w: int, l: int) -> list[np.ndarray]:
+    """The data as (w, l) uint8 windows: read-only views of the whole ones,
+    then the rest, if any, copied into a zero-padded window of its own."""
+    whole, rest = divmod(len(data), w * l)
+    flat = np.frombuffer(data, dtype=np.uint8)
+    windows = list(flat[:whole * w * l].reshape(whole, w, l))
+    if rest:
+        last = np.zeros((w, l), dtype=np.uint8)
+        last.reshape(-1)[:rest] = flat[whole * w * l:]
+        windows.append(last)
+    return windows
 
 
 def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig,
@@ -469,8 +501,10 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
 
     ``data`` is either the payload (bytes, bytearray, memoryview or a uint8
     array) or an integer size (deterministic pseudo-random payload derived
-    from ``seed``). Returns ``SessionMetrics`` (or ``(metrics,
-    delivered_bytes)`` with ``return_payload=True``).
+    from ``seed``). Returns ``SessionMetrics``, or with
+    ``return_payload=True`` ``(metrics, delivered)``: ``delivered`` is a
+    ``bytearray`` (equal to the payload as ``bytes``), the one buffer the
+    windows were decoded into, trimmed of the last window's padding.
 
     Raises:
         InvalidParameterError: ``data`` is neither bytes-like nor a size.
@@ -495,7 +529,6 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
 
     metrics = SessionMetrics()
     source = SourceState(cfg, metrics)
-    dest = DestinationState(cfg, metrics)
     chan = Channel(channel_cfg)
     trace = cfg.trace
     clock = 0
@@ -528,21 +561,21 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
 
     t_start = time.perf_counter()
     windows = _split_windows(data, window, symbol_bytes)
-    # Each window's natives as taken: a read-only view of its decoder's
-    # payload matrix, which the destination no longer holds, or
-    # precode_solve's copy. One join copies them all.
-    recovered_windows: list[np.ndarray] = []
+    # The delivered payload, allocated once: the destination decodes window
+    # i into out[i], so a taken window's natives need no copy.
+    delivered = bytearray(len(windows) * window * symbol_bytes)
+    out = np.frombuffer(delivered, dtype=np.uint8).reshape(-1, window, symbol_bytes)
+    dest = DestinationState(cfg, metrics, out)
 
     for index, window_data in enumerate(windows):
-        recovered_windows.append(run_window(source, dest, index, SourceBlock(window_data), deliver))
+        run_window(source, dest, index, SourceBlock(window_data), deliver)
         if trace:
             trace.write(f"{clock},ack,{index},,\n")
 
     metrics.wall_time = time.perf_counter() - t_start
-    # The last window is trimmed of its padding as a view, before the join.
-    tail = size - (len(windows) - 1) * window * symbol_bytes
-    recovered_windows[-1] = recovered_windows[-1].reshape(-1)[:tail]
-    delivered = b"".join(recovered_windows)
+    # With no view of it left, the buffer drops its padding in place.
+    del dest, out
+    del delivered[size:]
     if delivered != data:
         raise SessionFailure("delivered data does not match source data",
                              window=-1, unresolved=0)

@@ -344,6 +344,39 @@ def test_peeling_fixpoint_independent_of_native_order():
     assert repairs_first.encoding_used == natives_first.encoding_used
 
 
+@pytest.mark.parametrize("payloads", [
+    np.zeros((8, 5), dtype=np.uint8), np.zeros((7, 4), dtype=np.uint8),
+    np.zeros((8, 4), dtype=np.int8), np.zeros((8, 8), dtype=np.uint8)[:, ::2],
+    np.zeros((8, 4), dtype=np.uint8, order="F"), np.zeros((8, 4), dtype=np.uint8)[None],
+    bytearray(32), "read-only"])
+def test_decoder_rejects_a_payload_matrix_it_cannot_write_in_place(payloads):
+    if isinstance(payloads, str):
+        payloads = np.zeros((8, 4), dtype=np.uint8)
+        payloads.setflags(write=False)
+    with pytest.raises(InvalidParameterError):
+        PeelDecoder(8, 4, payloads=payloads)
+
+
+@pytest.mark.parametrize("l", [8, 5])
+def test_decoder_decodes_into_a_given_matrix_as_into_its_own(l):
+    # Decoding into a caller's zeroed matrix writes the natives there and
+    # reads back exactly what a decoder with its own matrix reads.
+    w = 64
+    blk = SourceBlock.random(w, l, seed=l)
+    got = ~np.isin(np.arange(w), [2, 17, 40])
+    encoding = encode_stream(blk, lrf_ideal(LossContext(w, 3)), base_seed=l, count=8)
+    given = np.zeros((w, l), dtype=np.uint8)
+    decoders = PeelDecoder(w, l), PeelDecoder(w, l, payloads=given)
+    for dec in decoders:
+        dec.add_natives(blk.data, got)
+        dec.add_batch(encoding)
+        dec.run()
+    own, into = (dec.payloads for dec in decoders)
+    assert decoders[1].success and np.shares_memory(into, given)
+    np.testing.assert_array_equal(into, own)
+    np.testing.assert_array_equal(given, blk.data)
+
+
 def test_decoder_duplicate_native_rejected():
     dec = PeelDecoder(4, 2)
     dec.add_native(0, b"ab")

@@ -299,6 +299,45 @@ def test_precode_solve_agrees_with_rank_oracle():
     assert checked_deficient > 5
 
 
+def test_precode_solve_writes_into_out_only_when_it_succeeds():
+    # ``out`` is filled and returned on success; a failure, before or after
+    # the elimination, leaves it as it was.
+    rng = random.Random(13)
+    cfg = PrecodeConfig(k=12, s=4, h=2, seed=3)
+    blk = _block(k=12, seed=4)
+    inter = precode_expand(blk, cfg)
+    outcomes = set()
+    for _ in range(200):
+        missing = set(rng.sample(range(cfg.total), rng.randint(1, 6)))
+        out = np.full((cfg.k, 8), 0xA5, dtype=np.uint8)
+        with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
+            try:
+                assert precode_solve(_decoder(inter, missing), cfg, out) is out
+                np.testing.assert_array_equal(out, blk.data)
+                outcomes.add("solved")
+            except DecodeFailure:
+                assert (out == 0xA5).all() and solve.called
+                outcomes.add("undetermined")
+    assert outcomes == {"solved", "undetermined"}
+    # Fewer equations than unknowns fails before any elimination.
+    out = np.full((cfg.k, 8), 0xA5, dtype=np.uint8)
+    with pytest.raises(DecodeFailure):
+        precode_solve(PeelDecoder(cfg.total, 8), cfg, out)
+    assert (out == 0xA5).all()
+
+
+@pytest.mark.parametrize("out", [np.zeros((CFG.k, 9), dtype=np.uint8),
+                                 np.zeros((CFG.total, 8), dtype=np.uint8),
+                                 np.zeros((CFG.k, 8), dtype=np.int8), bytearray(CFG.k * 8),
+                                 "read-only"])
+def test_precode_solve_rejects_an_out_it_cannot_fill(out):
+    if isinstance(out, str):
+        out = np.zeros((CFG.k, 8), dtype=np.uint8)
+        out.setflags(write=False)
+    with pytest.raises(InvalidParameterError):
+        precode_solve(_decoder(precode_expand(_block(), CFG), {0}), CFG, out)
+
+
 def test_precode_solve_validates_input():
     with pytest.raises(DecodeFailure):
         precode_solve(PeelDecoder(CFG.total, 8), CFG)
