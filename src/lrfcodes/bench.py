@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields
 
 from .channel import Channel, ChannelConfig
 from .codec import SourceBlock, derive_seed
-from .errors import InvalidParameterError, SessionFailure, check_size
+from .errors import InvalidParameterError, SessionFailure, check_real, check_size
 from .transfer import (SCHEMES, DestinationState, Natives, SessionConfig, SessionMetrics,
                        SourceState, run_session, run_window)
 
@@ -73,6 +73,9 @@ class ExperimentSpec:
             raise InvalidParameterError("need loss rates and window lengths")
         for w in self.window_lengths:
             check_size("window length", w)
+        for p in self.loss_rates:
+            check_real("loss rate", p, 0.0, 1.0)
+        check_real("epsilon", self.epsilon, 0.0)
         if self.experiment in ("raptor-compare", "transfer") and len(self.window_lengths) > 1:
             raise InvalidParameterError(
                 f"{self.experiment} takes one window, got {self.window_lengths}")
@@ -143,7 +146,7 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
                 for em in emissions]
 
     try:
-        run_window(SourceState(cfg, metrics), DestinationState(cfg, metrics), 0, block, deliver)
+        run_window(SourceState(cfg, metrics), DestinationState(cfg, metrics, 1), 0, block, deliver)
     except SessionFailure:
         _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={t},"
                      f"failure unresolved_after_budget enc_sent={metrics.encoding_sent}")

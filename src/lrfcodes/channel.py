@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import InvalidParameterError, check_size
+from .errors import InvalidParameterError, check_real, check_size
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,7 @@ class BurstModel:
 
     def __post_init__(self):
         for name in ("p_good_to_bad", "p_bad_to_good", "loss_good", "loss_bad"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidParameterError(f"{name} {v} outside [0, 1]")
+            check_real(name, getattr(self, name), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -41,8 +39,7 @@ class ChannelConfig:
     burst: BurstModel | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.loss_rate <= 1.0:
-            raise InvalidParameterError(f"loss rate {self.loss_rate} outside [0, 1]")
+        check_real("loss rate", self.loss_rate, 0.0, 1.0)
         check_size("seed", self.seed, low=0)
 
 

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and its one size check."""
+"""Exception types shared across the package, and its size and real-number checks."""
 
+import math
 import numbers
 
 
@@ -16,6 +17,16 @@ def check_size(name: str, value, low: int = 1, high: int | None = None):
         bound = f">= {low}" if high is None else f"in {low}..{high}"
         raise InvalidParameterError(f"{name} must be an integer {bound}, got {value!r}")
     return int(value)
+
+
+def check_real(name: str, value, low: float, high: float = math.inf) -> None:
+    """Raises ``InvalidParameterError`` unless ``value`` is a finite real in
+    ``[low, high]``; a numpy number is one, a bool is not, and NaN is in no
+    range."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not low <= value <= high or not math.isfinite(value)):
+        raise InvalidParameterError(f"{name} must be a finite number in [{low}, {high}], "
+                                    f"got {value!r}")
 
 
 class NoLossError(InvalidParameterError):

@@ -8,8 +8,7 @@ constraint XORs to zero over the full intermediate block.
 
 Intermediates are rows of one (k + s + h, l) uint8 matrix: ``precode_expand``
 returns them as a ``SourceBlock`` that the inner encoder takes as it is,
-and ``precode_solve`` writes the k natives into a (k, l) matrix, its own or
-the caller's.
+and ``precode_solve`` writes the k natives into the caller's (k, l) matrix.
 
 This is a simplified construction with the standard (k, s, h) shape, not a
 standards-compliant generator; outputs are labeled as such.
@@ -203,12 +202,12 @@ def precode_expand(block: SourceBlock, cfg: PrecodeConfig) -> SourceBlock:
     return SourceBlock(inter)
 
 
-def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Fill missing intermediates from the parity constraints and return the
-    k native payloads as a (k, l) uint8 matrix: ``out``, a writable (k, l)
-    uint8 matrix, when given (written only once every native is
-    determined, so a failure leaves it untouched), else a new one.
+def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig, out: np.ndarray) -> np.ndarray:
+    """Fill missing intermediates from the parity constraints and write the
+    k native payloads into ``out``, a writable (k, l) uint8 matrix, which
+    is returned. ``out`` is written only once every native is determined,
+    so a failure leaves it untouched; a window whose natives are all
+    covered is copied there.
 
     ``decoder`` is a ``PeelDecoder`` over the ``cfg.total`` intermediates,
     read in place: its covered mask, payload matrix and pending equations
@@ -248,8 +247,8 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
     """
     if not isinstance(decoder, PeelDecoder) or decoder.w != cfg.total:
         raise InvalidParameterError(f"need a PeelDecoder over the {cfg.total} intermediates")
-    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.uint8
-                                and out.shape == (cfg.k, decoder.l) and out.flags.writeable):
+    if not (isinstance(out, np.ndarray) and out.dtype == np.uint8
+            and out.shape == (cfg.k, decoder.l) and out.flags.writeable):
         raise InvalidParameterError(f"out must be a writable ({cfg.k}, {decoder.l}) uint8 matrix")
     covered, payloads = decoder.covered, decoder.payloads
     missing = np.flatnonzero(~covered[:cfg.k]).tolist()
@@ -290,10 +289,7 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig,
                 f"{len(undetermined)} of {len(missing)} missing natives undetermined by the "
                 "parity constraints and pending equations", unresolved=len(undetermined),
                 stage="precode")
-    if out is None:
-        out = payloads[:cfg.k].copy()
-    else:
-        out[...] = payloads[:cfg.k]
+    out[...] = payloads[:cfg.k]
     for i in missing:
         out[i] = solved[i]
     return out

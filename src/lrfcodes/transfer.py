@@ -15,8 +15,9 @@ One rule, ``SourceState._resize``, sizes a loss-aware window's law, NACK
 batch and repair budget, at window start and on a NACK. ``run_window``, the
 one exchange loop of a window for sessions and bench trials alike, takes the
 acked window's natives and the destination forgets the window. A session
-decodes in place: ``run_session`` allocates the delivered payload once, and
-each window's natives land in their rows of it.
+decodes in place: its ``DestinationState`` allocates the delivered payload
+once, each window's natives land in their rows of it, and a window is
+finished one way per scheme family (peeled, or solved with the precode).
 
 Schemes:
     LT        -- pure fountain baseline: robust-soliton encoding symbols
@@ -43,7 +44,7 @@ from .codec import PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_st
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
 from .errors import (DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure,
-                     check_size)
+                     check_real, check_size)
 from .precode import PrecodeConfig, precode_expand, precode_solve
 
 SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
@@ -170,11 +171,9 @@ class SessionConfig:
         # Each size is an integer >= 1; a None d_max is no cap.
         for name in ("window", "symbol_bytes") + (("d_max",) if self.d_max is not None else ()):
             check_size(name, getattr(self, name))
-        if not 0 <= self.epsilon < math.inf:
-            raise InvalidParameterError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.initial_loss_rate is not None and not 0.0 <= self.initial_loss_rate <= 1.0:
-            raise InvalidParameterError(
-                f"initial loss rate {self.initial_loss_rate} outside [0, 1]")
+        check_real("epsilon", self.epsilon, 0.0)
+        if self.initial_loss_rate is not None:
+            check_real("initial loss rate", self.initial_loss_rate, 0.0, 1.0)
 
     @property
     def uses_precode(self) -> bool:
@@ -314,7 +313,6 @@ class _WindowState:
     decoder: PeelDecoder | None  # None once the window is taken
     natives_seen: int = 0
     complete: bool = False
-    recovered: np.ndarray | None = None   # (k, l) natives once complete
 
 
 def _is_array(a, shape: tuple, dtype) -> bool:
@@ -326,14 +324,13 @@ class DestinationState:
     delivery phase ends, acks windows on full recovery, and emits one loss
     report per natives event.
 
-    ``out``, when given, is a zeroed (windows, k, l) uint8 matrix that
-    receives window i's natives in ``out[i]``: LT and LRF decode straight
-    into it, the precoded schemes write their natives there once solved.
-    A window index past it is then a malformed event. Without it, each
-    window's natives go to a matrix of their own."""
+    It holds the session's delivered payload: ``delivered``, one zeroed
+    ``bytearray`` of windows·k·l bytes, and ``out``, its (windows, k, l)
+    uint8 view. Window i's natives land in ``out[i]``: LT and LRF decode
+    straight into it, the precoded schemes' ``precode_solve`` writes it.
+    An event for a window past ``out`` is malformed."""
 
-    def __init__(self, cfg: SessionConfig, metrics: SessionMetrics,
-                 out: np.ndarray | None = None):
+    def __init__(self, cfg: SessionConfig, metrics: SessionMetrics, windows: int):
         self.cfg = cfg
         self.metrics = metrics
         self.estimator = LossRateEstimator()
@@ -341,18 +338,15 @@ class DestinationState:
         self.precode = cfg.precode_config() if cfg.uses_precode else None
         # Every window's decoder: its symbol count and symbol bytes.
         self._shape = (self.precode.total if self.precode else cfg.window, cfg.symbol_bytes)
-        if out is not None and not (
-                _is_array(out, np.shape(out)[:1] + (cfg.window, cfg.symbol_bytes), np.uint8)
-                and out.flags.c_contiguous and out.flags.writeable):
-            raise InvalidParameterError(f"out must be a writable, C-contiguous (windows, "
-                                        f"{cfg.window}, {cfg.symbol_bytes}) uint8 matrix")
-        self.out = out
+        shape = (check_size("windows", windows), cfg.window, cfg.symbol_bytes)
+        self.delivered = bytearray(math.prod(shape))
+        self.out = np.frombuffer(self.delivered, dtype=np.uint8).reshape(shape)
 
     def _window(self, index: int) -> _WindowState:
         state = self.windows.get(index)
         if state is None:
             # LT and LRF decode into the window's rows of ``out``.
-            rows = None if self.out is None or self.precode is not None else self.out[index]
+            rows = None if self.precode else self.out[index]
             state = self.windows[index] = _WindowState(
                 decoder=PeelDecoder(*self._shape, payloads=rows))
         return state
@@ -365,12 +359,11 @@ class DestinationState:
         out: list = []
         try:
             if (not isinstance(event, (Natives, Repairs)) or isinstance(event.window, bool)
-                    or not isinstance(event.window, numbers.Integral) or event.window < 0
-                    or self.out is not None and event.window >= len(self.out)
+                    or not isinstance(event.window, numbers.Integral)
+                    or not 0 <= event.window < len(self.out)
                     or isinstance(event, Repairs) and not isinstance(event.batch, RepairBatch)):
-                raise InvalidInputError("not an arrival event (an integer window index >= 0, "
-                                        "below the output's windows if given, and a "
-                                        "RepairBatch for repairs)")
+                raise InvalidInputError("not an arrival event (a window index in 0..windows-1 "
+                                        "and a RepairBatch for repairs)")
             index = int(event.window)
             if isinstance(event, Natives):
                 k, l = self.cfg.window, self.cfg.symbol_bytes
@@ -409,50 +402,48 @@ class DestinationState:
 
     def conclude(self, index: int) -> list:
         """Attempt to finish a window after a delivery phase; emits an Ack on
-        full recovery or a WindowNack asking for more repair."""
-        state = self._window(index)
+        full recovery, with the window's natives in ``out[index]``, or a
+        WindowNack asking for more repair. An index outside 0..windows-1
+        raises ``InvalidParameterError``."""
+        state = self._window(check_size("window index", index, low=0, high=len(self.out) - 1))
         if state.complete:
             return []
         decoder = state.decoder
+        k = self.cfg.window
         t0 = time.perf_counter()
         decoder.run()
-        natives: np.ndarray | None = None
-        k = self.cfg.window
-        # A precoded window's natives go to ``out`` here; LT's and LRF's are
-        # there already.
-        out = None if self.out is None or self.precode is None else self.out[index]
-        if decoder.covered[:k].all():
-            natives = decoder.payloads[:k]
-            if out is not None:
-                out[...] = natives
-                natives = out
-        elif self.precode is not None:
+        if self.precode is None:
+            done = decoder.success
+            if done:
+                decoder.payloads  # the read writes the queued releases into out[index]
+        else:
             try:
-                natives = precode_solve(decoder, self.precode, out)
+                precode_solve(decoder, self.precode, self.out[index])
+                done = True
             except DecodeFailure:
-                natives = None
+                done = False
         self.metrics.decode_time += time.perf_counter() - t0
 
-        if natives is None:
+        if not done:
             unresolved = k - int(np.count_nonzero(decoder.covered[:k]))
             return [WindowNack(index, unresolved)]
 
         state.complete = True
-        state.recovered = natives
         self.metrics.windows_completed += 1
         self.metrics.recovered += max(0, k - state.natives_seen)
         return [Ack(index)]
 
     def take(self, index: int) -> np.ndarray:
-        """The (k, l) natives of an acked window (a view of ``out[index]``
-        when ``out`` is given). Its decoder goes with them; later events for
-        the window count as delivered and touch no decoder."""
+        """The (k, l) natives of an acked window: a view of ``out[index]``.
+        Its decoder goes; later events for the window count as delivered
+        and touch no decoder. An index outside 0..windows-1, or of a window
+        not acked or already taken, raises ``InvalidParameterError``."""
+        index = check_size("window index", index, low=0, high=len(self.out) - 1)
         state = self.windows.get(index)
-        if state is None or state.recovered is None:
+        if state is None or not state.complete or state.decoder is None:
             raise InvalidParameterError(f"window {index} is not acked or already taken")
-        natives = state.recovered
-        state.recovered = state.decoder = None
-        return natives
+        state.decoder = None
+        return self.out[index]
 
 
 # ---------------------------------------------------------------------------
@@ -561,11 +552,9 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
 
     t_start = time.perf_counter()
     windows = _split_windows(data, window, symbol_bytes)
-    # The delivered payload, allocated once: the destination decodes window
-    # i into out[i], so a taken window's natives need no copy.
-    delivered = bytearray(len(windows) * window * symbol_bytes)
-    out = np.frombuffer(delivered, dtype=np.uint8).reshape(-1, window, symbol_bytes)
-    dest = DestinationState(cfg, metrics, out)
+    # The destination allocates the delivered payload once and decodes each
+    # window into its rows, so a taken window's natives need no copy.
+    dest = DestinationState(cfg, metrics, len(windows))
 
     for index, window_data in enumerate(windows):
         run_window(source, dest, index, SourceBlock(window_data), deliver)
@@ -574,7 +563,8 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
 
     metrics.wall_time = time.perf_counter() - t_start
     # With no view of it left, the buffer drops its padding in place.
-    del dest, out
+    delivered = dest.delivered
+    del dest
     del delivered[size:]
     if delivered != data:
         raise SessionFailure("delivered data does not match source data",

@@ -53,13 +53,18 @@ def test_spec_rejects_bad_windows(experiment, window_lengths):
 
 @pytest.mark.parametrize("overrides", [dict(window_lengths=(64.5,)), dict(window_lengths=(True,)),
                                        dict(trials=1.5), dict(master_seed=1.5),
-                                       dict(master_seed=True), dict(master_seed=-1)],
+                                       dict(master_seed=True), dict(master_seed=-1),
+                                       dict(epsilon="a"), dict(epsilon=float("inf")),
+                                       dict(loss_rates=("0.1",)), dict(loss_rates=(True,)),
+                                       dict(loss_rates=(0.01, float("nan")))],
                          ids=["window-float", "window-bool", "trials-float", "seed-float",
-                              "seed-bool", "seed-negative"])
+                              "seed-bool", "seed-negative", "epsilon-str", "epsilon-inf",
+                              "rate-str", "rate-bool", "rate-nan"])
 def test_spec_sizes_are_integers(overrides):
     # Accepted unchecked, each stopped run_experiment with a bare TypeError,
     # but True as a master seed ran as seed 1. A numpy master seed
-    # overflowed in derive_seed; it now runs as the same int seed.
+    # overflowed in derive_seed; it now runs as the same int seed. Loss
+    # rates and epsilon are finite reals: epsilon="a" returned a row.
     with pytest.raises(InvalidParameterError):
         _spec("window-sweep", **overrides)
     rows = run_experiment(_spec("window-sweep", window_lengths=(np.int64(256),),

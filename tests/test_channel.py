@@ -23,6 +23,15 @@ def test_config_validation():
         ChannelConfig(loss_rate=1.5)
     with pytest.raises(InvalidParameterError):
         BurstModel(p_good_to_bad=2.0, p_bad_to_good=0.5)
+    # A rate is a finite real: a string or None raised a bare TypeError, and
+    # True ran at loss rate 1.
+    for rate in ("0.1", None, True, float("nan")):
+        with pytest.raises(InvalidParameterError, match="loss rate"):
+            ChannelConfig(rate)
+    for args in (("a", 0.1), (0.1, None), (0.1, 0.2, np.True_), (0.1, 0.2, 0.0, float("nan"))):
+        with pytest.raises(InvalidParameterError):
+            BurstModel(*args)
+    assert ChannelConfig(np.float32(0.5)).loss_rate == 0.5
     for seed in (-1, 1.5, "3", None):
         with pytest.raises(InvalidParameterError):
             ChannelConfig(0.02, seed=seed)

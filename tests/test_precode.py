@@ -32,6 +32,11 @@ def _decoder(inter, missing=()):
     return decoder
 
 
+def natives_of(decoder, cfg=CFG):
+    """``precode_solve`` into a new zeroed (k, l) matrix, which it returns."""
+    return precode_solve(decoder, cfg, np.zeros((cfg.k, decoder.l), dtype=np.uint8))
+
+
 def constraint_rows(cfg):
     """Each parity constraint's sorted index tuple over the intermediates."""
     indptr, indices = constraint_matrix(cfg)
@@ -234,7 +239,7 @@ def test_rolled_sparse_parities_match_the_csr_gather(k, s, h):
     assert listed[:s].all()
     with mock.patch.object(gf2, "solve_partial", side_effect=_Captured) as solve:
         with pytest.raises(_Captured):
-            precode_solve(decoder, cfg)
+            natives_of(decoder, cfg)
     np.testing.assert_array_equal(solve.call_args.args[2], want[listed])
 
 
@@ -246,7 +251,7 @@ def test_precode_solve_single_erasure_sweep():
     blk = _block()
     inter = precode_expand(blk, CFG)
     for missing in range(CFG.total):
-        natives = precode_solve(_decoder(inter, {missing}), CFG)
+        natives = natives_of(_decoder(inter, {missing}))
         np.testing.assert_array_equal(natives, blk.data)
 
 
@@ -258,7 +263,7 @@ def test_precode_solve_multi_erasure_random():
     for _ in range(50):
         missing = set(rng.sample(range(CFG.total), 3))
         try:
-            natives = precode_solve(_decoder(inter, missing), CFG)
+            natives = natives_of(_decoder(inter, missing))
         except DecodeFailure:
             continue  # genuinely underdetermined patterns are allowed
         np.testing.assert_array_equal(natives, blk.data)
@@ -281,7 +286,7 @@ def test_precode_solve_agrees_with_rank_oracle():
         sub_rows = [tuple(i for i in r if i in missing) for r in rows]
         full_rank = rank([r for r in sub_rows if r], missing) == len(missing)
         try:
-            natives = precode_solve(_decoder(inter, missing), cfg)
+            natives = natives_of(_decoder(inter, missing), cfg)
             ok = True
         except DecodeFailure:
             ok = False
@@ -340,10 +345,10 @@ def test_precode_solve_rejects_an_out_it_cannot_fill(out):
 
 def test_precode_solve_validates_input():
     with pytest.raises(DecodeFailure):
-        precode_solve(PeelDecoder(CFG.total, 8), CFG)
+        natives_of(PeelDecoder(CFG.total, 8))
     for not_over_the_intermediates in (PeelDecoder(CFG.k, 8), {0: bytes(8)}):
         with pytest.raises(InvalidParameterError):
-            precode_solve(not_over_the_intermediates, CFG)
+            precode_solve(not_over_the_intermediates, CFG, np.zeros((CFG.k, 8), dtype=np.uint8))
     # Known intermediates are checked where the decoder takes them.
     with pytest.raises(InvalidInputError):
         PeelDecoder(CFG.total, 1).add_native(CFG.total, b"x")
@@ -358,11 +363,11 @@ def test_precode_solve_residual_cap(monkeypatch):
     # and it does so before any elimination.
     blk = _block()
     decoder = _decoder(precode_expand(blk, CFG), {0, 1, 2})
-    np.testing.assert_array_equal(precode_solve(decoder, CFG), blk.data)
+    np.testing.assert_array_equal(natives_of(decoder), blk.data)
     monkeypatch.setattr(precode, "RESIDUAL_CAP", 2)
     with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
         with pytest.raises(DecodeFailure) as exc:
-            precode_solve(decoder, CFG)
+            natives_of(decoder)
     assert exc.value.stage == "precode" and exc.value.unresolved == 3
     assert not solve.called
 
@@ -374,13 +379,13 @@ def test_precode_solve_uses_extra_rows():
     inter = precode_expand(blk, CFG)
     missing = set(range(10))  # more erasures than parity equations
     with pytest.raises(DecodeFailure):
-        precode_solve(_decoder(inter, missing), CFG)
+        natives_of(_decoder(inter, missing))
     rng = random.Random(3)
     extra = [sorted(rng.sample(sorted(missing), rng.randint(1, 6))) for _ in range(12)]
     decoder = _decoder(inter, missing)
     decoder.add_batch(batch_of(extra, inter.data))
     decoder.run()
-    natives = precode_solve(decoder, CFG)
+    natives = natives_of(decoder)
     np.testing.assert_array_equal(natives, blk.data)
 
 
@@ -418,7 +423,7 @@ def test_early_exit_fires_only_on_an_undetermined_native(system):
     missing = np.flatnonzero(~decoder.covered[:cfg.k]).tolist()
     with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
         try:
-            precode_solve(decoder, cfg)
+            natives_of(decoder, cfg)
             return
         except DecodeFailure as exc:
             if solve.called:
@@ -466,7 +471,7 @@ def test_precode_solve_decides_as_the_full_system(system):
     undetermined = [i for i in missing if i not in full]
     with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
         try:
-            natives = precode_solve(decoder, cfg)
+            natives = natives_of(decoder, cfg)
         except DecodeFailure as exc:
             assert undetermined and exc.stage == "precode"
             assert exc.unresolved == (len(undetermined) if solve.called else len(missing))
@@ -486,7 +491,7 @@ def test_early_exit_reports_every_missing_native():
     decoder = peeled(natives, [], CFG.total, blk.l)
     with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
         with pytest.raises(DecodeFailure) as exc:
-            precode_solve(decoder, CFG)
+            natives_of(decoder)
     assert not solve.called
     assert exc.value.stage == "precode"
     assert exc.value.unresolved == CFG.k - decoder.covered[:CFG.k].sum() == len(lost)
@@ -502,14 +507,14 @@ def test_raptor_roundtrip_with_losses():
     lost = {1, 8, 19}
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     encoding = encode_stream(precode_expand(blk, CFG), dist, base_seed=21, count=8)
-    decoded = precode_solve(peeled(natives, encoding, CFG.total, blk.l), CFG)
+    decoded = natives_of(peeled(natives, encoding, CFG.total, blk.l))
     np.testing.assert_array_equal(decoded, blk.data)
 
 
 def test_raptor_decode_no_loss_shortcut():
     blk = _block(seed=14)
     natives = {i: blk.data[i] for i in range(CFG.k)}
-    decoded = precode_solve(peeled(natives, [], CFG.total, blk.l), CFG)
+    decoded = natives_of(peeled(natives, [], CFG.total, blk.l))
     np.testing.assert_array_equal(decoded, blk.data)
 
 
@@ -518,7 +523,7 @@ def test_raptor_decode_reports_failure_stage():
     lost = set(range(12))
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     with pytest.raises(DecodeFailure) as exc:
-        precode_solve(peeled(natives, [], CFG.total, blk.l), CFG)
+        natives_of(peeled(natives, [], CFG.total, blk.l))
     assert exc.value.stage == "precode"
     assert exc.value.unresolved > 0
 
@@ -533,7 +538,7 @@ def test_raptor_robust_soliton_roundtrip():
     for count in (8, 16, 32, 64):
         encoding = encode_stream(precode_expand(blk, CFG), dist, base_seed=33, count=count)
         try:
-            decoded = precode_solve(peeled(natives, encoding, CFG.total, blk.l), CFG)
+            decoded = natives_of(peeled(natives, encoding, CFG.total, blk.l))
         except DecodeFailure:
             continue
         np.testing.assert_array_equal(decoded, blk.data)

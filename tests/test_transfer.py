@@ -17,12 +17,12 @@ from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
 from lrfcodes import transfer
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError, SessionFailure)
-from lrfcodes.precode import precode_solve
 from lrfcodes.transfer import (Ack, DestinationState, Natives, Repairs,
                                SCHEMES, SessionConfig, SessionMetrics, SourceState,
                                WindowNack, default_precode_shape,
                                normalize_scheme, run_session)
 from test_codec import batch_of, encode_one
+from test_precode import natives_of
 
 
 def _dropping(em, indices):
@@ -33,6 +33,11 @@ def _dropping(em, indices):
     lost = np.zeros(len(em.rows), dtype=bool)
     lost[list(indices)] = True
     return Natives(em.window, em.rows, lost)
+
+
+def _destination(cfg, metrics=None, windows=1):
+    """A destination whose delivered buffer holds ``windows`` windows."""
+    return DestinationState(cfg, SessionMetrics() if metrics is None else metrics, windows)
 
 
 def _payload(symbols, symbol_bytes, seed=0):
@@ -67,15 +72,18 @@ def test_session_config_validation():
     with pytest.raises(InvalidParameterError):
         SessionConfig(window=8, symbol_bytes=8, epsilon=-1.0, scheme="LRF",
                       channel=cfg)
-    # A warm-start loss estimate is a rate, as the channel's is.
-    for rate in (-0.1, 1.5, float("nan")):
+    # A warm-start loss estimate is a rate, as the channel's is; a string
+    # raised a bare TypeError.
+    for rate in (-0.1, 1.5, float("nan"), "x", True):
         with pytest.raises(InvalidParameterError):
             SessionConfig(window=8, symbol_bytes=8, epsilon=0.1, scheme="LRF",
                           channel=cfg, initial_loss_rate=rate)
-    with pytest.raises(InvalidParameterError):
-        run_session(64, 8, 8, cfg, 0.1, "LRF", initial_loss_rate=1.5)
-    # Nor may epsilon be NaN or infinite, or a payload size negative.
-    for eps in (float("nan"), float("inf")):
+    for rate in (1.5, "x"):
+        with pytest.raises(InvalidParameterError):
+            run_session(64, 8, 8, cfg, 0.1, "LRF", initial_loss_rate=rate)
+    # Nor may epsilon be NaN, infinite or not a number, or a payload size
+    # negative.
+    for eps in (float("nan"), float("inf"), "0.1", True):
         with pytest.raises(InvalidParameterError):
             SessionConfig(window=8, symbol_bytes=8, epsilon=eps, scheme="LRF", channel=cfg)
         with pytest.raises(InvalidParameterError):
@@ -232,7 +240,7 @@ def test_session_rejects_empty_data():
 def _drive_window(cfg, block, drop_indices=()):
     """One windowed exchange without a channel: drop the given natives."""
     metrics = SessionMetrics()
-    recovered = transfer.run_window(SourceState(cfg, metrics), DestinationState(cfg, metrics), 0,
+    recovered = transfer.run_window(SourceState(cfg, metrics), _destination(cfg, metrics), 0,
                                     block, lambda ems: [_dropping(em, drop_indices) for em in ems])
     return recovered, metrics
 
@@ -247,7 +255,7 @@ def _over_the_wire(scheme, framed):
     cfg = SessionConfig(window=120, symbol_bytes=16, epsilon=0.2, scheme=scheme,
                         channel=ChannelConfig(0.05, seed=4), seed=4)
     metrics = SessionMetrics()
-    source, dest = SourceState(cfg, metrics), DestinationState(cfg, metrics)
+    source, dest = SourceState(cfg, metrics), _destination(cfg, metrics, windows=3)
     chan, replies, frames = Channel(cfg.channel), [], []
     conclude = dest.conclude
 
@@ -313,7 +321,7 @@ def test_repair_symbols_tolerate_reordering():
     block = SourceBlock.random(64, 8, seed=4)
     metrics = SessionMetrics()
     src = SourceState(cfg, metrics)
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     emissions = src.start_window(0, block)
     natives = [e for e in emissions if isinstance(e, Natives)]
     repairs = [e for e in emissions if isinstance(e, Repairs)]
@@ -330,14 +338,14 @@ def test_repair_symbols_tolerate_reordering():
         for ev in emissions:
             responses += dst.step(ev)
         responses += dst.conclude(0)
-    np.testing.assert_array_equal(dst.windows[0].recovered, block.data)
+    np.testing.assert_array_equal(dst.out[0], block.data)
 
 
 def test_destination_feeds_back_loss_reports():
     cfg = SessionConfig(window=2000, symbol_bytes=4, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.5, seed=0), seed=5)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     rows = np.frombuffer(b"abcd" * 2000, dtype=np.uint8).reshape(2000, 4)
     ev = Natives(0, rows, np.arange(2000) % 2 == 1)
     assert dst.step(ev) == [LossReport(observed_window=2000, lost=1000, estimate=0.5)]
@@ -393,7 +401,7 @@ def test_conclude_propagates_non_decode_errors(monkeypatch):
                         channel=ChannelConfig(0.05, seed=0), seed=9)
     metrics = SessionMetrics()
     src = SourceState(cfg, metrics)
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     for em in src.start_window(0, SourceBlock.random(64, 8, seed=9)):
         dst.step(_dropping(em, {5}))
     with pytest.raises(InvalidInputError):
@@ -411,7 +419,7 @@ def test_step_propagates_decoder_errors(monkeypatch):
                         channel=ChannelConfig(0.05, seed=0), seed=9)
     metrics = SessionMetrics()
     src = SourceState(cfg, metrics)
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     natives, repairs = src.start_window(0, SourceBlock.random(64, 8, seed=9))
     dst.step(_dropping(natives, {5}))
     with pytest.raises(ValueError, match="broadcast"):
@@ -425,7 +433,7 @@ def test_destination_counts_malformed_events_in_metrics():
     cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     blk = SourceBlock.random(16, 8, seed=3)
     sym = encode_one(blk, ideal_soliton(16), seed=5, symbol_id=0)
     wire, _ = unpack_batch(pack_batch(sym))
@@ -497,7 +505,7 @@ def test_destination_counts_only_accepted_symbols():
     cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     rows = SourceBlock.random(16, 8, seed=3).data
     for ev in (Natives(0, rows[:, :5]), Natives(0, rows, np.zeros(99, dtype=bool))):
         assert dst.step(ev) == []
@@ -519,7 +527,7 @@ def test_destination_window_index_is_an_integer_not_a_bool():
     cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics, windows=2)
     block = SourceBlock.random(16, 8, seed=3)
     lost = np.arange(16) == 5
     repairs = batch_of([[4, 5], [5]], block.data)
@@ -541,7 +549,7 @@ def test_malformed_events_open_no_window():
     cfg = SessionConfig(window=1000, symbol_bytes=8, epsilon=0.2, scheme="LR-Raptor",
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics, windows=13)
     rows = SourceBlock.random(1000, 8, seed=3).data
     sym = batch_of([[3, 3]], np.zeros_like(rows))
     for ev in (Natives(7, rows[:, :5]), Natives("x", rows), Repairs(12, sym)):
@@ -560,7 +568,7 @@ def test_repairs_event_without_a_batch_is_one_protocol_error():
     cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     for ev in (Repairs(0, None), Repairs(0, "x")):
         assert dst.step(ev) == []
     assert dst.windows == {}
@@ -574,7 +582,7 @@ def test_destination_rejects_a_natives_event_whole():
     cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     rows = SourceBlock.random(16, 8, seed=3).data
     odd = np.arange(16) % 2 == 1
     # An accepted event feeds back one report over its own mask.
@@ -605,13 +613,13 @@ def test_natives_event_loads_the_decoder_as_a_per_native_loop(scheme):
                         channel=ChannelConfig(0.05, seed=0), seed=2)
     block = SourceBlock.random(40, 8, seed=2)
     lost = np.random.default_rng(2).random(40) < 0.3
-    dst = DestinationState(cfg, SessionMetrics())
+    dst = _destination(cfg)
     dst.step(Natives(0, block.data, lost))
-    loop = DestinationState(cfg, SessionMetrics())._window(0).decoder
+    loop = _destination(cfg)._window(0).decoder
     for i in np.flatnonzero(~lost):
         loop.add_native(int(i), block.data[i])
     # Rows that are a strided view of a wider matrix load the same.
-    strided = DestinationState(cfg, SessionMetrics())
+    strided = _destination(cfg)
     strided.step(Natives(0, np.hstack([block.data, block.data])[:, :8], lost))
     for decoder in (dst.windows[0].decoder, strided.windows[0].decoder):
         np.testing.assert_array_equal(decoder.covered, loop.covered)
@@ -625,7 +633,7 @@ def test_destination_counts_malformed_neighbors_as_protocol_errors():
     cfg = SessionConfig(window=8, symbol_bytes=2, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     for i, nb in enumerate(([3, 3], [-1, 2], [2, 8]), 1):
         sym = batch_of([nb], np.zeros((8, 2), dtype=np.uint8))
         assert dst.step(Repairs(0, sym)) == []
@@ -642,7 +650,7 @@ def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
     cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.0, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     block = SourceBlock.random(64, 8, seed=3)
     lost = {1, 10, 30}
     dst.step(_dropping(Natives(0, block.data), lost))
@@ -669,8 +677,8 @@ def test_destination_drops_only_the_malformed_rows_of_a_batch(corrupt):
     assert metrics.protocol_errors == 1
     assert metrics.delivered == 61 + 8
     assert dst.conclude(0) == [Ack(0)]
-    np.testing.assert_array_equal(dst.windows[0].recovered, block.data)
-    other = DestinationState(cfg, SessionMetrics())
+    np.testing.assert_array_equal(dst.out[0], block.data)
+    other = _destination(cfg)
     assert other.step(Repairs(0, corrupted([1, 7]))) == []
     assert (other.metrics.protocol_errors, other.metrics.delivered) == (2, 7)
 
@@ -689,7 +697,7 @@ def test_a_negative_id_or_seed_is_a_malformed_row(field):
         with pytest.raises(InvalidInputError):
             PeelDecoder(64, 8).add_batch(form)
     metrics = SessionMetrics()
-    assert DestinationState(cfg, metrics).step(Repairs(0, bad)) == []
+    assert _destination(cfg, metrics).step(Repairs(0, bad)) == []
     assert (metrics.protocol_errors, metrics.delivered) == (1, 2)
 
 
@@ -715,7 +723,7 @@ def test_a_batch_with_disagreeing_columns_is_malformed_row_by_row(case):
     cfg = SessionConfig(window=16, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.05, seed=0), seed=3)
     metrics = SessionMetrics()
-    dst = DestinationState(cfg, metrics)
+    dst = _destination(cfg, metrics)
     assert dst.step(Repairs(0, batch)) == []
     assert (metrics.protocol_errors, metrics.delivered) == (len(batch.ids), 0)
     assert dst.windows == {}
@@ -734,7 +742,7 @@ def test_destination_checks_each_repair_batch_once(monkeypatch):
     malformed = RepairBatch.malformed
     monkeypatch.setattr(RepairBatch, "malformed",
                         lambda self, w, l: checked.append(len(self)) or malformed(self, w, l))
-    dst = DestinationState(cfg, SessionMetrics())
+    dst = _destination(cfg)
     dst.step(_dropping(Natives(0, block.data), {1, 10, 30}))
     assert dst.step(Repairs(0, batch)) == []
     assert checked == [9]
@@ -743,49 +751,80 @@ def test_destination_checks_each_repair_batch_once(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_destination_decodes_each_window_into_its_rows_of_out(scheme):
+def test_destination_decodes_each_window_into_its_rows_of_out(monkeypatch, scheme):
+    # Window i's natives are in out[i] as soon as conclude acks it, before
+    # take: two lossy windows, then a lossless one, which for Raptor reaches
+    # precode_solve with no native missing.
     cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme=scheme,
                         channel=ChannelConfig(0.0, seed=0), seed=3)
     metrics = SessionMetrics()
-    out = np.zeros((2, 64, 8), dtype=np.uint8)
-    src, dst = SourceState(cfg, metrics), DestinationState(cfg, metrics, out)
-    blocks = [SourceBlock.random(64, 8, seed=i) for i in range(2)]
+    src, dst = SourceState(cfg, metrics), _destination(cfg, metrics, windows=3)
+    blocks = [SourceBlock.random(64, 8, seed=i) for i in range(3)]
+    missing, acked = [], []
+    solve, conclude = transfer.precode_solve, dst.conclude
+
+    def recording(decoder, pc, out):
+        missing.append(int(np.count_nonzero(~decoder.covered[:pc.k])))
+        return solve(decoder, pc, out)
+
+    def concluding(index):
+        replies = conclude(index)
+        if replies == [Ack(index)]:
+            assert dst.windows[index].decoder is not None
+            np.testing.assert_array_equal(dst.out[index], blocks[index].data)
+            acked.append(index)
+        return replies
+
+    monkeypatch.setattr(transfer, "precode_solve", recording)
+    dst.conclude = concluding
     for index, block in enumerate(blocks):
+        drops = {3, 9} if index < 2 else set()
         natives = transfer.run_window(src, dst, index, block,
-                                      lambda ems: [_dropping(em, {3, 9}) for em in ems])
-        assert np.shares_memory(natives, out[index])
-    np.testing.assert_array_equal(out, np.stack([block.data for block in blocks]))
-    # A window past the output is a malformed event and opens no window.
-    dst.step(Natives(2, blocks[0].data))
-    assert metrics.protocol_errors == 1 and 2 not in dst.windows
+                                      lambda ems: [_dropping(em, drops) for em in ems])
+        assert np.shares_memory(natives, dst.out[index])
+    assert acked == [0, 1, 2]
+    np.testing.assert_array_equal(dst.out, np.stack([block.data for block in blocks]))
+    assert dst.delivered == b"".join(block.data.tobytes() for block in blocks)
+    if scheme == "Raptor":
+        assert missing[-1] == 0
+    # A window past the buffer is a malformed event and opens no window.
+    dst.step(Natives(3, blocks[0].data))
+    assert metrics.protocol_errors == 1 and 3 not in dst.windows
 
 
-@pytest.mark.parametrize("out", [np.zeros((2, 64, 9), dtype=np.uint8),
-                                 np.zeros((64, 8), dtype=np.uint8),
-                                 np.zeros((2, 64, 8), dtype=np.int8),
-                                 np.zeros((2, 64, 16), dtype=np.uint8)[..., ::2],
-                                 bytearray(2 * 64 * 8), "read-only"])
-def test_destination_rejects_an_out_it_cannot_decode_into(out):
-    if isinstance(out, str):
-        out = np.zeros((2, 64, 8), dtype=np.uint8)
-        out.setflags(write=False)
+@pytest.mark.parametrize("windows", [0, 1.5, True])
+def test_destination_rejects_a_window_count_it_cannot_hold(windows):
     cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.0, seed=0))
-    with pytest.raises(InvalidParameterError):
-        DestinationState(cfg, SessionMetrics(), out)
+    with pytest.raises(InvalidParameterError, match="windows"):
+        DestinationState(cfg, SessionMetrics(), windows)
+
+
+@pytest.mark.parametrize("scheme", ["LRF", "Raptor"])
+def test_conclude_and_take_refuse_a_window_outside_the_buffer(scheme):
+    # conclude(-1) opened window -1, decoded it into the last window's rows
+    # and nacked; conclude(1) on a one-window buffer raised a bare IndexError.
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme=scheme,
+                        channel=ChannelConfig(0.0, seed=0), seed=3)
+    dst = _destination(cfg)
+    for index in (-1, 1, True, 0.0):
+        for call in (dst.conclude, dst.take):
+            with pytest.raises(InvalidParameterError, match="window"):
+                call(index)
+    assert dst.windows == {} and not any(dst.delivered)
 
 
 def test_taken_window_drops_its_decoder_and_late_events_touch_none():
     cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
                         channel=ChannelConfig(0.0, seed=0), seed=4)
     metrics = SessionMetrics()
-    src, dst = SourceState(cfg, metrics), DestinationState(cfg, metrics)
+    src, dst = SourceState(cfg, metrics), _destination(cfg, metrics)
     block = SourceBlock.random(64, 8, seed=4)
     for em in src.start_window(0, block):
         dst.step(em)
     assert dst.conclude(0) == [Ack(0)]
     np.testing.assert_array_equal(dst.take(0), block.data)
-    assert dst.windows[0].decoder is None and dst.windows[0].recovered is None
+    assert dst.windows[0].decoder is None
     late = encode_stream(block, ideal_soliton(64), 1, 3)
     delivered, lost = metrics.delivered, metrics.lost
     for ev in (_dropping(Natives(0, block.data), {4}), Repairs(0, late)):
@@ -863,7 +902,7 @@ def test_taken_windows_hold_no_decoder_after_each_run_window(monkeypatch, scheme
         taken.append(index)
         for i in taken:
             state = dest.windows[i]
-            assert (state.decoder, state.recovered) == (None, None)
+            assert state.decoder is None
         return natives
 
     run_window = transfer.run_window
@@ -881,7 +920,7 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
                         channel=ChannelConfig(0.0, seed=0), seed=12,
                         initial_loss_rate=0.01)
     metrics = SessionMetrics()
-    src, dst = SourceState(cfg, metrics), DestinationState(cfg, metrics)
+    src, dst = SourceState(cfg, metrics), _destination(cfg, metrics)
     pc = cfg.precode_config()
     block = SourceBlock.random(400, 16, seed=12)
     lost = set(range(0, 400, 9))
@@ -901,16 +940,16 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
                                     np.diff(indptr), indptr, indices, rhs))
         again.run()
         fresh = []
-        for solve in (lambda: precode_solve(decoder, pc), lambda: precode_solve(again, pc)):
+        for solve in (lambda: natives_of(decoder, pc), lambda: natives_of(again, pc)):
             try:
                 fresh.append(solve())
             except DecodeFailure:
                 fresh.append(None)
         if isinstance(out[0], Ack):
-            np.testing.assert_array_equal(state.recovered, block.data)
+            np.testing.assert_array_equal(dst.out[0], block.data)
             assert len(fresh) == 2
             for natives in fresh:
-                np.testing.assert_array_equal(natives, state.recovered)
+                np.testing.assert_array_equal(natives, dst.out[0])
             break
         assert isinstance(out[0], WindowNack)
         assert [natives is None for natives in fresh] == [True, True]
