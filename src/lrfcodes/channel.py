@@ -41,6 +41,9 @@ class ChannelConfig:
     def __post_init__(self):
         check_real("loss rate", self.loss_rate, 0.0, 1.0)
         check_size("seed", self.seed, low=0)
+        if self.burst is not None and not isinstance(self.burst, BurstModel):
+            raise InvalidParameterError(f"burst must be a BurstModel or None, not "
+                                        f"{type(self.burst).__name__}")
 
 
 class Channel:

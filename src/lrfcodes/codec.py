@@ -31,7 +31,7 @@ import numpy as np
 # ``sample`` stays importable from this module, where perfbench wraps it.
 from .distributions import DegreeDistribution, inverse_cdf, sample  # noqa: F401
 from .errors import InvalidInputError, InvalidParameterError, check_size
-from .gf2 import _GATHER_BYTES, take_rows, words, xor_rows
+from .gf2 import _GATHER_BYTES, span_index, take_rows, words, xor_rows
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -188,7 +188,7 @@ def _draw_rows(seeds, w, k, draws, limit, out, starts) -> np.ndarray:
         first[pos] = True
         firsts = first.nonzero()[0]
         uniq = uniq[pos <= firsts.take(bounds[:-1] + k - 1, mode="clip").repeat(have)]
-    out[_span_index(starts, np.minimum(k, have))] = (uniq >> gbits) & ((1 << vbits) - 1)
+    out[span_index(starts, np.minimum(k, have))] = (uniq >> gbits) & ((1 << vbits) - 1)
     return have >= k
 
 
@@ -298,28 +298,23 @@ def derive_degree(seed: int, dist: DegreeDistribution) -> int:
     return int(derive_degrees(np.array([seed], dtype=np.uint64), dist)[0])
 
 
-def _encode(block: SourceBlock, dist: DegreeDistribution, seeds: np.ndarray,
-            ids: np.ndarray) -> RepairBatch:
-    """Encode one symbol per seed: batch degree and neighbor derivation, then
-    one sparse XOR of the block's rows for the whole batch."""
-    if dist.w != block.w:
-        raise InvalidParameterError(f"distribution is over {dist.w} symbols, block has {block.w}")
-    degrees = derive_degrees(seeds, dist)
-    indptr, indices = neighbor_sets(seeds, block.w, degrees)
-    out = np.zeros((seeds.size, block.l), dtype=np.uint8)
-    xor_rows(words(out), words(block.data), indptr, indices)
-    return RepairBatch(ids, seeds, degrees, indptr, indices, out)
-
-
 def encode_stream(block: SourceBlock, dist: DegreeDistribution, base_seed: int,
                   count: int, start_id: int = 0) -> RepairBatch:
     """``count`` symbols with consecutive ids and per-symbol derived seeds,
-    encoded as one batch."""
+    encoded as one batch: batch degree and neighbor derivation, then one
+    sparse XOR of the block's rows for the whole batch."""
     base_seed = check_size("base_seed", base_seed, low=0)
-    check_size("count", count, low=0)
-    check_size("start_id", start_id, low=0)
+    count = check_size("count", count, low=0)
+    check_size("start_id", start_id, low=0, high=2**64 - count)
+    if dist.w != block.w:
+        raise InvalidParameterError(f"distribution is over {dist.w} symbols, block has {block.w}")
     ids = np.arange(start_id, start_id + count, dtype=np.uint64)
-    return _encode(block, dist, derive_seeds(base_seed, ids), ids)
+    seeds = derive_seeds(base_seed, ids)
+    degrees = derive_degrees(seeds, dist)
+    indptr, indices = neighbor_sets(seeds, block.w, degrees)
+    out = np.zeros((count, block.l), dtype=np.uint8)
+    xor_rows(words(out), words(block.data), indptr, indices)
+    return RepairBatch(ids, seeds, degrees, indptr, indices, out)
 
 
 # Wire format: one frame per batch, little-endian {version: u8, n: u32,
@@ -374,13 +369,6 @@ def unpack_batch(buf, offset: int = 0) -> tuple[RepairBatch, int]:
     degrees = np.frombuffer(buf, "<u4", n, at + 16 * n).astype(np.int64)
     payloads = np.frombuffer(buf, np.uint8, n * l, at + 20 * n).reshape(n, l).copy()
     return RepairBatch(ids, seeds, degrees, None, None, payloads), at + n * (20 + l)
-
-
-def _span_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The positions ``starts[i]:starts[i] + lengths[i]``, span after span."""
-    at = (starts - lengths.cumsum() + lengths).repeat(lengths)
-    at += np.arange(at.size)
-    return at
 
 
 class PeelDecoder:
@@ -589,14 +577,14 @@ class PeelDecoder:
             slots = np.empty(end + end // 2, dtype=np.int64)
             slots[:self._col_end] = self._col_rows[:self._col_end]
             self._col_rows = slots
-        self._col_rows[_span_index(start, fill)] = self._col_rows[_span_index(old, fill)]
+        self._col_rows[span_index(start, fill)] = self._col_rows[span_index(old, fill)]
         self._col_start[cols], self._col_cap[cols], self._col_end = start, cap, end
 
     def _cover(self, cols: np.ndarray) -> np.ndarray:
         """Take the newly covered ``cols`` out of the count and index sum of
         every row listing one; returns those rows (a row once per hit)."""
         fill = self._col_fill[cols]
-        rows = self._col_rows[_span_index(self._col_start[cols], fill)]
+        rows = self._col_rows[span_index(self._col_start[cols], fill)]
         np.subtract.at(self._count, rows, 1)
         np.subtract.at(self._sum, rows, cols.repeat(fill))
         return rows

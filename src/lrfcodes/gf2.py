@@ -54,6 +54,13 @@ def words(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def span_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]:starts[i] + lengths[i]``, span after span."""
+    at = (starts - lengths.cumsum() + lengths).repeat(lengths)
+    at += np.arange(at.size)
+    return at
+
+
 def take_rows(indptr: np.ndarray, indices: np.ndarray,
               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``rows`` of a CSR matrix as a CSR matrix of their own."""
@@ -61,7 +68,7 @@ def take_rows(indptr: np.ndarray, indices: np.ndarray,
     lengths = indptr[rows + 1] - starts
     ptr = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=ptr[1:])
-    return ptr, indices[np.repeat(starts - ptr[:-1], lengths) + np.arange(ptr[-1])]
+    return ptr, indices[span_index(starts, lengths)]
 
 
 def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> None:

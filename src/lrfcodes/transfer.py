@@ -12,12 +12,12 @@ decoder, peels when a delivery phase ends, acks the window on full
 recovery, and feeds back one ``LossReport`` per natives event, counting that
 window's natives, to the source; the report is itself the feedback event.
 One rule, ``SourceState._resize``, sizes a loss-aware window's law, NACK
-batch and repair budget, at window start and on a NACK. ``run_window``, the
-one exchange loop of a window for sessions and bench trials alike, takes the
-acked window's natives and the destination forgets the window. A session
-decodes in place: its ``DestinationState`` allocates the delivered payload
-once, each window's natives land in their rows of it, and a window is
-finished one way per scheme family (peeled, or solved with the precode).
+batch and repair budget, at window start and on a NACK. ``run_window`` is
+the one exchange loop of a window for sessions and bench trials alike. A
+session decodes in place: its ``DestinationState`` allocates the delivered
+payload once, each window's natives land in their rows of it, and a window
+is finished one way per scheme family (peeled, or solved with the precode).
+A window's decode ends at its ack: ``conclude`` retires its decoder.
 
 Schemes:
     LT        -- pure fountain baseline: robust-soliton encoding symbols
@@ -40,7 +40,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
-from .codec import PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_stream
+from .codec import (MAX_WINDOW, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
+                    encode_stream)
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
                             lrf_ideal, robust_soliton)
 from .errors import (DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure,
@@ -174,6 +175,12 @@ class SessionConfig:
         check_real("epsilon", self.epsilon, 0.0)
         if self.initial_loss_rate is not None:
             check_real("initial loss rate", self.initial_loss_rate, 0.0, 1.0)
+        if not isinstance(self.channel, ChannelConfig):
+            raise InvalidParameterError(f"channel must be a ChannelConfig, not "
+                                        f"{type(self.channel).__name__}")
+        # The block the encoder sees: the window, or its precode's intermediates.
+        check_size("encoded block", self.precode_config().total if self.uses_precode
+                   else self.window, high=MAX_WINDOW)
 
     @property
     def uses_precode(self) -> bool:
@@ -308,13 +315,6 @@ class SourceState:
 # Destination
 
 
-@dataclass
-class _WindowState:
-    decoder: PeelDecoder | None  # None once the window is taken
-    natives_seen: int = 0
-    complete: bool = False
-
-
 def _is_array(a, shape: tuple, dtype) -> bool:
     return isinstance(a, np.ndarray) and a.shape == shape and a.dtype == dtype
 
@@ -328,28 +328,33 @@ class DestinationState:
     ``bytearray`` of windows·k·l bytes, and ``out``, its (windows, k, l)
     uint8 view. Window i's natives land in ``out[i]``: LT and LRF decode
     straight into it, the precoded schemes' ``precode_solve`` writes it.
-    An event for a window past ``out`` is malformed."""
+    An event for a window past ``out`` is malformed.
+
+    ``windows`` maps a window's index to its decoder while it is open and
+    to None once it is acked; a window never opened has no key. Events for
+    an acked window still count as delivered or lost but touch no decoder.
+    ``natives_seen`` counts each window's natives received."""
 
     def __init__(self, cfg: SessionConfig, metrics: SessionMetrics, windows: int):
         self.cfg = cfg
         self.metrics = metrics
         self.estimator = LossRateEstimator()
-        self.windows: dict[int, _WindowState] = {}
+        self.windows: dict[int, PeelDecoder | None] = {}
         self.precode = cfg.precode_config() if cfg.uses_precode else None
         # Every window's decoder: its symbol count and symbol bytes.
         self._shape = (self.precode.total if self.precode else cfg.window, cfg.symbol_bytes)
         shape = (check_size("windows", windows), cfg.window, cfg.symbol_bytes)
         self.delivered = bytearray(math.prod(shape))
         self.out = np.frombuffer(self.delivered, dtype=np.uint8).reshape(shape)
+        self.natives_seen = np.zeros(windows, dtype=np.int64)
 
-    def _window(self, index: int) -> _WindowState:
-        state = self.windows.get(index)
-        if state is None:
+    def _decoder(self, index: int) -> PeelDecoder | None:
+        """The window's decoder, opened on first use; None once it is acked."""
+        if index not in self.windows:
             # LT and LRF decode into the window's rows of ``out``.
             rows = None if self.precode else self.out[index]
-            state = self.windows[index] = _WindowState(
-                decoder=PeelDecoder(*self._shape, payloads=rows))
-        return state
+            self.windows[index] = PeelDecoder(*self._shape, payloads=rows)
+        return self.windows[index]
 
     def step(self, event) -> list:
         """Process one arrival event. A malformed event, or a batch's
@@ -371,13 +376,13 @@ class DestinationState:
                 if not (_is_array(event.rows, (k, l), np.uint8) and _is_array(lost, (k,), bool)):
                     raise InvalidInputError(
                         f"natives event: ({k}, {l}) uint8 rows, ({k},) bool mask")
-                state = self._window(index)
-                if not state.complete:
+                decoder = self._decoder(index)
+                if decoder is not None:
                     # Rejects a covered native before any count moves.
-                    state.decoder.add_natives(event.rows, ~lost)
+                    decoder.add_natives(event.rows, ~lost)
                 out.append(self.estimator.observe_many(lost))
                 dropped = int(np.count_nonzero(lost))
-                state.natives_seen += k - dropped
+                self.natives_seen[index] += k - dropped
                 self.metrics.delivered += k - dropped
                 self.metrics.lost += dropped
             else:
@@ -391,9 +396,9 @@ class DestinationState:
                 if good:
                     if good < bad.size:
                         batch = batch.select(~bad)
-                    state = self._window(index)
-                    if not state.complete:
-                        state.decoder._take(batch.resolved(self._shape[0]))
+                    decoder = self._decoder(index)
+                    if decoder is not None:
+                        decoder._take(batch.resolved(self._shape[0]))
                     self.metrics.delivered += len(batch)
                 self.metrics.decode_time += time.perf_counter() - t0
         except InvalidInputError:
@@ -401,14 +406,15 @@ class DestinationState:
         return out
 
     def conclude(self, index: int) -> list:
-        """Attempt to finish a window after a delivery phase; emits an Ack on
-        full recovery, with the window's natives in ``out[index]``, or a
-        WindowNack asking for more repair. An index outside 0..windows-1
-        raises ``InvalidParameterError``."""
-        state = self._window(check_size("window index", index, low=0, high=len(self.out) - 1))
-        if state.complete:
+        """Attempt to finish a window after a delivery phase. On full
+        recovery, with the window's natives in ``out[index]``, it retires
+        the window's decoder and emits an Ack; otherwise a WindowNack asking
+        for more repair; on a window already acked, nothing. An index
+        outside 0..windows-1 raises ``InvalidParameterError``."""
+        index = check_size("window index", index, low=0, high=len(self.out) - 1)
+        decoder = self._decoder(index)
+        if decoder is None:
             return []
-        decoder = state.decoder
         k = self.cfg.window
         t0 = time.perf_counter()
         decoder.run()
@@ -428,22 +434,10 @@ class DestinationState:
             unresolved = k - int(np.count_nonzero(decoder.covered[:k]))
             return [WindowNack(index, unresolved)]
 
-        state.complete = True
+        self.windows[index] = None
         self.metrics.windows_completed += 1
-        self.metrics.recovered += max(0, k - state.natives_seen)
+        self.metrics.recovered += max(0, k - int(self.natives_seen[index]))
         return [Ack(index)]
-
-    def take(self, index: int) -> np.ndarray:
-        """The (k, l) natives of an acked window: a view of ``out[index]``.
-        Its decoder goes; later events for the window count as delivered
-        and touch no decoder. An index outside 0..windows-1, or of a window
-        not acked or already taken, raises ``InvalidParameterError``."""
-        index = check_size("window index", index, low=0, high=len(self.out) - 1)
-        state = self.windows.get(index)
-        if state is None or not state.complete or state.decoder is None:
-            raise InvalidParameterError(f"window {index} is not acked or already taken")
-        state.decoder = None
-        return self.out[index]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +446,8 @@ class DestinationState:
 
 def run_window(source: SourceState, dest: DestinationState, index: int, block: SourceBlock,
                deliver) -> np.ndarray:
-    """Exchange one window until it is acked; returns its (k, l) natives.
+    """Exchange one window until it is acked; returns its (k, l) natives, the
+    view ``dest.out[index]``.
 
     Each round, ``deliver`` maps the source's emissions to the events that
     reach the destination, which steps each and concludes the window; its
@@ -469,7 +464,7 @@ def run_window(source: SourceState, dest: DestinationState, index: int, block: S
         responses += dest.conclude(index)
         emissions = source.step(responses)
         if any(isinstance(r, Ack) for r in responses):
-            return dest.take(index)
+            return dest.out[index]
 
 
 def _split_windows(data: bytes, w: int, l: int) -> list[np.ndarray]:
@@ -553,7 +548,7 @@ def run_session(data, window: int, symbol_bytes: int, channel_cfg: ChannelConfig
     t_start = time.perf_counter()
     windows = _split_windows(data, window, symbol_bytes)
     # The destination allocates the delivered payload once and decodes each
-    # window into its rows, so a taken window's natives need no copy.
+    # window into its rows, so an acked window's natives need no copy.
     dest = DestinationState(cfg, metrics, len(windows))
 
     for index, window_data in enumerate(windows):

@@ -31,6 +31,10 @@ def test_config_validation():
     for args in (("a", 0.1), (0.1, None), (0.1, 0.2, np.True_), (0.1, 0.2, 0.0, float("nan"))):
         with pytest.raises(InvalidParameterError):
             BurstModel(*args)
+    # A burst model that is not one was accepted and failed at the first mask.
+    for burst in ("x", 0.1):
+        with pytest.raises(InvalidParameterError, match="burst"):
+            ChannelConfig(0.1, burst=burst)
     assert ChannelConfig(np.float32(0.5)).loss_rate == 0.5
     for seed in (-1, 1.5, "3", None):
         with pytest.raises(InvalidParameterError):

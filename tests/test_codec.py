@@ -156,23 +156,27 @@ _SEEDS = np.array([1], dtype=np.uint64)
     (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2.5)),
     (encode_stream, (_BLOCK, ideal_soliton(4), 1, True)),
     (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2, -1)),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2, 2**64 - 1)),
     (encode_stream, (_BLOCK, ideal_soliton(4), 1.5, 4)),
     (encode_stream, (_BLOCK, ideal_soliton(4), True, 4)),
     (encode_stream, (_BLOCK, ideal_soliton(4), -1, 4)),
     (PeelDecoder, (2.5, 1)),
     (PeelDecoder, (4, True)),
     (neighbor_sets, (_SEEDS, 2.5, [1])),
-], ids=["count-float", "count-bool", "start-id-negative", "base-seed-float", "base-seed-bool",
-        "base-seed-negative", "decoder-w-float", "decoder-l-bool", "neighbors-w-float"])
+], ids=["count-float", "count-bool", "start-id-negative", "ids-past-u64", "base-seed-float",
+        "base-seed-bool", "base-seed-negative", "decoder-w-float", "decoder-l-bool",
+        "neighbors-w-float"])
 def test_codec_sizes_are_integers(call, args):
     # Each size is an integer (a bool is not) in its range: a float count
     # sent a rounded-up batch, True one symbol, a float base seed drew the
     # seeds of its floor, and the rest failed with a bare TypeError or
-    # OverflowError.
+    # OverflowError (ids past 2**64 from np.arange).
     with pytest.raises(InvalidParameterError):
         call(*args)
     i = np.int64
     assert encode_stream(_BLOCK, ideal_soliton(4), 1, i(2), start_id=i(3)).ids.tolist() == [3, 4]
+    assert encode_stream(_BLOCK, ideal_soliton(4), 1, 2, start_id=2**64 - 2).ids.tolist() == [
+        2**64 - 2, 2**64 - 1]
     assert_same_columns(encode_stream(_BLOCK, ideal_soliton(4), np.uint64(2**64 - 1), 4),
                         encode_stream(_BLOCK, ideal_soliton(4), 2**64 - 1, 4))
     assert PeelDecoder(i(4), i(2)).w == 4

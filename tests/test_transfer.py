@@ -90,6 +90,26 @@ def test_session_config_validation():
             run_session(64, 8, 8, cfg, eps, "LRF")
     with pytest.raises(InvalidParameterError):
         run_session(-5, 8, 8, cfg, 0.1, "LRF")
+    # A channel that is not a ChannelConfig raised a bare AttributeError.
+    for channel in (None, 0.1):
+        with pytest.raises(InvalidParameterError, match="channel"):
+            run_session(64, 8, 8, channel, 0.1, "LRF")
+
+
+@pytest.mark.parametrize("scheme, window, loss_rate", [
+    ("LRF", 2**20 + 1, 0.0), ("LRF", 2**20 + 1, 0.5), ("LT", 2**20 + 1, 0.0),
+    ("Raptor", 2**20 - 5, 0.0), ("LR-Raptor", 2**20 - 5, 0.0)])
+def test_session_config_refuses_a_block_the_encoder_cannot_take(scheme, window, loss_rate):
+    # The encoder's block, the window or its precode's intermediates, is at
+    # most codec.MAX_WINDOW symbols. A lossless LRF session over a larger
+    # window completed, since it never encoded, while LT or a lossy LRF
+    # session raised from neighbor_sets mid-session; a window just under
+    # the bound was accepted for Raptor, whose precode then had 1,074,950
+    # intermediates.
+    with pytest.raises(InvalidParameterError, match="encoded block"):
+        run_session(16, window, 1, ChannelConfig(loss_rate, seed=1), 0.1, scheme)
+    SessionConfig(window=2**20, symbol_bytes=1, epsilon=0.1, scheme="LRF",
+                  channel=ChannelConfig(0.0))
 
 
 @pytest.mark.parametrize("name, value", [("window", 2.5), ("symbol_bytes", 2.5), ("window", True),
@@ -540,7 +560,7 @@ def test_destination_window_index_is_an_integer_not_a_bool():
     assert [type(index) for index in dst.windows] == [int]
     assert (metrics.protocol_errors, metrics.delivered) == (4, 15 + 2)
     assert dst.conclude(1) == [Ack(1)]
-    np.testing.assert_array_equal(dst.take(1), block.data)
+    np.testing.assert_array_equal(dst.out[1], block.data)
 
 
 def test_malformed_events_open_no_window():
@@ -588,9 +608,9 @@ def test_destination_rejects_a_natives_event_whole():
     # An accepted event feeds back one report over its own mask.
     half = [LossReport(observed_window=16, lost=8, estimate=0.5)]
     assert dst.step(Natives(0, rows, odd)) == half
-    state = dst.windows[0]
-    covered, payloads = state.decoder.covered.copy(), state.decoder.payloads.copy()
-    counts = (metrics.delivered, metrics.lost, state.natives_seen)
+    decoder = dst.windows[0]
+    covered, payloads = decoder.covered.copy(), decoder.payloads.copy()
+    counts = (metrics.delivered, metrics.lost, dst.natives_seen[0])
     assert counts == (8, 8, 8)
     rejected = [Natives(0, rows[:15]), Natives(0, rows[:, :7]), Natives(0, rows.astype(np.int64)),
                 Natives(0, rows, odd[:15]), Natives(0, rows, odd.astype(np.uint8)),
@@ -598,13 +618,13 @@ def test_destination_rejects_a_natives_event_whole():
     for i, ev in enumerate(rejected, 1):
         assert dst.step(ev) == []
         assert metrics.protocol_errors == i
-        assert (metrics.delivered, metrics.lost, state.natives_seen) == counts
-        np.testing.assert_array_equal(state.decoder.covered, covered)
-        np.testing.assert_array_equal(state.decoder.payloads, payloads)
+        assert (metrics.delivered, metrics.lost, dst.natives_seen[0]) == counts
+        np.testing.assert_array_equal(decoder.covered, covered)
+        np.testing.assert_array_equal(decoder.payloads, payloads)
     # The odd natives still arrive in an event of their own.
     assert dst.step(Natives(0, rows, ~odd)) == half
     assert dst.conclude(0) == [Ack(0)]
-    np.testing.assert_array_equal(dst.take(0), rows)
+    np.testing.assert_array_equal(dst.out[0], rows)
 
 
 @pytest.mark.parametrize("scheme", ["LRF", "LR-Raptor"])
@@ -615,13 +635,13 @@ def test_natives_event_loads_the_decoder_as_a_per_native_loop(scheme):
     lost = np.random.default_rng(2).random(40) < 0.3
     dst = _destination(cfg)
     dst.step(Natives(0, block.data, lost))
-    loop = _destination(cfg)._window(0).decoder
+    loop = _destination(cfg)._decoder(0)
     for i in np.flatnonzero(~lost):
         loop.add_native(int(i), block.data[i])
     # Rows that are a strided view of a wider matrix load the same.
     strided = _destination(cfg)
     strided.step(Natives(0, np.hstack([block.data, block.data])[:, :8], lost))
-    for decoder in (dst.windows[0].decoder, strided.windows[0].decoder):
+    for decoder in (dst.windows[0], strided.windows[0]):
         np.testing.assert_array_equal(decoder.covered, loop.covered)
         np.testing.assert_array_equal(decoder.payloads, loop.payloads)
         assert decoder.unresolved == loop.unresolved == decoder.w - int((~lost).sum())
@@ -747,14 +767,14 @@ def test_destination_checks_each_repair_batch_once(monkeypatch):
     assert dst.step(Repairs(0, batch)) == []
     assert checked == [9]
     assert dst.conclude(0) == [Ack(0)]
-    np.testing.assert_array_equal(dst.take(0), block.data)
+    np.testing.assert_array_equal(dst.out[0], block.data)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_destination_decodes_each_window_into_its_rows_of_out(monkeypatch, scheme):
-    # Window i's natives are in out[i] as soon as conclude acks it, before
-    # take: two lossy windows, then a lossless one, which for Raptor reaches
-    # precode_solve with no native missing.
+    # Window i's natives are in out[i] as soon as conclude acks it, which
+    # retires its decoder: two lossy windows, then a lossless one, which for
+    # Raptor reaches precode_solve with no native missing.
     cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme=scheme,
                         channel=ChannelConfig(0.0, seed=0), seed=3)
     metrics = SessionMetrics()
@@ -770,7 +790,7 @@ def test_destination_decodes_each_window_into_its_rows_of_out(monkeypatch, schem
     def concluding(index):
         replies = conclude(index)
         if replies == [Ack(index)]:
-            assert dst.windows[index].decoder is not None
+            assert dst.windows[index] is None
             np.testing.assert_array_equal(dst.out[index], blocks[index].data)
             acked.append(index)
         return replies
@@ -801,40 +821,42 @@ def test_destination_rejects_a_window_count_it_cannot_hold(windows):
 
 
 @pytest.mark.parametrize("scheme", ["LRF", "Raptor"])
-def test_conclude_and_take_refuse_a_window_outside_the_buffer(scheme):
+def test_conclude_refuses_a_window_outside_the_buffer(scheme):
     # conclude(-1) opened window -1, decoded it into the last window's rows
     # and nacked; conclude(1) on a one-window buffer raised a bare IndexError.
     cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme=scheme,
                         channel=ChannelConfig(0.0, seed=0), seed=3)
     dst = _destination(cfg)
     for index in (-1, 1, True, 0.0):
-        for call in (dst.conclude, dst.take):
-            with pytest.raises(InvalidParameterError, match="window"):
-                call(index)
+        with pytest.raises(InvalidParameterError, match="window"):
+            dst.conclude(index)
     assert dst.windows == {} and not any(dst.delivered)
 
 
-def test_taken_window_drops_its_decoder_and_late_events_touch_none():
-    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme="LRF",
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_acked_window_drops_its_decoder_and_late_events_touch_none(scheme):
+    # The ack retires the window's decoder; natives and repairs that arrive
+    # after it count as delivered or lost, touch no decoder and reopen
+    # nothing, and a later conclude neither acks nor counts again.
+    cfg = SessionConfig(window=64, symbol_bytes=8, epsilon=0.2, scheme=scheme,
                         channel=ChannelConfig(0.0, seed=0), seed=4)
     metrics = SessionMetrics()
     src, dst = SourceState(cfg, metrics), _destination(cfg, metrics)
     block = SourceBlock.random(64, 8, seed=4)
-    for em in src.start_window(0, block):
-        dst.step(em)
-    assert dst.conclude(0) == [Ack(0)]
-    np.testing.assert_array_equal(dst.take(0), block.data)
-    assert dst.windows[0].decoder is None
+    natives = transfer.run_window(src, dst, 0, block, lambda ems: ems)
+    np.testing.assert_array_equal(natives, block.data)
+    assert dst.windows == {0: None}
     late = encode_stream(block, ideal_soliton(64), 1, 3)
     delivered, lost = metrics.delivered, metrics.lost
+    done = (metrics.windows_completed, metrics.recovered)
     for ev in (_dropping(Natives(0, block.data), {4}), Repairs(0, late)):
         dst.step(ev)
-    assert dst.windows[0].decoder is None
+    assert dst.windows == {0: None}
     assert (metrics.delivered, metrics.lost) == (delivered + 63 + 3, lost + 1)
     assert metrics.protocol_errors == 0
     assert dst.conclude(0) == []
-    with pytest.raises(InvalidParameterError):
-        dst.take(0)
+    assert (metrics.windows_completed, metrics.recovered) == done
+    np.testing.assert_array_equal(dst.out[0], block.data)
 
 
 def _traced_peak(data, scheme, w=1000, l=256) -> int:
@@ -850,11 +872,11 @@ def _traced_peak(data, scheme, w=1000, l=256) -> int:
 
 
 def test_session_peak_memory_does_not_grow_by_a_decoder_per_window():
-    # The driver takes each acked window's natives and the destination drops
-    # the window's decoder. Beyond the delivered bytes, which a session holds
-    # once (the buffer the windows decode into), a 24-window LRF session may
-    # then peak at most about one window's decoder above a 4-window one; a
-    # destination that kept every decoder peaks about 20 windows above.
+    # The destination drops each window's decoder when it acks the window.
+    # Beyond the delivered bytes, which a session holds once (the buffer the
+    # windows decode into), a 24-window LRF session may then peak at most
+    # about one window's decoder above a 4-window one; a destination that
+    # kept every decoder peaks about 20 windows above.
     w, l = 1000, 256
     _traced_peak(_payload(2 * w, l), "LRF")  # warm caches
 
@@ -901,8 +923,7 @@ def test_taken_windows_hold_no_decoder_after_each_run_window(monkeypatch, scheme
         natives = run_window(source, dest, index, block, deliver)
         taken.append(index)
         for i in taken:
-            state = dest.windows[i]
-            assert state.decoder is None
+            assert dest.windows[i] is None
         return natives
 
     run_window = transfer.run_window
@@ -929,9 +950,8 @@ def test_conclude_matches_a_fresh_precode_solve_every_round():
     while True:
         for em in emissions:
             dst.step(_dropping(em, lost))
+        decoder = dst.windows[0]
         out = dst.conclude(0)
-        state = dst.windows[0]
-        decoder = state.decoder
         indptr, indices, rhs = decoder.pending_rows()
         n = indptr.size - 1
         again = PeelDecoder(pc.total, 16)
