@@ -136,7 +136,7 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
         return None
     cfg = SessionConfig(window=w, symbol_bytes=spec.symbol_bytes,
                         epsilon=spec.epsilon, scheme=scheme, channel=channel,
-                        seed=seed, d_max=spec.d_max,
+                        seed=seed, d_max=spec.d_max if scheme == "LR-Raptor" else None,
                         initial_loss_rate=0.0 if scheme == "LT" else m / w)
     metrics = SessionMetrics()
     block = SourceBlock.random(w, spec.symbol_bytes, derive_seed(seed, 0))
@@ -160,7 +160,7 @@ def _session_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
     try:
         return run_session(spec.total_symbols * spec.symbol_bytes, w, spec.symbol_bytes,
                            ChannelConfig(p, derive_seed(seed, 7)), spec.epsilon, scheme,
-                           seed=seed, d_max=spec.d_max)
+                           seed=seed, d_max=spec.d_max if scheme == "LR-Raptor" else None)
     except SessionFailure as exc:
         _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={t},"
                      f"session_failure window={exc.window} unresolved={exc.unresolved}")
@@ -258,19 +258,18 @@ def emit_csv(rows: list[ResultRow], path) -> None:
             writer.writerow(_format_cell(getattr(row, col)) for col in CSV_COLUMNS)
 
 
-def emit_summary(rows: list[ResultRow], file=None) -> None:
-    """Per-experiment/scheme medians on stdout (or the given file)."""
+def emit_summary(rows: list[ResultRow]) -> None:
+    """Per-experiment/scheme medians on stdout."""
     if not rows:
         raise InvalidParameterError("no result rows to summarize")
-    out = file if file is not None else sys.stdout
     groups: dict[tuple[str, str], list[ResultRow]] = {}
     for row in rows:
         groups.setdefault((row.experiment, row.scheme), []).append(row)
-    out.write(f"{'experiment':<15} {'scheme':<10} {'rows':>5} "
-              f"{'med_enc_ratio':>14} {'med_deg_ratio':>14} {'med_success':>12}\n")
+    sys.stdout.write(f"{'experiment':<15} {'scheme':<10} {'rows':>5} "
+                     f"{'med_enc_ratio':>14} {'med_deg_ratio':>14} {'med_success':>12}\n")
     for (exp, scheme), grp in groups.items():
         enc = statistics.median(r.encoding_ratio for r in grp)
         deg = statistics.median(r.degree_ratio for r in grp)
         suc = statistics.median(r.success_rate for r in grp)
-        out.write(f"{exp:<15} {scheme:<10} {len(grp):>5} "
-                  f"{enc:>14.6g} {deg:>14.6g} {suc:>12.3f}\n")
+        sys.stdout.write(f"{exp:<15} {scheme:<10} {len(grp):>5} "
+                         f"{enc:>14.6g} {deg:>14.6g} {suc:>12.3f}\n")

@@ -81,16 +81,18 @@ class Channel:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Windowed loss estimate fed back from destination to source."""
+    """Fed-back loss count over a run of natives; the estimate is their ratio."""
 
     observed_window: int
     lost: int
-    estimate: float
 
     def __post_init__(self):
-        if not 0 <= self.lost <= self.observed_window:
-            raise InvalidParameterError(
-                f"lost {self.lost} outside 0..{self.observed_window}")
+        check_size("observed window", self.observed_window)
+        check_size("lost", self.lost, low=0, high=self.observed_window)
+
+    @property
+    def estimate(self) -> float:
+        return self.lost / self.observed_window
 
 
 class LossRateEstimator:
@@ -108,5 +110,4 @@ class LossRateEstimator:
         lost = np.asarray(lost, dtype=bool)
         if not lost.size:
             return None
-        count = int(np.count_nonzero(lost))
-        return LossReport(observed_window=lost.size, lost=count, estimate=count / lost.size)
+        return LossReport(observed_window=lost.size, lost=int(np.count_nonzero(lost)))

@@ -160,7 +160,7 @@ class SessionConfig:
     scheme: str
     channel: ChannelConfig
     seed: int = 0
-    d_max: int | None = None
+    d_max: int | None = None  # LR-Raptor's degree cap; None is no cap
     # Warm-start loss estimate; None means "assume the channel's configured
     # rate was already fed back before the session".
     initial_loss_rate: float | None = None
@@ -169,9 +169,11 @@ class SessionConfig:
     def __post_init__(self):
         self.scheme = normalize_scheme(self.scheme)
         self.seed = check_size("seed", self.seed, low=0)
-        # Each size is an integer >= 1; a None d_max is no cap.
+        # Each size is an integer >= 1; only LR-Raptor's law has a cap.
         for name in ("window", "symbol_bytes") + (("d_max",) if self.d_max is not None else ()):
             check_size(name, getattr(self, name))
+        if self.d_max is not None and self.scheme != "LR-Raptor":
+            raise InvalidParameterError(f"{self.scheme} takes no d_max: only LR-Raptor has a cap")
         check_real("epsilon", self.epsilon, 0.0)
         if self.initial_loss_rate is not None:
             check_real("initial loss rate", self.initial_loss_rate, 0.0, 1.0)
@@ -232,9 +234,9 @@ class SourceState:
 
     def _resize(self, plan: _RepairPlan, m_hat: int) -> int:
         """Size the plan's loss-aware law, NACK batch and extra budget for a
-        predicted loss of m_hat natives; returns the proactive count m'. The
-        budget never shrinks, and allows BUDGET_FACTOR * m' symbols beyond
-        the extra repair already sent."""
+        predicted loss of m_hat >= 1 natives; returns the proactive count
+        m'. The budget never shrinks, and allows BUDGET_FACTOR * m' symbols
+        beyond the extra repair already sent."""
         total = plan.block.w
         ctx = LossContext(total, min(m_hat, total))
         if self.cfg.scheme == "LR-Raptor":
@@ -243,9 +245,9 @@ class SourceState:
             plan.dist = lrf_ideal(ctx)
         plan.m_hat = m_hat
         m_prime = math.ceil((1.0 + self.cfg.epsilon) * m_hat)
-        plan.batch = max(1, math.ceil(EXTRA_BATCH_FRAC * max(m_prime, 1)))
+        plan.batch = math.ceil(EXTRA_BATCH_FRAC * m_prime)
         plan.extra_budget = max(plan.extra_budget,
-                                plan.extra_sent + math.ceil(BUDGET_FACTOR * max(m_prime, 1)))
+                                plan.extra_sent + math.ceil(BUDGET_FACTOR * m_prime))
         return m_prime
 
     # -- protocol surface
@@ -296,9 +298,9 @@ class SourceState:
                     continue
                 if self.cfg.scheme in ("LRF", "LR-Raptor"):
                     # Re-size the repair law only for more unresolved natives
-                    # than the m_hat it was sized for (or size it, if none).
+                    # than the m_hat it was sized for (0 if it has no law yet).
                     m_hat = max(1, ev.unresolved)
-                    if plan.dist is None or m_hat > plan.m_hat:
+                    if m_hat > plan.m_hat:
                         self._resize(plan, m_hat)
                 count = min(plan.batch, plan.extra_budget - plan.extra_sent)
                 if count <= 0:
@@ -380,8 +382,9 @@ class DestinationState:
                 if decoder is not None:
                     # Rejects a covered native before any count moves.
                     decoder.add_natives(event.rows, ~lost)
-                out.append(self.estimator.observe_many(lost))
-                dropped = int(np.count_nonzero(lost))
+                report = self.estimator.observe_many(lost)
+                out.append(report)
+                dropped = report.lost
                 self.natives_seen[index] += k - dropped
                 self.metrics.delivered += k - dropped
                 self.metrics.lost += dropped
@@ -436,7 +439,7 @@ class DestinationState:
 
         self.windows[index] = None
         self.metrics.windows_completed += 1
-        self.metrics.recovered += max(0, k - int(self.natives_seen[index]))
+        self.metrics.recovered += k - int(self.natives_seen[index])
         return [Ack(index)]
 
 

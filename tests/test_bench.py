@@ -11,7 +11,7 @@ import statistics
 import numpy as np
 import pytest
 
-from lrfcodes import bench
+from lrfcodes import bench, transfer
 from lrfcodes.bench import (CSV_COLUMNS, ExperimentSpec, ResultRow, emit_csv,
                             emit_summary, run_experiment)
 from lrfcodes.cli import DESK_WINDOWS, build_parser, main, spec_from_args
@@ -328,6 +328,37 @@ def test_cli_raptor_compare_applies_its_degree_cap(tmp_path, capsys):
     uncapped, capped = degree_ratios(), degree_ratios("--d-max", "30")
     assert capped["Raptor"] == uncapped["Raptor"]
     assert capped["LR-Raptor"] < uncapped["LR-Raptor"]
+
+
+def test_cli_transfer_caps_lr_raptor_only(tmp_path):
+    # transfer runs all four schemes; --d-max reaches LR-Raptor's sessions
+    # only (the others refuse a cap), and the other rows stay as uncapped.
+    args = ("transfer", "--window", "300", "--loss-rate", "0.05", "--trials", "2",
+            "--symbol-bytes", "8", "--total-symbols", "600")
+
+    def rows(*cap):
+        out = tmp_path / f"tr{len(cap)}.csv"
+        assert _cli(*args, *cap, "--out", str(out)) == 0
+        return {r["scheme"]: r for r in _records(out)}
+
+    uncapped, capped = rows(), rows("--d-max", "100")
+    for scheme in ("LT", "LRF", "Raptor"):
+        assert capped[scheme] == uncapped[scheme]
+    assert float(capped["LR-Raptor"]["degree_ratio"]) < float(uncapped["LR-Raptor"]["degree_ratio"])
+
+
+def test_cli_allow_failures_sets_the_exit_code(monkeypatch, capsys):
+    # A repair budget too small to finish a window makes a row's trials
+    # fail: exit 2 and a message, unless --allow-failures, which exits 0.
+    monkeypatch.setattr(transfer, "BUDGET_FACTOR", 0.01)
+    monkeypatch.setattr(transfer, "EXTRA_BATCH_FRAC", 0.01)
+    args = ("window-sweep", "--window", "500", "--loss-rate", "0.3", "--trials", "2",
+            "--epsilon", "0", "--symbol-bytes", "8")
+    assert _cli(*args) == 2
+    assert "failed trials" in capsys.readouterr().err
+    assert _cli(*args, "--allow-failures") == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "window-sweep" in captured.out
 
 
 @pytest.mark.parametrize("paper_scale", [False, True], ids=["desk", "paper-scale"])

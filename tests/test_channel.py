@@ -157,8 +157,22 @@ def test_burst_mask_matches_the_per_step_loop(burst):
 
 
 def test_loss_report_validation():
-    with pytest.raises(InvalidParameterError):
-        LossReport(observed_window=5, lost=6, estimate=1.2)
+    # A report counts at least one native and at most all of them lost, as
+    # integers: LossReport(0, 0) would be a rate of 0/0.
+    for window, lost in ((5, 6), (0, 0), (-1, 0), (5, -1), (5, 1.5), (5.0, 2), (True, 0),
+                         (5, True), (5, None)):
+        with pytest.raises(InvalidParameterError):
+            LossReport(observed_window=window, lost=lost)
+
+
+def test_loss_report_rate_equals_its_counts():
+    # The rate is read off the counts, so no report can contradict them
+    # (a stored rate of NaN or -3.0 beside 2 of 10 lost was accepted).
+    for window, lost in ((10, 2), (1, 0), (1, 1), (7, 3)):
+        report = LossReport(window, lost)
+        assert report.estimate == lost / window
+    with pytest.raises(TypeError):
+        LossReport(10, 2, float("nan"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -167,12 +181,13 @@ def test_estimator_reports_once_per_call(mask):
     est = LossRateEstimator()
     report = est.observe_many(np.array(mask, dtype=bool))
     # ``observe`` is the one-outcome call of the same path.
-    assert est.observe(True) == LossReport(observed_window=1, lost=1, estimate=1.0)
+    assert est.observe(True) == LossReport(observed_window=1, lost=1)
     if not mask:
         assert report is None
         return
     lost = sum(mask)
-    assert report == LossReport(observed_window=len(mask), lost=lost, estimate=lost / len(mask))
+    assert report == LossReport(observed_window=len(mask), lost=lost)
+    assert report.estimate == lost / len(mask)
 
 
 def test_estimator_is_unbiased():

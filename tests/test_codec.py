@@ -223,8 +223,8 @@ def test_wire_format_roundtrip():
     blk = SourceBlock.random(8, 4, seed=1)
     sym = encode_one(blk, ideal_soliton(8), seed=77, symbol_id=3)
     buf = pack_batch(sym)
-    parsed, end = unpack_batch(buf)
-    assert end == len(buf) == WIRE_HEADER.size + 20 + 4
+    parsed = unpack_batch(buf)
+    assert len(buf) == WIRE_HEADER.size + 20 + 4
     assert parsed.indptr is None and parsed.indices is None
     assert_same_columns(parsed.resolved(8), sym)
     # Several rows, drawn (degree 3), complemented (12, above w/2) and whole
@@ -234,8 +234,9 @@ def test_wire_format_roundtrip():
     dist = DegreeDistribution(w, np.array([3, 12, 16]), np.array([0.4, 0.4, 0.2]))
     batch = encode_stream(blk, dist, 2**64 - 1, 40, start_id=2**40)
     assert set(batch.degrees.tolist()) == {3, 12, 16}
-    parsed, end = unpack_batch(pack_batch(batch))
-    assert end == WIRE_HEADER.size + 40 * (20 + 5)
+    buf = pack_batch(batch)
+    parsed = unpack_batch(buf)
+    assert len(buf) == WIRE_HEADER.size + 40 * (20 + 5)
     assert_same_columns(parsed.resolved(w), batch)
 
 
@@ -246,19 +247,25 @@ def test_unpack_truncated():
     for end in range(len(buf)):
         with pytest.raises(InvalidInputError, match="truncated"):
             unpack_batch(buf[:end])
-    # An offset outside 0..len(buf) is rejected, not read from the end (a
-    # loop on the returned offset would never advance) or left to struct.
-    for offset in (-1, -len(buf), len(buf) + 1):
-        with pytest.raises(InvalidInputError):
-            unpack_batch(buf, offset)
-    with pytest.raises(InvalidInputError):
-        unpack_batch(buf, len(buf))
-    assert unpack_batch(buf + buf, len(buf))[1] == 2 * len(buf)
     # A header claiming far more rows or bytes than the buffer holds is
     # rejected before any array is built (building it would not fit).
     for n, l in ((2**32 - 1, 4), (3, 2**32 - 1), (2**32 - 1, 2**32 - 1)):
         with pytest.raises(InvalidInputError, match="truncated"):
             unpack_batch(WIRE_HEADER.pack(1, n, l) + buf[WIRE_HEADER.size:])
+
+
+def test_unpack_refuses_bytes_past_the_frame():
+    # A buffer holds one frame: a trailing byte, or a second frame, is
+    # refused rather than ignored.
+    blk = SourceBlock.random(8, 4, seed=1)
+    buf = pack_batch(encode_stream(blk, ideal_soliton(8), 77, 3))
+    for tail in (b"\0", buf):
+        with pytest.raises(InvalidInputError, match="past the frame"):
+            unpack_batch(buf + tail)
+    empty = pack_batch(encode_stream(blk, ideal_soliton(8), 77, 0))
+    assert len(unpack_batch(empty)) == 0
+    with pytest.raises(InvalidInputError, match="past the frame"):
+        unpack_batch(empty + b"\0")
 
 
 @settings(max_examples=300, deadline=None)
@@ -279,7 +286,7 @@ def test_a_damaged_frame_is_taken_or_rejected(data):
     frame = frame[:data.draw(st.integers(0, len(frame)))] + data.draw(st.binary(max_size=8))
     dec = PeelDecoder(w, l)
     try:
-        batch = unpack_batch(bytes(frame))[0]
+        batch = unpack_batch(bytes(frame))
         taken = ~batch.malformed(w, l)
         dec.add_batch(batch.select(taken).resolved(w))
         dec.run()
@@ -321,7 +328,7 @@ def test_peel_decode_with_natives_and_losses():
     dec = peeled(natives, encoding, w, l)
     if dec.success:
         assert _rows(dec.payloads) == _rows(blk.data)
-        assert dec.unresolved == 0
+        assert dec.covered.all()
 
 
 def test_peeling_fixpoint_independent_of_native_order():
@@ -435,7 +442,7 @@ def test_decoder_resolves_a_wire_batch():
     blk = SourceBlock.random(w, l, seed=1)
     natives = {i: blk.data[i] for i in range(w) if i not in (2, 5)}
     batch = encode_stream(blk, ideal_soliton(w), 77, 6)
-    wire, _ = unpack_batch(pack_batch(batch))
+    wire = unpack_batch(pack_batch(batch))
     assert wire.indptr is None
     got, want = peeled(natives, wire, w, l), peeled(natives, batch, w, l)
     assert got.encoding_used == want.encoding_used > 0

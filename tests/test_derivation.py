@@ -290,12 +290,12 @@ def test_encode_stream_equals_encode_symbol_and_wire_rederivation():
         sym = syms.select([i])
         assert_same_columns(sym, encode_one(blk, dist, seed, sym_id))
         assert sym.degrees[0] == derive_degree(seed, dist)
-        wire, end = unpack_batch(pack_batch(sym))
-        assert end == WIRE_HEADER.size + 20 + l
-        assert_same_columns(wire.resolved(w), sym)
-    wire, end = unpack_batch(pack_batch(syms))
-    assert end == WIRE_HEADER.size + 60 * (20 + l)
-    assert_same_columns(wire.resolved(w), syms)
+        buf = pack_batch(sym)
+        assert len(buf) == WIRE_HEADER.size + 20 + l
+        assert_same_columns(unpack_batch(buf).resolved(w), sym)
+    buf = pack_batch(syms)
+    assert len(buf) == WIRE_HEADER.size + 60 * (20 + l)
+    assert_same_columns(unpack_batch(buf).resolved(w), syms)
     assert syms.ids.tolist() == list(range(start, start + 60))
 
 
@@ -346,22 +346,13 @@ def test_wire_version_roundtrip_and_rejection():
     blk = SourceBlock.random(8, 4, seed=1)
     sym = encode_one(blk, ideal_soliton(8), seed=77, symbol_id=3)
     batch = encode_stream(blk, ideal_soliton(8), 77, 5, start_id=3)
-    buf = pack_batch(sym) + pack_batch(batch)
-    parsed, end = unpack_batch(buf)
-    assert end == WIRE_HEADER.size + 20 + 4
-    assert_same_columns(parsed.resolved(8), sym)
-    for version in (0, 2, 255):
-        with pytest.raises(InvalidInputError, match="version"):
-            unpack_batch(bytes([version]) + buf[1:])
-        with pytest.raises(InvalidInputError, match="version"):
-            unpack_batch(buf[:end] + bytes([version]) + buf[end + 1:], end)
-    with pytest.raises(InvalidInputError, match="header"):
-        unpack_batch(buf[:WIRE_HEADER.size - 1])
-    with pytest.raises(InvalidInputError, match="body"):
-        unpack_batch(buf[:end - 1])
-    with pytest.raises(InvalidInputError, match="header"):
-        unpack_batch(buf, len(buf) - 1)
-    # Frames concatenated in one buffer parse from their offsets.
-    parsed2, end2 = unpack_batch(buf, end)
-    assert end2 == len(buf)
-    assert_same_columns(parsed2.resolved(8), batch)
+    for want in (sym, batch):
+        buf = pack_batch(want)
+        assert_same_columns(unpack_batch(buf).resolved(8), want)
+        for version in (0, 2, 255):
+            with pytest.raises(InvalidInputError, match="version"):
+                unpack_batch(bytes([version]) + buf[1:])
+        with pytest.raises(InvalidInputError, match="header"):
+            unpack_batch(buf[:WIRE_HEADER.size - 1])
+        with pytest.raises(InvalidInputError, match="body"):
+            unpack_batch(buf[:-1])

@@ -130,6 +130,21 @@ def test_session_config_rejects_a_size_it_cannot_run(name, value):
                     "LR-Raptor", **sizes)
 
 
+@pytest.mark.parametrize("scheme", ["LT", "LRF", "Raptor"])
+def test_session_config_refuses_a_degree_cap_its_scheme_has_not(scheme):
+    # Only LR-Raptor's law has a cap. An LRF session with d_max=5 sent
+    # the same symbols and degrees as one without it: the cap was ignored.
+    cfg = ChannelConfig(0.02, seed=1)
+    with pytest.raises(InvalidParameterError, match="d_max"):
+        SessionConfig(window=1000, symbol_bytes=8, epsilon=0.1, scheme=scheme, channel=cfg,
+                      d_max=5)
+    with pytest.raises(InvalidParameterError, match="d_max"):
+        run_session(2000 * 8, 1000, 8, cfg, 0.1, scheme, seed=1, d_max=5)
+    SessionConfig(window=1000, symbol_bytes=8, epsilon=0.1, scheme=scheme, channel=cfg)
+    SessionConfig(window=1000, symbol_bytes=8, epsilon=0.1, scheme="LR-Raptor", channel=cfg,
+                  d_max=5)
+
+
 def test_session_takes_numpy_integer_sizes():
     data = _payload(400, 8, seed=4)
     _, delivered = run_session(data, np.int64(200), np.int64(8), ChannelConfig(0.05, seed=1),
@@ -296,9 +311,9 @@ def _over_the_wire(scheme, framed):
                 batch = em.batch.select(~dropped)
                 if framed:
                     frame = pack_batch(batch)
-                    batch, end = unpack_batch(frame)
-                    assert end == len(frame) and batch.indptr is None
-                    frames.append(end)
+                    batch = unpack_batch(frame)
+                    assert batch.indptr is None
+                    frames.append(len(frame))
                 events.append(Repairs(em.window, batch))
         return events
 
@@ -368,7 +383,7 @@ def test_destination_feeds_back_loss_reports():
     dst = _destination(cfg, metrics)
     rows = np.frombuffer(b"abcd" * 2000, dtype=np.uint8).reshape(2000, 4)
     ev = Natives(0, rows, np.arange(2000) % 2 == 1)
-    assert dst.step(ev) == [LossReport(observed_window=2000, lost=1000, estimate=0.5)]
+    assert dst.step(ev) == [LossReport(observed_window=2000, lost=1000)]
 
 
 def test_source_updates_rate_from_feedback():
@@ -377,7 +392,7 @@ def test_source_updates_rate_from_feedback():
     metrics = SessionMetrics()
     src = SourceState(cfg, metrics)
     assert math.isclose(src.known_loss_rate, 0.01)
-    src.step([LossReport(observed_window=1000, lost=80, estimate=0.08)])
+    src.step([LossReport(observed_window=1000, lost=80)])
     assert math.isclose(src.known_loss_rate, 0.08)
 
 
@@ -456,7 +471,7 @@ def test_destination_counts_malformed_events_in_metrics():
     dst = _destination(cfg, metrics)
     blk = SourceBlock.random(16, 8, seed=3)
     sym = encode_one(blk, ideal_soliton(16), seed=5, symbol_id=0)
-    wire, _ = unpack_batch(pack_batch(sym))
+    wire = unpack_batch(pack_batch(sym))
     bad_degree = dataclasses.replace(wire, degrees=np.array([17]))
     short = dataclasses.replace(sym, payloads=sym.payloads[:, :-1])
     malformed = [object(), Natives(0, np.zeros((16, 7), dtype=np.uint8)),
@@ -606,7 +621,7 @@ def test_destination_rejects_a_natives_event_whole():
     rows = SourceBlock.random(16, 8, seed=3).data
     odd = np.arange(16) % 2 == 1
     # An accepted event feeds back one report over its own mask.
-    half = [LossReport(observed_window=16, lost=8, estimate=0.5)]
+    half = [LossReport(observed_window=16, lost=8)]
     assert dst.step(Natives(0, rows, odd)) == half
     decoder = dst.windows[0]
     covered, payloads = decoder.covered.copy(), decoder.payloads.copy()
@@ -644,7 +659,7 @@ def test_natives_event_loads_the_decoder_as_a_per_native_loop(scheme):
     for decoder in (dst.windows[0], strided.windows[0]):
         np.testing.assert_array_equal(decoder.covered, loop.covered)
         np.testing.assert_array_equal(decoder.payloads, loop.payloads)
-        assert decoder.unresolved == loop.unresolved == decoder.w - int((~lost).sum())
+        assert np.count_nonzero(decoder.covered) == np.count_nonzero(~lost)
 
 
 def test_destination_counts_malformed_neighbors_as_protocol_errors():
