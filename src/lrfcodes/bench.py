@@ -6,8 +6,8 @@ Experiments:
                       ratios are per *lost* symbol.
     lt-compare     -- robust-soliton fountain baseline vs the loss-aware
                       codec; ratios are per *input* symbol.
-    raptor-compare -- precoded baseline vs the precoded loss-aware codec
-                      (capped only with ``d_max``); ratios are per *input*
+    raptor-compare -- precoded baseline vs the precoded loss-aware codec,
+                      whose row takes ``d_max``; ratios are per *input*
                       symbol.
     transfer       -- full windowed transfer sessions; throughput from wall
                       time.
@@ -79,8 +79,9 @@ class ExperimentSpec:
         if self.experiment in ("raptor-compare", "transfer") and len(self.window_lengths) > 1:
             raise InvalidParameterError(
                 f"{self.experiment} takes one window, got {self.window_lengths}")
-        if self.experiment in ("window-sweep", "lt-compare") and self.d_max is not None:
-            raise InvalidParameterError(f"{self.experiment} runs no LR-Raptor, so takes no d_max")
+        capped = any(SCHEMES[s].capped for s in _EXPERIMENTS[self.experiment][0])
+        if self.d_max is not None and not capped:
+            raise InvalidParameterError(f"{self.experiment} runs no scheme that takes d_max")
 
 
 @dataclass
@@ -123,21 +124,22 @@ def _codec_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
     """One w-symbol window of the transfer protocol under ``scheme``; the
     trial succeeded if its metrics count the window completed.
 
-    The source is warm-started at the true loss fraction m/w, so the
-    loss-aware schemes size their proactive repair from the m natives the
-    mask drops. LT sends no natives and starts from a rate of 0, so its
-    first batch is w symbols. Returns None for a loss-aware trial that lost
-    nothing: it sends no repair, so there is nothing to measure.
+    The source is warm-started at the true loss fraction m/w, so a
+    loss-aware scheme sizes its proactive repair from the m natives the mask
+    drops. A scheme whose natives do not travel starts from a rate of 0, so
+    its first batch is w symbols. Returns None for a loss-aware trial that
+    lost nothing: it sends no repair, so there is nothing to measure.
     """
+    row = SCHEMES[scheme]
     channel = ChannelConfig(p, derive_seed(seed, 1))
     mask = Channel(channel).loss_mask(w)
     m = int(mask.sum())
-    if m == 0 and scheme in ("LRF", "LR-Raptor"):
+    if m == 0 and row.loss_aware:
         return None
     cfg = SessionConfig(window=w, symbol_bytes=spec.symbol_bytes,
                         epsilon=spec.epsilon, scheme=scheme, channel=channel,
-                        seed=seed, d_max=spec.d_max if scheme == "LR-Raptor" else None,
-                        initial_loss_rate=0.0 if scheme == "LT" else m / w)
+                        seed=seed, d_max=spec.d_max if row.capped else None,
+                        initial_loss_rate=m / w if row.natives else 0.0)
     metrics = SessionMetrics()
     block = SourceBlock.random(w, spec.symbol_bytes, derive_seed(seed, 0))
 
@@ -160,7 +162,7 @@ def _session_trial(spec: ExperimentSpec, scheme: str, w: int, p: float, t: int,
     try:
         return run_session(spec.total_symbols * spec.symbol_bytes, w, spec.symbol_bytes,
                            ChannelConfig(p, derive_seed(seed, 7)), spec.epsilon, scheme,
-                           seed=seed, d_max=spec.d_max if scheme == "LR-Raptor" else None)
+                           seed=seed, d_max=spec.d_max if SCHEMES[scheme].capped else None)
     except SessionFailure as exc:
         _trace(spec, f"{spec.experiment},{scheme},{w},{p},trial={t},"
                      f"session_failure window={exc.window} unresolved={exc.unresolved}")

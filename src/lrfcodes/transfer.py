@@ -16,17 +16,9 @@ batch and repair budget, at window start and on a NACK. ``run_window`` is
 the one exchange loop of a window for sessions and bench trials alike. A
 session decodes in place: its ``DestinationState`` allocates the delivered
 payload once, each window's natives land in their rows of it, and a window
-is finished one way per scheme family (peeled, or solved with the precode).
-A window's decode ends at its ack: ``conclude`` retires its decoder.
-
-Schemes:
-    LT        -- pure fountain baseline: robust-soliton encoding symbols
-                 only, streamed until the window decodes.
-    LRF       -- natives plus loss-aware truncated-soliton repair symbols.
-    Raptor    -- systematic precode; natives plus robust-soliton symbols
-                 over the intermediate block, streamed on demand.
-    LR-Raptor -- systematic precode; natives plus loss-aware repair symbols
-                 (capped at ``d_max`` when set) over the intermediate block.
+is finished as its scheme's row says (peeled, or solved with the precode).
+A window's decode ends at its ack: ``conclude`` retires its decoder. The
+state machines read a scheme's row of ``SCHEMES``, never its name.
 """
 
 from __future__ import annotations
@@ -43,12 +35,38 @@ from .channel import Channel, ChannelConfig, LossRateEstimator, LossReport
 from .codec import (MAX_WINDOW, PeelDecoder, RepairBatch, SourceBlock, derive_seed,
                     encode_stream)
 from .distributions import (DegreeDistribution, LossContext, lr_raptor_dist,
-                            lrf_ideal, robust_soliton)
+                            lrf_ideal, min_degree, robust_soliton)
 from .errors import (DecodeFailure, InvalidInputError, InvalidParameterError, SessionFailure,
                      check_real, check_size)
 from .precode import PrecodeConfig, precode_expand, precode_solve
 
-SCHEMES = ("LT", "LRF", "Raptor", "LR-Raptor")
+
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme's protocol choices: a row of ``SCHEMES``."""
+
+    natives: bool   # the window's natives travel
+    precoded: bool  # repair is encoded over the precode's k+s+h intermediates
+    # None: ``_resize`` sizes the law from the fed-back loss. Else the law is
+    # the robust soliton and a NACK batch is max(floor, block // divisor).
+    nack_batch: tuple[int, int] | None
+    capped: bool = False  # ``d_max`` may cap the law
+
+    @property
+    def loss_aware(self) -> bool:
+        return self.nack_batch is None
+
+
+SCHEMES: dict[str, Scheme] = {
+    # Pure fountain baseline: robust-soliton symbols only, streamed until the window decodes.
+    "LT": Scheme(natives=False, precoded=False, nack_batch=(32, 50)),
+    # Natives plus loss-aware truncated-soliton repair symbols.
+    "LRF": Scheme(natives=True, precoded=False, nack_batch=None),
+    # Systematic precode: natives plus robust-soliton symbols over it, streamed on demand.
+    "Raptor": Scheme(natives=True, precoded=True, nack_batch=(16, 100)),
+    # Systematic precode: natives plus loss-aware repair symbols over it.
+    "LR-Raptor": Scheme(natives=True, precoded=True, nack_batch=None, capped=True),
+}
 
 # The precode's shape: k is the window, and s and h are these fractions of
 # it, matching the standard (k, s, h) proportions for a ~10k block.
@@ -56,20 +74,15 @@ SPARSE_PARITY_FRACTION = 241 / 10017
 DENSE_PARITY_FRACTION = 11 / 10017
 
 
-# Repair-loop sizing. A loss-aware window's NACK batch is EXTRA_BATCH_FRAC
-# of its proactive count m', and its extra repair is capped at
-# BUDGET_FACTOR * m'; LT and Raptor cap theirs at BASELINE_EXTRA_FACTOR times
-# the block.
+# Repair-loop sizing. A loss-aware window's NACK batch is EXTRA_BATCH_FRAC of
+# its proactive count m', and its extra repair at most BUDGET_FACTOR * m'; a
+# robust-soliton window's is at most BUDGET_FACTOR * block. A row without natives
+# first sends ceil(block / (1 - p)) for the fed-back rate p, read as at most
+# LT_MAX_LOSS_RATE.
 EXTRA_BATCH_FRAC = 0.25
 BUDGET_FACTOR = 3.0
-BASELINE_EXTRA_FACTOR = 3.0
-# LT's and Raptor's NACK batches are a share of the block with a floor:
-# max(MIN, block // DIVISOR). LT's first batch is ceil(w / (1 - p)) for the
-# fed-back rate p, read as at most LT_MAX_LOSS_RATE.
-LT_BATCH_MIN, LT_BATCH_DIVISOR = 32, 50
-RAPTOR_BATCH_MIN, RAPTOR_BATCH_DIVISOR = 16, 100
 LT_MAX_LOSS_RATE = 0.5
-# The robust soliton law of LT and Raptor: failure bound delta, constant c.
+# The robust soliton law of the rows that are not loss-aware: failure bound delta, constant c.
 ROBUST_DELTA, ROBUST_C = 0.5, 0.1
 
 
@@ -80,10 +93,10 @@ def default_precode_shape(k: int) -> tuple[int, int]:
 
 
 def normalize_scheme(scheme: str) -> str:
-    for s in SCHEMES:
-        if scheme.lower() == s.lower():
-            return s
-    raise InvalidParameterError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    names = {name.lower(): name for name in SCHEMES}
+    if isinstance(scheme, str) and scheme.lower() in names:
+        return names[scheme.lower()]
+    raise InvalidParameterError(f"unknown scheme {scheme!r}; expected one of {tuple(SCHEMES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +173,7 @@ class SessionConfig:
     scheme: str
     channel: ChannelConfig
     seed: int = 0
-    d_max: int | None = None  # LR-Raptor's degree cap; None is no cap
+    d_max: int | None = None  # a capped scheme's degree cap; None is no cap
     # Warm-start loss estimate; None means "assume the channel's configured
     # rate was already fed back before the session".
     initial_loss_rate: float | None = None
@@ -169,11 +182,11 @@ class SessionConfig:
     def __post_init__(self):
         self.scheme = normalize_scheme(self.scheme)
         self.seed = check_size("seed", self.seed, low=0)
-        # Each size is an integer >= 1; only LR-Raptor's law has a cap.
+        # Each size is an integer >= 1; only a capped row's law has a cap.
         for name in ("window", "symbol_bytes") + (("d_max",) if self.d_max is not None else ()):
             check_size(name, getattr(self, name))
-        if self.d_max is not None and self.scheme != "LR-Raptor":
-            raise InvalidParameterError(f"{self.scheme} takes no d_max: only LR-Raptor has a cap")
+        if self.d_max is not None and not SCHEMES[self.scheme].capped:
+            raise InvalidParameterError(f"{self.scheme} takes no d_max: its law has no cap")
         check_real("epsilon", self.epsilon, 0.0)
         if self.initial_loss_rate is not None:
             check_real("initial loss rate", self.initial_loss_rate, 0.0, 1.0)
@@ -181,12 +194,8 @@ class SessionConfig:
             raise InvalidParameterError(f"channel must be a ChannelConfig, not "
                                         f"{type(self.channel).__name__}")
         # The block the encoder sees: the window, or its precode's intermediates.
-        check_size("encoded block", self.precode_config().total if self.uses_precode
+        check_size("encoded block", self.precode_config().total if SCHEMES[self.scheme].precoded
                    else self.window, high=MAX_WINDOW)
-
-    @property
-    def uses_precode(self) -> bool:
-        return self.scheme in ("Raptor", "LR-Raptor")
 
     def precode_config(self) -> PrecodeConfig:
         return PrecodeConfig(self.window, *default_precode_shape(self.window),
@@ -218,6 +227,7 @@ class SourceState:
         self.metrics = metrics
         self.known_loss_rate = (cfg.initial_loss_rate if cfg.initial_loss_rate is not None
                                 else cfg.channel.loss_rate)
+        self.row = SCHEMES[cfg.scheme]
         self.plans: dict[int, _RepairPlan] = {}
 
     # -- helpers
@@ -239,10 +249,11 @@ class SourceState:
         beyond the extra repair already sent."""
         total = plan.block.w
         ctx = LossContext(total, min(m_hat, total))
-        if self.cfg.scheme == "LR-Raptor":
-            plan.dist = lr_raptor_dist(ctx, min(self.cfg.d_max or total, total))
-        else:
+        if self.cfg.d_max is None:
             plan.dist = lrf_ideal(ctx)
+        else:
+            # A cap below the law's least useful degree is raised to it: a one-degree law.
+            plan.dist = lr_raptor_dist(ctx, max(min(self.cfg.d_max, total), min_degree(ctx)))
         plan.m_hat = m_hat
         m_prime = math.ceil((1.0 + self.cfg.epsilon) * m_hat)
         plan.batch = math.ceil(EXTRA_BATCH_FRAC * m_prime)
@@ -253,27 +264,26 @@ class SourceState:
     # -- protocol surface
 
     def start_window(self, index: int, block: SourceBlock) -> list:
-        cfg = self.cfg
+        cfg, row = self.cfg, self.row
         p_hat = self.known_loss_rate
-        enc_block = precode_expand(block, cfg.precode_config()) if cfg.uses_precode else block
+        enc_block = precode_expand(block, cfg.precode_config()) if row.precoded else block
         total = enc_block.w
         plan = self.plans[index] = _RepairPlan(block=enc_block, dist=None,
                                                base_seed=derive_seed(cfg.seed, index))
         emissions: list = []
-        # Natives travel for every systematic scheme.
-        if cfg.scheme != "LT":
+        if row.natives:
             emissions.append(Natives(index, block.data))
             self.metrics.natives_sent += block.w
 
-        if cfg.scheme in ("LT", "Raptor"):
+        if not row.loss_aware:
             plan.dist = robust_soliton(total, ROBUST_DELTA, ROBUST_C)
-            plan.extra_budget = math.ceil(BASELINE_EXTRA_FACTOR * total)
-            if cfg.scheme == "Raptor":
-                plan.batch = max(RAPTOR_BATCH_MIN, total // RAPTOR_BATCH_DIVISOR)
-                return emissions
-            plan.batch = max(LT_BATCH_MIN, total // LT_BATCH_DIVISOR)
-            initial = math.ceil(total / (1.0 - min(p_hat, LT_MAX_LOSS_RATE)))
-            return [self._encode(plan, initial, index)]
+            plan.extra_budget = math.ceil(BUDGET_FACTOR * total)
+            floor, divisor = row.nack_batch
+            plan.batch = max(floor, total // divisor)
+            if not row.natives:
+                initial = math.ceil(total / (1.0 - min(p_hat, LT_MAX_LOSS_RATE)))
+                emissions.append(self._encode(plan, initial, index))
+            return emissions
 
         # Loss-aware schemes: proactive repair sized from the fed-back rate.
         # Lost natives alone set the size; for the precoded scheme the parity
@@ -296,7 +306,7 @@ class SourceState:
                 plan = self.plans.get(ev.window)
                 if plan is None:
                     continue
-                if self.cfg.scheme in ("LRF", "LR-Raptor"):
+                if self.row.loss_aware:
                     # Re-size the repair law only for more unresolved natives
                     # than the m_hat it was sized for (0 if it has no law yet).
                     m_hat = max(1, ev.unresolved)
@@ -328,9 +338,9 @@ class DestinationState:
 
     It holds the session's delivered payload: ``delivered``, one zeroed
     ``bytearray`` of windows·k·l bytes, and ``out``, its (windows, k, l)
-    uint8 view. Window i's natives land in ``out[i]``: LT and LRF decode
-    straight into it, the precoded schemes' ``precode_solve`` writes it.
-    An event for a window past ``out`` is malformed.
+    uint8 view. Window i's natives land in ``out[i]``: a scheme that is not
+    precoded decodes straight into it, a precoded one's ``precode_solve``
+    writes it. An event for a window past ``out`` is malformed.
 
     ``windows`` maps a window's index to its decoder while it is open and
     to None once it is acked; a window never opened has no key. Events for
@@ -342,7 +352,7 @@ class DestinationState:
         self.metrics = metrics
         self.estimator = LossRateEstimator()
         self.windows: dict[int, PeelDecoder | None] = {}
-        self.precode = cfg.precode_config() if cfg.uses_precode else None
+        self.precode = cfg.precode_config() if SCHEMES[cfg.scheme].precoded else None
         # Every window's decoder: its symbol count and symbol bytes.
         self._shape = (self.precode.total if self.precode else cfg.window, cfg.symbol_bytes)
         shape = (check_size("windows", windows), cfg.window, cfg.symbol_bytes)
@@ -353,7 +363,6 @@ class DestinationState:
     def _decoder(self, index: int) -> PeelDecoder | None:
         """The window's decoder, opened on first use; None once it is acked."""
         if index not in self.windows:
-            # LT and LRF decode into the window's rows of ``out``.
             rows = None if self.precode else self.out[index]
             self.windows[index] = PeelDecoder(*self._shape, payloads=rows)
         return self.windows[index]
@@ -421,6 +430,10 @@ class DestinationState:
         k = self.cfg.window
         t0 = time.perf_counter()
         decoder.run()
+        # The row's ``precoded`` flag picks the finish. Finishing LT with
+        # precode_solve over an empty precode cut perfbench's ``lt-stream``
+        # goodput from 11.4 to 3.9 MB/s (seed 1); RESIDUAL_CAP 400 in place of
+        # 2000 cut ``lr-raptor-burst`` from 122.8 to 75.1: no cap serves both.
         if self.precode is None:
             done = decoder.success
             if done:

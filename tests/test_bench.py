@@ -301,9 +301,12 @@ def test_cli_two_windows_for_one_window_experiment_is_error(experiment, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("experiment", ["window-sweep", "lt-compare"])
+@pytest.mark.parametrize("experiment", bench.EXPERIMENTS)
 def test_d_max_for_an_experiment_without_lr_raptor_is_error(experiment, capsys):
-    # Neither experiment runs LR-Raptor, so a degree cap would be ignored.
+    # An experiment that runs no capped scheme would ignore a degree cap.
+    if any(transfer.SCHEMES[s].capped for s in bench._EXPERIMENTS[experiment][0]):
+        assert ExperimentSpec(experiment, d_max=100).d_max == 100
+        return
     with pytest.raises(InvalidParameterError):
         ExperimentSpec(experiment, d_max=100)
     code = _cli(experiment, "--d-max", "3", "--window", "64", "--loss-rate", "0.05",
@@ -313,21 +316,22 @@ def test_d_max_for_an_experiment_without_lr_raptor_is_error(experiment, capsys):
 
 
 def test_cli_raptor_compare_applies_its_degree_cap(tmp_path, capsys):
-    # A cap below the loss-aware law's minimum useful degree is an error; a
-    # feasible one lowers LR-Raptor's degree ratio and leaves Raptor's.
+    # A cap lowers LR-Raptor's degree ratio and leaves Raptor's. A cap below
+    # the loss-aware law's minimum useful degree is raised to that degree,
+    # so the law is that one degree: it runs, at the lowest ratio.
     args = ("raptor-compare", "--window", "300", "--loss-rate", "0.05", "--trials", "2",
             "--symbol-bytes", "8")
-    assert _cli(*args, "--d-max", "3") == 1
-    assert capsys.readouterr().err.startswith("error: ")
 
     def degree_ratios(*cap):
-        out = tmp_path / f"rc{len(cap)}.csv"
+        out = tmp_path / f"rc{'-'.join(cap)}.csv"
         assert _cli(*args, *cap, "--out", str(out)) == 0
         return {r["scheme"]: float(r["degree_ratio"]) for r in _records(out)}
 
-    uncapped, capped = degree_ratios(), degree_ratios("--d-max", "30")
-    assert capped["Raptor"] == uncapped["Raptor"]
-    assert capped["LR-Raptor"] < uncapped["LR-Raptor"]
+    uncapped, capped, floor = (degree_ratios(), degree_ratios("--d-max", "30"),
+                               degree_ratios("--d-max", "3"))
+    assert floor["Raptor"] == capped["Raptor"] == uncapped["Raptor"]
+    assert floor["LR-Raptor"] < capped["LR-Raptor"] < uncapped["LR-Raptor"]
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_transfer_caps_lr_raptor_only(tmp_path):

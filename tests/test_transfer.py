@@ -13,7 +13,7 @@ import pytest
 from lrfcodes.channel import BurstModel, Channel, ChannelConfig, LossReport
 from lrfcodes.codec import (PeelDecoder, RepairBatch, SourceBlock, derive_seed, encode_stream,
                             pack_batch, unpack_batch)
-from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal
+from lrfcodes.distributions import LossContext, ideal_soliton, lrf_ideal, robust_soliton
 from lrfcodes import transfer
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError, SessionFailure)
@@ -53,8 +53,13 @@ def _payload(symbols, symbol_bytes, seed=0):
 def test_normalize_scheme():
     assert normalize_scheme("lrf") == "LRF"
     assert normalize_scheme("lr-raptor") == "LR-Raptor"
-    with pytest.raises(InvalidParameterError):
-        normalize_scheme("rs")
+    assert normalize_scheme("RAPTOR") == "Raptor"
+    # A scheme that is not a string raised a bare AttributeError on .lower().
+    for scheme in ("rs", 5, None, b"LRF"):
+        with pytest.raises(InvalidParameterError, match="scheme"):
+            normalize_scheme(scheme)
+    with pytest.raises(InvalidParameterError, match="scheme"):
+        run_session(800, 100, 8, ChannelConfig(0.0), 0.1, 5)
 
 
 def test_default_precode_shape_scales():
@@ -130,19 +135,32 @@ def test_session_config_rejects_a_size_it_cannot_run(name, value):
                     "LR-Raptor", **sizes)
 
 
-@pytest.mark.parametrize("scheme", ["LT", "LRF", "Raptor"])
+@pytest.mark.parametrize("scheme", SCHEMES)
 def test_session_config_refuses_a_degree_cap_its_scheme_has_not(scheme):
-    # Only LR-Raptor's law has a cap. An LRF session with d_max=5 sent
-    # the same symbols and degrees as one without it: the cap was ignored.
+    # The state machines do what the scheme's row says. Only a capped row's
+    # law takes d_max: an LRF session with d_max=5 sent the same symbols and
+    # degrees as one without it, the cap ignored.
+    row = SCHEMES[scheme]
     cfg = ChannelConfig(0.02, seed=1)
-    with pytest.raises(InvalidParameterError, match="d_max"):
-        SessionConfig(window=1000, symbol_bytes=8, epsilon=0.1, scheme=scheme, channel=cfg,
-                      d_max=5)
-    with pytest.raises(InvalidParameterError, match="d_max"):
+    options = dict(window=1000, symbol_bytes=8, epsilon=0.1, scheme=scheme, channel=cfg)
+    if row.capped:
+        SessionConfig(**options, d_max=5)
         run_session(2000 * 8, 1000, 8, cfg, 0.1, scheme, seed=1, d_max=5)
-    SessionConfig(window=1000, symbol_bytes=8, epsilon=0.1, scheme=scheme, channel=cfg)
-    SessionConfig(window=1000, symbol_bytes=8, epsilon=0.1, scheme="LR-Raptor", channel=cfg,
-                  d_max=5)
+    else:
+        with pytest.raises(InvalidParameterError, match="d_max"):
+            SessionConfig(**options, d_max=5)
+        with pytest.raises(InvalidParameterError, match="d_max"):
+            run_session(2000 * 8, 1000, 8, cfg, 0.1, scheme, seed=1, d_max=5)
+    session = SessionConfig(**options)
+    src = SourceState(session, SessionMetrics())
+    emissions = src.start_window(0, SourceBlock.random(1000, 8, seed=1))
+    assert any(isinstance(em, Natives) for em in emissions) == row.natives
+    # Repair is encoded over the precode's k + s + h intermediates, or the window.
+    plan = src.plans[0]
+    assert plan.block.w == (session.precode_config().total if row.precoded else 1000)
+    robust = robust_soliton(plan.block.w, transfer.ROBUST_DELTA, transfer.ROBUST_C)
+    assert (np.array_equal(plan.dist.degrees, robust.degrees)
+            and np.array_equal(plan.dist.probs, robust.probs)) == (not row.loss_aware)
 
 
 def test_session_takes_numpy_integer_sizes():
@@ -198,6 +216,17 @@ def test_capped_lr_raptor_session_stays_within_its_cap():
     assert sent[d_max] <= d_max < sent[None]
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_capped_lr_raptor_session_survives_a_cap_below_the_least_useful_degree(seed):
+    # Once a window's estimate m_hat drops so far that ceil(block / m_hat)
+    # is above d_max, the law's cap is raised to that degree; the session
+    # raised InfeasibleCapError partway through instead.
+    data = _payload(10_000, 8, seed=seed)
+    metrics, delivered = run_session(data, 1000, 8, ChannelConfig(0.02, seed=seed), 0.1,
+                                     "LR-Raptor", seed=seed, d_max=60, return_payload=True)
+    assert delivered == data and metrics.windows_completed == 10
+
+
 # ---------------------------------------------------------------------------
 # End-to-end sessions
 
@@ -219,7 +248,7 @@ def test_session_roundtrip_lossless(scheme):
                                      0.1, scheme, seed=2, return_payload=True)
     assert delivered == data
     assert metrics.lost == 0
-    if scheme != "LT":
+    if SCHEMES[scheme].natives:
         # Nothing was lost and nothing was predicted lost: no repair needed.
         assert metrics.encoding_sent == 0
 
