@@ -304,8 +304,8 @@ def encode_stream(block: SourceBlock, dist: DegreeDistribution, base_seed: int,
     encoded as one batch: batch degree and neighbor derivation, then one
     sparse XOR of the block's rows for the whole batch."""
     base_seed = check_size("base_seed", base_seed, low=0)
-    count = check_size("count", count, low=0)
-    check_size("start_id", start_id, low=0, high=2**64 - count)
+    start_id = check_size("start_id", start_id, low=0, high=2**64)
+    count = check_size("count", count, low=0, high=2**64 - start_id)
     if dist.w != block.w:
         raise InvalidParameterError(f"distribution is over {dist.w} symbols, block has {block.w}")
     ids = np.arange(start_id, start_id + count, dtype=np.uint64)

@@ -47,10 +47,9 @@ class InvalidInputError(ValueError):
 class DecodeFailure(RuntimeError):
     """Decoding could not complete with the available symbols."""
 
-    def __init__(self, message: str, unresolved: int = 0, stage: str | None = None):
+    def __init__(self, message: str, unresolved: int = 0):
         super().__init__(message)
         self.unresolved = unresolved
-        self.stage = stage
 
 
 class SessionFailure(RuntimeError):

@@ -1,7 +1,8 @@
 """Bit-packed GF(2) elimination on XOR equation systems.
 
 Used by the precode solver to finish what the inner peeling decoder left.
-Each equation says that the XOR of some unknowns equals its right-hand side.
+Each equation says that the XOR of some columns equals its right-hand side:
+the unknowns are columns 0..n-1, and the columns to substitute out follow.
 
 * Coefficients are packed 64 unknown columns to a ``uint64`` word (column c
   is bit ``c % 64`` of word ``c // 64``).
@@ -14,7 +15,7 @@ Each equation says that the XOR of some unknowns equals its right-hand side.
 
 Elimination is Gauss-Jordan over the packed rows; peeling is left to the
 peeling decoder that hands over its residual. Before it, ``solve_partial``
-can substitute out indices that are not wanted (``eliminate``), given
+can substitute out columns that are not wanted (``eliminate``), given
 equations unit lower triangular over them; the rest then determine the
 wanted unknowns exactly as the whole system would. The precode's uncovered
 parities go this way, so its Gauss-Jordan pass runs over the missing
@@ -108,18 +109,9 @@ def xor_rows(out: np.ndarray, src: np.ndarray, indptr: np.ndarray, indices: np.n
         k = end
 
 
-def _pack(indptr: np.ndarray, indices: np.ndarray, known: np.ndarray, at: np.ndarray,
-          width: int) -> np.ndarray:
-    """Packed coefficient rows of the CSR equations, ``width`` words each,
-    with index ``known[i]`` at packed column ``at[i]``; an index listed twice
-    in a row cancels."""
-    order = np.argsort(known, kind="stable")
-    ranked = known[order]
-    pos = np.minimum(np.searchsorted(ranked, indices), ranked.size - 1)
-    if (ranked[pos] != indices).any():
-        raise InvalidInputError("an equation names an index that is neither an unknown "
-                                "nor eliminated")
-    cols = at[order[pos]]
+def _pack(indptr: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
+    """Packed coefficient rows of the CSR equations over packed columns
+    ``cols``, ``width`` words each; a column listed twice in a row cancels."""
     nr = indptr.size - 1
     packed = np.zeros((nr, width), dtype=np.uint64)
     rows = np.repeat(np.arange(nr), np.diff(indptr))
@@ -134,21 +126,21 @@ def _substitute(M: np.ndarray, first: int, steps: list) -> np.ndarray:
     changes no row's bits at a later step's columns (its equations list
     none), so the bits on entry say which equations each step XORs where.
     """
-    n = sum(idx.size for _, idx in steps)
+    n = sum(eq.size for eq in steps)
     bits = np.unpackbits(M[:, first:].view(np.uint8), axis=1, count=n,
                          bitorder="little").view(bool)
     keep = np.ones(M.shape[0], dtype=bool)
     at = 0
-    for eq, idx in steps:
-        if (bits[eq, at:] != np.eye(idx.size, n - at, dtype=bool)).any():
-            raise InvalidInputError("a step's equation lists another index of its own "
+    for eq in steps:
+        if (bits[eq, at:] != np.eye(eq.size, n - at, dtype=bool)).any():
+            raise InvalidInputError("a step's equation lists another column of its own "
                                     "or a later step, or not its own")
         keep[eq] = False
-        rows, hit = (bits[:, at:at + idx.size] & keep[:, None]).nonzero()
+        rows, hit = (bits[:, at:at + eq.size] & keep[:, None]).nonzero()
         ptr = np.zeros(M.shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=M.shape[0]), out=ptr[1:])
         xor_rows(M, M, ptr, eq[hit])
-        at += idx.size
+        at += eq.size
     return M[keep, :first]
 
 
@@ -177,68 +169,72 @@ def _eliminate(M: np.ndarray, nu: int) -> np.ndarray:
     return pivot
 
 
-def solve_partial(rows, unknowns, rhs, eliminate=()) -> dict:
+def solve_partial(rows, unknowns: range, rhs, eliminate=()) -> np.ndarray:
     """Solve XOR equations for as many unknowns as the system determines.
 
     Args:
         rows: the equations as CSR ``(indptr, indices)``: equation r
-            XORs the indices ``indices[indptr[r]:indptr[r+1]]``, each an
-            unknown or an eliminated index.
-        unknowns: the distinct unknown indices, in any order.
+            XORs the columns ``indices[indptr[r]:indptr[r+1]]``.
+        unknowns: ``range(n)``, the unknown columns 0..n-1. Each step of
+            ``eliminate`` numbers the columns after them, in order, one per
+            equation; a column past the last step's is refused.
         rhs: (equations, l) uint8 matrix; row r is equation r's right-hand
             side. It is not modified.
-        eliminate: steps ``(equations, indices)`` of two equal-length int
-            sequences, applied in order before the elimination. Equation
-            ``equations[i]`` lists ``indices[i]`` and no other index of its
-            own or a later step. A step XORs each of its equations,
-            coefficients and right-hand side, into every other remaining
-            equation that lists its index, then drops its equations. Their
-            indices are not unknowns and are not returned. The rows of the
-            steps' equations are unit lower triangular over the eliminated
-            indices, so any values of the unknowns extend to them in exactly
-            one way: the remaining equations (a Schur complement) determine
-            the same unknowns with the same values as the whole system, and
-            are inconsistent exactly when it is.
+        eliminate: steps, each a sequence of equations, applied in order
+            before the elimination. A step's i-th equation lists the step's
+            i-th column and no other column of its own or a later step. A
+            step XORs each of its equations, coefficients and right-hand
+            side, into every other remaining equation that lists its column,
+            then drops its equations. The rows of the steps' equations are
+            unit lower triangular over the eliminated columns, so any values
+            of the unknowns extend to them in exactly one way: the remaining
+            equations (a Schur complement) determine the same unknowns with
+            the same values as the whole system, and are inconsistent
+            exactly when it is.
 
     Returns:
-        Mapping unknown index -> its l-byte value (a uint8 row) for every
-        unknown the system pins down: each pivot whose reduced row has no
-        free column.
+        One record per unknown the system pins down (each pivot whose
+        reduced row has no free column), in column order: its ``column`` and
+        its l-byte ``value``.
 
     Raises:
         InvalidInputError: the system is inconsistent (a row reduces to
             zero coefficients with a non-zero right-hand side, which
-            indicates corrupted input); an equation names an index that is
-            neither an unknown nor eliminated; or the steps break their
-            contract.
+            indicates corrupted input); ``unknowns`` is not ``range(n)``; an
+            equation names a column outside the unknowns and the steps'; or
+            the steps break their contract.
     """
     indptr, indices = (np.asarray(a, dtype=np.int64) for a in rows)
-    unknowns = np.fromiter(unknowns, dtype=np.int64)
-    steps = [tuple(np.asarray(a, dtype=np.int64) for a in step) for step in eliminate]
+    steps = [np.asarray(eq, dtype=np.int64) for eq in eliminate]
     rhs = np.asarray(rhs, dtype=np.uint8)
     if rhs.ndim != 2 or rhs.shape[0] != indptr.size - 1:
         raise InvalidInputError(f"{indptr.size - 1} equations but right-hand sides of "
                                 f"shape {rhs.shape}")
-    if any(eq.shape != idx.shape or eq.ndim != 1 for eq, idx in steps):
-        raise InvalidInputError("a step's equations and indices differ in length")
-    if unknowns.size == 0 or rhs.shape[0] == 0:
-        return {}
-    nu, l = unknowns.size, rhs.shape[1]
+    if not (isinstance(unknowns, range) and unknowns == range(len(unknowns))):
+        raise InvalidInputError(f"unknowns must be range(n), got {unknowns!r}")
+    if any(eq.ndim != 1 for eq in steps):
+        raise InvalidInputError("a step's equations are not a sequence")
+    nu, ne, l = len(unknowns), sum(eq.size for eq in steps), rhs.shape[1]
+    if indices.size and not 0 <= indices.min() <= indices.max() < nu + ne:
+        raise InvalidInputError(f"an equation names a column outside 0..{nu + ne - 1}")
+    record = np.dtype([("column", np.int64), ("value", np.uint8, (l,))])
+    if nu == 0 or rhs.shape[0] == 0:
+        return np.zeros(0, dtype=record)
     nw, rw = (nu + 63) // 64, (l + 7) // 8
-    # The eliminated indices' columns start on the word after the right-hand side.
-    known = np.concatenate([unknowns, *(idx for _, idx in steps)])
-    at = np.arange(known.size)
-    at[nu:] += 64 * (nw + rw) - nu
-    M = _pack(indptr, indices, known, at, nw + rw + (known.size - nu + 63) // 64)
+    # The eliminated columns start on the word after the right-hand side.
+    M = _pack(indptr, np.where(indices < nu, indices, indices + 64 * (nw + rw) - nu),
+              nw + rw + (ne + 63) // 64)
     M[:, nw:nw + rw].view(np.uint8)[:, :l] = rhs
     if steps:
         M = _substitute(M, nw + rw, steps)
     pivot = _eliminate(M, nu)
 
-    values = M[:, nw:].view(np.uint8)
     cols = (pivot >= 0).nonzero()[0]
     unpivoted = (pivot < 0).nonzero()[0]
     free_mask = np.zeros(nw, dtype=np.uint64)
     np.bitwise_or.at(free_mask, unpivoted >> 6, _ONE << (unpivoted & 63).astype(np.uint64))
     pinned = cols[~(M[pivot[cols], :nw] & free_mask).any(axis=1)]
-    return {int(unknowns[c]): values[pivot[c], :l] for c in pinned.tolist()}
+    solved = np.empty(pinned.size, dtype=record)
+    solved["column"] = pinned
+    solved["value"] = M[pivot[pinned], nw:].view(np.uint8)[:, :l]
+    return solved

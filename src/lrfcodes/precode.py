@@ -52,21 +52,25 @@ class PrecodeConfig:
         return self.k + self.s + self.h
 
 
-def parity_rows(cfg: PrecodeConfig) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Deterministic parity structure for a config: (sparse_rows, dense_rows).
+# A session uses one config and every session draws a new precode seed, so
+# only the latest config's structure is worth keeping.
+@lru_cache(maxsize=1)
+def constraint_matrix(cfg: PrecodeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every parity constraint as a sorted row of a read-only CSR matrix
+    ``(indptr, indices)`` over the intermediate block: row j lists the
+    members of parity k + j and then k + j itself, and XORs to zero.
 
-    Sparse row j lists the native indices feeding parity k+j; dense row j
-    lists indices in 0..k+s-1 feeding parity k+s+j. A seeded construction
-    whose matrix has an all-zero row or an unprotected native column is
-    rejected and rebuilt deterministically from seed+1.
+    Sparse row j lists the natives feeding parity k + j; dense row j lists
+    indices in 0..k+s-1 feeding parity k + s + j. A seeded construction
+    with an empty sparse row or an unprotected native is rejected and
+    rebuilt deterministically from seed + 1.
     """
     k, s, h = cfg.k, cfg.s, cfg.h
     natives = np.arange(k, dtype=np.int64)[:, None]
     for attempt in range(_MAX_CONSTRUCTION_ATTEMPTS):
         rng = np.random.default_rng(derive_seed(cfg.seed + attempt, 0x5C0DE))
 
-        sparse: list[np.ndarray] = []
-        covered = np.zeros(k, dtype=bool)
+        keys = np.zeros(0, dtype=np.int64)
         if s > 0:
             if s >= 3:
                 a = int(rng.integers(1, s))
@@ -80,44 +84,28 @@ def parity_rows(cfg: PrecodeConfig) -> tuple[tuple[np.ndarray, ...], tuple[np.nd
             # offsets below s, so distinct rows); one sort of the (row,
             # member) keys lists each row's members in order.
             keys = np.sort((((natives + offsets) % s) * k + natives).ravel())
-            members = keys % k
-            sparse = np.split(members, np.cumsum(np.bincount(keys // k, minlength=s))[:-1])
-            covered[members] = True
 
-        dense: list[np.ndarray] = []
-        for _ in range(h):
-            mask = rng.random(k + s) < 0.5
+        masks = np.zeros((h, k + s), dtype=bool)
+        for mask in masks:
+            mask[:] = rng.random(k + s) < 0.5
             if not mask.any():
                 mask[int(rng.integers(0, k + s))] = True
-            dense.append(np.flatnonzero(mask).astype(np.int64))
-            covered[mask[:k]] = True
 
-        if all(row.size for row in sparse) and covered.all():
-            return tuple(sparse), tuple(dense)
+        sizes = np.concatenate((np.bincount(keys // k, minlength=s), masks.sum(axis=1)))
+        covered = masks[:, :k].any(axis=0)
+        covered[keys % k] = True
+        if sizes[:s].all() and covered.all():
+            ends = np.cumsum(sizes)
+            indptr = np.zeros(s + h + 1, dtype=np.int64)
+            indptr[1:] = ends + np.arange(1, s + h + 1)
+            members = np.concatenate((keys % k, masks.nonzero()[1]))
+            indices = np.insert(members, ends, k + np.arange(s + h)).astype(np.int32)
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            return indptr, indices
     raise InvalidParameterError(
         f"could not build a non-degenerate precode for {cfg} in "
         f"{_MAX_CONSTRUCTION_ATTEMPTS} attempts")
-
-
-# A session uses one config and every session draws a new precode seed, so
-# only the latest config's structure is worth keeping.
-@lru_cache(maxsize=1)
-def constraint_matrix(cfg: PrecodeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every parity constraint as a sorted row of a read-only CSR matrix
-    ``(indptr, indices)`` over the intermediate block: row j lists the
-    members of parity k + j and then k + j itself, and XORs to zero."""
-    sparse, dense = parity_rows(cfg)
-    rows = sparse + dense
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([r.size + 1 for r in rows], out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    member = np.ones(indptr[-1], dtype=bool)
-    member[indptr[1:] - 1] = False
-    indices[member] = np.concatenate(rows)
-    indices[~member] = cfg.k + np.arange(len(rows))
-    indptr.setflags(write=False)
-    indices.setflags(write=False)
-    return indptr, indices
 
 
 # Dense rows are summed by bucket, at most this many rows to a group.
@@ -251,45 +239,46 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig, out: np.ndarray) -> 
             and out.shape == (cfg.k, decoder.l) and out.flags.writeable):
         raise InvalidParameterError(f"out must be a writable ({cfg.k}, {decoder.l}) uint8 matrix")
     covered, payloads = decoder.covered, decoder.payloads
-    missing = np.flatnonzero(~covered[:cfg.k]).tolist()
-    solved = {}
-    if missing:
-        # The constraints restricted to their uncovered members, then the
-        # decoder's pending equations, as one CSR system.
-        indptr, indices = constraint_matrix(cfg)
-        open_entry = ~covered[indices]
-        counts = np.add.reduceat(open_entry, indptr[:-1])
-        rows = counts > 0
-        uncovered = cfg.total - np.count_nonzero(covered)
-        equations = int(np.count_nonzero(rows)) + decoder.live_rows
-        if equations < uncovered or uncovered > RESIDUAL_CAP:
-            raise DecodeFailure(
-                f"{len(missing)} natives undetermined: {equations} equations for "
-                f"{uncovered} unknowns (cap {RESIDUAL_CAP})", unresolved=len(missing),
-                stage="precode")
-        # A sparse row also lists its own parity k + j.
-        rhs = np.zeros((cfg.s + cfg.h, decoder.l), dtype=np.uint8)
-        rhs[:cfg.s] = payloads[cfg.k:cfg.k + cfg.s]
-        src = gf2.words(payloads)
-        _xor_sparse(gf2.words(rhs[:cfg.s]), src, cfg)
-        _xor_dense(gf2.words(rhs[cfg.s:]), src, cfg)
-        p_indptr, p_indices, p_rhs = decoder.pending_rows()
-        # Constraint row j is equation at[j]; an uncovered parity's row lists it.
-        at = np.cumsum(rows) - 1
-        open_parity = ~covered[cfg.k:]
-        steps = [(at[j], cfg.k + j) for j in (np.flatnonzero(open_parity[:cfg.s]),
-                                              cfg.s + np.flatnonzero(open_parity[cfg.s:]))]
-        solved = gf2.solve_partial(
-            (np.concatenate(([0], np.cumsum(counts[rows]), p_indptr[1:] + counts.sum())),
-             np.concatenate((indices[open_entry], p_indices))),
-            missing, np.concatenate((rhs[rows], p_rhs)), eliminate=steps)
-        undetermined = [i for i in missing if i not in solved]
-        if undetermined:
-            raise DecodeFailure(
-                f"{len(undetermined)} of {len(missing)} missing natives undetermined by the "
-                "parity constraints and pending equations", unresolved=len(undetermined),
-                stage="precode")
+    missing = np.flatnonzero(~covered[:cfg.k])
+    if not missing.size:
+        out[...] = payloads[:cfg.k]
+        return out
+    # The constraints restricted to their uncovered members, then the
+    # decoder's pending equations, as one CSR system.
+    indptr, indices = constraint_matrix(cfg)
+    open_entry = ~covered[indices]
+    counts = np.add.reduceat(open_entry, indptr[:-1])
+    rows = counts > 0
+    uncovered = cfg.total - np.count_nonzero(covered)
+    equations = int(np.count_nonzero(rows)) + decoder.live_rows
+    if equations < uncovered or uncovered > RESIDUAL_CAP:
+        raise DecodeFailure(
+            f"{missing.size} natives undetermined: {equations} equations for "
+            f"{uncovered} unknowns (cap {RESIDUAL_CAP})", unresolved=missing.size)
+    # A sparse row also lists its own parity k + j.
+    rhs = np.zeros((cfg.s + cfg.h, decoder.l), dtype=np.uint8)
+    rhs[:cfg.s] = payloads[cfg.k:cfg.k + cfg.s]
+    src = gf2.words(payloads)
+    _xor_sparse(gf2.words(rhs[:cfg.s]), src, cfg)
+    _xor_dense(gf2.words(rhs[cfg.s:]), src, cfg)
+    p_indptr, p_indices, p_rhs = decoder.pending_rows()
+    # Each uncovered intermediate's column: the missing natives, then the
+    # open sparse parities, then the open dense ones, each in order. An
+    # open parity's constraint row j is equation at[j], in step order.
+    col = np.cumsum(~covered) - 1
+    at = np.cumsum(rows) - 1
+    open_parity = ~covered[cfg.k:]
+    steps = [at[np.flatnonzero(open_parity[:cfg.s])],
+             at[cfg.s + np.flatnonzero(open_parity[cfg.s:])]]
+    solved = gf2.solve_partial(
+        (np.concatenate(([0], np.cumsum(counts[rows]), p_indptr[1:] + counts.sum())),
+         col[np.concatenate((indices[open_entry], p_indices))]),
+        range(missing.size), np.concatenate((rhs[rows], p_rhs)), eliminate=steps)
+    if solved.size < missing.size:
+        raise DecodeFailure(
+            f"{missing.size - solved.size} of {missing.size} missing natives undetermined by "
+            "the parity constraints and pending equations",
+            unresolved=missing.size - solved.size)
     out[...] = payloads[:cfg.k]
-    for i in missing:
-        out[i] = solved[i]
+    out[missing] = solved["value"]
     return out

@@ -152,26 +152,28 @@ _BLOCK = SourceBlock.random(4, 2, seed=1)
 _SEEDS = np.array([1], dtype=np.uint64)
 
 
-@pytest.mark.parametrize("call, args", [
-    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2.5)),
-    (encode_stream, (_BLOCK, ideal_soliton(4), 1, True)),
-    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2, -1)),
-    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2, 2**64 - 1)),
-    (encode_stream, (_BLOCK, ideal_soliton(4), 1.5, 4)),
-    (encode_stream, (_BLOCK, ideal_soliton(4), True, 4)),
-    (encode_stream, (_BLOCK, ideal_soliton(4), -1, 4)),
-    (PeelDecoder, (2.5, 1)),
-    (PeelDecoder, (4, True)),
-    (neighbor_sets, (_SEEDS, 2.5, [1])),
-], ids=["count-float", "count-bool", "start-id-negative", "ids-past-u64", "base-seed-float",
-        "base-seed-bool", "base-seed-negative", "decoder-w-float", "decoder-l-bool",
-        "neighbors-w-float"])
-def test_codec_sizes_are_integers(call, args):
-    # Each size is an integer (a bool is not) in its range: a float count
-    # sent a rounded-up batch, True one symbol, a float base seed drew the
-    # seeds of its floor, and the rest failed with a bare TypeError or
-    # OverflowError (ids past 2**64 from np.arange).
-    with pytest.raises(InvalidParameterError):
+@pytest.mark.parametrize("call, args, name", [
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2.5), "count"),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, True), "count"),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2, -1), "start_id"),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2, 2**64 - 1), "count"),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1, 2**64 + 1), "count"),
+    (encode_stream, (_BLOCK, ideal_soliton(4), 1.5, 4), "base_seed"),
+    (encode_stream, (_BLOCK, ideal_soliton(4), True, 4), "base_seed"),
+    (encode_stream, (_BLOCK, ideal_soliton(4), -1, 4), "base_seed"),
+    (PeelDecoder, (2.5, 1), "w"),
+    (PeelDecoder, (4, True), "l"),
+    (neighbor_sets, (_SEEDS, 2.5, [1]), "window"),
+], ids=["count-float", "count-bool", "start-id-negative", "ids-past-u64", "count-past-u64",
+        "base-seed-float", "base-seed-bool", "base-seed-negative", "decoder-w-float",
+        "decoder-l-bool", "neighbors-w-float"])
+def test_codec_sizes_are_integers(call, args, name):
+    # Each size is an integer (a bool is not) in its range, and the error
+    # names it: a float count sent a rounded-up batch, True one symbol, a
+    # float base seed drew the seeds of its floor, and the rest failed with
+    # a bare TypeError or OverflowError (ids past 2**64 from np.arange). A
+    # count past 2**64 - start_id was blamed on start_id.
+    with pytest.raises(InvalidParameterError, match=rf"^{name} must be"):
         call(*args)
     i = np.int64
     assert encode_stream(_BLOCK, ideal_soliton(4), 1, i(2), start_id=i(3)).ids.tolist() == [3, 4]

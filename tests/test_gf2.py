@@ -80,12 +80,18 @@ def _system(seed, nu, nrows, l):
     return rows, rhs, values
 
 
+def _by_id(solved, ids):
+    """``solve_partial``'s records as {ids[column]: value}."""
+    return {ids[c]: value for c, value in zip(solved["column"].tolist(), solved["value"])}
+
+
 def _solve(rows, rhs, ids):
-    """solve_partial over unknown ids ``ids[j]`` for column j, shuffled."""
+    """solve_partial over unknowns 0..n-1, unknown j solved as column
+    ``order[j]`` of a shuffled order; returns {ids[j]: value}."""
     order = list(range(len(ids)))
     random.Random(len(rows)).shuffle(order)
-    named = csr([[ids[j] for j in r] for r in rows])
-    return gf2.solve_partial(named, [ids[j] for j in order], rhs)
+    solved = gf2.solve_partial(csr([[order[j] for j in r] for r in rows]), range(len(ids)), rhs)
+    return _by_id(solved, [ids[j] for j in np.argsort(order)])
 
 
 @pytest.mark.parametrize("nu, extra, l, seed", [
@@ -147,7 +153,21 @@ def test_solve_partial_rejects_inconsistent_systems():
 
 def test_solve_partial_rejects_unlisted_indices():
     with pytest.raises(InvalidInputError):
-        gf2.solve_partial(csr([[0, 5]]), [0, 1], np.zeros((1, 4), dtype=np.uint8))
+        gf2.solve_partial(csr([[0, 5]]), range(2), np.zeros((1, 4), dtype=np.uint8))
+
+
+def test_solve_partial_refuses_a_column_past_the_eliminated_ones():
+    # Two unknowns and one eliminated column: columns 0..2. Column 3 names
+    # nothing, nor does -1, and the unknowns are columns from 0.
+    rhs = np.zeros((2, 8), dtype=np.uint8)
+    solved = gf2.solve_partial(csr([[0, 2], [0, 1]]), range(2), rhs, eliminate=[[0]])
+    assert solved.size == 0
+    for bad in ([[0, 3], [0, 1]], [[0, 2], [-1, 1]]):
+        with pytest.raises(InvalidInputError, match="column"):
+            gf2.solve_partial(csr(bad), range(2), rhs, eliminate=[[0]])
+    for unknowns in (2, [0, 1], range(1, 3)):
+        with pytest.raises(InvalidInputError, match="range"):
+            gf2.solve_partial(csr([[0, 2], [0, 1]]), unknowns, rhs, eliminate=[[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +180,7 @@ def _stepped_system(seed, nu, na, nb, nrows, l):
     pivot row lists its index and unknowns, a step-2 pivot row its index,
     unknowns and step-1 indices, and ``nrows`` further rows list any of
     them. Returns the rows in shuffled order, their right-hand sides, the
-    true values and the two steps over row positions."""
+    true values and the two steps' pivot rows, by position."""
     rng = random.Random(seed)
     n = nu + na + nb
     values = np.random.default_rng(seed).integers(0, 256, size=(n, l), dtype=np.uint8)
@@ -174,15 +194,13 @@ def _stepped_system(seed, nu, na, nb, nrows, l):
     at = np.argsort(order)
     rows = [rows[i] for i in order]
     rhs = np.array([np.bitwise_xor.reduce(values[r], axis=0) for r in rows], dtype=np.uint8)
-    steps = [(at[:na], np.arange(nu, nu + na)), (at[na:na + nb], np.arange(nu + na, n))]
-    return rows, rhs, values, steps
+    return rows, rhs, values, [at[:na], at[na:na + nb]]
 
 
 def _solve_stepped(rows, rhs, steps, nu, ids):
-    """solve_partial over the unknowns, index j named ``ids[j]``."""
-    named = csr([[ids[j] for j in r] for r in rows])
-    return gf2.solve_partial(named, ids[:nu][::-1], rhs,
-                             eliminate=[(eq, [ids[j] for j in idx]) for eq, idx in steps])
+    """solve_partial over the rows, index j solved as column j: the unknowns
+    0..nu-1, then each step's indices. Returns {ids[j]: value}."""
+    return _by_id(gf2.solve_partial(csr(rows), range(nu), rhs, eliminate=steps), ids)
 
 
 @pytest.mark.parametrize("nu, na, nb, extra, l, seed", [
@@ -224,7 +242,7 @@ def test_eliminated_solve_finds_inconsistency_after_substitution():
     nu, na, nb = 40, 30, 3
     rows, _, values, steps = _stepped_system(51, nu, na, nb, 50, 8)
     ids = list(range(nu + na + nb))
-    p, a = int(steps[0][0][0]), nu
+    p, a = int(steps[0][0]), nu
     # Only step-1 pivot row p lists a, so a flip of its right-hand side
     # moves a's value alone and the system stays consistent.
     rows = [r if i == p else [j for j in r if j != a] for i, r in enumerate(rows)]
@@ -243,17 +261,17 @@ def test_eliminated_solve_validates_its_steps():
     ids = list(range(32))
     want = _solve_stepped(rows, rhs, steps, 20, ids)
     # An empty step changes nothing.
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    empty = np.zeros(0, dtype=np.int64)
     for padded in ([empty, *steps], [steps[0], empty, steps[1]], [*steps, empty]):
         got = _solve_stepped(rows, rhs, padded, 20, ids)
         assert got.keys() == want.keys()
         assert all((got[u] == want[u]).all() for u in want)
-    # An index that is neither an unknown nor eliminated.
+    # A column past the unknowns' and the steps'.
     with pytest.raises(InvalidInputError):
         _solve_stepped(rows + [[0, 32]], np.concatenate((rhs, rhs[:1])), steps, 20, ids + [32])
-    # A step-1 equation that lists a step-2 index, and an eliminated index
-    # that is also an unknown.
-    bad = [sorted(set(r) | {30}) if i == steps[0][0][0] else r for i, r in enumerate(rows)]
+    # A step-1 equation that lists a step-2 column, and one unknown more,
+    # which moves each step's columns off its equations' own.
+    bad = [sorted(set(r) | {30}) if i == steps[0][0] else r for i, r in enumerate(rows)]
     with pytest.raises(InvalidInputError):
         _solve_stepped(bad, rhs, steps, 20, ids)
     with pytest.raises(InvalidInputError):

@@ -13,8 +13,7 @@ from lrfcodes.codec import PeelDecoder, SourceBlock, derive_seed, encode_stream
 from lrfcodes.distributions import LossContext, lr_raptor_dist, robust_soliton
 from lrfcodes.errors import (DecodeFailure, InvalidInputError,
                              InvalidParameterError)
-from lrfcodes.precode import (PrecodeConfig, constraint_matrix, parity_rows, precode_expand,
-                              precode_solve)
+from lrfcodes.precode import PrecodeConfig, constraint_matrix, precode_expand, precode_solve
 from test_codec import batch_of, peeled
 from test_gf2 import csr, rank
 
@@ -43,6 +42,14 @@ def constraint_rows(cfg):
     return [tuple(indices[lo:hi].tolist()) for lo, hi in zip(indptr[:-1], indptr[1:])]
 
 
+def members_of(cfg):
+    """Each constraint row of ``constraint_matrix`` less its own parity, the
+    last entry: (sparse rows, dense rows)."""
+    indptr, indices = constraint_matrix(cfg)
+    rows = [indices[lo:hi - 1] for lo, hi in zip(indptr[:-1], indptr[1:])]
+    return rows[:cfg.s], rows[cfg.s:]
+
+
 # ---------------------------------------------------------------------------
 # Construction
 
@@ -65,17 +72,17 @@ def test_config_sizes_are_integers(k, s, h):
 
 @pytest.mark.parametrize("seed", [1.5, True, -1])
 def test_config_seed_is_an_integer_from_zero(seed):
-    # parity_rows stopped on a float seed with a bare TypeError, True ran
+    # The construction stopped on a float seed with a bare TypeError, True ran
     # as seed 1, and a numpy seed overflowed in derive_seed.
     with pytest.raises(InvalidParameterError, match="seed"):
         PrecodeConfig(20, 2, 2, seed=seed)
-    for a, b in zip(*(parity_rows(PrecodeConfig(20, 2, 2, seed=s)) for s in (3, np.int64(3)))):
+    for a, b in zip(*(members_of(PrecodeConfig(20, 2, 2, seed=s)) for s in (3, np.int64(3)))):
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
 
 def test_parity_rows_shape_and_coverage():
-    sparse, dense = parity_rows(CFG)
+    sparse, dense = members_of(CFG)
     assert len(sparse) == CFG.s
     assert len(dense) == CFG.h
     covered = np.zeros(CFG.k, dtype=bool)
@@ -90,15 +97,15 @@ def test_parity_rows_shape_and_coverage():
 
 
 def test_parity_rows_deterministic():
-    a = parity_rows(PrecodeConfig(k=24, s=5, h=3, seed=7))
-    b = parity_rows(PrecodeConfig(k=24, s=5, h=3, seed=7))
+    a = members_of(PrecodeConfig(k=24, s=5, h=3, seed=7))
+    b = members_of(PrecodeConfig(k=24, s=5, h=3, seed=7))
     for x, y in zip(a[0] + a[1], b[0] + b[1]):
         np.testing.assert_array_equal(x, y)
 
 
 def test_parity_rows_vary_with_seed():
-    a = parity_rows(PrecodeConfig(k=64, s=9, h=3, seed=1))
-    b = parity_rows(PrecodeConfig(k=64, s=9, h=3, seed=2))
+    a = members_of(PrecodeConfig(k=64, s=9, h=3, seed=1))
+    b = members_of(PrecodeConfig(k=64, s=9, h=3, seed=2))
     assert any(x.tolist() != y.tolist() for x, y in zip(a[1], b[1]))
 
 
@@ -128,7 +135,7 @@ def test_expand_rejects_wrong_block_size():
 
 
 def _reference_parity_rows(cfg):
-    """The per-native loop ``parity_rows`` replaced, with the attempt that
+    """The parity structure by a per-native loop, with the attempt that
     succeeded (None if every attempt failed)."""
     k, s, h = cfg.k, cfg.s, cfg.h
     for attempt in range(precode._MAX_CONSTRUCTION_ATTEMPTS):
@@ -174,12 +181,12 @@ def test_parity_rows_match_the_per_native_loop(shape):
         attempts.add(attempt)
         if expected is None:
             with pytest.raises(InvalidParameterError):
-                parity_rows(cfg)
+                constraint_matrix(cfg)
             continue
-        sparse, dense = parity_rows(cfg)
+        sparse, dense = members_of(cfg)
         assert (len(sparse), len(dense)) == (cfg.s, cfg.h)
         for got, want in zip(sparse + dense, expected[0] + expected[1]):
-            assert got.dtype == np.int64
+            assert got.dtype == np.int32
             np.testing.assert_array_equal(got, want)
     if shape in ((3, 0, 1), (5, 0, 2)):
         assert max(attempts) > 0, "no seed exercised a retried construction"
@@ -368,7 +375,7 @@ def test_precode_solve_residual_cap(monkeypatch):
     with mock.patch.object(gf2, "solve_partial", wraps=gf2.solve_partial) as solve:
         with pytest.raises(DecodeFailure) as exc:
             natives_of(decoder)
-    assert exc.value.stage == "precode" and exc.value.unresolved == 3
+    assert exc.value.unresolved == 3
     assert not solve.called
 
 
@@ -398,7 +405,7 @@ def precode_systems(draw):
     cfg = PrecodeConfig(k=draw(st.integers(1, 20)), s=s, h=draw(st.integers(0 if s else 1, 9)),
                         seed=draw(st.integers(0, 20)))
     try:
-        parity_rows(cfg)
+        constraint_matrix(cfg)
     except InvalidParameterError:
         assume(False)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -428,7 +435,15 @@ def test_early_exit_fires_only_on_an_undetermined_native(system):
         except DecodeFailure as exc:
             if solve.called:
                 return
-            assert exc.unresolved == len(missing) and exc.stage == "precode"
+            assert exc.unresolved == len(missing)
+    solved = _full_solve(cfg, decoder)
+    assert any(i not in solved for i in missing)
+
+
+def _full_solve(cfg, decoder):
+    """A plain ``solve_partial`` over every uncovered intermediate of the
+    decoder's precode system, with no index eliminated: {index: value} of
+    each one it determines."""
     covered = decoder.covered
     indptr, indices = constraint_matrix(cfg)
     rows = [[i for i in indices[a:b].tolist() if not covered[i]]
@@ -439,25 +454,14 @@ def test_early_exit_fires_only_on_an_undetermined_native(system):
                     for a, b in zip(indptr[:-1], indptr[1:])])
     p_indptr, p_indices, p_rhs = decoder.pending_rows()
     pending = [p_indices[a:b].tolist() for a, b in zip(p_indptr[:-1], p_indptr[1:])]
-    solved = gf2.solve_partial(csr([r for r in rows if r] + pending),
-                               np.flatnonzero(~covered),
+    # Uncovered intermediate unknowns[c] is column c.
+    unknowns = np.flatnonzero(~covered).tolist()
+    column = {i: c for c, i in enumerate(unknowns)}
+    equations = [r for r in rows if r] + pending
+    solved = gf2.solve_partial(csr([[column[i] for i in r] for r in equations]),
+                               range(len(unknowns)),
                                np.concatenate((rhs[[bool(r) for r in rows]], p_rhs)))
-    assert any(i not in solved for i in missing)
-
-
-def _full_solve(cfg, decoder):
-    """A plain ``solve_partial`` over every uncovered intermediate of the
-    decoder's precode system, with no index eliminated."""
-    covered = decoder.covered
-    indptr, indices = constraint_matrix(cfg)
-    rows = [[i for i in indices[a:b].tolist() if not covered[i]]
-            for a, b in zip(indptr[:-1], indptr[1:])]
-    rhs = np.array([np.bitwise_xor.reduce(decoder.payloads[indices[a:b]])
-                    for a, b in zip(indptr[:-1], indptr[1:])])
-    p_indptr, p_indices, p_rhs = decoder.pending_rows()
-    pending = [p_indices[a:b].tolist() for a, b in zip(p_indptr[:-1], p_indptr[1:])]
-    return gf2.solve_partial(csr([r for r in rows if r] + pending), np.flatnonzero(~covered),
-                             np.concatenate((rhs[[bool(r) for r in rows]], p_rhs)))
+    return {unknowns[c]: value for c, value in zip(solved["column"].tolist(), solved["value"])}
 
 
 @settings(max_examples=300, deadline=None)
@@ -473,7 +477,7 @@ def test_precode_solve_decides_as_the_full_system(system):
         try:
             natives = natives_of(decoder, cfg)
         except DecodeFailure as exc:
-            assert undetermined and exc.stage == "precode"
+            assert undetermined
             assert exc.unresolved == (len(undetermined) if solve.called else len(missing))
             return
     assert not undetermined
@@ -493,7 +497,6 @@ def test_early_exit_reports_every_missing_native():
         with pytest.raises(DecodeFailure) as exc:
             natives_of(decoder)
     assert not solve.called
-    assert exc.value.stage == "precode"
     assert exc.value.unresolved == CFG.k - decoder.covered[:CFG.k].sum() == len(lost)
 
 
@@ -524,7 +527,6 @@ def test_raptor_decode_reports_failure_stage():
     natives = {i: blk.data[i] for i in range(CFG.k) if i not in lost}
     with pytest.raises(DecodeFailure) as exc:
         natives_of(peeled(natives, [], CFG.total, blk.l))
-    assert exc.value.stage == "precode"
     assert exc.value.unresolved > 0
 
 

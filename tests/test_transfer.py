@@ -227,6 +227,21 @@ def test_capped_lr_raptor_session_survives_a_cap_below_the_least_useful_degree(s
     assert delivered == data and metrics.windows_completed == 10
 
 
+@pytest.mark.xfail(strict=True, reason="at m_hat = 1 the LR-Raptor law is the one degree "
+                   "k + s + h, so each repair symbol is the XOR of the whole block")
+def test_lr_raptor_repairs_at_one_expected_loss_are_distinct_equations():
+    # 128 natives at rate 0.01 expect one loss. Every repair symbol of the
+    # window then lists all 133 intermediates: the NACK rounds add no
+    # equation, and sessions of small windows run out of budget.
+    cfg = SessionConfig(window=128, symbol_bytes=8, epsilon=0.1, scheme="LR-Raptor",
+                        channel=ChannelConfig(0.01))
+    emissions = SourceState(cfg, SessionMetrics()).start_window(0, SourceBlock.random(128, 8, 1))
+    [batch] = [e.batch for e in emissions if isinstance(e, Repairs)]
+    rows = {frozenset(batch.indices[a:b].tolist()) for a, b in zip(batch.indptr[:-1],
+                                                                    batch.indptr[1:])}
+    assert batch.degrees.size >= 2 and len(rows) == batch.degrees.size
+
+
 # ---------------------------------------------------------------------------
 # End-to-end sessions
 
