@@ -96,8 +96,7 @@ def constraint_matrix(cfg: PrecodeConfig) -> tuple[np.ndarray, np.ndarray]:
         covered[keys % k] = True
         if sizes[:s].all() and covered.all():
             ends = np.cumsum(sizes)
-            indptr = np.zeros(s + h + 1, dtype=np.int64)
-            indptr[1:] = ends + np.arange(1, s + h + 1)
+            indptr = np.append(0, ends + np.arange(1, s + h + 1))
             members = np.concatenate((keys % k, masks.nonzero()[1]))
             indices = np.insert(members, ends, k + np.arange(s + h)).astype(np.int32)
             indptr.setflags(write=False)
@@ -263,13 +262,12 @@ def precode_solve(decoder: PeelDecoder, cfg: PrecodeConfig, out: np.ndarray) -> 
     _xor_dense(gf2.words(rhs[cfg.s:]), src, cfg)
     p_indptr, p_indices, p_rhs = decoder.pending_rows()
     # Each uncovered intermediate's column: the missing natives, then the
-    # open sparse parities, then the open dense ones, each in order. An
-    # open parity's constraint row j is equation at[j], in step order.
+    # open sparse parities, then the open dense ones, each in order. The
+    # eliminate steps are the open parities' rows (row j is equation at[j]).
     col = np.cumsum(~covered) - 1
     at = np.cumsum(rows) - 1
     open_parity = ~covered[cfg.k:]
-    steps = [at[np.flatnonzero(open_parity[:cfg.s])],
-             at[cfg.s + np.flatnonzero(open_parity[cfg.s:])]]
+    steps = np.split(at[open_parity], [np.count_nonzero(open_parity[:cfg.s])])
     solved = gf2.solve_partial(
         (np.concatenate(([0], np.cumsum(counts[rows]), p_indptr[1:] + counts.sum())),
          col[np.concatenate((indices[open_entry], p_indices))]),
